@@ -1,19 +1,16 @@
 // Raw-speed descent path: kernel microbenchmarks (active SIMD backend vs the
-// always-compiled scalar reference), warm-pool batched descent throughput per
-// corner-transform backend, and serial-vs-parallel bulk load — all measured
-// in ONE run, so every emitted speedup compares binaries-identical inputs.
+// always-compiled scalar reference) and warm-pool batched descent throughput
+// per corner-transform backend — all measured in ONE run, so every emitted
+// speedup compares binaries-identical inputs.
 //
 // Correctness is asserted inline, benchmark-style: every batched descent is
-// byte-compared against sequential Query calls, every kernel sample against
-// its scalar reference, and the parallel bulk load against the serial build
-// (root id, page count, full scan). Any violation exits 1.
+// byte-compared against sequential Query calls and every kernel sample
+// against its scalar reference. Any violation exits 1.
 //
 // Output: stderr carries the human-readable table; stdout carries one
 // "JSON "-prefixed line per measurement. The same lines are appended to
-//   $BOXAGG_BENCH_DIR/BENCH_descent.json   (kernel + descent records)
-//   $BOXAGG_BENCH_DIR/BENCH_bulkload.json  (bulk-load records)
-// (BOXAGG_BENCH_DIR defaults to "."), one JSON object per line — jq-friendly
-// for the CI perf-smoke gate.
+// $BOXAGG_BENCH_DIR/BENCH_descent.json (BOXAGG_BENCH_DIR defaults to "."),
+// one JSON object per line — jq-friendly for the CI perf-smoke gate.
 
 #include <chrono>
 #include <cstdio>
@@ -22,14 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "batree/ba_tree.h"
 #include "batree/packed_ba_tree.h"
 #include "bench/suite.h"
-#include "bptree/agg_btree.h"
 #include "core/box_sum_index.h"
 #include "ecdf/ecdf_btree.h"
-#include "exec/bulk_loader.h"
-#include "exec/thread_pool.h"
 #include "simd/simd.h"
 
 using namespace boxagg;
@@ -199,110 +192,16 @@ void BenchDescent(const char* name, const Config& cfg, Storage* storage,
                  JsonRunMeta(cfg).c_str()));
 }
 
-// ---------------------------------------------------------------------------
-// Serial vs parallel bulk load, equality-checked in the same run.
-
-void BenchBulkLoad(const Config& cfg, JsonSink* sink, bool* ok) {
-  std::mt19937 rng(cfg.seed + 99);
-  std::uniform_real_distribution<double> u(0, 1e6);
-  exec::ThreadPool tpool(cfg.threads);
-
-  // AggBTree: staged-parallel/commit-serial leaf build over sorted entries.
-  {
-    std::vector<AggBTree<double>::Entry> sorted(cfg.n);
-    for (size_t i = 0; i < cfg.n; ++i) sorted[i] = {u(rng), u(rng)};
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.key < b.key; });
-    Storage sa(cfg, "bulk_agg_serial"), sb(cfg, "bulk_agg_parallel");
-    AggBTree<double> serial(sa.pool()), parallel(sb.pool());
-    auto t0 = Clock::now();
-    DieIf(serial.BulkLoad(sorted), "serial bulk load");
-    const double serial_ms = MillisSince(t0);
-    t0 = Clock::now();
-    DieIf(parallel.BulkLoadParallel(sorted, &tpool), "parallel bulk load");
-    const double parallel_ms = MillisSince(t0);
-
-    uint64_t pa = 0, pb = 0;
-    DieIf(serial.PageCount(&pa), "page count");
-    DieIf(parallel.PageCount(&pb), "page count");
-    std::vector<AggBTree<double>::Entry> scan_a, scan_b;
-    DieIf(serial.ScanAll(&scan_a), "scan");
-    DieIf(parallel.ScanAll(&scan_b), "scan");
-    if (serial.root() != parallel.root() || pa != pb ||
-        scan_a.size() != scan_b.size() ||
-        std::memcmp(scan_a.data(), scan_b.data(),
-                    scan_a.size() * sizeof(scan_a[0])) != 0) {
-      std::fprintf(stderr, "AggBTree parallel bulk load != serial build\n");
-      *ok = false;
-    }
-    obs::LogInfo("  aggbtree bulk: serial=%.1fms parallel=%.1fms (%zu "
-                 "threads) speedup=%.2fx",
-                 serial_ms, parallel_ms, tpool.size(),
-                 serial_ms / parallel_ms);
-    sink->Emit(Fmt("{\"bench\":\"bulkload\",\"tree\":\"aggbtree\",\"n\":%zu,"
-                   "\"threads\":%zu,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
-                   "\"speedup\":%.3f,\"pages\":%llu,%s}",
-                   cfg.n, tpool.size(), serial_ms, parallel_ms,
-                   serial_ms / parallel_ms,
-                   static_cast<unsigned long long>(pa),
-                   JsonRunMeta(cfg).c_str()));
-  }
-
-  // BaTree: parallel sample sort + parallel region classification. Integer
-  // values so duplicate coalescing is order-independent and the equality
-  // check below is exact.
-  {
-    std::vector<PointEntry<double>> entries(cfg.n);
-    for (auto& e : entries) {
-      e.pt = Point(static_cast<double>(rng() % 100000) / 10,
-                   static_cast<double>(rng() % 100000) / 10);
-      e.value = 1 + rng() % 9;
-    }
-    Storage sa(cfg, "bulk_bat_serial"), sb(cfg, "bulk_bat_parallel");
-    BaTree<double> serial(sa.pool(), 2), parallel(sb.pool(), 2);
-    auto t0 = Clock::now();
-    DieIf(serial.BulkLoad(entries), "serial bulk load");
-    const double serial_ms = MillisSince(t0);
-    t0 = Clock::now();
-    DieIf(parallel.BulkLoadParallel(entries, &tpool), "parallel bulk load");
-    const double parallel_ms = MillisSince(t0);
-
-    std::vector<PointEntry<double>> scan_a, scan_b;
-    DieIf(serial.ScanAll(&scan_a), "scan");
-    DieIf(parallel.ScanAll(&scan_b), "scan");
-    bool same = scan_a.size() == scan_b.size();
-    for (size_t i = 0; same && i < scan_a.size(); ++i) {
-      same = LexEqual(scan_a[i].pt, scan_b[i].pt, 2) &&
-             scan_a[i].value == scan_b[i].value;
-    }
-    if (!same) {
-      std::fprintf(stderr, "BaTree parallel bulk load != serial build\n");
-      *ok = false;
-    }
-    obs::LogInfo("  batree bulk:   serial=%.1fms parallel=%.1fms (%zu "
-                 "threads) speedup=%.2fx",
-                 serial_ms, parallel_ms, tpool.size(),
-                 serial_ms / parallel_ms);
-    sink->Emit(Fmt("{\"bench\":\"bulkload\",\"tree\":\"batree\",\"n\":%zu,"
-                   "\"threads\":%zu,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
-                   "\"speedup\":%.3f,\"entries\":%zu,%s}",
-                   cfg.n, tpool.size(), serial_ms, parallel_ms,
-                   serial_ms / parallel_ms, scan_a.size(),
-                   JsonRunMeta(cfg).c_str()));
-  }
-}
-
 }  // namespace
 
 int main() {
   Config cfg = Config::FromEnv();
-  cfg.Log("Raw-speed descent: SIMD kernels, warm batched descent, bulk load");
+  cfg.Log("Raw-speed descent: SIMD kernels, warm batched descent");
   obs::LogInfo("simd backend: %s (window %u)", simd::kBackend,
                simd::kSearchScanWindow);
 
   bool ok = true;
   JsonSink descent_sink("BENCH_descent.json");
-  JsonSink bulkload_sink("BENCH_bulkload.json");
 
   BenchKernels(cfg, &descent_sink, &ok);
 
@@ -338,6 +237,5 @@ int main() {
     BenchDescent("bat", cfg, &storage, &index, queries, &descent_sink, &ok);
   }
 
-  BenchBulkLoad(cfg, &bulkload_sink, &ok);
   return ok ? 0 : 1;
 }

@@ -7,7 +7,7 @@
 // expensive (every border right of the path plus prefix-border rebuilds on
 // splits); the aR-tree is cheapest (object index, no aggregate fan-out).
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "bench/suite.h"
 #include "core/box_sum_index.h"
 #include "ecdf/ecdf_btree.h"
@@ -100,8 +100,8 @@ int main() {
   double bat_ios = 0;
   {
     Storage s(cfg, "upbat");
-    BoxSumIndex<BaTree<double>> index(
-        2, [&] { return BaTree<double>(s.pool(), 2); });
+    BoxSumIndex<PackedBaTree<double>> index(
+        2, [&] { return PackedBaTree<double>(s.pool(), 2); });
     DieIf(index.BulkLoad(base), "BAT bulk");
     Row r = MeasureInserts(&s, extra, [&](const BoxObject& o) {
       DieIf(index.Insert(o.box, o.value), "BAT insert");

@@ -4,8 +4,7 @@
 //   aR     — R*-tree with aggregate-augmented entries (STR bulk load)
 //   ECDFu  — four ECDF-Bu-trees under the corner-transform reduction
 //   ECDFq  — four ECDF-Bq-trees
-//   BAT    — four packed BA-trees (the paper's border-packing remedy on;
-//            bench_ablation_borders compares against the unpacked BaTree)
+//   BAT    — four BA-trees with the paper's border-packing remedy
 
 #ifndef BOXAGG_BENCH_SUITE_H_
 #define BOXAGG_BENCH_SUITE_H_

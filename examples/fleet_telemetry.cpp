@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "rtree/rstar_tree.h"
 #include "storage/buffer_pool.h"
@@ -66,8 +66,8 @@ int main() {
   BufferPool ar_pool(&ar_file,
                      BufferPool::CapacityForMegabytes(10, kDefaultPageSize));
 
-  BoxAggregator<BaTree<double>> fuel(
-      /*dims=*/3, [&] { return BaTree<double>(&ba_pool, 3); });
+  BoxAggregator<PackedBaTree<double>> fuel(
+      /*dims=*/3, [&] { return PackedBaTree<double>(&ba_pool, 3); });
   RStarTree<> artree(&ar_pool, 3);
 
   auto segments = SimulateDay(30000, 11);

@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "storage/buffer_pool.h"
 
 using namespace boxagg;
@@ -38,7 +38,7 @@ int main() {
 
   // For point objects a single BA-tree suffices: a range-sum over
   // [lo, hi] is the 4-corner inclusion-exclusion on one dominance index.
-  BaTree<double> cube(&pool, 2);
+  PackedBaTree<double> cube(&pool, 2);
 
   std::mt19937_64 rng(3);
   std::uniform_int_distribution<int> uproduct(0, 999);

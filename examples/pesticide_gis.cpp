@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "core/functional_box_sum.h"
 #include "storage/buffer_pool.h"
@@ -46,8 +46,8 @@ int main() {
                   BufferPool::CapacityForMegabytes(10, kDefaultPageSize));
 
   // ---- Part 1: 3-d simple box-sum (area x time) --------------------------
-  BoxSumIndex<BaTree<double>> volumes(
-      /*dims=*/3, [&] { return BaTree<double>(&pool, 3); });
+  BoxSumIndex<PackedBaTree<double>> volumes(
+      /*dims=*/3, [&] { return PackedBaTree<double>(&pool, 3); });
 
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> upos(0, 95);
@@ -76,7 +76,8 @@ int main() {
               march_total);
 
   // ---- Part 2: functional box-sum over spray-rate functions --------------
-  FunctionalBoxSumIndex<BaTree<Poly2<2>>, 2> rates(BaTree<Poly2<2>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<2>>, 2> rates(
+      PackedBaTree<Poly2<2>>(&pool, 2));
 
   // The paper's uneven spray: field x in [5,20], y in [3,15], rate
   // f(x,y) = x - 2 grams per square yard (3 g at the left edge, 18 g at the

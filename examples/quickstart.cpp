@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "storage/buffer_pool.h"
 
@@ -21,8 +21,8 @@ int main() {
 
   // 2. A 2-d aggregator: SUM + COUNT (and AVG) over objects with extent,
   //    maintained as 2^d = 4 BA-trees per aggregate.
-  BoxAggregator<BaTree<double>> agg(
-      /*dims=*/2, [&] { return BaTree<double>(&pool, 2); });
+  BoxAggregator<PackedBaTree<double>> agg(
+      /*dims=*/2, [&] { return PackedBaTree<double>(&pool, 2); });
 
   // 3. Insert a few weighted rectangles (low corner, high corner, value).
   struct Row {

@@ -1,25 +1,54 @@
-// PackedBaTree: the BA-tree with the paper's border-packing remedy.
+// PackedBaTree: the Box Aggregation Tree (Sec. 5) — the paper's main index —
+// with the paper's border-packing remedy.
 //
-// Sec. 4/5 of the paper note that keeping every border as a separate tree
-// "costs one I/O to retrieve" and is wasteful when borders are small; the
-// proposed remedy is to "use a single disk page to keep multiple borders,
-// preferably the borders in the same index page". This variant implements
-// exactly that: every index node page carries, next to its fixed-size
-// records, a heap of *inline borders* — sorted runs of projected
+// A d-dimensional BA-tree is a k-d-B-tree ([28]) whose index records are
+// augmented with aggregate information so a dominance-sum query follows a
+// single root-to-leaf path. Each index record r (box + child pointer) also
+// carries:
+//   - subtotal: total value of in-scope points dominated by r.box's low
+//     corner in every dimension;
+//   - d borders: border i is a (d-1)-dimensional dominance-sum set (stored
+//     in the node page or as its own tree, see "Border packing" below)
+//     holding in-scope points whose FIRST deficient dimension is i
+//     (p_i < r.lo_i, p_j >= r.lo_j for j < i), projected by dropping
+//     dimension i.
+//
+// "In scope" means points routed through r's node that satisfy
+// p_j < r.hi_j in every dimension (others can never be dominated by a query
+// inside r.box). This classification partitions all in-scope points and
+// reduces, at every node on the path, the outside contribution to one
+// subtotal plus d (d-1)-dimensional dominance-sums — the paper's Fig. 7
+// picture, generalized beyond two dimensions.
+//
+// Split maintenance follows Fig. 8. When a record r splits along dimension m
+// at x into r1 (low) and r2 (high):
+//   - r1 keeps r.subtotal and border_m; its other borders drop entries with
+//     coordinate_m >= x (they fall outside r1's scope).
+//   - r2 starts from r.subtotal and reclassifies every border entry against
+//     its raised low corner; entries deficient in a dimension j < i migrate
+//     to border_j with the dropped coordinate i re-inserted as -infinity
+//     (sound: that coordinate is below every low corner the record lineage
+//     will ever have, so it is dominated by every reachable query).
+//   - If the split child is a LEAF, the points of the low half additionally
+//     enter border_m of r2 (Fig. 8b); if it is an index node they are
+//     already accounted for by the child's own records (Fig. 8d).
+// Index-node splits force-split crossing child records recursively, as in
+// the k-d-B-tree.
+//
+// Border packing. Sec. 4/5 of the paper note that keeping every border as a
+// separate tree "costs one I/O to retrieve" and is wasteful when borders are
+// small; the proposed remedy is to "use a single disk page to keep multiple
+// borders, preferably the borders in the same index page". This tree
+// implements exactly that: every index node page carries, next to its
+// fixed-size records, a heap of *inline borders* — sorted runs of projected
 // (point, value) entries answered by an in-page scan. A dominance-sum query
 // that visits the node reads its subtotal and all of its inline borders with
 // ZERO additional I/Os. Only borders too large to share the node page spill
 // into their own (d-1)-dimensional trees (an aggregate B+-tree at d-1 == 1,
 // recursively a PackedBaTree above that).
 //
-// Everything else — the k-d-B structure, the min-deficit border
-// classification, the Fig. 8 split maintenance, forced-split cascades, and
-// the insert/query algorithms — matches BaTree (see ba_tree.h); the two are
-// compared head-to-head by bench_ablation_borders.
-//
 // Page layout:
-//   leaf (type 5, shared with BaTree): u16 type, u16 pad, u32 count;
-//                                      entries {Point, V}
+//   leaf (type 5):     u16 type, u16 pad, u32 count; entries {Point, V}
 //   internal (type 10): u16 type, u16 pad, u32 count, u32 heap_start,
 //                       u32 reserved;
 //     records at 16 + i * RecordSize: {Box, u64 child, V subtotal,
@@ -133,8 +162,10 @@ class PackedBaTree {
   }
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Total value of all points dominated by `q`; +infinity coordinates are
-  /// clamped to the largest finite double (see BaTree::DominanceSum).
+  /// Total value of all points dominated by `q`. A +infinity coordinate
+  /// (an unbounded query side) is clamped to the largest finite double,
+  /// which dominates every storable point, so half-space and whole-space
+  /// queries work.
   Status DominanceSum(const Point& query, V* out,
                       unsigned obs_level = 0) const {
     *out = V{};
@@ -287,7 +318,9 @@ class PackedBaTree {
     return PageCountRec(root_, out);
   }
 
-  /// Bulk-loads an empty tree (same partitioning as BaTree).
+  /// Bulk-loads an empty tree: recursive median partitioning builds the
+  /// k-d-B structure top-down; each node's record borders are classified
+  /// directly from the node's full point set.
   Status BulkLoad(std::vector<Entry> entries) {
     BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
@@ -311,9 +344,17 @@ class PackedBaTree {
                     &root_);
   }
 
-  /// Structural audit: containment + tiling of record boxes over the data
-  /// plus a self-oracle query sample (see BaTree::Validate for why
-  /// per-record aggregates are not re-derivable from current state).
+  /// Structural audit (test/debug aid). Checks the invariants that are
+  /// reconstructible from the current state:
+  ///  (a) every leaf point lies inside the half-open box of every record on
+  ///      its root-to-leaf path, and in exactly one record per node;
+  ///  (b) a self-oracle: DominanceSum at a sample of probe points (data
+  ///      points and perturbations) equals a linear scan over the tree's
+  ///      own leaves.
+  /// Per-record aggregates cannot be re-derived by classifying the node's
+  /// point set: after an index-record split the high half's borders
+  /// legitimately exclude sibling points that predate the split (Fig. 8d) —
+  /// those are counted deeper, which only a query observes.
   Status Validate() const {
     if (root_ == kInvalidPageId || dims_ == 1) return Status::OK();
     std::vector<Entry> pts;
@@ -361,8 +402,8 @@ class PackedBaTree {
   template <class>
   friend class ReplicaBuilder;
 
-  static constexpr uint16_t kLeaf = 5;        // shared with BaTree
-  static constexpr uint16_t kInternal = 10;   // packed internal node
+  static constexpr uint16_t kLeaf = 5;
+  static constexpr uint16_t kInternal = 10;
   static constexpr uint32_t kLeafHeader = 8;
   static constexpr uint32_t kIntHeader = 16;
   static constexpr uint32_t kLeafEntrySize = sizeof(Point) + sizeof(V);
@@ -799,7 +840,7 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  // ---- classification (identical to BaTree) -------------------------------
+  // ---- classification ------------------------------------------------------
 
   static constexpr int kSkip = -1;
   static constexpr int kInside = -2;

@@ -37,7 +37,6 @@
 
 #include "check/checkable.h"
 #include "core/arena.h"
-#include "exec/bulk_loader.h"
 #include "obs/query_obs.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
@@ -249,18 +248,6 @@ class AggBTree {
   /// Builds a tree from entries sorted by strictly increasing key. The tree
   /// must be empty. Pages are filled to `fill` fraction of capacity.
   Status BulkLoad(const std::vector<Entry>& sorted, double fill = 1.0) {
-    return BulkLoadParallel(sorted, nullptr, fill);
-  }
-
-  /// BulkLoad with leaf construction fanned out over `tpool` (sample-sorted
-  /// input is already ordered, so leaves are independent byte-filling jobs).
-  /// Leaf pages are staged in private buffers in parallel, then committed
-  /// through the pool serially in leaf order — BufferPool::New is not
-  /// thread-safe, and serial commit keeps the pool operation sequence, page
-  /// ids and resulting tree bit-identical to the serial build. A null pool
-  /// IS the serial build.
-  Status BulkLoadParallel(const std::vector<Entry>& sorted,
-                          exec::ThreadPool* tpool, double fill = 1.0) {
     BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
       return Status::InvalidArgument("BulkLoad into non-empty tree");
@@ -272,17 +259,13 @@ class AggBTree {
     const uint32_t page_size = pool_->file()->page_size();
     uint32_t leaf_target = std::max<uint32_t>(
         1, static_cast<uint32_t>(LeafCapacity(page_size) * fill));
-    // Level 0: carve leaf ranges, stage their pages, commit in order.
     struct Up {
       double lowkey;
       PageId pid;
       V sum;
     };
-    struct Range {
-      size_t begin;
-      uint32_t take;
-    };
-    std::vector<Range> ranges;
+    // Leaves, written straight into their (zeroed) new pages.
+    std::vector<Up> level;
     size_t i = 0;
     while (i < sorted.size()) {
       size_t take = std::min<size_t>(leaf_target, sorted.size() - i);
@@ -291,34 +274,20 @@ class AggBTree {
           take > 2) {
         take -= 1;
       }
-      ranges.push_back(Range{i, static_cast<uint32_t>(take)});
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->New(&g));
+      SetHeader(g.page(), kLeaf, static_cast<uint32_t>(take));
+      V sum{};
+      for (size_t k = 0; k < take; ++k) {
+        const Entry& e = sorted[i + k];
+        WriteLeafEntry(g.page(), static_cast<uint32_t>(k), e.key, e.value);
+        sum += e.value;
+      }
+      g.MarkDirty();
+      level.push_back(Up{sorted[i].key, g.id(), sum});
       i += take;
     }
-    std::vector<Up> level(ranges.size());
-    {
-      std::vector<Page> staged;
-      staged.reserve(ranges.size());
-      for (size_t r = 0; r < ranges.size(); ++r) staged.emplace_back(page_size);
-      exec::ParallelFor(tpool, ranges.size(), [&](size_t r) {
-        Page* pg = &staged[r];
-        SetHeader(pg, kLeaf, ranges[r].take);
-        V sum{};
-        for (uint32_t k = 0; k < ranges[r].take; ++k) {
-          const Entry& e = sorted[ranges[r].begin + k];
-          WriteLeafEntry(pg, k, e.key, e.value);
-          sum += e.value;
-        }
-        level[r] = Up{sorted[ranges[r].begin].key, kInvalidPageId, sum};
-      });
-      for (size_t r = 0; r < ranges.size(); ++r) {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(pool_->New(&g));
-        std::memcpy(g.page()->data(), staged[r].data(), page_size);
-        g.MarkDirty();
-        level[r].pid = g.id();
-      }
-    }
-    // Upper levels: a tiny fraction of the pages; built serially.
+    // Upper levels.
     uint32_t internal_target = std::max<uint32_t>(
         2, static_cast<uint32_t>(InternalCapacity(page_size) * fill));
     while (level.size() > 1) {

@@ -14,7 +14,7 @@
 //   // scope destructor rewinds the arena; the blocks stay allocated.
 //
 // Scopes nest: a recursive descent opens a scope per level, and an index
-// that delegates to a sub-index (ECDF borders, BaTree border trees) simply
+// that delegates to a sub-index (ECDF borders, spilled BA-tree borders) simply
 // nests deeper in the same thread-local arena. The only rule is that arena
 // memory must not outlive the scope it was allocated under.
 //

@@ -34,11 +34,14 @@ inline bool LexEqual(const Point& a, const Point& b, int dims) {
   return true;
 }
 
-/// Coalesces adjacent duplicate points of an already-sorted entry array by
-/// summing their values (the second half of SortAndCoalesce; the parallel
-/// bulk loader reuses it after its own sort).
+/// Sorts entries lexicographically and coalesces identical points by summing
+/// their values.
 template <class V>
-void CoalesceSorted(std::vector<PointEntry<V>>* entries, int dims) {
+void SortAndCoalesce(std::vector<PointEntry<V>>* entries, int dims) {
+  std::sort(entries->begin(), entries->end(),
+            [dims](const PointEntry<V>& a, const PointEntry<V>& b) {
+              return LexLess(a.pt, b.pt, dims);
+            });
   size_t out = 0;
   for (size_t i = 0; i < entries->size(); ++i) {
     if (out > 0 && LexEqual((*entries)[out - 1].pt, (*entries)[i].pt, dims)) {
@@ -49,17 +52,6 @@ void CoalesceSorted(std::vector<PointEntry<V>>* entries, int dims) {
     }
   }
   entries->resize(out);
-}
-
-/// Sorts entries lexicographically and coalesces identical points by summing
-/// their values.
-template <class V>
-void SortAndCoalesce(std::vector<PointEntry<V>>* entries, int dims) {
-  std::sort(entries->begin(), entries->end(),
-            [dims](const PointEntry<V>& a, const PointEntry<V>& b) {
-              return LexLess(a.pt, b.pt, dims);
-            });
-  CoalesceSorted(entries, dims);
 }
 
 }  // namespace boxagg

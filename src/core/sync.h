@@ -112,7 +112,6 @@ inline constexpr uint32_t kRetireList = 160;       ///< BagFile retire list
 inline constexpr uint32_t kPageStore = 170;        ///< Mem/Fault page slots
 inline constexpr uint32_t kThreadPoolQueue = 200;  ///< exec::ThreadPool
 inline constexpr uint32_t kExecLatch = 210;        ///< executor done-latch
-inline constexpr uint32_t kBulkLoadLatch = 220;    ///< ParallelFor latch
 inline constexpr uint32_t kMetricsRegistry = 300;  ///< obs::MetricsRegistry
 inline constexpr uint32_t kTraceSink = 310;        ///< obs::RingBufferSink
 inline constexpr uint32_t kTimeSeries = 320;       ///< obs::TimeSeriesRing

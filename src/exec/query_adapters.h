@@ -46,7 +46,7 @@ QueryFn RTreeAggregateQueryFn(const RStarTree<Traits>* tree,
 }
 
 /// Dominance-sum probe at the query box's high corner, for any index with
-/// `Status DominanceSum(const Point&, double*) const` (BaTree, PackedBaTree,
+/// `Status DominanceSum(const Point&, double*) const` (PackedBaTree,
 /// EcdfBTree). The box's low corner is ignored — dominance queries are
 /// anchored at a single point.
 template <class Tree>

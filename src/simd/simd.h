@@ -6,7 +6,7 @@
 //
 //   FirstGreater        in-node key search (leaf cutoff + internal routing)
 //   Dominates           dominance test between two points (ECDF leaves)
-//   ContainsHalfOpen    half-open box membership (BaTree record scans)
+//   ContainsHalfOpen    half-open box membership (BA-tree record scans)
 //   AccumulateSigned    corner inclusion-exclusion accumulation
 //   UnpackFixedWidth    fixed-width integer strip decode (compact replicas)
 //

@@ -25,7 +25,7 @@ struct Interval {
 /// \brief Cumulative (and instantaneous) temporal SUM/COUNT/AVG over
 /// interval records.
 ///
-/// `Index` is any 1-d dominance-sum index (AggBTree wrapped by BaTree /
+/// `Index` is any 1-d dominance-sum index (AggBTree wrapped by
 /// PackedBaTree / EcdfBTree with dims = 1).
 template <class Index>
 class TemporalAggregator {

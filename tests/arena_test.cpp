@@ -13,7 +13,7 @@
 #include <random>
 #include <vector>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/arena.h"
 #include "core/box_sum_index.h"
 #include "storage/buffer_pool.h"
@@ -116,8 +116,8 @@ TEST(ArenaTest, ArenaVectorUsesThreadLocalArena) {
 TEST(ArenaTest, WarmQueryBatchMakesZeroHeapAllocations) {
   MemPageFile file(1024);
   BufferPool pool(&file, 4096);
-  BoxSumIndex<BaTree<double>> index(2,
-                                    [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> uc(0, 100), uw(0, 6), uv(0.1, 5);
   std::vector<BoxObject> objects;

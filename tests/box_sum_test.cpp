@@ -7,7 +7,7 @@
 
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
@@ -77,8 +77,8 @@ TEST(CornerTransform, StorageAndQueryCorners) {
 TEST(BoxSumIndexTest, PaperFig3aSimpleAnswerIsSeven) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  BoxSumIndex<BaTree<double>> index(
-      2, [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   ASSERT_TRUE(index.Insert(Box(Point(2, 10), Point(15, 26)), 4.0).ok());
   ASSERT_TRUE(index.Insert(Box(Point(18, 4), Point(30, 10)), 3.0).ok());
   ASSERT_TRUE(index.Insert(Box(Point(22, 18), Point(28, 26)), 6.0).ok());
@@ -90,8 +90,8 @@ TEST(BoxSumIndexTest, PaperFig3aSimpleAnswerIsSeven) {
 TEST(BoxSumIndexTest, TouchingBoxesCountAsIntersecting) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  BoxSumIndex<BaTree<double>> index(
-      2, [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   ASSERT_TRUE(index.Insert(Box(Point(0, 0), Point(1, 1)), 5.0).ok());
   double s;
   // Query touching at the corner point (1,1).
@@ -174,8 +174,8 @@ TEST_P(BoxSumCross, AgreesWithOracleAndArTree) {
       break;
     }
     case Backend::kBat: {
-      BoxSumIndex<BaTree<double>> index(
-          2, [&] { return BaTree<double>(&pool, 2); });
+      BoxSumIndex<PackedBaTree<double>> index(
+          2, [&] { return PackedBaTree<double>(&pool, 2); });
       run(index);
       break;
     }
@@ -243,8 +243,8 @@ TEST(EoReduction, BulkLoadMatchesIncremental) {
 TEST(BoxAggregatorTest, SumCountAvg) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BoxAggregator<BaTree<double>> agg(2,
-                                    [&] { return BaTree<double>(&pool, 2); });
+  BoxAggregator<PackedBaTree<double>> agg(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   auto objs = World(500, 21);
   NaiveBoxSum naive(2);
   for (const auto& o : objs) {
@@ -271,8 +271,8 @@ TEST(BoxAggregatorTest, SumCountAvg) {
 TEST(BoxSumIndexTest, EraseRemovesObjects) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BoxSumIndex<BaTree<double>> index(
-      2, [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   auto objs = World(400, 33);
   for (const auto& o : objs) {
     ASSERT_TRUE(index.Insert(o.box, o.value).ok());
@@ -296,8 +296,8 @@ TEST(BoxSumIndexTest, ThreeDimensionalObjects) {
   // The pesticide example's shape: 2-d area x time interval = 3-d boxes.
   MemPageFile file(2048);
   BufferPool pool(&file, 1024);
-  BoxSumIndex<BaTree<double>> index(
-      3, [&] { return BaTree<double>(&pool, 3); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      3, [&] { return PackedBaTree<double>(&pool, 3); });
   EXPECT_EQ(index.index_count(), 8u);  // 2^3 dominance indexes
   std::mt19937 rng(44);
   std::uniform_real_distribution<double> u(0, 1);

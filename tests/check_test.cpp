@@ -8,7 +8,6 @@
 
 #include <random>
 
-#include "batree/ba_tree.h"
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
@@ -174,35 +173,32 @@ TEST(RStarTreeCheck, DetectsStaleMbr) {
 }
 
 // ---------------------------------------------------------------------------
-// BaTree
+// PackedBaTree
 
-TEST(BaTreeCheck, HealthyTreePasses) {
+void ExpectHealthyPackedBaTree(int dims, int n, uint32_t seed) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BaTree<double> tree(&pool, 2);
-  ASSERT_TRUE(tree.BulkLoad(RandomPoints(2000, 2, 41)).ok());
+  PackedBaTree<double> tree(&pool, dims);
+  ASSERT_TRUE(tree.BulkLoad(RandomPoints(n, dims, seed)).ok());
   EXPECT_TRUE(tree.CheckConsistency().ok());
 }
 
-TEST(BaTreeCheck, DetectsMangledPageType) {
+TEST(PackedBaTreeCheck, HealthyTreePasses) {
+  ExpectHealthyPackedBaTree(2, 3000, 51);
+}
+
+// The BaTreeCheck ID predates the unpacked tree's deletion; it audits a 3-d
+// PackedBaTree, whose borders are themselves 2-d trees.
+TEST(BaTreeCheck, HealthyTreePasses) { ExpectHealthyPackedBaTree(3, 2000, 41); }
+
+TEST(PackedBaTreeCheck, DetectsMangledPageType) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BaTree<double> tree(&pool, 2);
+  PackedBaTree<double> tree(&pool, 2);
   ASSERT_TRUE(tree.BulkLoad(RandomPoints(2000, 2, 42)).ok());
   TamperPage(&pool, tree.root(),
              [](Page* p) { p->WriteAt<uint16_t>(0, 99); });
   ExpectCorruption(tree.CheckConsistency());
-}
-
-// ---------------------------------------------------------------------------
-// PackedBaTree
-
-TEST(PackedBaTreeCheck, HealthyTreePasses) {
-  MemPageFile file(1024);
-  BufferPool pool(&file, 512);
-  PackedBaTree<double> tree(&pool, 2);
-  ASSERT_TRUE(tree.BulkLoad(RandomPoints(3000, 2, 51)).ok());
-  EXPECT_TRUE(tree.CheckConsistency().ok());
 }
 
 TEST(PackedBaTreeCheck, DetectsHeapLayoutDamage) {

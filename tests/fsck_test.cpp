@@ -29,7 +29,10 @@ constexpr uint64_t kSlotSize = kPageSize + kPageHeaderSize;
 class FsckTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fsck_test.bag";
+    // One file per test: ctest runs the cases as concurrent processes.
+    path_ = ::testing::TempDir() + "fsck_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bag";
     BuildIndex();
   }
   void TearDown() override { std::remove(path_.c_str()); }

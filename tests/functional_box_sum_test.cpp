@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/functional_box_sum.h"
 #include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
@@ -22,7 +22,8 @@ namespace {
 TEST(FunctionalBoxSum, PaperPesticideExampleIs236) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  FunctionalBoxSumIndex<BaTree<Poly2<1>>, 1> index(BaTree<Poly2<1>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> index(
+      PackedBaTree<Poly2<1>>(&pool, 2));
   ASSERT_TRUE(
       index.Insert(Box(Point(2, 10), Point(15, 26)), {{4.0, 0, 0}}).ok());
   ASSERT_TRUE(
@@ -46,7 +47,8 @@ TEST(FunctionalBoxSum, PaperPesticideExampleIs236) {
 TEST(FunctionalBoxSum, PaperNonConstantFunctionExample) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  FunctionalBoxSumIndex<BaTree<Poly2<2>>, 2> index(BaTree<Poly2<2>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<2>>, 2> index(
+      PackedBaTree<Poly2<2>>(&pool, 2));
   ASSERT_TRUE(index
                   .Insert(Box(Point(5, 3), Point(20, 15)),
                           {{1.0, 1, 0}, {-2.0, 0, 0}})
@@ -61,7 +63,8 @@ TEST(FunctionalBoxSum, PaperNonConstantFunctionExample) {
 TEST(FunctionalBoxSum, EraseRemovesContribution) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  FunctionalBoxSumIndex<BaTree<Poly2<1>>, 1> index(BaTree<Poly2<1>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> index(
+      PackedBaTree<Poly2<1>>(&pool, 2));
   std::vector<Monomial2> f = {{4.0, 0, 0}};
   Box b(Point(2, 10), Point(15, 26));
   ASSERT_TRUE(index.Insert(b, f).ok());
@@ -125,8 +128,8 @@ TEST_P(FunctionalSweep, MatchesOracleAndFunctionalArTree) {
   };
 
   if (p.use_bat) {
-    FunctionalBoxSumIndex<BaTree<Poly2<3>>, 3> index(
-        BaTree<Poly2<3>>(&pool, 2));
+    FunctionalBoxSumIndex<PackedBaTree<Poly2<3>>, 3> index(
+        PackedBaTree<Poly2<3>>(&pool, 2));
     check(index);
   } else {
     FunctionalBoxSumIndex<EcdfBTree<Poly2<3>>, 3> index(
@@ -150,7 +153,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FunctionalBoxSum, ContributionProportionalToIntersection) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  FunctionalBoxSumIndex<BaTree<Poly2<1>>, 1> index(BaTree<Poly2<1>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> index(
+      PackedBaTree<Poly2<1>>(&pool, 2));
   ASSERT_TRUE(index.Insert(Box(Point(0, 0), Point(10, 10)), {{2.0, 0, 0}}).ok());
   double whole, half, quarter;
   ASSERT_TRUE(index.Query(Box(Point(0, 0), Point(10, 10)), &whole).ok());
@@ -168,8 +172,8 @@ TEST(FunctionalBoxSum, ContributionProportionalToIntersection) {
 TEST(FunctionalBoxSum, DiffersFromSimpleBoxSumByDesign) {
   MemPageFile file(1024);
   BufferPool pool(&file, 256);
-  FunctionalBoxSumIndex<BaTree<Poly2<1>>, 1> functional(
-      BaTree<Poly2<1>>(&pool, 2));
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> functional(
+      PackedBaTree<Poly2<1>>(&pool, 2));
   ASSERT_TRUE(
       functional.Insert(Box(Point(0, 0), Point(100, 100)), {{1.0, 0, 0}}).ok());
   double got;

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "core/functional_box_sum.h"
 #include "core/naive.h"
@@ -39,8 +39,8 @@ TEST(Persistence, BaTreeSurvivesFileReopen) {
     std::unique_ptr<FilePageFile> file;
     ASSERT_TRUE(FilePageFile::Open(path, 4096, /*truncate=*/true, &file).ok());
     BufferPool pool(file.get(), 512);
-    BoxSumIndex<BaTree<double>> index(
-        2, [&] { return BaTree<double>(&pool, 2); });
+    BoxSumIndex<PackedBaTree<double>> index(
+        2, [&] { return PackedBaTree<double>(&pool, 2); });
     ASSERT_TRUE(index.BulkLoad(objs).ok());
     for (uint32_t s = 0; s < 4; ++s) roots[s] = index.index(s).root();
     ASSERT_TRUE(pool.FlushAll().ok());
@@ -52,8 +52,8 @@ TEST(Persistence, BaTreeSurvivesFileReopen) {
     BufferPool pool(file.get(), 512);
     // Reconstruct the four dominance indexes from their persisted roots.
     uint32_t next = 0;
-    BoxSumIndex<BaTree<double>> index(2, [&] {
-      return BaTree<double>(&pool, 2, roots[next++]);
+    BoxSumIndex<PackedBaTree<double>> index(2, [&] {
+      return PackedBaTree<double>(&pool, 2, roots[next++]);
     });
     for (const Box& q : workload::QueryBoxes(40, 0.01, 5)) {
       double got;
@@ -108,7 +108,7 @@ TEST(FaultInjection, OperationsReturnStatusNotCrash) {
 
   int failures = 0;
   {
-    BaTree<double> bat(&pool, 2);
+    PackedBaTree<double> bat(&pool, 2);
     EcdfBTree<double> ecdf(&pool, 2, EcdfVariant::kQueryOptimized);
     for (int i = 0; i < 300; ++i) {
       ASSERT_TRUE(bat.Insert(Point(u(rng), u(rng)), 1.0).ok());
@@ -128,7 +128,7 @@ TEST(FaultInjection, OperationsReturnStatusNotCrash) {
   // Healed: a fresh tree through the same (possibly battered) pool must
   // behave perfectly.
   file.Heal();
-  BaTree<double> fresh(&pool, 2);
+  PackedBaTree<double> fresh(&pool, 2);
   NaiveDominanceSum<double> naive(2);
   for (int i = 0; i < 500; ++i) {
     Point p(std::floor(u(rng)), std::floor(u(rng)));
@@ -149,7 +149,7 @@ TEST(FaultInjection, QueryAfterHealStillConsistent) {
   // in a single-writer, no-WAL engine; queries must be read-only).
   FlakyPageFile file(512);
   BufferPool pool(&file, 64);
-  BaTree<double> bat(&pool, 2);
+  PackedBaTree<double> bat(&pool, 2);
   NaiveDominanceSum<double> naive(2);
   std::mt19937 rng(6);
   std::uniform_real_distribution<double> u(0, 100);
@@ -180,8 +180,8 @@ TEST(FaultInjection, QueryAfterHealStillConsistent) {
 TEST(MaxDims, FourDimensionalBoxSum) {
   MemPageFile file(4096);
   BufferPool pool(&file, 1024);
-  BoxSumIndex<BaTree<double>> index(
-      4, [&] { return BaTree<double>(&pool, 4); });
+  BoxSumIndex<PackedBaTree<double>> index(
+      4, [&] { return PackedBaTree<double>(&pool, 4); });
   EXPECT_EQ(index.index_count(), 16u);
   std::mt19937 rng(3);
   std::uniform_real_distribution<double> u(0, 1);
@@ -249,7 +249,8 @@ TEST_P(PageSizePipeline, EndToEndAcrossPageSizes) {
   NaiveBoxSum naive(2);
   for (const auto& o : objs) naive.Insert(o.box, o.value);
 
-  BoxSumIndex<BaTree<double>> bat(2, [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> bat(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   ASSERT_TRUE(bat.BulkLoad(objs).ok());
   BoxSumIndex<EcdfBTree<double>> ecdf(2, [&] {
     return EcdfBTree<double>(&pool, 2, EcdfVariant::kUpdateOptimized);
@@ -280,7 +281,8 @@ TEST(Integration, FiveBackendsInterleavedMutations) {
   MemPageFile file(2048);
   BufferPool pool(&file, 2048);
   NaiveBoxSum naive(2);
-  BoxSumIndex<BaTree<double>> bat(2, [&] { return BaTree<double>(&pool, 2); });
+  BoxSumIndex<PackedBaTree<double>> bat(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
   BoxSumIndex<EcdfBTree<double>> bu(2, [&] {
     return EcdfBTree<double>(&pool, 2, EcdfVariant::kUpdateOptimized);
   });

@@ -1,16 +1,17 @@
-// Tests for PackedBaTree — the BA-tree with the paper's border-packing
-// remedy. Beyond the correctness suite (oracle cross-checks, splits,
-// deletions), this file asserts the packing *claims*: identical answers to
-// the unpacked BaTree on identical input, with strictly fewer pages.
+// Tests for the BA-tree (Sec. 5) with the paper's border-packing remedy:
+// dominance-sum correctness against the naive oracle across dimensions,
+// bulk-loaded and incrementally built trees (with pages small enough to force
+// leaf splits, index splits, k-d-B forced-split cascades, and border spills),
+// split border maintenance, coalescing, and storage accounting.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "batree/ba_tree.h"
 #include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "core/naive.h"
+#include "poly/poly2.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
 
@@ -45,6 +46,39 @@ std::vector<Point> RandomQueries(int n, int dims, uint32_t seed,
   return out;
 }
 
+TEST(PackedBaTree, EmptyTree) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  PackedBaTree<double> tree(&pool, 2);
+  double s = -1;
+  ASSERT_TRUE(tree.DominanceSum(Point(10, 10), &s).ok());
+  EXPECT_EQ(s, 0.0);
+  uint64_t pages = 7;
+  ASSERT_TRUE(tree.PageCount(&pages).ok());
+  EXPECT_EQ(pages, 0u);
+}
+
+TEST(PackedBaTree, SingleLeafBasics) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  PackedBaTree<double> tree(&pool, 2);
+  ASSERT_TRUE(tree.Insert(Point(5, 5), 3.0).ok());
+  ASSERT_TRUE(tree.Insert(Point(2, 8), 4.0).ok());
+  ASSERT_TRUE(tree.Insert(Point(5, 5), 1.0).ok());  // coalesces
+  double s;
+  ASSERT_TRUE(tree.DominanceSum(Point(5, 5), &s).ok());
+  EXPECT_EQ(s, 4.0);
+  ASSERT_TRUE(tree.DominanceSum(Point(4, 10), &s).ok());
+  EXPECT_EQ(s, 4.0);
+  ASSERT_TRUE(tree.DominanceSum(Point(10, 10), &s).ok());
+  EXPECT_EQ(s, 8.0);
+  ASSERT_TRUE(tree.DominanceSum(Point(1, 1), &s).ok());
+  EXPECT_EQ(s, 0.0);
+  std::vector<PointEntry<double>> all;
+  ASSERT_TRUE(tree.ScanAll(&all).ok());
+  EXPECT_EQ(all.size(), 2u);
+}
+
 struct PParam {
   int dims;
   bool bulk;
@@ -56,15 +90,12 @@ struct PParam {
   }
 };
 
-class PackedBaTreeSweep : public ::testing::TestWithParam<PParam> {};
-
-TEST_P(PackedBaTreeSweep, MatchesNaiveOracle) {
-  const PParam p = GetParam();
+void CheckSweep(const PParam& p, uint32_t seed) {
   MemPageFile file(p.page_size);
   BufferPool pool(&file, 512);
   PackedBaTree<double> tree(&pool, p.dims);
   NaiveDominanceSum<double> naive(p.dims);
-  auto pts = RandomPoints(p.n, p.dims, 700u + static_cast<uint32_t>(p.n));
+  auto pts = RandomPoints(p.n, p.dims, seed);
   for (const auto& e : pts) naive.Insert(e.pt, e.value);
   if (p.bulk) {
     ASSERT_TRUE(tree.BulkLoad(pts).ok());
@@ -78,54 +109,116 @@ TEST_P(PackedBaTreeSweep, MatchesNaiveOracle) {
     ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
     ASSERT_NEAR(got, naive.Query(q), 1e-6) << q.ToString(p.dims);
   }
+  // Also probe exactly at data points (boundary semantics).
   for (int i = 0; i < 50; ++i) {
     const Point& q = pts[static_cast<size_t>(i * 7 % p.n)].pt;
     double got;
     ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
-    ASSERT_NEAR(got, naive.Query(q), 1e-6);
+    ASSERT_NEAR(got, naive.Query(q), 1e-6) << q.ToString(p.dims);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, PackedBaTreeSweep,
-    ::testing::Values(PParam{1, false, 2000, 512},
-                      PParam{2, false, 1200, 512},
-                      PParam{2, false, 4000, 1024},
-                      PParam{2, true, 4000, 512},
-                      PParam{2, true, 8000, 1024},
-                      PParam{3, false, 900, 1024},
-                      PParam{3, true, 3000, 1024},
-                      PParam{3, true, 2000, 4096}),
-    [](const ::testing::TestParamInfo<PParam>& info) {
-      return info.param.Name();
-    });
+const PParam kSweepShapes[] = {
+    {1, false, 2000, 512}, {2, false, 1200, 512},  {2, false, 4000, 1024},
+    {2, true, 4000, 512},  {2, true, 8000, 1024},  {3, false, 900, 1024},
+    {3, true, 3000, 1024}, {3, true, 2000, 4096},
+};
 
-TEST(PackedBaTree, AgreesWithUnpackedAndUsesFewerPages) {
+std::string SweepName(const ::testing::TestParamInfo<PParam>& info) {
+  return info.param.Name();
+}
+
+// Two independent data draws over the same shapes: BaTreeSweep seeds each
+// shape with 300 + n, PackedBaTreeSweep with 700 + n.
+class BaTreeSweep : public ::testing::TestWithParam<PParam> {};
+class PackedBaTreeSweep : public ::testing::TestWithParam<PParam> {};
+
+TEST_P(BaTreeSweep, MatchesNaiveOracle) {
+  CheckSweep(GetParam(), 300u + static_cast<uint32_t>(GetParam().n));
+}
+
+TEST_P(PackedBaTreeSweep, MatchesNaiveOracle) {
+  CheckSweep(GetParam(), 700u + static_cast<uint32_t>(GetParam().n));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BaTreeSweep, ::testing::ValuesIn(kSweepShapes),
+                         SweepName);
+INSTANTIATE_TEST_SUITE_P(Sweep, PackedBaTreeSweep,
+                         ::testing::ValuesIn(kSweepShapes), SweepName);
+
+// Integer coordinates and values: every sum is exact in any order, so bulk
+// and incremental trees must match the oracle bit for bit.
+std::vector<PointEntry<double>> IntegerPoints(int n, int dims, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> coord(0, 500);
+  std::vector<PointEntry<double>> out;
+  for (int i = 0; i < n; ++i) {
+    PointEntry<double> e;
+    for (int d = 0; d < dims; ++d) e.pt[d] = coord(rng);
+    e.value = 1 + rng() % 9;
+    out.push_back(e);
+  }
+  return out;
+}
+
+class BaTreeBulkLoad : public ::testing::TestWithParam<int> {};
+
+// Bulk load vs one-at-a-time Insert: different trees are allowed, but both
+// must pass the deep structural audit and agree with the exact oracle.
+TEST_P(BaTreeBulkLoad, BulkAndIncrementalAgreeWithOracle) {
+  const int dims = GetParam();
+  auto entries = IntegerPoints(4000, dims, 41);
+  MemPageFile file_a(1024), file_b(1024);
+  BufferPool pool_a(&file_a, 8192), pool_b(&file_b, 8192);
+  PackedBaTree<double> bulk(&pool_a, dims), incremental(&pool_b, dims);
+  NaiveDominanceSum<double> naive(dims);
+  ASSERT_TRUE(bulk.BulkLoad(entries).ok());
+  for (const auto& e : entries) {
+    ASSERT_TRUE(incremental.Insert(e.pt, e.value).ok());
+    naive.Insert(e.pt, e.value);
+  }
+  EXPECT_TRUE(bulk.CheckConsistency().ok());
+  EXPECT_TRUE(incremental.CheckConsistency().ok());
+
+  std::mt19937 rng(42);
+  std::uniform_int_distribution<int> coord(0, 500);
+  for (int i = 0; i < 100; ++i) {
+    Point q;
+    for (int d = 0; d < dims; ++d) q[d] = coord(rng);
+    double a = 0, b = 0;
+    ASSERT_TRUE(bulk.DominanceSum(q, &a).ok());
+    ASSERT_TRUE(incremental.DominanceSum(q, &b).ok());
+    ASSERT_EQ(a, naive.Query(q)) << i;
+    ASSERT_EQ(b, naive.Query(q)) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, BaTreeBulkLoad, ::testing::Values(1, 2, 3));
+
+TEST(PackedBaTree, AgreesWithOracleOnLargeBulkLoad) {
   MemPageFile file(8192);
   BufferPool pool(&file, 2048);
   auto pts = RandomPoints(30000, 2, 5, 10000.0);
-  BaTree<double> plain(&pool, 2);
-  PackedBaTree<double> packed(&pool, 2);
-  ASSERT_TRUE(plain.BulkLoad(pts).ok());
-  ASSERT_TRUE(packed.BulkLoad(pts).ok());
-  for (const Point& q : RandomQueries(300, 2, 6, 10000.0)) {
-    double a, b;
-    ASSERT_TRUE(plain.DominanceSum(q, &a).ok());
-    ASSERT_TRUE(packed.DominanceSum(q, &b).ok());
-    ASSERT_NEAR(a, b, 1e-6) << q.ToString(2);
-  }
-  uint64_t plain_pages = 0, packed_pages = 0;
-  ASSERT_TRUE(plain.PageCount(&plain_pages).ok());
-  ASSERT_TRUE(packed.PageCount(&packed_pages).ok());
-  EXPECT_LT(packed_pages, plain_pages);
-}
-
-TEST(PackedBaTree, InsertAfterBulkLoad) {
-  MemPageFile file(1024);
-  BufferPool pool(&file, 512);
   PackedBaTree<double> tree(&pool, 2);
   NaiveDominanceSum<double> naive(2);
-  auto pts = RandomPoints(4000, 2, 71);
+  for (const auto& e : pts) naive.Insert(e.pt, e.value);
+  ASSERT_TRUE(tree.BulkLoad(pts).ok());
+  for (const Point& q : RandomQueries(300, 2, 6, 10000.0)) {
+    double got;
+    ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
+    ASSERT_NEAR(got, naive.Query(q), 1e-6) << q.ToString(2);
+  }
+}
+
+// Test IDs under the BaTree suite name predate the unpacked tree's deletion;
+// they now run on PackedBaTree with their own data draws and page shapes.
+
+void CheckInsertAfterBulkLoad(int dims, uint32_t seed) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 512);
+  PackedBaTree<double> tree(&pool, dims);
+  NaiveDominanceSum<double> naive(dims);
+  auto pts = RandomPoints(4000, dims, seed);
   std::vector<PointEntry<double>> first(pts.begin(), pts.begin() + 2000);
   ASSERT_TRUE(tree.BulkLoad(first).ok());
   for (const auto& e : first) naive.Insert(e.pt, e.value);
@@ -133,18 +226,22 @@ TEST(PackedBaTree, InsertAfterBulkLoad) {
     ASSERT_TRUE(tree.Insert(pts[i].pt, pts[i].value).ok());
     naive.Insert(pts[i].pt, pts[i].value);
   }
-  for (const Point& q : RandomQueries(200, 2, 10)) {
+  for (const Point& q : RandomQueries(200, dims, 10)) {
     double got;
     ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
-    ASSERT_NEAR(got, naive.Query(q), 1e-6);
+    ASSERT_NEAR(got, naive.Query(q), 1e-6) << q.ToString(dims);
   }
 }
 
-TEST(PackedBaTree, DeletionViaInverseValues) {
+TEST(PackedBaTree, InsertAfterBulkLoad) { CheckInsertAfterBulkLoad(2, 71); }
+
+TEST(BaTree, InsertAfterBulkLoad) { CheckInsertAfterBulkLoad(3, 171); }
+
+void CheckDeletionViaInverseValues(int n, uint32_t seed) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
   PackedBaTree<double> tree(&pool, 2);
-  auto pts = RandomPoints(1500, 2, 41);
+  auto pts = RandomPoints(n, 2, seed);
   for (const auto& e : pts) {
     ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
   }
@@ -163,18 +260,123 @@ TEST(PackedBaTree, DeletionViaInverseValues) {
   }
 }
 
-TEST(PackedBaTree, DestroyReleasesEverything) {
-  MemPageFile file(1024);
+TEST(PackedBaTree, DeletionViaInverseValues) {
+  CheckDeletionViaInverseValues(1500, 41);
+}
+
+TEST(BaTree, DeletionViaInverseValues) {
+  CheckDeletionViaInverseValues(1000, 141);
+}
+
+TEST(PackedBaTree, SkewedInsertionOrderStressesSplits) {
+  // Sorted insertion order drives repeated splits on the same boundary and
+  // exercises the forced-split cascade.
+  MemPageFile file(512);
+  BufferPool pool(&file, 512);
+  PackedBaTree<double> tree(&pool, 2);
+  NaiveDominanceSum<double> naive(2);
+  std::vector<PointEntry<double>> pts;
+  for (int i = 0; i < 1500; ++i) {
+    PointEntry<double> e{Point(i % 40, i / 40 + (i % 7) * 0.25), 1.0};
+    pts.push_back(e);
+  }
+  std::sort(pts.begin(), pts.end(),
+            [](const auto& a, const auto& b) { return LexLess(a.pt, b.pt, 2); });
+  for (const auto& e : pts) {
+    ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
+    naive.Insert(e.pt, e.value);
+  }
+  for (const Point& q : RandomQueries(150, 2, 13, 45.0)) {
+    double got;
+    ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
+    ASSERT_NEAR(got, naive.Query(q), 1e-6);
+  }
+}
+
+TEST(PackedBaTree, ColumnsAndRowsOfDuplicateCoordinates) {
+  MemPageFile file(512);
+  BufferPool pool(&file, 512);
+  PackedBaTree<double> tree(&pool, 2);
+  NaiveDominanceSum<double> naive(2);
+  // Dense grid columns: many identical x values, many identical y values.
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 80; ++y) {
+      Point p(x, y);
+      ASSERT_TRUE(tree.Insert(p, 1.0).ok());
+      naive.Insert(p, 1.0);
+    }
+  }
+  for (const Point& q :
+       {Point(6, 40), Point(0, 0), Point(11, 79), Point(5.5, 200),
+        Point(-1, 50), Point(200, 200)}) {
+    double got;
+    ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
+    ASSERT_NEAR(got, naive.Query(q), 1e-9) << q.ToString(2);
+  }
+}
+
+void CheckDestroyReleasesEverything(uint32_t page_size, int n,
+                                    uint64_t min_pages) {
+  MemPageFile file(page_size);
   BufferPool pool(&file, 512);
   uint64_t before = file.live_page_count();
   PackedBaTree<double> tree(&pool, 2);
-  ASSERT_TRUE(tree.BulkLoad(RandomPoints(5000, 2, 21)).ok());
+  ASSERT_TRUE(tree.BulkLoad(RandomPoints(n, 2, 21)).ok());
   uint64_t pages = 0;
   ASSERT_TRUE(tree.PageCount(&pages).ok());
-  EXPECT_GT(pages, 10u);
+  EXPECT_GT(pages, min_pages);
   EXPECT_EQ(file.live_page_count() - before, pages);
   ASSERT_TRUE(tree.Destroy().ok());
   EXPECT_EQ(file.live_page_count(), before);
+}
+
+TEST(PackedBaTree, DestroyReleasesEverything) {
+  CheckDestroyReleasesEverything(1024, 5000, 10);
+}
+
+// 512-byte pages: the border heap spills, so Destroy must free spill pages.
+TEST(BaTree, DestroyReleasesEverything) {
+  CheckDestroyReleasesEverything(512, 3000, 20);
+}
+
+TEST(PackedBaTree, PolynomialValues) {
+  MemPageFile file(4096);
+  BufferPool pool(&file, 512);
+  PackedBaTree<Poly2<1>> tree(&pool, 2);
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> uc(0, 100);
+  std::vector<PointEntry<Poly2<1>>> pts;
+  for (int i = 0; i < 600; ++i) {
+    PointEntry<Poly2<1>> e;
+    e.pt = Point(std::floor(uc(rng)), std::floor(uc(rng)));
+    e.value.Set(1, 1, uc(rng));
+    e.value.Set(0, 0, uc(rng) - 50);
+    pts.push_back(e);
+    ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
+  }
+  NaiveDominanceSum<Poly2<1>> naive(2);
+  for (const auto& e : pts) naive.Insert(e.pt, e.value);
+  for (const Point& q : RandomQueries(60, 2, 14)) {
+    Poly2<1> got;
+    ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
+    EXPECT_TRUE(got.NearlyEquals(naive.Query(q), 1e-6)) << q.ToString(2);
+  }
+}
+
+TEST(PackedBaTree, MassiveCoalescingKeepsOneEntry) {
+  MemPageFile file(512);
+  BufferPool pool(&file, 256);
+  PackedBaTree<double> tree(&pool, 2);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(tree.Insert(Point(3, 4), 1.0).ok());
+  }
+  std::vector<PointEntry<double>> all;
+  ASSERT_TRUE(tree.ScanAll(&all).ok());
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].value, 500.0);
+  double s;
+  ASSERT_TRUE(tree.DominanceSum(Point(3, 4), &s).ok());
+  EXPECT_EQ(s, 500.0);
 }
 
 TEST(PackedBaTree, SpilledBordersStillCorrect) {

@@ -55,7 +55,7 @@
 #include <thread>
 #include <vector>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
 #include "check/fsck.h"
@@ -129,7 +129,7 @@ Status TortureRootChecker(BufferPool* pool, uint32_t dims, size_t index,
                                EcdfVariant::kUpdateOptimized, root)
           .CheckConsistency(ctx);
     case 2:
-      return BaTree<double>(pool, static_cast<int>(dims), root)
+      return PackedBaTree<double>(pool, static_cast<int>(dims), root)
           .CheckConsistency(ctx);
     default:
       return Status::Corruption("unexpected root index");
@@ -210,7 +210,7 @@ void ReaderLoop(BagFile* bag, BufferPool* pool, FaultInjectingPageFile* phys,
       AggBTree<double> agg(pool, pin.roots()[0], &pin);
       EcdfBTree<double> ecdf(pool, kDims, EcdfVariant::kUpdateOptimized,
                              pin.roots()[1], &pin);
-      BaTree<double> ba(pool, kDims, pin.roots()[2], &pin);
+      PackedBaTree<double> ba(pool, kDims, pin.roots()[2], &pin);
       for (int probe = 0; probe < 4 && st.ok(); ++probe) {
         const double qk = rng.Int(600);
         const Point qp(rng.Int(120), rng.Int(120));
@@ -280,7 +280,7 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
     }
     AggBTree<double> agg(&pool);
     EcdfBTree<double> ecdf(&pool, kDims, EcdfVariant::kUpdateOptimized);
-    BaTree<double> ba(&pool, kDims);
+    PackedBaTree<double> ba(&pool, kDims);
 
     const int n_batches = 3 + static_cast<int>(rng.Below(3));
     bool down = false;
@@ -400,7 +400,7 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
   AggBTree<double> agg(&pool, rec->roots()[0]);
   EcdfBTree<double> ecdf(&pool, kDims, EcdfVariant::kUpdateOptimized,
                          rec->roots()[1]);
-  BaTree<double> ba(&pool, kDims, rec->roots()[2]);
+  PackedBaTree<double> ba(&pool, kDims, rec->roots()[2]);
   const double inf = std::numeric_limits<double>::infinity();
   for (int probe = 0; probe < 8; ++probe) {
     // Probe 0 is the whole space (total sum); the rest are random corners.

@@ -19,13 +19,12 @@ tree, replica record kind + buffer size, ...) so reordering and meta churn
                   1e-6 relative) — any drift is a real behavior change and
                   must come with a trajectory update in the same commit.
 
-  ratio           within-run speed ratios (SIMD-vs-scalar kernel speedup,
-                  parallel-vs-serial bulk-load speedup). Machine-portable
-                  enough to gate across hosts, but noisy: the fresh value
-                  must stay above baseline * (1 - max_regress). The default
-                  slack (0.5) only fires on collapse-class regressions —
-                  vectorization silently disabled, a serialized thread pool —
-                  not scheduler jitter.
+  ratio           within-run speed ratios (SIMD-vs-scalar kernel speedup).
+                  Machine-portable enough to gate across hosts, but noisy:
+                  the fresh value must stay above baseline * (1 - max_regress).
+                  The default slack (0.5) only fires on collapse-class
+                  regressions — vectorization silently disabled — not
+                  scheduler jitter.
 
 Absolute wall-clock fields (wall_ms, *_ms, queries_per_sec) are gated only
 with --gate-wall, for same-machine comparisons (the CI self-test); across
@@ -45,8 +44,6 @@ EPS = 1e-6
 # Deterministic for fixed (n, queries, seed): exact match required.
 DETERMINISTIC = {
     "logical_per_round",
-    "pages",
-    "entries",
     "bat_pages",
     "replica_pages",
     "bat_bytes_per_object",
@@ -73,8 +70,6 @@ WALL_LOWER_BETTER = {
     "wall_ms",
     "scalar_ms",
     "simd_ms",
-    "serial_ms",
-    "parallel_ms",
     "build_ms",
 }
 
@@ -85,8 +80,6 @@ def identity(rec):
         return ("kernel", rec["kernel"])
     if rec.get("phase") == "warm_batch":
         return ("warm_batch", rec["backend_tree"])
-    if rec.get("bench") == "bulkload":
-        return ("bulkload", rec["tree"])
     if rec.get("record") == "io":
         return ("replica_io", rec["backend"], rec["io_buffer_mb"])
     if rec.get("record") == "size":

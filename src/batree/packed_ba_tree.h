@@ -344,31 +344,23 @@ class PackedBaTree {
                     &root_);
   }
 
-  /// Structural audit (test/debug aid). Checks the invariants that are
-  /// reconstructible from the current state:
+  /// Deep structural audit (test/debug aid and fsck entry point). Checks
+  /// the invariants that are reconstructible from the current state:
   ///  (a) every leaf point lies inside the half-open box of every record on
   ///      its root-to-leaf path, and in exactly one record per node;
-  ///  (b) a self-oracle: DominanceSum at a sample of probe points (data
-  ///      points and perturbations) equals a linear scan over the tree's
-  ///      own leaves.
+  ///  (b) when ctx->check_oracle (the default), a self-oracle: DominanceSum
+  ///      at a sample of probe points (data points and perturbations)
+  ///      equals a linear scan over the tree's own leaves;
+  ///  (c) raw packed-page layout — record array and border heap must not
+  ///      overlap, every inline border block must lie inside the heap with
+  ///      a sane entry count and strictly sorted entries, and spilled border
+  ///      trees are audited recursively down to the AggBTree base case.
   /// Per-record aggregates cannot be re-derived by classifying the node's
   /// point set: after an index-record split the high half's borders
   /// legitimately exclude sibling points that predate the split (Fig. 8d) —
-  /// those are counted deeper, which only a query observes.
-  Status Validate() const {
-    if (root_ == kInvalidPageId || dims_ == 1) return Status::OK();
-    std::vector<Entry> pts;
-    BOXAGG_RETURN_NOT_OK(ValidateRec(root_, &pts));
-    return SelfOracle(pts);
-  }
-
-  /// Deep structural audit: Validate()'s containment/tiling and (when
-  /// ctx->check_oracle) self-oracle checks, plus raw packed-page layout
-  /// verification — record array and border heap must not overlap, every
-  /// inline border block must lie inside the heap with a sane entry count
-  /// and strictly sorted entries, and spilled border trees are audited
-  /// recursively down to the AggBTree base case. `ctx` threads the page
-  /// ownership set across structures (see src/check/checkable.h).
+  /// those are counted deeper, which only a query observes (hence (b)).
+  /// `ctx` threads the page ownership set across structures (see
+  /// src/check/checkable.h).
   Status CheckConsistency(CheckContext* ctx = nullptr) const {
     CheckContext local;
     if (ctx == nullptr) ctx = &local;
@@ -1374,49 +1366,11 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  Status ValidateRec(PageId pid, std::vector<Entry>* out) const {
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      if (PageType(g.page()) == kLeaf) {
-        uint32_t n = LeafCount(g.page());
-        for (uint32_t i = 0; i < n; ++i) {
-          Entry e;
-          e.pt = LeafPoint(g.page(), i);
-          ReadLeafValue(g.page(), i, &e.value);
-          out->push_back(e);
-        }
-        return Status::OK();
-      }
-    }
-    std::vector<RecImage> recs;
-    BOXAGG_RETURN_NOT_OK(LoadNode(pid, &recs));
-    size_t begin = out->size();
-    for (const RecImage& r : recs) {
-      size_t lo = out->size();
-      BOXAGG_RETURN_NOT_OK(ValidateRec(r.child, out));
-      for (size_t k = lo; k < out->size(); ++k) {
-        if (!r.box.ContainsPointHalfOpen((*out)[k].pt, dims_)) {
-          return Status::Corruption("subtree point escapes its record box");
-        }
-      }
-    }
-    for (size_t k = begin; k < out->size(); ++k) {
-      int owners = 0;
-      for (const RecImage& r : recs) {
-        if (r.box.ContainsPointHalfOpen((*out)[k].pt, dims_)) ++owners;
-      }
-      if (owners != 1) {
-        return Status::Corruption("record boxes do not tile the node scope");
-      }
-    }
-    return Status::OK();
-  }
-
   // ---- verification --------------------------------------------------------
 
-  /// Raw-layout checks of one packed internal page, then the ValidateRec
-  /// walk with border recursion. Collects leaf points like ValidateRec.
+  /// Raw-layout checks of one packed internal page, then the containment
+  /// and tiling walk with border recursion. Collects the leaf points of the
+  /// subtree into *out for the self-oracle.
   Status CheckRec(PageId pid, CheckContext* ctx,
                   std::vector<Entry>* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "packed-ba-tree"));

@@ -239,6 +239,15 @@ class BoxAggregator {
     return Status::OK();
   }
 
+  /// Total pages of both indexes.
+  Status PageCount(uint64_t* out) const {
+    uint64_t a = 0, b = 0;
+    BOXAGG_RETURN_NOT_OK(sums_.PageCount(&a));
+    BOXAGG_RETURN_NOT_OK(counts_.PageCount(&b));
+    *out = a + b;
+    return Status::OK();
+  }
+
   BoxSumIndex<Index>& sums() { return sums_; }
   BoxSumIndex<Index>& counts() { return counts_; }
 

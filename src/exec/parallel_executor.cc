@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 
-#include "core/bag_file.h"
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,23 +19,20 @@ double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-// Latency distribution over `latencies` (one entry per work unit) plus the
-// batch's buffer-pool delta; shared by both execution paths. When a metrics
-// registry is installed the per-unit latencies also feed `hist_name`, so
-// repeated batches accumulate a process-wide distribution.
+// Latency distribution over `latencies` (one entry per morsel) plus the
+// batch's buffer-pool delta. When a metrics registry is installed the
+// per-morsel latencies also feed `executor.morsel_latency_us`, so repeated
+// batches accumulate a process-wide distribution.
 void FillStats(BatchExecStats* stats, std::vector<double>* latencies,
-               BufferPool* pool, const IoStats& before,
-               const char* hist_name) {
+               BufferPool* pool, const IoStats& before) {
   if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
       reg != nullptr && !latencies->empty()) {
-    obs::Histogram* h = reg->GetHistogram(hist_name, obs::LatencyBucketsUs());
+    obs::Histogram* h = reg->GetHistogram("executor.morsel_latency_us",
+                                          obs::LatencyBucketsUs());
     for (double l : *latencies) h->Record(l);
   }
-  double sum = 0;
-  for (double l : *latencies) sum += l;
   const size_t n = latencies->size();
   if (n > 0) {
-    stats->latency_mean_us = sum / static_cast<double>(n);
     std::sort(latencies->begin(), latencies->end());
     stats->latency_p50_us = (*latencies)[n / 2];
     stats->latency_p95_us = (*latencies)[n - 1 - (n - 1) / 20];
@@ -55,75 +51,6 @@ ParallelQueryExecutor::ParallelQueryExecutor(size_t threads)
     : pool_(std::make_unique<ThreadPool>(threads)) {}
 
 ParallelQueryExecutor::~ParallelQueryExecutor() = default;
-
-Status ParallelQueryExecutor::RunBatch(const QueryFn& fn,
-                                       const std::vector<Box>& queries,
-                                       std::vector<double>* results,
-                                       BatchExecStats* stats,
-                                       BufferPool* pool) {
-  const size_t n = queries.size();
-  results->assign(n, 0.0);
-  if (stats) *stats = BatchExecStats{};
-  if (n == 0) return Status::OK();
-  const IoStats io_before = pool ? pool->stats() : IoStats{};
-
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-    reg->GetCounter("executor.queries")->Inc(n);
-  }
-  const size_t workers = pool_->size();
-  // Dynamic chunking: small enough to balance skewed queries, large enough
-  // to amortize the claim.
-  const size_t chunk = std::max<size_t>(1, n / (workers * 8));
-
-  std::atomic<size_t> next{0};
-  std::vector<double> latencies(stats ? n : 0);
-
-  // First-error capture + completion latch.
-  sync::Mutex mu("exec.latch", sync::lock_rank::kExecLatch);
-  sync::CondVar done_cv;
-  size_t workers_done = 0;
-  Status first_error = Status::OK();
-
-  auto t0 = Clock::now();
-  for (size_t w = 0; w < workers; ++w) {
-    pool_->Submit([&, record = stats != nullptr] {
-      Status local = Status::OK();
-      for (;;) {
-        size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-        if (lo >= n) break;
-        size_t hi = std::min(n, lo + chunk);
-        obs::Span span("query_chunk", "executor");
-        span.SetProbes(static_cast<int64_t>(hi - lo));
-        for (size_t i = lo; i < hi; ++i) {
-          auto q0 = record ? Clock::now() : Clock::time_point{};
-          Status s = fn(queries[i], &(*results)[i]);
-          if (record) latencies[i] = MicrosBetween(q0, Clock::now());
-          if (!s.ok() && local.ok()) local = s;
-        }
-      }
-      sync::MutexLock lock(&mu);
-      if (!local.ok() && first_error.ok()) first_error = local;
-      if (++workers_done == workers) done_cv.NotifyAll();
-    });
-  }
-  {
-    sync::MutexLock lock(&mu);
-    while (workers_done != workers) done_cv.Wait(&mu);
-  }
-  auto t1 = Clock::now();
-
-  if (stats) {
-    stats->threads = workers;
-    stats->queries = n;
-    stats->wall_ms = MicrosBetween(t0, t1) / 1000.0;
-    stats->queries_per_sec =
-        stats->wall_ms > 0 ? 1000.0 * static_cast<double>(n) / stats->wall_ms
-                           : 0;
-    FillStats(stats, &latencies, pool, io_before,
-              "executor.query_latency_us");
-  }
-  return first_error;
-}
 
 Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
                                               const std::vector<Box>& queries,
@@ -194,51 +121,9 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
     stats->queries_per_sec =
         stats->wall_ms > 0 ? 1000.0 * static_cast<double>(n) / stats->wall_ms
                            : 0;
-    FillStats(stats, &latencies, pool, io_before,
-              "executor.morsel_latency_us");
+    FillStats(stats, &latencies, pool, io_before);
   }
   return first_error;
-}
-
-Status ParallelQueryExecutor::RunBatchPinned(BagFile* bag,
-                                             const PinnedQueryFn& fn,
-                                             const std::vector<Box>& queries,
-                                             std::vector<double>* results,
-                                             BatchExecStats* stats,
-                                             BufferPool* pool) {
-  GenerationPin pin;
-  BOXAGG_RETURN_NOT_OK(bag->PinCurrent(&pin));
-  obs::Span span("exec.pinned_batch", "executor");
-  span.SetGeneration(static_cast<int64_t>(pin.generation()));
-  span.SetProbes(static_cast<int64_t>(queries.size()));
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-    reg->GetCounter("executor.pinned_batches")->Inc();
-  }
-  // The pin outlives RunBatch's completion latch, so every worker reads the
-  // same immutable generation; it drops (and may trigger reclamation) only
-  // after the last query has finished.
-  return RunBatch(
-      [&pin, &fn](const Box& box, double* out) { return fn(pin, box, out); },
-      queries, results, stats, pool);
-}
-
-Status ParallelQueryExecutor::RunBatchGroupedPinned(
-    BagFile* bag, const PinnedBatchQueryFn& fn,
-    const std::vector<Box>& queries, size_t morsel,
-    std::vector<double>* results, BatchExecStats* stats, BufferPool* pool) {
-  GenerationPin pin;
-  BOXAGG_RETURN_NOT_OK(bag->PinCurrent(&pin));
-  obs::Span span("exec.pinned_batch", "executor");
-  span.SetGeneration(static_cast<int64_t>(pin.generation()));
-  span.SetProbes(static_cast<int64_t>(queries.size()));
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-    reg->GetCounter("executor.pinned_batches")->Inc();
-  }
-  return RunBatchGrouped(
-      [&pin, &fn](const Box* qs, size_t count, double* outs) {
-        return fn(pin, qs, count, outs);
-      },
-      queries, morsel, results, stats, pool);
 }
 
 }  // namespace exec

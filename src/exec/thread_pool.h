@@ -35,12 +35,6 @@ class ThreadPool {
 
   [[nodiscard]] size_t size() const { return workers_.size(); }
 
-  /// Number of hardware threads, with a sane floor for odd environments.
-  static size_t HardwareThreads() {
-    unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-  }
-
  private:
   void WorkerLoop();
 

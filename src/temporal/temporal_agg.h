@@ -23,7 +23,7 @@ struct Interval {
 };
 
 /// \brief Cumulative (and instantaneous) temporal SUM/COUNT/AVG over
-/// interval records.
+/// interval records: a 1-d BoxAggregator with an interval-shaped API.
 ///
 /// `Index` is any 1-d dominance-sum index (AggBTree wrapped by
 /// PackedBaTree / EcdfBTree with dims = 1).
@@ -32,41 +32,34 @@ class TemporalAggregator {
  public:
   /// \param factory callable returning a fresh empty 1-d Index.
   template <class Factory>
-  explicit TemporalAggregator(Factory&& factory)
-      : sums_(1, factory), counts_(1, factory) {}
+  explicit TemporalAggregator(Factory&& factory) : agg_(1, factory) {}
 
   /// Registers a record valid over `iv` with value `v`.
   Status Insert(const Interval& iv, double v) {
     if (iv.end < iv.start) {
       return Status::InvalidArgument("interval end before start");
     }
-    BOXAGG_RETURN_NOT_OK(sums_.Insert(iv.ToBox(), v));
-    return counts_.Insert(iv.ToBox(), 1.0);
+    return agg_.Insert(iv.ToBox(), v);
   }
 
   /// Removes a previously inserted record.
   Status Erase(const Interval& iv, double v) {
-    BOXAGG_RETURN_NOT_OK(sums_.Erase(iv.ToBox(), v));
-    return counts_.Erase(iv.ToBox(), 1.0);
+    return agg_.Erase(iv.ToBox(), v);
   }
 
   /// Cumulative SUM: total value of records intersecting [q.start, q.end].
   Status Sum(const Interval& q, double* out) const {
-    return sums_.Query(q.ToBox(), out);
+    return agg_.Sum(q.ToBox(), out);
   }
 
   /// Cumulative COUNT over the query interval.
   Status Count(const Interval& q, double* out) const {
-    return counts_.Query(q.ToBox(), out);
+    return agg_.Count(q.ToBox(), out);
   }
 
   /// Cumulative AVG (0 when no record intersects).
   Status Avg(const Interval& q, double* out) const {
-    double s, c;
-    BOXAGG_RETURN_NOT_OK(sums_.Query(q.ToBox(), &s));
-    BOXAGG_RETURN_NOT_OK(counts_.Query(q.ToBox(), &c));
-    *out = c < 0.5 ? 0.0 : s / c;
-    return Status::OK();
+    return agg_.Avg(q.ToBox(), out);
   }
 
   /// Instantaneous SUM at time `t`: records whose interval contains t.
@@ -79,17 +72,10 @@ class TemporalAggregator {
     return Count(Interval{t, t}, out);
   }
 
-  Status PageCount(uint64_t* out) const {
-    uint64_t a = 0, b = 0;
-    BOXAGG_RETURN_NOT_OK(sums_.PageCount(&a));
-    BOXAGG_RETURN_NOT_OK(counts_.PageCount(&b));
-    *out = a + b;
-    return Status::OK();
-  }
+  Status PageCount(uint64_t* out) const { return agg_.PageCount(out); }
 
  private:
-  BoxSumIndex<Index> sums_;
-  BoxSumIndex<Index> counts_;
+  BoxAggregator<Index> agg_;
 };
 
 }  // namespace boxagg

@@ -367,16 +367,6 @@ TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
     EXPECT_EQ(st.io.logical_reads,
               st.io.buffer_hits + st.io.physical_reads);
   }
-
-  // RunBatch with a pool reports the delta too.
-  exec::QueryFn qfn = exec::BoxSumQueryFn(&index);
-  std::vector<double> results;
-  exec::BatchExecStats st;
-  ASSERT_TRUE(executor.RunBatch(qfn, queries, &results, &st, &pool).ok());
-  EXPECT_TRUE(st.has_io);
-  EXPECT_EQ(std::memcmp(results.data(), oracle.data(),
-                        oracle.size() * sizeof(double)),
-            0);
 }
 
 }  // namespace

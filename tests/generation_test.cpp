@@ -163,31 +163,36 @@ TEST(Generation, ExecutorSharesOnePinAcrossMorsels) {
   const std::vector<Box> queries(64, Box::Universe(1));
   std::vector<double> results;
   std::atomic<bool> mutated{false};
-  Status st = executor.RunBatchGroupedPinned(
-      bag.get(),
-      [&](const GenerationPin& pin, const Box* qs, size_t count,
-          double* outs) -> Status {
-        // First morsel to arrive publishes generation 2 (another 100
-        // entries). Every morsel — before or after — answers from the
-        // pinned generation 1.
-        if (!mutated.exchange(true)) {
-          for (int k = 1; k <= 100; ++k) {
-            EXPECT_TRUE(tree.Insert(1000.0 + k, 1.0).ok());
+  {
+    // The caller holds one pin across the whole batch: RunBatchGrouped
+    // returns only after every morsel has finished.
+    GenerationPin pin;
+    ASSERT_TRUE(bag->PinCurrent(&pin).ok());
+    Status st = executor.RunBatchGrouped(
+        [&](const Box* qs, size_t count, double* outs) -> Status {
+          // First morsel to arrive publishes generation 2 (another 100
+          // entries). Every morsel — before or after — answers from the
+          // pinned generation 1.
+          if (!mutated.exchange(true)) {
+            for (int k = 1; k <= 100; ++k) {
+              EXPECT_TRUE(tree.Insert(1000.0 + k, 1.0).ok());
+            }
+            EXPECT_TRUE(pool.FlushAll().ok());
+            EXPECT_TRUE(bag->Commit({tree.root()}).ok());
           }
-          EXPECT_TRUE(pool.FlushAll().ok());
-          EXPECT_TRUE(bag->Commit({tree.root()}).ok());
-        }
-        EXPECT_EQ(pin.generation(), 1u);
-        AggBTree<double> snap(&pool, pin.roots()[0], &pin);
-        for (size_t i = 0; i < count; ++i) {
-          BOXAGG_RETURN_NOT_OK(snap.DominanceSum(qs[i].hi[0], &outs[i]));
-        }
-        return Status::OK();
-      },
-      queries, /*morsel=*/4, &results);
-  ASSERT_TRUE(st.ok()) << st.ToString();
+          EXPECT_EQ(pin.generation(), 1u);
+          AggBTree<double> snap(&pool, pin.roots()[0], &pin);
+          for (size_t i = 0; i < count; ++i) {
+            BOXAGG_RETURN_NOT_OK(snap.DominanceSum(qs[i].hi[0], &outs[i]));
+          }
+          return Status::OK();
+        },
+        queries, /*morsel=*/4, &results);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_GE(bag->live_pins(), 1u);
+  }
   for (double r : results) EXPECT_EQ(r, 200.0);
-  // The batch pin dropped with the latch; retired generation-1 pages are
+  // The batch pin dropped with its scope; retired generation-1 pages are
   // now reclaimable.
   EXPECT_EQ(bag->live_pins(), 0u);
   size_t reclaimed = 0;

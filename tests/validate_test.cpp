@@ -1,5 +1,6 @@
-// Structural-audit tests: PackedBaTree::Validate checks record containment
-// and tiling plus a self-oracle query sample; these tests run the audit after
+// Structural-audit tests: PackedBaTree::CheckConsistency checks record
+// containment and tiling, packed-page layout and border trees, plus a
+// self-oracle query sample; these tests run the audit after
 // every kind of structural stress (bulk loads, incremental splits,
 // forced-split cascades, deletions) and also prove the audit actually detects
 // corruption when a page is tampered with.
@@ -39,7 +40,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed_base) {
   {
     PackedBaTree<double> tree(&pool, 2);
     ASSERT_TRUE(tree.BulkLoad(RandomPoints(5000, 2, seed_base + 1)).ok());
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // Incremental (many leaf/index splits and forced splits).
@@ -48,7 +49,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed_base) {
     for (const auto& e : RandomPoints(3000, 2, seed_base + 2)) {
       ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // Mixed bulk + inserts + deletions.
@@ -63,7 +64,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed_base) {
     for (size_t i = 0; i < 500; ++i) {
       ASSERT_TRUE(tree.Insert(pts[i].pt, -pts[i].value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // 3-d (recursive borders are 2-d trees with their own audits implied).
@@ -72,7 +73,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed_base) {
     for (const auto& e : RandomPoints(1500, 3, seed_base + 4)) {
       ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
 }
@@ -96,7 +97,7 @@ TEST(ValidateAudit, DetectsTamperedSubtotal) {
   BufferPool pool(&file, 512);
   PackedBaTree<double> tree(&pool, 2);
   ASSERT_TRUE(tree.BulkLoad(RandomPoints(3000, 2, 5)).ok());
-  ASSERT_TRUE(tree.Validate().ok());
+  ASSERT_TRUE(tree.CheckConsistency().ok());
   // Corrupt the root page: flip bytes in the middle of the first record's
   // subtotal region.
   {
@@ -109,7 +110,7 @@ TEST(ValidateAudit, DetectsTamperedSubtotal) {
     g.page()->WriteAt<double>(off, v + 1234.5);
     g.MarkDirty();
   }
-  Status s = tree.Validate();
+  Status s = tree.CheckConsistency();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Status::Code::kCorruption);
 }
@@ -134,7 +135,7 @@ TEST(ValidateAudit, AgreesWithOracleUnderIncrementalMutation) {
       ASSERT_NEAR(got, naive.Query(q), 1e-7) << "at step " << i;
     }
   }
-  ASSERT_TRUE(tree.Validate().ok());
+  ASSERT_TRUE(tree.CheckConsistency().ok());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Raw-speed descent path: kernel microbenchmarks (active SIMD backend vs the
-// always-compiled scalar reference) and warm-pool batched descent throughput
-// per corner-transform backend — all measured in ONE run, so every emitted
-// speedup compares binaries-identical inputs.
+// always-compiled scalar reference, each side the median of five timed runs)
+// and warm-pool batched descent throughput per corner-transform backend —
+// all measured in ONE run, so every emitted speedup compares
+// binaries-identical inputs.
 //
 // Correctness is asserted inline, benchmark-style: every batched descent is
 // byte-compared against sequential Query calls and every kernel sample
@@ -12,6 +13,8 @@
 // $BOXAGG_BENCH_DIR/BENCH_descent.json (BOXAGG_BENCH_DIR defaults to "."),
 // one JSON object per line — jq-friendly for the CI perf-smoke gate.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +41,34 @@ double MillisSince(Clock::time_point t0) {
 
 // ---------------------------------------------------------------------------
 // Kernel microbenchmarks: active backend vs scalar reference, verified equal
-// on every sample while timing.
+// on every sample while timing. Each side is timed as the median of
+// kRepeats runs, so one descheduled run cannot move the recorded speedup.
+
+constexpr int kRepeats = 5;
+
+template <class Body>
+double MedianMillis(Body&& body) {
+  std::array<double, kRepeats> ms;
+  for (double& m : ms) {
+    const auto t0 = Clock::now();
+    body();
+    m = MillisSince(t0);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[kRepeats / 2];
+}
+
+void EmitKernel(const Config& cfg, JsonSink* sink, const char* kernel,
+                const char* backend, size_t reps, double ref_ms,
+                double act_ms) {
+  obs::LogInfo("  %-14s scalar=%.2fms %s=%.2fms speedup=%.2fx", kernel,
+               ref_ms, backend, act_ms, ref_ms / act_ms);
+  sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"%s\","
+                 "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
+                 "\"simd_ms\":%.3f,\"speedup\":%.3f,%s}",
+                 kernel, backend, reps, ref_ms, act_ms, ref_ms / act_ms,
+                 JsonRunMeta(cfg).c_str()));
+}
 
 void BenchKernels(const Config& cfg, JsonSink* sink, bool* ok) {
   std::mt19937 rng(cfg.seed);
@@ -53,29 +83,24 @@ void BenchKernels(const Config& cfg, JsonSink* sink, bool* ok) {
     std::vector<double> probes(1024);
     for (double& p : probes) p = u(rng);
     uint64_t sink_ref = 0, sink_act = 0;
-    auto t0 = Clock::now();
-    for (size_t r = 0; r < reps; ++r) {
-      sink_ref += simd::ref::FirstGreater(keys.data(), 256,
-                                          probes[r % probes.size()]);
-    }
-    const double ref_ms = MillisSince(t0);
-    t0 = Clock::now();
-    for (size_t r = 0; r < reps; ++r) {
-      sink_act +=
-          simd::FirstGreater(keys.data(), 256, probes[r % probes.size()]);
-    }
-    const double act_ms = MillisSince(t0);
+    const double ref_ms = MedianMillis([&] {
+      for (size_t r = 0; r < reps; ++r) {
+        sink_ref += simd::ref::FirstGreater(keys.data(), 256,
+                                            probes[r % probes.size()]);
+      }
+    });
+    const double act_ms = MedianMillis([&] {
+      for (size_t r = 0; r < reps; ++r) {
+        sink_act +=
+            simd::FirstGreater(keys.data(), 256, probes[r % probes.size()]);
+      }
+    });
     if (sink_ref != sink_act) {
       std::fprintf(stderr, "FirstGreater diverges from scalar reference\n");
       *ok = false;
     }
-    obs::LogInfo("  first_greater: scalar=%.1fms %s=%.1fms speedup=%.2fx",
-                 ref_ms, simd::kBackend, act_ms, ref_ms / act_ms);
-    sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"first_greater\","
-                   "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
-                   "\"simd_ms\":%.3f,\"speedup\":%.3f,%s}",
-                   simd::kBackend, reps, ref_ms, act_ms, ref_ms / act_ms,
-                   JsonRunMeta(cfg).c_str()));
+    EmitKernel(cfg, sink, "first_greater", simd::kBackend, reps, ref_ms,
+               act_ms);
   }
 
   // Dominates over points (the ECDF/BA leaf scan predicate).
@@ -88,64 +113,57 @@ void BenchKernels(const Config& cfg, JsonSink* sink, bool* ok) {
       for (int d = 0; d < kMaxDims; ++d) p[d] = u(rng);
     }
     uint64_t sink_ref = 0, sink_act = 0;
-    auto t0 = Clock::now();
-    for (size_t r = 0; r < reps; ++r) {
-      const Point& q = qs[r % qs.size()];
-      const Point& p = ps[(r * 7) % ps.size()];
-      sink_ref += simd::ref::Dominates(q.coord.data(), p.coord.data(), 4);
-    }
-    const double ref_ms = MillisSince(t0);
-    t0 = Clock::now();
-    for (size_t r = 0; r < reps; ++r) {
-      sink_act += simd::Dominates(qs[r % qs.size()], ps[(r * 7) % ps.size()],
-                                  4);
-    }
-    const double act_ms = MillisSince(t0);
+    const double ref_ms = MedianMillis([&] {
+      for (size_t r = 0; r < reps; ++r) {
+        const Point& q = qs[r % qs.size()];
+        const Point& p = ps[(r * 7) % ps.size()];
+        sink_ref += simd::ref::Dominates(q.coord.data(), p.coord.data(), 4);
+      }
+    });
+    const double act_ms = MedianMillis([&] {
+      for (size_t r = 0; r < reps; ++r) {
+        sink_act += simd::Dominates(qs[r % qs.size()],
+                                    ps[(r * 7) % ps.size()], 4);
+      }
+    });
     if (sink_ref != sink_act) {
       std::fprintf(stderr, "Dominates diverges from scalar reference\n");
       *ok = false;
     }
-    obs::LogInfo("  dominates:     scalar=%.1fms %s=%.1fms speedup=%.2fx",
-                 ref_ms, simd::kBackend, act_ms, ref_ms / act_ms);
-    sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"dominates\","
-                   "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
-                   "\"simd_ms\":%.3f,\"speedup\":%.3f,%s}",
-                   simd::kBackend, reps, ref_ms, act_ms, ref_ms / act_ms,
-                   JsonRunMeta(cfg).c_str()));
+    EmitKernel(cfg, sink, "dominates", simd::kBackend, reps, ref_ms, act_ms);
   }
 
-  // AccumulateSigned over a batch-sized corner expansion.
+  // Crc32c over 8 KiB page payloads (the DecodePageSlot verification).
   {
-    const size_t count = 4096, nparts = 512;
-    std::vector<double> parts(nparts), a(count, 0.0), b(count, 0.0);
-    for (double& v : parts) v = u(rng);
-    std::vector<uint32_t> probe_of(count);
-    for (uint32_t& i : probe_of) i = rng() % nparts;
-    const size_t loops = reps / 64;
-    auto t0 = Clock::now();
-    for (size_t r = 0; r < loops; ++r) {
-      simd::ref::AccumulateSigned(a.data(), parts.data(), probe_of.data(),
-                                  r % 2 == 0 ? 1.0 : -1.0, count);
+    const size_t kBytes = 8192, kBuffers = 64, crc_reps = 2000;
+    std::vector<uint8_t> bufs(kBytes * kBuffers);
+    for (uint8_t& b : bufs) b = static_cast<uint8_t>(rng());
+    for (size_t i = 0; i < kBuffers; ++i) {
+      const uint8_t* b = bufs.data() + i * kBytes;
+      if (simd::Crc32c(b, kBytes) != simd::ref::Crc32c(b, kBytes)) {
+        std::fprintf(stderr, "Crc32c diverges from scalar reference\n");
+        *ok = false;
+      }
     }
-    const double ref_ms = MillisSince(t0);
-    t0 = Clock::now();
-    for (size_t r = 0; r < loops; ++r) {
-      simd::AccumulateSigned(b.data(), parts.data(), probe_of.data(),
-                             r % 2 == 0 ? 1.0 : -1.0, count);
-    }
-    const double act_ms = MillisSince(t0);
-    if (std::memcmp(a.data(), b.data(), count * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "AccumulateSigned diverges from scalar reference\n");
+    uint64_t sink_ref = 0, sink_act = 0;
+    const double ref_ms = MedianMillis([&] {
+      for (size_t r = 0; r < crc_reps; ++r) {
+        sink_ref += simd::ref::Crc32c(
+            bufs.data() + (r % kBuffers) * kBytes, kBytes);
+      }
+    });
+    const double act_ms = MedianMillis([&] {
+      for (size_t r = 0; r < crc_reps; ++r) {
+        sink_act +=
+            simd::Crc32c(bufs.data() + (r % kBuffers) * kBytes, kBytes);
+      }
+    });
+    if (sink_ref != sink_act) {
+      std::fprintf(stderr, "Crc32c diverges from scalar reference\n");
       *ok = false;
     }
-    obs::LogInfo("  accumulate:    scalar=%.1fms %s=%.1fms speedup=%.2fx",
-                 ref_ms, simd::kBackend, act_ms, ref_ms / act_ms);
-    sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"accumulate_signed\","
-                   "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
-                   "\"simd_ms\":%.3f,\"speedup\":%.3f,%s}",
-                   simd::kBackend, loops, ref_ms, act_ms, ref_ms / act_ms,
-                   JsonRunMeta(cfg).c_str()));
+    EmitKernel(cfg, sink, "crc32c", simd::kCrc32cBackend, crc_reps, ref_ms,
+               act_ms);
   }
 }
 

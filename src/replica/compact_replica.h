@@ -44,7 +44,6 @@
 #include "replica/replica_format.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_header.h"
 
 namespace boxagg {
 
@@ -88,7 +87,7 @@ class CompactReplica {
           replica::kFormatVersion) {
         return CorruptionAt(root_, "compact-replica: unknown format version");
       }
-      if (Crc32c(p->data(), replica::kHdrCrc) !=
+      if (simd::Crc32c(p->data(), replica::kHdrCrc) !=
           p->ReadAt<uint32_t>(replica::kHdrCrc)) {
         return CorruptionAt(root_, "compact-replica: header crc mismatch");
       }
@@ -126,7 +125,7 @@ class CompactReplica {
       if (replica::kMetaHeaderBytes + len > p->size()) {
         return CorruptionAt(pid, "compact-replica: meta payload overruns");
       }
-      if (Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
+      if (simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
           p->ReadAt<uint32_t>(replica::kMetaCrc)) {
         return CorruptionAt(pid, "compact-replica: meta crc mismatch");
       }
@@ -270,7 +269,7 @@ class CompactReplica {
           replica::kFormatVersion) {
         return CorruptionAt(root_, "compact-replica: unknown format version");
       }
-      if (Crc32c(p->data(), replica::kHdrCrc) !=
+      if (simd::Crc32c(p->data(), replica::kHdrCrc) !=
           p->ReadAt<uint32_t>(replica::kHdrCrc)) {
         return CorruptionAt(root_, "compact-replica: header crc mismatch");
       }
@@ -314,7 +313,7 @@ class CompactReplica {
         return CorruptionAt(pid, "compact-replica: meta payload overruns "
                                  "the page");
       }
-      if (Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
+      if (simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
           p->ReadAt<uint32_t>(replica::kMetaCrc)) {
         return CorruptionAt(pid, "compact-replica: meta crc mismatch");
       }
@@ -394,7 +393,7 @@ class CompactReplica {
           return CorruptionAt(pid, "compact-replica: data payload overruns "
                                    "the page");
         }
-        if (Crc32c(p->data() + replica::kDataHeaderBytes, len) !=
+        if (simd::Crc32c(p->data() + replica::kDataHeaderBytes, len) !=
             p->ReadAt<uint32_t>(replica::kDataCrc)) {
           return CorruptionAt(pid, "compact-replica: data crc mismatch");
         }

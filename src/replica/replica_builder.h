@@ -36,8 +36,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "replica/replica_format.h"
+#include "simd/simd.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_header.h"
 
 namespace boxagg {
 
@@ -209,7 +209,8 @@ class ReplicaBuilder {
       p->WriteAt<uint16_t>(replica::kDataNodeCount, page_nodes[i]);
       p->WriteAt<uint32_t>(replica::kDataPayloadLen,
                            static_cast<uint32_t>(pl.size()));
-      p->WriteAt<uint32_t>(replica::kDataCrc, Crc32c(pl.data(), pl.size()));
+      p->WriteAt<uint32_t>(replica::kDataCrc,
+                           simd::Crc32c(pl.data(), pl.size()));
       p->WriteBytes(replica::kDataHeaderBytes, pl.data(), pl.size());
       g.MarkDirty();
       data_pages[i] = g.id();
@@ -238,7 +239,8 @@ class ReplicaBuilder {
       p->WriteAt<uint16_t>(2, 0);
       p->WriteAt<uint32_t>(replica::kMetaPayloadLen, len);
       p->WriteAt<uint64_t>(replica::kMetaNext, first_meta);
-      p->WriteAt<uint32_t>(replica::kMetaCrc, Crc32c(meta.data() + off, len));
+      p->WriteAt<uint32_t>(replica::kMetaCrc,
+                           simd::Crc32c(meta.data() + off, len));
       p->WriteBytes(replica::kMetaHeaderBytes, meta.data() + off, len);
       g.MarkDirty();
       first_meta = g.id();
@@ -264,7 +266,7 @@ class ReplicaBuilder {
       p->WriteAt<uint64_t>(replica::kHdrLevels + i * 8, level_counts[i]);
     }
     p->WriteAt<uint32_t>(replica::kHdrCrc,
-                         Crc32c(p->data(), replica::kHdrCrc));
+                         simd::Crc32c(p->data(), replica::kHdrCrc));
     g.MarkDirty();
     *root_out = g.id();
     build_span->SetPagesFetched(

@@ -1,19 +1,24 @@
-// Portable SIMD kernels for the descent hot path.
+// Portable SIMD kernels for the descent and page-verification hot paths.
 //
-// The wrapper exposes exactly the four operations the trees spend their CPU
-// time on, each with a scalar reference implementation (`simd::ref`) that is
-// always compiled and a vector implementation selected at build time:
+// The wrapper exposes the operations the trees and the page store spend
+// their CPU time on, each with a scalar reference implementation
+// (`simd::ref`) that is always compiled and an active implementation
+// selected at build time:
 //
 //   FirstGreater        in-node key search (leaf cutoff + internal routing)
 //   Dominates           dominance test between two points (ECDF leaves)
 //   ContainsHalfOpen    half-open box membership (BA-tree record scans)
-//   AccumulateSigned    corner inclusion-exclusion accumulation
 //   UnpackFixedWidth    fixed-width integer strip decode (compact replicas)
+//   Crc32c              CRC32C (Castagnoli) over page slots and replica pages
+//
+// AccumulateSigned, the corner inclusion-exclusion step, is one plain
+// multiply-then-add loop shared by every backend.
 //
 // Backend selection: the default build compiles only the scalar path, so
 // TSan/ASan/clang-tidy CI and any non-x86 box behave exactly as before.
 // Configuring with -DBOXAGG_NATIVE=ON defines BOXAGG_NATIVE and adds
-// -march=native -ffp-contract=off; the wrapper then picks AVX2 or NEON when
+// -march=native -ffp-contract=off; the wrapper then picks AVX2 or NEON for
+// the vector kernels, and the SSE4.2 `crc32` instruction for Crc32c, when
 // the compiler advertises them.
 //
 // Bit-identity contract (enforced by tests/simd_test.cpp): every kernel here
@@ -27,14 +32,22 @@
 //   * Comparisons use ordered, non-signaling predicates (_CMP_LT_OQ /
 //     _CMP_GE_OQ / _CMP_GT_OQ) which evaluate to false on NaN, matching the
 //     scalar `<`, `>=`, `>` operators exactly.
-//   * AccumulateSigned performs an independent multiply-then-add per lane —
-//     the same two IEEE operations, in the same order, as the scalar loop.
-//     FMA contraction is disabled (-ffp-contract=off rides along with
-//     BOXAGG_NATIVE) so the compiler cannot fuse them.
+//   * Crc32c splits a buffer into three lanes of kCrc32cLane bytes and
+//     merges them by linearity: over GF(2) the raw CRC register satisfies
+//     crc(A || B) = crc(A) * x^(8|B|) mod P  xor  crc(B), with crc(B)
+//     started from zero. The merge multiplies by the compile-time constants
+//     x^(8*lane) and x^(16*lane) exactly, so the result equals the
+//     sequential CRC for every input, not just the tested ones; the `crc32`
+//     instruction computes the same Castagnoli register update as the
+//     slice-by-8 reference.
+//   * AccumulateSigned multiplies then adds, in that order; FMA contraction
+//     is disabled (-ffp-contract=off rides along with BOXAGG_NATIVE) so the
+//     compiler cannot fuse them.
 
 #ifndef BOXAGG_SIMD_SIMD_H_
 #define BOXAGG_SIMD_SIMD_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -50,6 +63,11 @@
 #include <arm_neon.h>
 #endif
 
+#if defined(BOXAGG_NATIVE) && defined(__SSE4_2__)
+#define BOXAGG_SIMD_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
+
 namespace boxagg {
 namespace simd {
 
@@ -63,6 +81,22 @@ inline constexpr const char* kBackend =
     "scalar";
 #endif
 
+/// Backend tag of Crc32c, which is selected separately from the vector
+/// kernels.
+inline constexpr const char* kCrc32cBackend =
+#if defined(BOXAGG_SIMD_CRC32C_SSE42)
+    "sse4.2";
+#else
+    "scalar";
+#endif
+
+/// Bytes per lane of the three-stream SSE4.2 Crc32c loop. Three lanes keep
+/// the `crc32` unit busy (latency 3, one issue per cycle); a block of three
+/// 680-byte lanes is 2040 bytes, so a 2, 4 or 8 KiB payload runs as whole
+/// blocks plus at most 32 bytes of single-stream tail. The tests sweep every
+/// lane and merge edge with it; the scalar backend has no lanes.
+inline constexpr size_t kCrc32cLane = 680;
+
 /// Window below which the hybrid search switches from binary narrowing to a
 /// forward scan. Vector builds scan wider because each step covers several
 /// lanes; the scalar default keeps the window small so the operation count
@@ -75,6 +109,48 @@ inline constexpr uint32_t kSearchScanWindow =
 #else
     8;
 #endif
+
+namespace detail {
+
+/// The CRC32C (Castagnoli) polynomial in reflected bit order.
+inline constexpr uint32_t kCrc32cPoly = 0x82f63b78u;
+
+// Slice-by-8 CRC32C tables, built once on first use (thread-safe static
+// init). Table 0 is the plain byte-at-a-time table; table k folds a byte
+// that is k positions deeper into the window.
+struct Crc32cTables {
+  std::array<std::array<uint32_t, 256>, 8> t;
+
+  Crc32cTables() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int j = 0; j < 8; ++j) {
+        crc = (crc >> 1) ^ ((crc & 1) ? kCrc32cPoly : 0);
+      }
+      t[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = t[0][i];
+      for (size_t k = 1; k < 8; ++k) {
+        crc = t[0][crc & 0xff] ^ (crc >> 8);
+        t[k][i] = crc;
+      }
+    }
+  }
+};
+
+inline const Crc32cTables& Crc32cTable() {
+  static const Crc32cTables tables;
+  return tables;
+}
+
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. Always compiled; the property tests and the
@@ -113,15 +189,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return true;
 }
 
-/// out[i] += sign * parts[probe_of[i]] — the corner accumulation step.
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
-}
-
 /// out[i] = base + the little-endian `width`-byte unsigned integer at
 /// src + i*width, for width in [0, 8]; width 0 means every element equals
 /// base and nothing is stored. The replica strip decoder's inner loop.
@@ -136,6 +203,27 @@ inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
     std::memcpy(&v, src + size_t{i} * width, width);
     out[i] = base + v;
   }
+}
+
+/// CRC32C (Castagnoli), slice-by-8. Chainable: pass the previous return
+/// value as `crc` to extend a checksum over discontiguous buffers.
+inline uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0) {
+  const auto& t = detail::Crc32cTable().t;
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  crc = ~crc;
+  while (n >= 8) {
+    crc ^= detail::LoadLe32(p);
+    const uint32_t hi = detail::LoadLe32(p + 4);
+    crc = t[7][crc & 0xff] ^ t[6][(crc >> 8) & 0xff] ^
+          t[5][(crc >> 16) & 0xff] ^ t[4][crc >> 24] ^ t[3][hi & 0xff] ^
+          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  while (n-- > 0) {
+    crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
+  }
+  return ~crc;
 }
 
 }  // namespace ref
@@ -193,23 +281,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   int at_or_above = _mm256_movemask_pd(
       _mm256_cmp_pd(vp, _mm256_loadu_pd(hi), _CMP_GE_OQ));
   return ((below | at_or_above) & ((1 << dims) - 1)) == 0;
-}
-
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  const __m256d vs = _mm256_set1_pd(sign);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(probe_of + i));
-    __m256d vp = _mm256_i32gather_pd(parts, idx, 8);
-    __m256d vo = _mm256_loadu_pd(out + i);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(vo, _mm256_mul_pd(vs, vp)));
-  }
-  for (; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
 }
 
 /// Widths 1/2/4 widen four lanes per step with cvtepu*_epi64; width 8 is a
@@ -329,21 +400,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return (mask & ((1 << dims) - 1)) == 0;
 }
 
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  const float64x2_t vs = vdupq_n_f64(sign);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    float64x2_t vp = {parts[probe_of[i]], parts[probe_of[i + 1]]};
-    float64x2_t vo = vld1q_f64(out + i);
-    vst1q_f64(out + i, vaddq_f64(vo, vmulq_f64(vs, vp)));
-  }
-  for (; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
-}
-
 /// Widths 4 and 8 (the common dictionary-index and raw strips) widen two
 /// lanes per step; other widths take the scalar tail, which computes the
 /// identical base + LE(src) sum.
@@ -401,18 +457,105 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return ref::ContainsHalfOpen(lo, hi, p, dims);
 }
 
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  ref::AccumulateSigned(out, parts, probe_of, sign, count);
-}
-
 inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
                              uint32_t width, uint64_t base, uint64_t* out) {
   ref::UnpackFixedWidth(src, count, width, base, out);
 }
 
 #endif
+
+#if defined(BOXAGG_SIMD_CRC32C_SSE42)
+
+namespace detail {
+
+/// p * x mod P, in the CRC register's reflected bit order (bit 31 holds
+/// x^0, bit 0 holds x^31).
+constexpr uint32_t Crc32cMulX(uint32_t p) {
+  return (p >> 1) ^ (kCrc32cPoly & (0u - (p & 1)));
+}
+
+/// Multiplication by x^(8 * bytes) mod P, the factor that carries a raw CRC
+/// register across `bytes` bytes of data, as 32 rows: rows[i] is
+/// x^(8 * bytes + i) mod P, the product's share of the multiplicand's x^i
+/// coefficient.
+constexpr std::array<uint32_t, 32> Crc32cShiftRows(size_t bytes) {
+  uint32_t p = 0x80000000u;  // x^0
+  for (size_t i = 0; i < 8 * bytes; ++i) p = Crc32cMulX(p);
+  std::array<uint32_t, 32> rows{};
+  for (uint32_t& row : rows) {
+    row = p;
+    p = Crc32cMulX(p);
+  }
+  return rows;
+}
+
+inline constexpr std::array<uint32_t, 32> kCrc32cShiftLane =
+    Crc32cShiftRows(kCrc32cLane);
+inline constexpr std::array<uint32_t, 32> kCrc32cShift2Lanes =
+    Crc32cShiftRows(2 * kCrc32cLane);
+
+/// Carry-less a * x^(8 * bytes) mod P in 32 shift-and-xor steps over the
+/// rows of Crc32cShiftRows(bytes). The steps are independent, so they
+/// overlap, and no carry-less multiply instruction is needed.
+inline uint32_t Crc32cShift(uint32_t a, const std::array<uint32_t, 32>& rows) {
+  uint32_t p = 0;
+  for (int i = 0; i < 32; ++i) p ^= rows[i] & (0u - ((a >> (31 - i)) & 1));
+  return p;
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace detail
+
+/// Three independent `crc32` streams over consecutive lanes, merged by the
+/// compile-time lane shifts; the remainder runs as one stream, then
+/// bytewise.
+inline uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0) {
+  constexpr size_t kLane = kCrc32cLane;
+  static_assert(kLane % 8 == 0, "lanes advance in 8-byte crc32 steps");
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t c0 = ~crc;
+  while (n >= 3 * kLane) {
+    uint64_t c1 = 0, c2 = 0;
+    for (size_t i = 0; i < kLane; i += 8) {
+      c0 = _mm_crc32_u64(c0, detail::LoadLe64(p + i));
+      c1 = _mm_crc32_u64(c1, detail::LoadLe64(p + kLane + i));
+      c2 = _mm_crc32_u64(c2, detail::LoadLe64(p + 2 * kLane + i));
+    }
+    c0 = detail::Crc32cShift(static_cast<uint32_t>(c0),
+                             detail::kCrc32cShift2Lanes) ^
+         detail::Crc32cShift(static_cast<uint32_t>(c1),
+                             detail::kCrc32cShiftLane) ^
+         c2;
+    p += 3 * kLane;
+    n -= 3 * kLane;
+  }
+  for (; n >= 8; n -= 8, p += 8) c0 = _mm_crc32_u64(c0, detail::LoadLe64(p));
+  uint32_t c = static_cast<uint32_t>(c0);
+  for (; n > 0; --n) c = _mm_crc32_u8(c, *p++);
+  return ~c;
+}
+
+#else
+
+inline uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0) {
+  return ref::Crc32c(data, n, crc);
+}
+
+#endif
+
+/// out[i] += sign * parts[probe_of[i]] — the corner accumulation step.
+inline void AccumulateSigned(double* out, const double* parts,
+                             const uint32_t* probe_of, double sign,
+                             size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    out[i] += sign * parts[probe_of[i]];
+  }
+}
 
 // Point-typed conveniences (Point carries exactly kMaxDims doubles, so the
 // readability precondition of the raw overloads always holds).

@@ -1,76 +1,19 @@
 #include "storage/page_header.h"
 
-#include <array>
 #include <string>
 
+#include "simd/simd.h"
+
 namespace boxagg {
-
-namespace {
-
-// Slice-by-8 CRC32C tables, built once on first use (thread-safe static
-// init). Table 0 is the plain byte-at-a-time table; table k folds a byte
-// that is k positions deeper into the window.
-struct Crc32cTables {
-  std::array<std::array<uint32_t, 256>, 8> t;
-
-  Crc32cTables() {
-    constexpr uint32_t kPoly = 0x82f63b78u;  // reflected Castagnoli
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) {
-        crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
-      }
-      t[0][i] = crc;
-    }
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = t[0][i];
-      for (size_t k = 1; k < 8; ++k) {
-        crc = t[0][crc & 0xff] ^ (crc >> 8);
-        t[k][i] = crc;
-      }
-    }
-  }
-};
-
-const Crc32cTables& Tables() {
-  static const Crc32cTables tables;
-  return tables;
-}
-
-uint32_t LoadLe32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-}  // namespace
-
-uint32_t Crc32c(const void* data, size_t n, uint32_t crc) {
-  const auto& t = Tables().t;
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  crc = ~crc;
-  while (n >= 8) {
-    crc ^= LoadLe32(p);
-    const uint32_t hi = LoadLe32(p + 4);
-    crc = t[7][crc & 0xff] ^ t[6][(crc >> 8) & 0xff] ^
-          t[5][(crc >> 16) & 0xff] ^ t[4][crc >> 24] ^ t[3][hi & 0xff] ^
-          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
-  }
-  return ~crc;
-}
 
 namespace {
 
 // The CRC spans everything in the slot except the magic and the CRC field
 // itself: the id/epoch/reserved header words followed by the payload.
 uint32_t SlotCrc(const uint8_t* slot, uint32_t page_size) {
-  uint32_t crc = Crc32c(slot + kPageOffId, kPageHeaderSize - kPageOffId);
-  return Crc32c(slot + kPageHeaderSize, page_size, crc);
+  uint32_t crc =
+      simd::Crc32c(slot + kPageOffId, kPageHeaderSize - kPageOffId);
+  return simd::Crc32c(slot + kPageHeaderSize, page_size, crc);
 }
 
 bool AllZero(const uint8_t* p, size_t n) {

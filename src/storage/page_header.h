@@ -9,6 +9,10 @@
 // the PageFile interface: indexes see exactly page_size payload bytes, so
 // fan-out, tree shape, and every I/O count are unchanged by its existence.
 //
+// The CRC is simd::Crc32c: the three-lane SSE4.2 `crc32` kernel in native
+// builds, slice-by-8 otherwise. The two are bit-identical, so a slot
+// written by either build decodes under the other.
+//
 // A slot whose 32 header bytes and entire payload are zero decodes as a
 // never-written page (allocated via ftruncate/resize but not yet flushed);
 // anything else must carry a valid header or the read fails with
@@ -37,10 +41,6 @@ inline constexpr uint32_t kPageOffCrc = 4;
 inline constexpr uint32_t kPageOffId = 8;
 inline constexpr uint32_t kPageOffEpoch = 16;
 inline constexpr uint32_t kPageOffReserved = 24;
-
-/// CRC32C (Castagnoli), slice-by-8. Chainable: pass the previous return
-/// value as `crc` to extend a checksum over discontiguous buffers.
-uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0);
 
 /// Fills `slot` (kPageHeaderSize + page_size bytes) with an encoded header
 /// followed by a copy of `payload` (page_size bytes). The CRC covers the

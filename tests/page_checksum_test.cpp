@@ -1,7 +1,7 @@
-// The durability envelope (storage/page_header.h): CRC32C correctness
-// against the standard test vector, slot encode/decode round trips, and —
-// the property the crash story rests on — 100% detection of every
-// single-bit flip and every torn-write prefix of a page slot, plus
+// The durability envelope (storage/page_header.h): simd::Crc32c correctness
+// against the standard and RFC 3720 test vectors, slot encode/decode round
+// trips, and — the property the crash story rests on — 100% detection of
+// every single-bit flip and every torn-write prefix of a page slot, plus
 // misdirected-write and lost-write (zeroed-slot) classification. Runs the
 // same checks through both PageFile backends so the envelope is known to
 // be wired in, not just correct in isolation.
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "simd/simd.h"
 #include "storage/page_file.h"
 #include "storage/page_header.h"
 
@@ -24,9 +25,24 @@ namespace {
 constexpr uint32_t kPageSize = 512;  // small page: exhaustive bit sweeps
 constexpr uint32_t kSlotSize = kPageSize + kPageHeaderSize;
 
+using simd::Crc32c;
+
 TEST(Crc32c, StandardCheckValue) {
   // The canonical CRC-32C check: crc("123456789") == 0xE3069283.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+}
+
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  // iSCSI (RFC 3720 section B.4) CRC32C examples over 32-byte buffers.
+  uint8_t buf[32];
+  std::memset(buf, 0x00, sizeof(buf));
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x8A9136AAu);
+  std::memset(buf, 0xFF, sizeof(buf));
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x46DD794Eu);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(31 - i);
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x113FDB5Cu);
 }
 
 TEST(Crc32c, ChainingMatchesOneShot) {
@@ -38,9 +54,10 @@ TEST(Crc32c, ChainingMatchesOneShot) {
   }
 }
 
-std::vector<uint8_t> MakePayload(uint8_t fill) {
-  std::vector<uint8_t> payload(kPageSize, fill);
-  for (uint32_t i = 0; i < kPageSize; i += 7) payload[i] = uint8_t(i);
+std::vector<uint8_t> MakePayload(uint8_t fill,
+                                 uint32_t page_size = kPageSize) {
+  std::vector<uint8_t> payload(page_size, fill);
+  for (uint32_t i = 0; i < page_size; i += 7) payload[i] = uint8_t(i);
   return payload;
 }
 
@@ -76,21 +93,33 @@ TEST(PageSlot, ZeroHeaderOverNonzeroPayloadIsTorn) {
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
 
-TEST(PageSlot, DetectsEverySingleBitFlip) {
-  const auto payload = MakePayload(0xA5);
-  std::vector<uint8_t> slot(kSlotSize);
-  EncodePageSlot(slot.data(), kPageSize, 42, 7, payload.data());
-  std::vector<uint8_t> out(kPageSize);
-  for (uint32_t bit = 0; bit < kSlotSize * 8; ++bit) {
+// Flips every bit of an encoded slot in turn; each flip must fail decode.
+void ExpectEverySingleBitFlipDetected(uint32_t page_size) {
+  const uint32_t slot_size = page_size + kPageHeaderSize;
+  const auto payload = MakePayload(0xA5, page_size);
+  std::vector<uint8_t> slot(slot_size);
+  EncodePageSlot(slot.data(), page_size, 42, 7, payload.data());
+  std::vector<uint8_t> out(page_size);
+  for (uint32_t bit = 0; bit < slot_size * 8; ++bit) {
     slot[bit / 8] ^= uint8_t(1u << (bit % 8));
     EXPECT_FALSE(
-        DecodePageSlot(slot.data(), kPageSize, 42, out.data(), nullptr).ok())
+        DecodePageSlot(slot.data(), page_size, 42, out.data(), nullptr).ok())
         << "undetected flip of bit " << bit;
     slot[bit / 8] ^= uint8_t(1u << (bit % 8));
   }
   // The pristine slot still decodes (the sweep restored every bit).
   EXPECT_TRUE(
-      DecodePageSlot(slot.data(), kPageSize, 42, out.data(), nullptr).ok());
+      DecodePageSlot(slot.data(), page_size, 42, out.data(), nullptr).ok());
+}
+
+TEST(PageSlot, DetectsEverySingleBitFlip) {
+  ExpectEverySingleBitFlipDetected(kPageSize);
+}
+
+// An 8 KiB payload is long enough to run the three-lane Crc32c blocks and
+// their merge, which the 512-byte slot never reaches.
+TEST(PageSlot, DetectsEverySingleBitFlipIn8KiBSlot) {
+  ExpectEverySingleBitFlipDetected(8192);
 }
 
 TEST(PageSlot, DetectsEveryTornWritePrefix) {

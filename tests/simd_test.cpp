@@ -1,14 +1,16 @@
-// Property tests for the SIMD descent kernels (src/simd/simd.h).
+// Property tests for the SIMD kernels (src/simd/simd.h).
 //
-// The active backend (scalar, AVX2 or NEON — whatever this build selected)
-// must be *bit-identical* to the always-compiled scalar reference on every
-// input class the trees can present: random sorted key arrays, duplicate
-// runs, +/-inf, -0.0 and NaN. The same binary passes under the default
-// scalar build and under -DBOXAGG_NATIVE=ON; CI runs both, which is what
-// turns these properties into the cross-backend equivalence proof.
+// The active backend (scalar, AVX2, NEON or SSE4.2 CRC — whatever this build
+// selected) must be *bit-identical* to the always-compiled scalar reference
+// on every input class the trees and pages can present: random sorted key
+// arrays, duplicate runs, +/-inf, -0.0, NaN, and CRC buffers of every
+// length and alignment around the lane edges. The same binary passes under
+// the default scalar build and under -DBOXAGG_NATIVE=ON; CI runs both, which
+// is what turns these properties into the cross-backend equivalence proof.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -48,6 +50,11 @@ TEST(SimdTest, BackendIsKnown) {
   EXPECT_TRUE(b == "scalar" || b == "avx2" || b == "neon") << b;
 #if defined(BOXAGG_NATIVE) && defined(__AVX2__)
   EXPECT_EQ(b, "avx2");
+#endif
+  const std::string crc = simd::kCrc32cBackend;
+  EXPECT_TRUE(crc == "scalar" || crc == "sse4.2") << crc;
+#if defined(BOXAGG_NATIVE) && defined(__SSE4_2__)
+  EXPECT_EQ(crc, "sse4.2");
 #endif
 }
 
@@ -90,7 +97,9 @@ TEST(SimdTest, FirstGreaterResultIsCorrectByDefinition) {
     const uint32_t i = simd::FirstGreater(keys.data(), n, q);
     ASSERT_LE(i, n);
     for (uint32_t j = 0; j < i; ++j) EXPECT_FALSE(keys[j] > q);
-    if (i < n) EXPECT_TRUE(keys[i] > q);
+    if (i < n) {
+      EXPECT_TRUE(keys[i] > q);
+    }
   }
 }
 
@@ -134,24 +143,30 @@ TEST(SimdTest, ContainsHalfOpenMatchesRefIncludingNaN) {
   }
 }
 
-TEST(SimdTest, AccumulateSignedIsBitwiseIdenticalToRef) {
-  std::mt19937 rng(105);
-  std::uniform_real_distribution<double> u(-1e9, 1e9);
-  for (int iter = 0; iter < 200; ++iter) {
-    const size_t count = rng() % 70;  // crosses the vector-width remainder
-    const size_t nparts = 1 + rng() % 17;
-    std::vector<double> parts(nparts);
-    for (double& v : parts) v = u(rng);
-    std::vector<uint32_t> probe_of(count);
-    for (uint32_t& i : probe_of) i = rng() % nparts;
-    std::vector<double> a(count), b(count);
-    for (size_t i = 0; i < count; ++i) a[i] = b[i] = u(rng);
-    const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
-    simd::AccumulateSigned(a.data(), parts.data(), probe_of.data(), sign,
-                           count);
-    simd::ref::AccumulateSigned(b.data(), parts.data(), probe_of.data(), sign,
-                                count);
-    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), count * sizeof(double)));
+// Every lane and merge edge of the three-lane kernel (lengths 0 to
+// 3 * lane + 64), every start misalignment of an 8-byte load, and random
+// chained seeds; plus the two buffer sizes a page read verifies.
+TEST(SimdTest, Crc32cIsBitwiseIdenticalToRef) {
+  std::mt19937 rng(107);
+  const size_t max_len = 3 * simd::kCrc32cLane + 64;
+  std::vector<uint8_t> buf(std::max(max_len, size_t{8224}) + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t len = 0; len <= max_len; ++len) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      const uint32_t seed = (len + misalign) % 3 == 0 ? 0 : rng();
+      const uint8_t* p = buf.data() + misalign;
+      ASSERT_EQ(simd::Crc32c(p, len, seed), simd::ref::Crc32c(p, len, seed))
+          << "len=" << len << " misalign=" << misalign << " seed=" << seed;
+    }
+  }
+  for (size_t len : {size_t{8192}, size_t{8224}}) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      const uint32_t seed = rng();
+      const uint8_t* p = buf.data() + misalign;
+      EXPECT_EQ(simd::Crc32c(p, len), simd::ref::Crc32c(p, len));
+      EXPECT_EQ(simd::Crc32c(p, len, seed), simd::ref::Crc32c(p, len, seed))
+          << "len=" << len << " misalign=" << misalign;
+    }
   }
 }
 

@@ -61,7 +61,7 @@ double MedianMillis(Body&& body) {
 void EmitKernel(const Config& cfg, JsonSink* sink, const char* kernel,
                 const char* backend, size_t reps, double ref_ms,
                 double act_ms) {
-  obs::LogInfo("  %-14s scalar=%.2fms %s=%.2fms speedup=%.2fx", kernel,
+  obs::LogInfo("  %-18s scalar=%.2fms %s=%.2fms speedup=%.2fx", kernel,
                ref_ms, backend, act_ms, ref_ms / act_ms);
   sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"%s\","
                  "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
@@ -103,34 +103,49 @@ void BenchKernels(const Config& cfg, JsonSink* sink, bool* ok) {
                act_ms);
   }
 
-  // Dominates over points (the ECDF/BA leaf scan predicate).
+  // UnpackFixedWidth over strips of every vector width (the compact
+  // replica's column decode); the base changes per call so no call can be
+  // hoisted out of the timed loop.
   {
-    std::vector<Point> qs(512), ps(512);
-    for (auto& p : qs) {
-      for (int d = 0; d < kMaxDims; ++d) p[d] = u(rng);
-    }
-    for (auto& p : ps) {
-      for (int d = 0; d < kMaxDims; ++d) p[d] = u(rng);
+    constexpr uint32_t kCount = 256;
+    constexpr std::array<uint32_t, 4> kWidths = {1, 2, 4, 8};
+    const size_t unpack_reps = 20000;
+    std::vector<uint8_t> src(size_t{kCount} * 8);
+    for (uint8_t& b : src) b = static_cast<uint8_t>(rng());
+    std::vector<uint64_t> out_ref(kCount), out_act(kCount);
+    for (uint32_t w : kWidths) {
+      simd::ref::UnpackFixedWidth(src.data(), kCount, w, 12345,
+                                  out_ref.data());
+      simd::UnpackFixedWidth(src.data(), kCount, w, 12345, out_act.data());
+      if (out_ref != out_act) {
+        std::fprintf(stderr,
+                     "UnpackFixedWidth diverges from scalar reference "
+                     "(width %u)\n",
+                     w);
+        *ok = false;
+      }
     }
     uint64_t sink_ref = 0, sink_act = 0;
     const double ref_ms = MedianMillis([&] {
-      for (size_t r = 0; r < reps; ++r) {
-        const Point& q = qs[r % qs.size()];
-        const Point& p = ps[(r * 7) % ps.size()];
-        sink_ref += simd::ref::Dominates(q.coord.data(), p.coord.data(), 4);
+      for (size_t r = 0; r < unpack_reps; ++r) {
+        simd::ref::UnpackFixedWidth(src.data(), kCount, kWidths[r % 4], r,
+                                    out_ref.data());
+        sink_ref += out_ref[r % kCount];
       }
     });
     const double act_ms = MedianMillis([&] {
-      for (size_t r = 0; r < reps; ++r) {
-        sink_act += simd::Dominates(qs[r % qs.size()],
-                                    ps[(r * 7) % ps.size()], 4);
+      for (size_t r = 0; r < unpack_reps; ++r) {
+        simd::UnpackFixedWidth(src.data(), kCount, kWidths[r % 4], r,
+                               out_act.data());
+        sink_act += out_act[r % kCount];
       }
     });
     if (sink_ref != sink_act) {
-      std::fprintf(stderr, "Dominates diverges from scalar reference\n");
+      std::fprintf(stderr, "UnpackFixedWidth diverges from scalar reference\n");
       *ok = false;
     }
-    EmitKernel(cfg, sink, "dominates", simd::kBackend, reps, ref_ms, act_ms);
+    EmitKernel(cfg, sink, "unpack_fixed_width", simd::kBackend, unpack_reps,
+               ref_ms, act_ms);
   }
 
   // Crc32c over 8 KiB page payloads (the DecodePageSlot verification).
@@ -215,8 +230,8 @@ void BenchDescent(const char* name, const Config& cfg, Storage* storage,
 int main() {
   Config cfg = Config::FromEnv();
   cfg.Log("Raw-speed descent: SIMD kernels, warm batched descent");
-  obs::LogInfo("simd backend: %s (window %u)", simd::kBackend,
-               simd::kSearchScanWindow);
+  obs::LogInfo("simd backend: %s, crc32c: %s", simd::kBackend,
+               simd::kCrc32cBackend);
 
   bool ok = true;
   JsonSink descent_sink("BENCH_descent.json");

@@ -75,7 +75,6 @@
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "obs/query_obs.h"
-#include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
 namespace boxagg {
@@ -194,7 +193,7 @@ class PackedBaTree {
           uint32_t n = LeafCount(page);
           for (uint32_t i = 0; i < n; ++i) {
             Point pt = LeafPoint(page, i);
-            if (simd::Dominates(q, pt, dims_)) {
+            if (q.Dominates(pt, dims_)) {
               V v;
               ReadLeafValue(page, i, &v);
               *out += v;
@@ -206,7 +205,7 @@ class PackedBaTree {
         bool found = false;
         for (uint32_t i = 0; i < n && !found; ++i) {
           Box box = RecBox(page, i);
-          if (!simd::ContainsHalfOpen(box, q, dims_)) continue;
+          if (!box.ContainsPointHalfOpen(q, dims_)) continue;
           found = true;
           V sub;
           ReadRecSubtotal(page, i, &sub);
@@ -216,17 +215,16 @@ class PackedBaTree {
             if (ref == kEmptyRef) continue;
             Point projected = q.DropDim(b, dims_);
             if (IsInlineRef(ref)) {
-              // In-page scan: zero extra I/O — the packing payoff. Entries
-              // are copied out (ReadBlockEntry) before the vector compare:
-              // a packed block near the page end may hold fewer than
-              // kMaxDims doubles per entry, so in-place loads could overrun.
+              // In-page scan: zero extra I/O — the packing payoff. Each
+              // entry is decoded into a Point (ReadBlockEntry): a packed
+              // block stores only dims - 1 coordinates per entry.
               uint32_t off = InlineOffset(ref);
               uint32_t cnt = BlockCount(page, off);
               for (uint32_t k = 0; k < cnt; ++k) {
                 Point pt;
                 V v;
                 ReadBlockEntry(page, off, k, &pt, &v);
-                if (simd::Dominates(projected, pt, dims_ - 1)) *out += v;
+                if (projected.Dominates(pt, dims_ - 1)) *out += v;
               }
             } else {
               tree_borders.push_back({b, static_cast<PageId>(ref)});
@@ -698,7 +696,7 @@ class PackedBaTree {
           V* out = &outs[idx[j]];
           for (uint32_t i = 0; i < n; ++i) {
             Point pt = LeafPoint(page, i);
-            if (simd::Dominates(q, pt, dims_)) {
+            if (q.Dominates(pt, dims_)) {
               V v;
               ReadLeafValue(page, i, &v);
               *out += v;
@@ -715,7 +713,7 @@ class PackedBaTree {
         core::ArenaVector<uint32_t> members;
         for (size_t j = 0; j < m; ++j) {
           if (taken[j]) continue;
-          if (simd::ContainsHalfOpen(box, qs[idx[j]], dims_)) {
+          if (box.ContainsPointHalfOpen(qs[idx[j]], dims_)) {
             taken[j] = 1;
             ++assigned;
             members.push_back(idx[j]);
@@ -736,10 +734,10 @@ class PackedBaTree {
             for (uint32_t probe : members) {
               Point projected = qs[probe].DropDim(b, dims_);
               for (uint32_t k = 0; k < cnt; ++k) {
-                Point pt;  // copied out: packed entries can be < kMaxDims
+                Point pt;  // decoded: packed entries hold dims - 1 coords
                 V v;
                 ReadBlockEntry(page, off, k, &pt, &v);
-                if (simd::Dominates(projected, pt, dims_ - 1)) outs[probe] += v;
+                if (projected.Dominates(pt, dims_ - 1)) outs[probe] += v;
               }
             }
           } else {

@@ -181,7 +181,7 @@ class EcdfBTree {
         for (uint32_t i = 0; i < n; ++i) {
           Point pt = LeafPoint(p, i);
           if (pt[0] > q[0]) break;
-          if (simd::Dominates(q, pt, dims_)) {
+          if (q.Dominates(pt, dims_)) {
             V v;
             ReadLeafValue(p, i, &v);
             *out += v;
@@ -390,7 +390,7 @@ class EcdfBTree {
           std::vector<Entry> pts(
               entries.begin() + static_cast<ptrdiff_t>(bb),
               entries.begin() + static_cast<ptrdiff_t>(u.end));
-          PageId border;
+          PageId border = kInvalidPageId;
           BOXAGG_RETURN_NOT_OK(BuildBorder(pts, &border));
           WriteInternalEntry(g.page(), static_cast<uint32_t>(k), u.lowkey,
                              u.pid, border, u.sum);
@@ -1019,7 +1019,7 @@ class EcdfBTree {
           for (uint32_t i = 0; i < n; ++i) {
             Point pt = LeafPoint(p, i);
             if (pt[0] > q[0]) break;
-            if (simd::Dominates(q, pt, dims_)) {
+            if (q.Dominates(pt, dims_)) {
               V v;
               ReadLeafValue(p, i, &v);
               *out += v;

@@ -3,8 +3,8 @@
 //
 // Data objects and queries are closed boxes [lo, hi]; two boxes intersect
 // when their projections overlap in every dimension. Index-space partitioning
-// (k-d-B regions) instead uses the half-open ContainsHalfOpen predicate so
-// every point belongs to exactly one region.
+// (k-d-B regions) instead uses the half-open ContainsPointHalfOpen predicate
+// so every point belongs to exactly one region.
 
 #ifndef BOXAGG_GEOM_BOX_H_
 #define BOXAGG_GEOM_BOX_H_
@@ -115,7 +115,12 @@ struct Box {
   }
 
   std::string ToString(int dims) const {
-    return "[" + lo.ToString(dims) + " .. " + hi.ToString(dims) + "]";
+    std::string s = "[";
+    s += lo.ToString(dims);
+    s += " .. ";
+    s += hi.ToString(dims);
+    s += "]";
+    return s;
   }
 };
 

@@ -145,12 +145,16 @@ class CompactReplica {
     if (meta.size() != expected) {
       return CorruptionAt(root_, "compact-replica: meta payload size drift");
     }
+    // A header-only replica (empty tree) has an empty payload whose data()
+    // may be null, which memcpy rejects even for zero bytes.
     const uint8_t* m = meta.data();
     c->data_pages.resize(data_page_count);
-    std::memcpy(c->data_pages.data(), m, data_page_count * 8);
+    if (data_page_count > 0) {
+      std::memcpy(c->data_pages.data(), m, data_page_count * 8);
+    }
     m += data_page_count * 8;
     c->dir.resize(c->node_count);
-    std::memcpy(c->dir.data(), m, c->node_count * 8);
+    if (c->node_count > 0) std::memcpy(c->dir.data(), m, c->node_count * 8);
     m += c->node_count * 8;
     c->key_dict.resize(key_dict_count);
     for (uint64_t i = 0; i < key_dict_count; ++i) {
@@ -330,12 +334,16 @@ class CompactReplica {
                            sizeof(uint64_t)) {
       return CorruptionAt(root_, "compact-replica: meta payload size drift");
     }
+    // A header-only replica (empty tree) has an empty payload whose data()
+    // may be null, which memcpy rejects even for zero bytes.
     const uint8_t* m = meta.data();
     c.data_pages.resize(data_page_count);
-    std::memcpy(c.data_pages.data(), m, data_page_count * 8);
+    if (data_page_count > 0) {
+      std::memcpy(c.data_pages.data(), m, data_page_count * 8);
+    }
     m += data_page_count * 8;
     c.dir.resize(c.node_count);
-    std::memcpy(c.dir.data(), m, c.node_count * 8);
+    if (c.node_count > 0) std::memcpy(c.dir.data(), m, c.node_count * 8);
     m += c.node_count * 8;
     // Dictionaries must be strictly increasing in the order-mapped domain
     // (the builder emits them sorted + deduplicated; the strip encoder's
@@ -598,7 +606,7 @@ class CompactReplica {
           core::ArenaVector<V> vals(n);
           DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
           for (uint32_t i = 0; i < n; ++i) {
-            if (simd::Dominates(q, pts[i], dims)) *out += vals[i];
+            if (q.Dominates(pts[i], dims)) *out += vals[i];
           }
           return Status::OK();
         } else {  // kNodeBaInternal
@@ -611,7 +619,7 @@ class CompactReplica {
           DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
           bool found = false;
           for (uint32_t i = 0; i < n && !found; ++i) {
-            if (!simd::ContainsHalfOpen(boxes[i], q, dims)) {
+            if (!boxes[i].ContainsPointHalfOpen(q, dims)) {
               SkipBorderSection(&p, dims);
               continue;
             }
@@ -631,7 +639,7 @@ class CompactReplica {
                 core::ArenaVector<V> bvals(cnt);
                 DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
                 for (uint32_t k = 0; k < cnt; ++k) {
-                  if (simd::Dominates(projected, bpts[k], dims - 1)) {
+                  if (projected.Dominates(bpts[k], dims - 1)) {
                     *out += bvals[k];
                   }
                 }
@@ -782,7 +790,7 @@ class CompactReplica {
           const Point& q = qs[idx[j]];
           V* out = &outs[idx[j]];
           for (uint32_t i = 0; i < n; ++i) {
-            if (simd::Dominates(q, pts[i], dims)) *out += vals[i];
+            if (q.Dominates(pts[i], dims)) *out += vals[i];
           }
         }
         return Status::OK();
@@ -800,7 +808,7 @@ class CompactReplica {
           core::ArenaVector<uint32_t> members;
           for (size_t j = 0; j < m; ++j) {
             if (taken[j]) continue;
-            if (simd::ContainsHalfOpen(boxes[i], qs[idx[j]], dims)) {
+            if (boxes[i].ContainsPointHalfOpen(qs[idx[j]], dims)) {
               taken[j] = 1;
               ++assigned;
               members.push_back(idx[j]);
@@ -827,7 +835,7 @@ class CompactReplica {
               for (uint32_t probe : members) {
                 Point projected = qs[probe].DropDim(b, dims);
                 for (uint32_t k = 0; k < cnt; ++k) {
-                  if (simd::Dominates(projected, bpts[k], dims - 1)) {
+                  if (projected.Dominates(bpts[k], dims - 1)) {
                     outs[probe] += bvals[k];
                   }
                 }

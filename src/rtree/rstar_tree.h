@@ -553,7 +553,7 @@ class RStarTree {
       // Note: a reinsertion below may have shrunk the child; recompute its
       // MBR/aggregate exactly.
       Box nb;
-      double na;
+      double na = 0;
       BOXAGG_RETURN_NOT_OK(NodeSummary(child, &nb, &na));
       WriteInternalEntry(page, best, nb, child, na);
       g.MarkDirty();

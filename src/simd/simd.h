@@ -1,37 +1,38 @@
-// Portable SIMD kernels for the descent and page-verification hot paths.
+// SIMD kernels for the descent and page-verification hot paths.
 //
-// The wrapper exposes the operations the trees and the page store spend
-// their CPU time on, each with a scalar reference implementation
-// (`simd::ref`) that is always compiled and an active implementation
-// selected at build time:
+// The wrapper keeps only the kernels whose vector or instruction backend
+// measurably beats its scalar reference (bench_descent_speed records each
+// ratio). Each has a scalar reference implementation (`simd::ref`) that is
+// always compiled and one active implementation selected at build time:
 //
 //   FirstGreater        in-node key search (leaf cutoff + internal routing)
-//   Dominates           dominance test between two points (ECDF leaves)
-//   ContainsHalfOpen    half-open box membership (BA-tree record scans)
 //   UnpackFixedWidth    fixed-width integer strip decode (compact replicas)
 //   Crc32c              CRC32C (Castagnoli) over page slots and replica pages
 //
 // AccumulateSigned, the corner inclusion-exclusion step, is one plain
-// multiply-then-add loop shared by every backend.
+// multiply-then-add loop. The descent's dominance and half-open membership
+// tests are geom's Point::Dominates and Box::ContainsPointHalfOpen.
 //
 // Backend selection: the default build compiles only the scalar path, so
 // TSan/ASan/clang-tidy CI and any non-x86 box behave exactly as before.
 // Configuring with -DBOXAGG_NATIVE=ON defines BOXAGG_NATIVE and adds
-// -march=native -ffp-contract=off; the wrapper then picks AVX2 or NEON for
-// the vector kernels, and the SSE4.2 `crc32` instruction for Crc32c, when
-// the compiler advertises them.
+// -march=native -ffp-contract=off; the wrapper then picks AVX2 for
+// FirstGreater and UnpackFixedWidth, and the SSE4.2 `crc32` instruction for
+// Crc32c, when the compiler advertises them. Every other target (ARM
+// included) runs the `simd::ref` kernels.
 //
-// Bit-identity contract (enforced by tests/simd_test.cpp): every kernel here
-// produces *identical* results to its scalar reference on every input the
-// trees can present, including NaN, +/-inf and -0.0:
+// Bit-identity contract (enforced by tests/simd_test.cpp, and for
+// UnpackFixedWidth by tests/replica_test.cpp): every kernel here produces
+// *identical* results to its scalar reference on every input the trees can
+// present, including NaN, +/-inf and -0.0:
 //
 //   * FirstGreater requires keys sorted ascending (a B-tree node invariant;
 //     the seed code already binary-searched the same array) — on sorted input
 //     the binary-narrow + vector-scan hybrid returns the same index as a pure
-//     scalar search by construction.
-//   * Comparisons use ordered, non-signaling predicates (_CMP_LT_OQ /
-//     _CMP_GE_OQ / _CMP_GT_OQ) which evaluate to false on NaN, matching the
-//     scalar `<`, `>=`, `>` operators exactly.
+//     scalar search by construction. Its compare is the ordered,
+//     non-signaling _CMP_GT_OQ, false on NaN exactly like the scalar `>`.
+//   * UnpackFixedWidth is integer zero-extension and wrapping addition, so
+//     every width decodes to the same base + LE(src) as the reference.
 //   * Crc32c splits a buffer into three lanes of kCrc32cLane bytes and
 //     merges them by linearity: over GF(2) the raw CRC register satisfies
 //     crc(A || B) = crc(A) * x^(8|B|) mod P  xor  crc(B), with crc(B)
@@ -52,15 +53,9 @@
 #include <cstdint>
 #include <cstring>
 
-#include "geom/box.h"
-#include "geom/point.h"
-
 #if defined(BOXAGG_NATIVE) && defined(__AVX2__)
 #define BOXAGG_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(BOXAGG_NATIVE) && (defined(__aarch64__) || defined(__ARM_NEON))
-#define BOXAGG_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 #if defined(BOXAGG_NATIVE) && defined(__SSE4_2__)
@@ -75,8 +70,6 @@ namespace simd {
 inline constexpr const char* kBackend =
 #if defined(BOXAGG_SIMD_AVX2)
     "avx2";
-#elif defined(BOXAGG_SIMD_NEON)
-    "neon";
 #else
     "scalar";
 #endif
@@ -96,19 +89,6 @@ inline constexpr const char* kCrc32cBackend =
 /// blocks plus at most 32 bytes of single-stream tail. The tests sweep every
 /// lane and merge edge with it; the scalar backend has no lanes.
 inline constexpr size_t kCrc32cLane = 680;
-
-/// Window below which the hybrid search switches from binary narrowing to a
-/// forward scan. Vector builds scan wider because each step covers several
-/// lanes; the scalar default keeps the window small so the operation count
-/// stays within a few comparisons of a pure binary search.
-inline constexpr uint32_t kSearchScanWindow =
-#if defined(BOXAGG_SIMD_AVX2)
-    32;
-#elif defined(BOXAGG_SIMD_NEON)
-    16;
-#else
-    8;
-#endif
 
 namespace detail {
 
@@ -172,23 +152,6 @@ inline uint32_t FirstGreater(const double* keys, uint32_t n, double q) {
   return lo;
 }
 
-/// True iff q[i] >= p[i] for all i < dims (q dominates p).
-inline bool Dominates(const double* q, const double* p, int dims) {
-  for (int i = 0; i < dims; ++i) {
-    if (q[i] < p[i]) return false;
-  }
-  return true;
-}
-
-/// True iff lo[i] <= p[i] < hi[i] for all i < dims.
-inline bool ContainsHalfOpen(const double* lo, const double* hi,
-                             const double* p, int dims) {
-  for (int i = 0; i < dims; ++i) {
-    if (p[i] < lo[i] || p[i] >= hi[i]) return false;
-  }
-  return true;
-}
-
 /// out[i] = base + the little-endian `width`-byte unsigned integer at
 /// src + i*width, for width in [0, 8]; width 0 means every element equals
 /// base and nothing is stored. The replica strip decoder's inner loop.
@@ -234,6 +197,11 @@ inline uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0) {
 #if defined(BOXAGG_SIMD_AVX2)
 
 namespace detail {
+
+/// Window below which FirstGreater switches from binary narrowing to the
+/// vector scan; each scan step covers four keys.
+inline constexpr uint32_t kScanWindow = 32;
+
 /// First index i < n with keys[i] > q, scanning forward (n if none).
 inline uint32_t ScanGreater(const double* keys, uint32_t n, double q) {
   const __m256d vq = _mm256_set1_pd(q);
@@ -248,11 +216,12 @@ inline uint32_t ScanGreater(const double* keys, uint32_t n, double q) {
   }
   return i;
 }
+
 }  // namespace detail
 
 inline uint32_t FirstGreater(const double* keys, uint32_t n, double q) {
   uint32_t lo = 0, hi = n;
-  while (hi - lo > kSearchScanWindow) {
+  while (hi - lo > detail::kScanWindow) {
     uint32_t mid = lo + (hi - lo) / 2;
     if (!(keys[mid] > q)) {
       lo = mid + 1;
@@ -261,26 +230,6 @@ inline uint32_t FirstGreater(const double* keys, uint32_t n, double q) {
     }
   }
   return lo + detail::ScanGreater(keys + lo, hi - lo, q);
-}
-
-/// `q` and `p` must each have kMaxDims (= 4) doubles readable; lanes at and
-/// beyond `dims` are masked off, so their contents are irrelevant.
-inline bool Dominates(const double* q, const double* p, int dims) {
-  __m256d vq = _mm256_loadu_pd(q);
-  __m256d vp = _mm256_loadu_pd(p);
-  int lt = _mm256_movemask_pd(_mm256_cmp_pd(vq, vp, _CMP_LT_OQ));
-  return (lt & ((1 << dims) - 1)) == 0;
-}
-
-/// `lo`, `hi` and `p` must each have kMaxDims doubles readable.
-inline bool ContainsHalfOpen(const double* lo, const double* hi,
-                             const double* p, int dims) {
-  __m256d vp = _mm256_loadu_pd(p);
-  int below = _mm256_movemask_pd(
-      _mm256_cmp_pd(vp, _mm256_loadu_pd(lo), _CMP_LT_OQ));
-  int at_or_above = _mm256_movemask_pd(
-      _mm256_cmp_pd(vp, _mm256_loadu_pd(hi), _CMP_GE_OQ));
-  return ((below | at_or_above) & ((1 << dims) - 1)) == 0;
 }
 
 /// Widths 1/2/4 widen four lanes per step with cvtepu*_epi64; width 8 is a
@@ -338,123 +287,10 @@ inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
   }
 }
 
-#elif defined(BOXAGG_SIMD_NEON)
-
-namespace detail {
-inline uint32_t ScanGreater(const double* keys, uint32_t n, double q) {
-  const float64x2_t vq = vdupq_n_f64(q);
-  uint32_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t gt = vcgtq_f64(vld1q_f64(keys + i), vq);
-    if (vgetq_lane_u64(gt, 0) != 0) return i;
-    if (vgetq_lane_u64(gt, 1) != 0) return i + 1;
-  }
-  for (; i < n; ++i) {
-    if (keys[i] > q) break;
-  }
-  return i;
-}
-
-/// 4-bit lane mask of q[lane] < p[lane] over kMaxDims lanes.
-inline int LessMask4(const double* q, const double* p) {
-  uint64x2_t lo = vcltq_f64(vld1q_f64(q), vld1q_f64(p));
-  uint64x2_t hi = vcltq_f64(vld1q_f64(q + 2), vld1q_f64(p + 2));
-  return static_cast<int>((vgetq_lane_u64(lo, 0) & 1) |
-                          ((vgetq_lane_u64(lo, 1) & 1) << 1) |
-                          ((vgetq_lane_u64(hi, 0) & 1) << 2) |
-                          ((vgetq_lane_u64(hi, 1) & 1) << 3));
-}
-}  // namespace detail
-
-inline uint32_t FirstGreater(const double* keys, uint32_t n, double q) {
-  uint32_t lo = 0, hi = n;
-  while (hi - lo > kSearchScanWindow) {
-    uint32_t mid = lo + (hi - lo) / 2;
-    if (!(keys[mid] > q)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo + detail::ScanGreater(keys + lo, hi - lo, q);
-}
-
-inline bool Dominates(const double* q, const double* p, int dims) {
-  return (detail::LessMask4(q, p) & ((1 << dims) - 1)) == 0;
-}
-
-inline bool ContainsHalfOpen(const double* lo, const double* hi,
-                             const double* p, int dims) {
-  // p < lo  ==  lo > p;  p >= hi  ==  !(p < hi) lane-wise, but NaN must map
-  // to "no violation" exactly as the scalar comparisons do, so build the
-  // >=-mask directly with vcgeq.
-  uint64x2_t below_a = vcltq_f64(vld1q_f64(p), vld1q_f64(lo));
-  uint64x2_t below_b = vcltq_f64(vld1q_f64(p + 2), vld1q_f64(lo + 2));
-  uint64x2_t above_a = vcgeq_f64(vld1q_f64(p), vld1q_f64(hi));
-  uint64x2_t above_b = vcgeq_f64(vld1q_f64(p + 2), vld1q_f64(hi + 2));
-  int mask = static_cast<int>(
-      ((vgetq_lane_u64(below_a, 0) | vgetq_lane_u64(above_a, 0)) & 1) |
-      (((vgetq_lane_u64(below_a, 1) | vgetq_lane_u64(above_a, 1)) & 1) << 1) |
-      (((vgetq_lane_u64(below_b, 0) | vgetq_lane_u64(above_b, 0)) & 1) << 2) |
-      (((vgetq_lane_u64(below_b, 1) | vgetq_lane_u64(above_b, 1)) & 1) << 3));
-  return (mask & ((1 << dims) - 1)) == 0;
-}
-
-/// Widths 4 and 8 (the common dictionary-index and raw strips) widen two
-/// lanes per step; other widths take the scalar tail, which computes the
-/// identical base + LE(src) sum.
-inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
-                             uint32_t width, uint64_t base, uint64_t* out) {
-  if (width == 0) {
-    for (uint32_t i = 0; i < count; ++i) out[i] = base;
-    return;
-  }
-  const uint64x2_t vb = vdupq_n_u64(base);
-  uint32_t i = 0;
-  if (width == 4) {
-    for (; i + 2 <= count; i += 2) {
-      uint32_t lanes[2];
-      std::memcpy(lanes, src + size_t{i} * 4, 8);
-      uint64x2_t v = vmovl_u32(vld1_u32(lanes));
-      vst1q_u64(out + i, vaddq_u64(v, vb));
-    }
-  } else if (width == 8) {
-    for (; i + 2 <= count; i += 2) {
-      uint64_t lanes[2];
-      std::memcpy(lanes, src + size_t{i} * 8, 16);
-      vst1q_u64(out + i, vaddq_u64(vld1q_u64(lanes), vb));
-    }
-  }
-  for (; i < count; ++i) {
-    uint64_t v = 0;
-    std::memcpy(&v, src + size_t{i} * width, width);
-    out[i] = base + v;
-  }
-}
-
 #else  // scalar fallback
 
 inline uint32_t FirstGreater(const double* keys, uint32_t n, double q) {
-  uint32_t lo = 0, hi = n;
-  while (hi - lo > kSearchScanWindow) {
-    uint32_t mid = lo + (hi - lo) / 2;
-    if (!(keys[mid] > q)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  while (lo < hi && !(keys[lo] > q)) ++lo;
-  return lo;
-}
-
-inline bool Dominates(const double* q, const double* p, int dims) {
-  return ref::Dominates(q, p, dims);
-}
-
-inline bool ContainsHalfOpen(const double* lo, const double* hi,
-                             const double* p, int dims) {
-  return ref::ContainsHalfOpen(lo, hi, p, dims);
+  return ref::FirstGreater(keys, n, q);
 }
 
 inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
@@ -555,36 +391,6 @@ inline void AccumulateSigned(double* out, const double* parts,
   for (size_t i = 0; i < count; ++i) {
     out[i] += sign * parts[probe_of[i]];
   }
-}
-
-// Point-typed conveniences (Point carries exactly kMaxDims doubles, so the
-// readability precondition of the raw overloads always holds).
-
-inline bool Dominates(const Point& q, const Point& p, int dims) {
-  return Dominates(q.coord.data(), p.coord.data(), dims);
-}
-
-/// Box::ContainsPointHalfOpen, vectorized (a Box is two full Points).
-inline bool ContainsHalfOpen(const Box& b, const Point& p, int dims) {
-  return ContainsHalfOpen(b.lo.coord.data(), b.hi.coord.data(),
-                          p.coord.data(), dims);
-}
-
-// ---------------------------------------------------------------------------
-// Software prefetch. No-ops cheaply when the target is already cached; used
-// by the batch descent to warm the next probe group's child while the
-// current group is being processed.
-
-inline void PrefetchBytes(const void* p, size_t bytes) {
-#if defined(__GNUC__) || defined(__clang__)
-  const char* c = static_cast<const char*>(p);
-  for (size_t off = 0; off < bytes; off += 64) {
-    __builtin_prefetch(c + off, /*rw=*/0, /*locality=*/3);
-  }
-#else
-  (void)p;
-  (void)bytes;
-#endif
 }
 
 }  // namespace simd

@@ -60,8 +60,13 @@ TEST(PrefixSumCube, UpdateCostIsDominatedRegion) {
 struct CubeParam {
   uint32_t w, h, block;
   std::string Name() const {
-    return "w" + std::to_string(w) + "_h" + std::to_string(h) + "_b" +
-           std::to_string(block);
+    std::string s = "w";
+    s += std::to_string(w);
+    s += "_h";
+    s += std::to_string(h);
+    s += "_b";
+    s += std::to_string(block);
+    return s;
   }
 };
 

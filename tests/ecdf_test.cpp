@@ -108,10 +108,14 @@ struct EcdfParam {
   uint32_t page_size;
 
   std::string Name() const {
-    std::string s = "d" + std::to_string(dims);
+    std::string s = "d";
+    s += std::to_string(dims);
     s += variant == EcdfVariant::kUpdateOptimized ? "_Bu" : "_Bq";
     s += bulk ? "_bulk" : "_inc";
-    s += "_n" + std::to_string(n) + "_ps" + std::to_string(page_size);
+    s += "_n";
+    s += std::to_string(n);
+    s += "_ps";
+    s += std::to_string(page_size);
     return s;
   }
 };

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "geom/box.h"
 #include "geom/point.h"
 
 namespace boxagg {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kMax = std::numeric_limits<double>::max();
 
 TEST(PointTest, DominanceIsNonStrictAndPerDimension) {
   Point p(3, 5);
@@ -17,6 +22,16 @@ TEST(PointTest, DominanceIsNonStrictAndPerDimension) {
   EXPECT_FALSE(p.Dominates(Point(1, 6), 2));  // fails dim 1
   // In 1 dimension only the first coordinate matters.
   EXPECT_TRUE(p.Dominates(Point(3, 100), 1));
+  // -0.0 and +0.0 compare equal, so each dominates the other.
+  EXPECT_TRUE(Point(-0.0, 1).Dominates(Point(0.0, 1), 2));
+  EXPECT_TRUE(Point(0.0, 1).Dominates(Point(-0.0, 1), 2));
+  // +inf dominates everything, itself included; nothing finite reaches it.
+  EXPECT_TRUE(Point(kInf, kInf).Dominates(Point(kInf, kMax), 2));
+  EXPECT_FALSE(Point(kMax, kMax).Dominates(Point(kInf, 0), 2));
+  // -inf is dominated by everything and dominates only -inf.
+  EXPECT_TRUE(Point(-kMax, 0).Dominates(Point(-kInf, 0), 2));
+  EXPECT_TRUE(Point(-kInf, 0).Dominates(Point(-kInf, 0), 2));
+  EXPECT_FALSE(Point(-kInf, 0).Dominates(Point(-kMax, 0), 2));
 }
 
 TEST(PointTest, MinMaxPoints) {
@@ -82,6 +97,15 @@ TEST(BoxTest, HalfOpenContainment) {
   Point boundary(5, 3);
   EXPECT_FALSE(left.ContainsPointHalfOpen(boundary, 2));
   EXPECT_TRUE(right.ContainsPointHalfOpen(boundary, 2));
+  // -0.0 equals +0.0: it is on the closed low side and the open high side.
+  EXPECT_TRUE(a.ContainsPointHalfOpen(Point(-0.0, 5), 2));
+  EXPECT_FALSE(Box(Point(-1, 0), Point(0, 10))
+                   .ContainsPointHalfOpen(Point(-0.0, 5), 2));
+  // An infinite low side is closed, an infinite high side is open.
+  Box unbounded(Point(-kInf, 0), Point(kInf, 10));
+  EXPECT_TRUE(unbounded.ContainsPointHalfOpen(Point(-kInf, 5), 2));
+  EXPECT_TRUE(unbounded.ContainsPointHalfOpen(Point(kMax, 5), 2));
+  EXPECT_FALSE(unbounded.ContainsPointHalfOpen(Point(kInf, 5), 2));
 }
 
 TEST(BoxTest, IntersectionAndUnion) {
@@ -145,6 +169,12 @@ TEST(BoxTest, UniverseContainsEverything) {
   Box u = Box::Universe(2);
   EXPECT_TRUE(u.ContainsPoint(Point(1e300, -1e300), 2));
   EXPECT_TRUE(u.Intersects(Box(Point(5, 5), Point(6, 6)), 2));
+  // Half-open, the universe holds every finite point but not +inf: this is
+  // why DominanceSum clamps a +inf query coordinate to DBL_MAX.
+  EXPECT_TRUE(u.ContainsPointHalfOpen(Point(kMax, kMax), 2));
+  EXPECT_TRUE(u.ContainsPointHalfOpen(Point(-kInf, -kMax), 2));
+  EXPECT_FALSE(u.ContainsPointHalfOpen(Point(kInf, 0), 2));
+  EXPECT_FALSE(u.ContainsPointHalfOpen(Point(0, kInf), 2));
 }
 
 // Intersection predicate equivalence used in the proof of Lemma 1: two boxes

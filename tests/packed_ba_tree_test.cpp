@@ -85,8 +85,14 @@ struct PParam {
   int n;
   uint32_t page_size;
   std::string Name() const {
-    return "d" + std::to_string(dims) + (bulk ? "_bulk" : "_inc") + "_n" +
-           std::to_string(n) + "_ps" + std::to_string(page_size);
+    std::string s = "d";
+    s += std::to_string(dims);
+    s += bulk ? "_bulk" : "_inc";
+    s += "_n";
+    s += std::to_string(n);
+    s += "_ps";
+    s += std::to_string(page_size);
+    return s;
   }
 };
 

@@ -3,22 +3,19 @@
 // skew; strip codec round-trips; structural self-checks against injected
 // byte corruption (in-pool and through a real .bag file via fsck); the
 // immutability contract; and the descent's zero-heap-allocation guarantee.
-// Global operator new/delete are replaced in this translation unit with
-// counting versions, so the steady-state assertion observes every
-// allocation in the process (same idiom as arena_test.cpp).
+// The test links the counting operator new/delete of alloc_count.cpp, so
+// the steady-state assertion observes every allocation in the process.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "check/fsck.h"
@@ -31,31 +28,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "workload/generators.h"
-
-namespace {
-std::atomic<uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<size_t>(al),
-                                   (n + static_cast<size_t>(al) - 1) &
-                                       ~(static_cast<size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace boxagg {
 namespace {
@@ -475,13 +447,13 @@ TEST(ReplicaTest, WarmBatchMakesNoHeapAllocations) {
   const std::vector<double> expected = out;
   // Measured region: nothing but the queries themselves (even a passing
   // gtest assertion is kept outside it).
-  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  const uint64_t before = testutil::HeapAllocations();
   bool all_ok = true;
   for (int round = 0; round < 5; ++round) {
     all_ok &=
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok();
   }
-  const uint64_t after = g_news.load(std::memory_order_relaxed);
+  const uint64_t after = testutil::HeapAllocations();
   ASSERT_TRUE(all_ok);
   EXPECT_EQ(after - before, 0u) << "heap allocations on warm QueryBatch";
   EXPECT_EQ(out, expected);  // and the answers did not drift

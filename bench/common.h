@@ -34,7 +34,6 @@
 #include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/query_obs.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -56,25 +55,6 @@ inline void MaybeEnableObsFromEnv() {
   obs::MetricsRegistry::InstallGlobal(reg);
   obs::SetTraceSink(sink);
   obs::InstallQueryObs(qobs);
-  // BOXAGG_OBS_HARVEST_MS=K additionally starts the background time-series
-  // harvester at a K-ms period (leaked like the registry: it samples until
-  // process exit and only ever touches the leaked obs objects above). CI
-  // runs the I/O-baseline benches with K=1 to prove that a harvester
-  // sampling at full tilt leaves physical/logical counts bit-identical.
-  if (const char* h = std::getenv("BOXAGG_OBS_HARVEST_MS")) {
-    if (const uint64_t ms = std::strtoull(h, nullptr, 10); ms > 0) {
-      static auto* harvester = [&] {
-        obs::HarvesterOptions o;
-        o.interval_us = ms * 1000;
-        o.ring_capacity = 4096;
-        auto* hv = new obs::Harvester(reg, o);
-        hv->WatchTraceSink(sink);
-        hv->Start();
-        return hv;
-      }();
-      (void)harvester;
-    }
-  }
 }
 
 struct Config {

@@ -542,9 +542,7 @@ Status BagFile::PinCurrent(GenerationPin* out) {
   if (current_snap_ == nullptr) {
     return Status::InvalidArgument("PinCurrent before Create/Open");
   }
-  PinnedGen& pg = pin_counts_[current_snap_->generation];
-  ++pg.count;
-  if (pg.first_pin_us == 0) pg.first_pin_us = now_us;
+  ++pin_counts_[current_snap_->generation];
   *out = GenerationPin(this, current_snap_);
   out->acquire_us_ = now_us;
   return Status::OK();
@@ -557,7 +555,7 @@ void BagFile::Unpin(uint64_t gen) {
     auto it = pin_counts_.find(gen);
     assert(it != pin_counts_.end() && "Unpin of an unpinned generation");
     if (it == pin_counts_.end()) return;
-    if (--it->second.count == 0) {
+    if (--it->second == 0) {
       pin_counts_.erase(it);
       last_of_gen = true;
     }
@@ -573,7 +571,7 @@ void BagFile::Unpin(uint64_t gen) {
 size_t BagFile::live_pins() const {
   sync::MutexLock lock(&gen_mu_);
   size_t n = 0;
-  for (const auto& [gen, pg] : pin_counts_) n += pg.count;
+  for (const auto& [gen, count] : pin_counts_) n += count;
   return n;
 }
 
@@ -585,36 +583,6 @@ uint64_t BagFile::min_pinned_generation() const {
 size_t BagFile::retired_pages() const {
   sync::MutexLock lock(&retire_mu_);
   return retired_.size();
-}
-
-void BagFile::ExportLifecycleGauges(obs::MetricsRegistry* reg) const {
-  if (reg == nullptr) return;
-  const uint64_t now_us = obs::NowMicros();
-  // Read each subsystem lock separately, publish with none held: gauges
-  // are levels, so a snapshot torn across the two locks is still honest.
-  size_t pinned_gens = 0;
-  size_t pins = 0;
-  uint64_t oldest_pin_age_us = 0;
-  {
-    sync::MutexLock lock(&gen_mu_);
-    pinned_gens = pin_counts_.size();
-    for (const auto& [gen, pg] : pin_counts_) pins += pg.count;
-    if (!pin_counts_.empty()) {
-      const uint64_t first = pin_counts_.begin()->second.first_pin_us;
-      if (first != 0 && now_us > first) oldest_pin_age_us = now_us - first;
-    }
-  }
-  size_t retired = 0;
-  {
-    sync::MutexLock lock(&retire_mu_);
-    retired = retired_.size();
-  }
-  reg->GetGauge("bagfile.pinned_generations")
-      ->Set(static_cast<int64_t>(pinned_gens));
-  reg->GetGauge("bagfile.live_pins")->Set(static_cast<int64_t>(pins));
-  reg->GetGauge("bagfile.retired_pages")->Set(static_cast<int64_t>(retired));
-  reg->GetGauge("bagfile.oldest_pin_age_us")
-      ->Set(static_cast<int64_t>(oldest_pin_age_us));
 }
 
 Status BagFile::ReclaimRetired(size_t* reclaimed) {

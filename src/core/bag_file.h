@@ -72,10 +72,6 @@
 
 namespace boxagg {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 /// What Open() found and repaired; informational (fsck and tools print it).
 struct BagRecoveryReport {
   uint64_t generation = 0;      ///< generation recovered to
@@ -259,17 +255,6 @@ class BagFile : public PageFile {
   /// Pages currently parked on the retire list (awaiting pin release).
   [[nodiscard]] size_t retired_pages() const;
 
-  /// Publishes MVCC lifecycle gauges into `reg`:
-  ///   bagfile.pinned_generations  distinct generations with live pins
-  ///   bagfile.live_pins           pin handles across all generations
-  ///   bagfile.retired_pages       retire-list depth
-  ///   bagfile.oldest_pin_age_us   age of the oldest pinned generation's
-  ///                               first outstanding pin (0 when unpinned)
-  /// Designed as a Harvester sample hook: short lock holds, no I/O, and
-  /// the subsystem locks (ranks 150/160) never nest inside the registry
-  /// lock (rank 300). No-op when `reg` is null.
-  void ExportLifecycleGauges(obs::MetricsRegistry* reg) const;
-
   // -- metadata / introspection (fsck, tools, tests) ------------------------
   [[nodiscard]] uint64_t generation() const { return generation_; }
   [[nodiscard]] uint32_t dims() const { return dims_; }
@@ -334,15 +319,6 @@ class BagFile : public PageFile {
     uint64_t retired_us;  ///< wall time of retirement; 0 = metrics disabled
   };
 
-  /// Pin bookkeeping for one generation. first_pin_us is stamped only when
-  /// a metrics registry is installed at pin time (the disabled mode reads
-  /// no clock) and approximates the oldest outstanding pin's age: honest
-  /// whenever pins on a generation release in roughly FIFO order.
-  struct PinnedGen {
-    uint64_t count = 0;
-    uint64_t first_pin_us = 0;
-  };
-
   PageFile* physical_;  // not owned
   uint64_t generation_ = 0;
   uint32_t dims_ = 0;
@@ -357,10 +333,10 @@ class BagFile : public PageFile {
 
   std::function<void(uint64_t)> post_commit_hook_;
 
-  /// Generation table: pin refcounts and the published snapshot. Ordered
-  /// map so begin() is the oldest pinned generation.
+  /// Generation table: pin refcount per generation and the published
+  /// snapshot. Ordered map so begin() is the oldest pinned generation.
   mutable sync::Mutex gen_mu_{"bagfile.gen", sync::lock_rank::kGenerationTable};
-  std::map<uint64_t, PinnedGen> pin_counts_ GUARDED_BY(gen_mu_);
+  std::map<uint64_t, uint64_t> pin_counts_ GUARDED_BY(gen_mu_);
   std::shared_ptr<const GenerationSnapshot> current_snap_ GUARDED_BY(gen_mu_);
 
   /// Retire list, append-ordered by retired_at (commits are monotone), so

@@ -58,6 +58,15 @@ inline Point QueryCorner(const Box& q, uint32_t mask, int dims) {
   return p;
 }
 
+/// InvalidArgument unless `b` is valid in `dims` dimensions (Box::IsValid).
+/// Every index entry point checks its boxes before touching any index, so an
+/// inverted or NaN box can neither corrupt stored sums nor yield an answer.
+inline Status CheckBox(const Box& b, int dims) {
+  if (b.IsValid(dims)) return Status::OK();
+  return Status::InvalidArgument("malformed box " + b.ToString(dims) +
+                                 ": needs lo <= hi and no NaN");
+}
+
 /// Parity sign (-1)^{popcount(mask)}.
 inline double MaskSign(uint32_t mask) {
   return __builtin_popcount(mask) % 2 == 0 ? 1.0 : -1.0;
@@ -89,6 +98,7 @@ class BoxSumIndex {
 
   /// Registers one weighted box object: one point insert per index.
   Status Insert(const Box& box, double value) {
+    BOXAGG_RETURN_NOT_OK(CheckBox(box, dims_));
     for (uint32_t s = 0; s < indexes_.size(); ++s) {
       BOXAGG_RETURN_NOT_OK(
           indexes_[s].Insert(StorageCorner(box, s, dims_), value));
@@ -118,6 +128,10 @@ class BoxSumIndex {
   Status QueryBatch(const Box* qs, size_t count, double* out) const {
     for (size_t i = 0; i < count; ++i) out[i] = 0;
     if (count == 0) return Status::OK();
+    // The whole batch is checked before any corner is expanded.
+    for (size_t i = 0; i < count; ++i) {
+      BOXAGG_RETURN_NOT_OK(CheckBox(qs[i], dims_));
+    }
     // All per-batch scratch lives in the thread-local arena: after warm-up a
     // QueryBatch performs zero heap allocations of its own (the descent's
     // nested scopes rewind to this scope's mark on exit).
@@ -168,6 +182,9 @@ class BoxSumIndex {
 
   /// Bulk-loads all 2^d indexes from an object collection.
   Status BulkLoad(const std::vector<BoxObject>& objects) {
+    for (const BoxObject& o : objects) {
+      BOXAGG_RETURN_NOT_OK(CheckBox(o.box, dims_));
+    }
     for (uint32_t s = 0; s < indexes_.size(); ++s) {
       std::vector<PointEntry<double>> pts;
       pts.reserve(objects.size());

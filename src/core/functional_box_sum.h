@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "core/box_sum_index.h"
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "poly/corner_updates.h"
@@ -40,6 +41,7 @@ class FunctionalBoxSumIndex {
   /// list; every monomial needs p + 1 <= DEG and q + 1 <= DEG): 2^d = 4
   /// point insertions of coefficient tuples.
   Status Insert(const Box& box, const std::vector<Monomial2>& f) {
+    BOXAGG_RETURN_NOT_OK(CheckBox(box, /*dims=*/2));
     auto updates = MakeCornerUpdates<DEG>(box, f);
     for (const auto& u : updates) {
       BOXAGG_RETURN_NOT_OK(index_.Insert(u.point, u.value));
@@ -57,6 +59,7 @@ class FunctionalBoxSumIndex {
   /// of q's corners, combined with prefix-sum inclusion-exclusion signs.
   Status Query(const Box& q, double* out) const {
     *out = 0;
+    BOXAGG_RETURN_NOT_OK(CheckBox(q, /*dims=*/2));
     for (uint32_t mask = 0; mask < 4; ++mask) {
       Point corner = q.Corner(mask, /*dims=*/2);
       Poly2<DEG> agg;
@@ -69,6 +72,9 @@ class FunctionalBoxSumIndex {
 
   /// Bulk-loads from a collection of functional objects (4n corner tuples).
   Status BulkLoad(const std::vector<FunctionalObject>& objects) {
+    for (const FunctionalObject& o : objects) {
+      BOXAGG_RETURN_NOT_OK(CheckBox(o.box, /*dims=*/2));
+    }
     std::vector<PointEntry<Poly2<DEG>>> pts;
     pts.reserve(objects.size() * 4);
     for (const FunctionalObject& o : objects) {

@@ -39,7 +39,6 @@
 #ifndef BOXAGG_CORE_SYNC_H_
 #define BOXAGG_CORE_SYNC_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -104,7 +103,8 @@ namespace sync {
 /// whose rank is STRICTLY GREATER than every lock it already holds. Gaps
 /// are deliberate — future subsystems (latch crabbing, shadow-paging
 /// generations) slot in without renumbering. Table mirrored in DESIGN.md
-/// §12; keep the two in sync.
+/// §12; the lock-rank-table rule of tools/lint_invariants.py checks that
+/// its rows equal the ranked mutexes declared in src/.
 namespace lock_rank {
 inline constexpr uint32_t kBufferPoolShard = 100;  ///< BufferPool Shard::mu
 inline constexpr uint32_t kGenerationTable = 150;  ///< BagFile gen/pin table
@@ -114,8 +114,6 @@ inline constexpr uint32_t kThreadPoolQueue = 200;  ///< exec::ThreadPool
 inline constexpr uint32_t kExecLatch = 210;        ///< executor done-latch
 inline constexpr uint32_t kMetricsRegistry = 300;  ///< obs::MetricsRegistry
 inline constexpr uint32_t kTraceSink = 310;        ///< obs::RingBufferSink
-inline constexpr uint32_t kTimeSeries = 320;       ///< obs::TimeSeriesRing
-inline constexpr uint32_t kHarvester = 330;        ///< obs::Harvester wakeup
 inline constexpr uint32_t kLeaf = 1000;  ///< never hold anything beyond this
 }  // namespace lock_rank
 
@@ -466,18 +464,6 @@ class CondVar {
     BOXAGG_LOCK_ORDER_ON_RELEASE(mu);
     std::unique_lock<std::mutex> lk(mu->mu_, std::adopt_lock);
     cv_.wait(lk);
-    lk.release();  // ownership returns to *mu's scope holder
-    BOXAGG_LOCK_ORDER_ON_ACQUIRE(mu, mu->DebugName(), mu->DebugRank());
-  }
-
-  /// Timed Wait: returns when notified, after `timeout_us`, or spuriously
-  /// (callers re-check their predicate either way, so the three are
-  /// indistinguishable on purpose — no cv_status is surfaced). Same
-  /// release/re-acquire mirroring as Wait.
-  void WaitFor(Mutex* mu, uint64_t timeout_us) REQUIRES(mu) {
-    BOXAGG_LOCK_ORDER_ON_RELEASE(mu);
-    std::unique_lock<std::mutex> lk(mu->mu_, std::adopt_lock);
-    cv_.wait_for(lk, std::chrono::microseconds(timeout_us));
     lk.release();  // ownership returns to *mu's scope holder
     BOXAGG_LOCK_ORDER_ON_ACQUIRE(mu, mu->DebugName(), mu->DebugRank());
   }

@@ -26,6 +26,16 @@ struct Box {
 
   bool operator==(const Box& o) const { return lo == o.lo && hi == o.hi; }
 
+  /// True iff the first `dims` dimensions hold no NaN and lo[i] <= hi[i] in
+  /// each. Infinite sides are valid (unbounded queries); a degenerate side
+  /// (lo[i] == hi[i]) is a point extent and valid too.
+  bool IsValid(int dims) const {
+    for (int i = 0; i < dims; ++i) {
+      if (!(lo[i] <= hi[i])) return false;  // also false if either is NaN
+    }
+    return true;
+  }
+
   /// True iff this box and `o` intersect (closed semantics) in the first
   /// `dims` dimensions.
   bool Intersects(const Box& o, int dims) const {

@@ -62,27 +62,6 @@ double HistogramSnapshot::Percentile(double p) const {
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-HistogramSnapshot HistogramSnapshot::Since(
-    const HistogramSnapshot& earlier) const {
-  assert(bounds == earlier.bounds);
-  HistogramSnapshot d;
-  d.bounds = bounds;
-  d.counts.resize(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    d.counts[i] = counts[i] - earlier.counts[i];
-  }
-  d.count = count - earlier.count;
-  d.sum = sum - earlier.sum;
-  return d;
-}
-
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  assert(bounds == other.bounds);
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  count += other.count;
-  sum += other.sum;
-}
-
 Histogram::Histogram(const std::vector<double>& bounds) : bounds_(bounds) {
   assert(bounds_.size() <= kMaxBuckets);
   assert(std::is_sorted(bounds_.begin(), bounds_.end()));
@@ -140,56 +119,6 @@ const std::vector<double>& IoCountBuckets() {
     return b;
   }();
   return kBounds;
-}
-
-namespace {
-
-// A histogram delta is only meaningful against an earlier snapshot of the
-// SAME histogram: identical bounds, identical bucket count, and no bucket
-// (or total) that went backwards. A mismatch means the metric was reset or
-// re-registered with a different shape between the two snapshots — the
-// honest answer is the current distribution, not a garbage subtraction.
-bool HistDeltaWellFormed(const HistogramSnapshot& now,
-                         const HistogramSnapshot& earlier) {
-  if (now.bounds != earlier.bounds) return false;
-  if (now.counts.size() != earlier.counts.size()) return false;
-  if (now.count < earlier.count) return false;
-  for (size_t i = 0; i < now.counts.size(); ++i) {
-    if (now.counts[i] < earlier.counts[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot d;
-  d.samples.reserve(samples.size());
-  for (const MetricSample& s : samples) {
-    const MetricSample* e = earlier.Find(s.name);
-    MetricSample out = s;
-    if (e != nullptr && e->kind == s.kind) {
-      switch (s.kind) {
-        case MetricSample::Kind::kCounter:
-          // A counter that went backwards was Reset() between snapshots;
-          // everything it now holds accrued after the reset, so the delta
-          // is the current value — never the wrapped difference.
-          out.counter =
-              s.counter >= e->counter ? s.counter - e->counter : s.counter;
-          break;
-        case MetricSample::Kind::kGauge:
-          break;  // levels carry no delta
-        case MetricSample::Kind::kHistogram:
-          if (HistDeltaWellFormed(s.hist, e->hist)) {
-            out.hist = s.hist.Since(e->hist);
-          }
-          // else: shape mismatch or reset — current snapshot passes through.
-          break;
-      }
-    }
-    d.samples.push_back(std::move(out));
-  }
-  return d;
 }
 
 const MetricSample* MetricsSnapshot::Find(const std::string& name) const {

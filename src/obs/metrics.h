@@ -4,11 +4,12 @@
 // a handed-out metric is wait-free relaxed atomics, so instrumented code can
 // run on any number of threads without contending.
 //
-// Snapshot()/Since() produce plain-POD views exactly like IoStats: benches
-// and tools snapshot around a workload and subtract. A process-global
-// registry pointer (install/clear) lets deep code (the executor, the buffer
-// pool) pick up metrics opportunistically: with no registry installed, the
-// hot paths cost one relaxed pointer load and allocate nothing.
+// Snapshot() produces a plain-data view of the whole registry, which
+// boxagg_stats prints as a table, JSON or Prometheus text at the end of a
+// run. A process-global registry pointer (install/clear) lets deep code (the
+// executor, the buffer pool) pick up metrics opportunistically: with no
+// registry installed, the hot paths cost one relaxed pointer load and
+// allocate nothing.
 
 #ifndef BOXAGG_OBS_METRICS_H_
 #define BOXAGG_OBS_METRICS_H_
@@ -53,7 +54,7 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
-/// \brief Plain-POD histogram view; feed to Since() for workload deltas.
+/// \brief Plain-POD histogram view.
 ///
 /// counts has bounds.size() + 1 entries: counts[i] holds values
 /// v <= bounds[i]; the final entry is the overflow bucket.
@@ -71,13 +72,6 @@ struct HistogramSnapshot {
   /// covering bucket (bucket 0 interpolates from 0; the overflow bucket
   /// reports the last finite bound). 0 when empty.
   [[nodiscard]] double Percentile(double p) const;
-
-  /// Component-wise difference (this - earlier); bounds must match.
-  [[nodiscard]] HistogramSnapshot Since(const HistogramSnapshot& earlier) const;
-
-  /// Accumulates `other` into this snapshot; bounds must match (two
-  /// shards' / two threads' histograms merge into one distribution).
-  void Merge(const HistogramSnapshot& other);
 };
 
 /// \brief Fixed-bucket histogram: precomputed upper bounds, atomic counts.
@@ -130,11 +124,6 @@ struct MetricSample {
 /// \brief Plain-data view of a whole registry, sorted by name.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
-
-  /// Name-matched difference (this - earlier): counters and histograms
-  /// subtract, gauges keep their current value (levels have no delta).
-  /// Samples absent from `earlier` pass through unchanged.
-  [[nodiscard]] MetricsSnapshot Since(const MetricsSnapshot& earlier) const;
 
   [[nodiscard]] const MetricSample* Find(const std::string& name) const;
 

@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "obs/metrics.h"
-
 namespace boxagg {
 namespace obs {
 
@@ -51,25 +49,6 @@ std::vector<TraceEvent> RingBufferSink::Drain() {
   events_.reserve(capacity_);
   dropped_.store(0, std::memory_order_relaxed);
   return out;
-}
-
-size_t RingBufferSink::occupancy() const {
-  sync::MutexLock lock(&mu_);
-  return events_.size();
-}
-
-void RingBufferSink::ExportMetrics(MetricsRegistry* reg) const {
-  if (reg == nullptr) return;
-  // Read the sink first, publish second: the sink lock (rank kTraceSink)
-  // and the registry lock (rank kMetricsRegistry) never nest.
-  const size_t occ = occupancy();
-  const size_t drops = dropped();
-  reg->GetGauge("trace.ring.occupancy")->Set(static_cast<int64_t>(occ));
-  reg->GetGauge("trace.ring.capacity")->Set(static_cast<int64_t>(capacity_));
-  // Drops are monotone while the sink fills; Drain() resets them, and the
-  // set-to-current export plus reset-aware Since() keeps the time series
-  // honest across a drain.
-  reg->GetGauge("trace.ring.dropped")->Set(static_cast<int64_t>(drops));
 }
 
 void SetTraceSink(TraceSink* sink) {

@@ -24,8 +24,6 @@
 namespace boxagg {
 namespace obs {
 
-class MetricsRegistry;
-
 /// Monotonic clock in microseconds (steady across the process).
 uint64_t NowMicros();
 
@@ -68,20 +66,9 @@ class RingBufferSink : public TraceSink {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Events currently buffered (occupancy <= capacity).
-  [[nodiscard]] size_t occupancy() const;
-
-  [[nodiscard]] size_t capacity() const { return capacity_; }
-
-  /// Publishes the sink's state into `reg` as registry metrics:
-  /// `trace.ring.dropped` / `trace.ring.occupancy` / `trace.ring.capacity`.
-  /// Safe to call from a harvester sample hook (sink lock is only taken
-  /// for the occupancy read and never nests inside the registry lock).
-  void ExportMetrics(MetricsRegistry* reg) const;
-
  private:
   const size_t capacity_;
-  mutable sync::Mutex mu_{"obs.trace_ring", sync::lock_rank::kTraceSink};
+  sync::Mutex mu_{"obs.trace_ring", sync::lock_rank::kTraceSink};
   std::vector<TraceEvent> events_ GUARDED_BY(mu_);
   std::atomic<size_t> dropped_{0};
 };

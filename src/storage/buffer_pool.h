@@ -160,9 +160,7 @@ class BufferPool {
   /// bufferpool.shard<i>.{hits,misses,evictions,dirty_writebacks} (counters
   /// are set-to-current: call at quiescent points, e.g. after a workload),
   /// plus pool-wide bufferpool.snapshot.{hits,misses} (the pinned-reader
-  /// FetchSnapshot slice) and a bufferpool.resident gauge. Also usable as
-  /// a Harvester sample hook: reset-aware Since() keeps set-to-current
-  /// counters monotone within a window.
+  /// FetchSnapshot slice) and a bufferpool.resident gauge.
   void ExportMetrics(obs::MetricsRegistry* reg) const;
 
   PageFile* file() { return file_; }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "batree/packed_ba_tree.h"
@@ -318,6 +319,89 @@ TEST(BoxSumIndexTest, ThreeDimensionalObjects) {
     ASSERT_TRUE(index.Query(q, &got).ok());
     ASSERT_NEAR(got, naive.Sum(q), 1e-6 + 1e-9 * std::abs(naive.Sum(q)));
   }
+}
+
+// Malformed boxes: an inverted side (lo > hi) or a NaN coordinate is
+// rejected at every entry point before any index is touched. Infinite and
+// degenerate sides stay valid.
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+
+bool IsInvalidArgument(const Status& s) {
+  return s.code() == Status::Code::kInvalidArgument;
+}
+
+TEST(BoxSumIndexTest, InsertAndEraseRejectMalformedBoxes) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
+  ASSERT_TRUE(index.Insert(Box(Point(2, 10), Point(15, 26)), 4.0).ok());
+  EXPECT_TRUE(IsInvalidArgument(
+      index.Insert(Box(Point(0.6, 0.6), Point(0.2, 0.2)), 1.0)));
+  EXPECT_TRUE(IsInvalidArgument(
+      index.Insert(Box(Point(kNaN, 0.2), Point(0.6, 0.6)), 1.0)));
+  EXPECT_TRUE(IsInvalidArgument(
+      index.Erase(Box(Point(15, 26), Point(2, 10)), 4.0)));
+  // The rejected calls left the stored sum alone.
+  double s;
+  ASSERT_TRUE(index.Query(Box::Universe(2), &s).ok());
+  EXPECT_DOUBLE_EQ(s, 4.0);
+}
+
+TEST(BoxSumIndexTest, QueryRejectsMalformedBoxes) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
+  ASSERT_TRUE(index.Insert(Box(Point(0.3, 0.3), Point(0.4, 0.4)), 1.0).ok());
+  double s = 0;
+  const Box inverted(Point(0.6, 0.6), Point(0.2, 0.2));
+  const Box nan_lo(Point(kNaN, 0.2), Point(0.6, 0.6));
+  const Box nan_hi(Point(0.2, 0.2), Point(0.6, kNaN));
+  EXPECT_TRUE(IsInvalidArgument(index.Query(inverted, &s)));
+  EXPECT_TRUE(IsInvalidArgument(index.Query(nan_lo, &s)));
+  EXPECT_TRUE(IsInvalidArgument(index.Query(nan_hi, &s)));
+  // Infinite and degenerate sides are well formed.
+  const Box line(Point(-kInf, 0.35), Point(kInf, 0.35));
+  ASSERT_TRUE(index.Query(line, &s).ok());
+  EXPECT_DOUBLE_EQ(s, 1.0);
+}
+
+TEST(BoxSumIndexTest, QueryBatchChecksWholeBatchBeforeAnyProbe) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
+  ASSERT_TRUE(index.BulkLoad(World(300, 7)).ok());
+  const std::vector<Box> batch = {Box(Point(0.1, 0.1), Point(0.5, 0.5)),
+                                  Box(Point(0.2, 0.2), Point(0.3, 0.3)),
+                                  Box(Point(0.9, 0.1), Point(0.8, 0.5))};
+  std::vector<double> out;
+  const uint64_t reads = pool.stats().logical_reads;
+  EXPECT_TRUE(IsInvalidArgument(index.QueryBatch(batch, &out)));
+  // The bad last box was found before the first box reached any index.
+  EXPECT_EQ(pool.stats().logical_reads, reads);
+}
+
+TEST(BoxSumIndexTest, BulkLoadRejectsMalformedObjects) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  BoxSumIndex<PackedBaTree<double>> index(
+      2, [&] { return PackedBaTree<double>(&pool, 2); });
+  std::vector<BoxObject> objs = World(200, 9);
+  objs[150].box.hi[1] = kNaN;
+  EXPECT_TRUE(IsInvalidArgument(index.BulkLoad(objs)));
+  objs[150].box = Box(Point(0.5, 0.5), Point(0.4, 0.6));
+  EXPECT_TRUE(IsInvalidArgument(index.BulkLoad(objs)));
+  // Nothing was loaded, so a valid bulk load still succeeds afterwards.
+  objs[150].box = Box(Point(0.4, 0.5), Point(0.5, 0.6));
+  ASSERT_TRUE(index.BulkLoad(objs).ok());
+  double s;
+  ASSERT_TRUE(index.Query(Box::Universe(2), &s).ok());
+  double want = 0;
+  for (const BoxObject& o : objs) want += o.value;
+  EXPECT_NEAR(s, want, 1e-9 * std::abs(want));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "batree/packed_ba_tree.h"
 #include "core/functional_box_sum.h"
 #include "core/naive.h"
@@ -180,6 +182,38 @@ TEST(FunctionalBoxSum, DiffersFromSimpleBoxSumByDesign) {
   Box sliver(Point(0, 0), Point(1, 100));
   ASSERT_TRUE(functional.Query(sliver, &got).ok());
   EXPECT_DOUBLE_EQ(got, 100.0);  // 1% of the 10,000 total
+}
+
+// Inverted or NaN boxes are rejected at every entry point of the functional
+// index, before any corner update reaches the dominance index.
+TEST(FunctionalBoxSum, RejectsMalformedBoxes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> index(
+      PackedBaTree<Poly2<1>>(&pool, 2));
+  const std::vector<Monomial2> f = {{4.0, 0, 0}};
+  ASSERT_TRUE(index.Insert(Box(Point(2, 10), Point(15, 26)), f).ok());
+  const Box inverted(Point(15, 26), Point(2, 10));
+  const Box with_nan(Point(2, nan), Point(15, 26));
+  auto invalid = [](const Status& s) {
+    return s.code() == Status::Code::kInvalidArgument;
+  };
+  EXPECT_TRUE(invalid(index.Insert(inverted, f)));
+  EXPECT_TRUE(invalid(index.Insert(with_nan, f)));
+  EXPECT_TRUE(invalid(index.Erase(inverted, f)));
+  double got = 0;
+  EXPECT_TRUE(invalid(index.Query(inverted, &got)));
+  EXPECT_TRUE(invalid(index.Query(with_nan, &got)));
+  // The rejected updates left the stored integral alone: 4 * 13 * 16.
+  ASSERT_TRUE(index.Query(Box(Point(0, 0), Point(40, 40)), &got).ok());
+  EXPECT_DOUBLE_EQ(got, 832.0);
+
+  FunctionalBoxSumIndex<PackedBaTree<Poly2<1>>, 1> fresh(
+      PackedBaTree<Poly2<1>>(&pool, 2));
+  EXPECT_TRUE(invalid(fresh.BulkLoad(
+      {{Box(Point(0, 0), Point(1, 1)), f}, {inverted, f}})));
+  EXPECT_TRUE(invalid(fresh.BulkLoad({{with_nan, f}})));
 }
 
 }  // namespace

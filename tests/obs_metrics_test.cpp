@@ -1,8 +1,8 @@
 // Metrics registry tests: histogram bucket boundaries (lower_bound
 // semantics: counts[i] holds v <= bounds[i]), percentile linear
-// interpolation, snapshot Since/Merge arithmetic, the shared bucket
-// layouts, and registry lookup/snapshot behaviour — plus a multi-threaded
-// recorder test exercised under TSan in CI.
+// interpolation, the shared bucket layouts, registry lookup/snapshot
+// behaviour and Prometheus exposition — plus a multi-threaded recorder test
+// exercised under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -88,27 +88,6 @@ TEST(ObsMetrics, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(over.Snapshot().Percentile(99), 10.0);
 }
 
-TEST(ObsMetrics, SinceAndMergeAreComponentwise) {
-  Histogram h({10.0, 100.0});
-  h.Record(5.0);
-  const HistogramSnapshot t0 = h.Snapshot();
-  h.Record(5.0);
-  h.Record(50.0);
-  const HistogramSnapshot d = h.Snapshot().Since(t0);
-  EXPECT_EQ(d.count, 2u);
-  EXPECT_DOUBLE_EQ(d.sum, 55.0);
-  EXPECT_EQ(d.counts[0], 1u);
-  EXPECT_EQ(d.counts[1], 1u);
-
-  // Merging two shards' snapshots yields one distribution.
-  HistogramSnapshot merged = t0;
-  merged.Merge(d);
-  EXPECT_EQ(merged.count, 3u);
-  EXPECT_DOUBLE_EQ(merged.sum, 60.0);
-  EXPECT_EQ(merged.counts[0], 2u);
-  EXPECT_EQ(merged.counts[1], 1u);
-}
-
 TEST(ObsMetrics, SharedBucketLayouts) {
   const std::vector<double>& lat = LatencyBucketsUs();
   ASSERT_FALSE(lat.empty());
@@ -153,114 +132,6 @@ TEST(ObsMetrics, RegistryHandlesAreStableAndSnapshotSorted) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->counter, 3u);
   EXPECT_EQ(snap.Find("missing"), nullptr);
-}
-
-TEST(ObsMetrics, SnapshotSinceSubtractsCountersKeepsGauges) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("c");
-  Gauge* g = reg.GetGauge("g");
-  c->Inc(10);
-  g->Set(100);
-  const MetricsSnapshot t0 = reg.Snapshot();
-  c->Inc(7);
-  g->Set(3);
-  const MetricsSnapshot d = reg.Snapshot().Since(t0);
-  EXPECT_EQ(d.Find("c")->counter, 7u);   // counters subtract
-  EXPECT_EQ(d.Find("g")->gauge, 3);      // gauges are levels: no delta
-}
-
-// ---------------------------------------------------------------------------
-// Reset-aware Since: windowed views (time-series rings) subtract snapshots
-// taken at different times, so Since must stay sane when the underlying
-// metric was Reset() (the set-to-current exporter pattern), reshaped, or
-// unregistered between the two samples.
-
-MetricsSnapshot SnapshotWith(std::vector<MetricSample> samples) {
-  MetricsSnapshot s;
-  s.samples = std::move(samples);
-  return s;
-}
-
-MetricSample CounterSample(const char* name, uint64_t v) {
-  MetricSample m;
-  m.name = name;
-  m.kind = MetricSample::Kind::kCounter;
-  m.counter = v;
-  return m;
-}
-
-MetricSample HistSample(const char* name, std::vector<double> bounds,
-                        std::vector<uint64_t> counts, double sum) {
-  MetricSample m;
-  m.name = name;
-  m.kind = MetricSample::Kind::kHistogram;
-  m.hist.bounds = std::move(bounds);
-  m.hist.counts = std::move(counts);
-  for (uint64_t c : m.hist.counts) m.hist.count += c;
-  m.hist.sum = sum;
-  return m;
-}
-
-TEST(ObsMetrics, SinceCounterResetYieldsCurrentValue) {
-  // A counter that went backwards was Reset() between the samples; the
-  // honest delta is everything counted since the reset, i.e. the current
-  // value — never a huge unsigned wraparound.
-  const MetricsSnapshot earlier = SnapshotWith({CounterSample("c", 100)});
-  const MetricsSnapshot now = SnapshotWith({CounterSample("c", 5)});
-  const MetricsSnapshot d = now.Since(earlier);
-  ASSERT_NE(d.Find("c"), nullptr);
-  EXPECT_EQ(d.Find("c")->counter, 5u);
-
-  // Monotone counters still subtract exactly.
-  const MetricsSnapshot d2 =
-      SnapshotWith({CounterSample("c", 150)}).Since(earlier);
-  EXPECT_EQ(d2.Find("c")->counter, 50u);
-}
-
-TEST(ObsMetrics, SinceHistogramShapeMismatchPassesCurrentThrough) {
-  // Different bucket layouts cannot be subtracted; the current snapshot
-  // wins wholesale (same rationale as the counter reset).
-  const MetricsSnapshot earlier =
-      SnapshotWith({HistSample("h", {10.0, 100.0}, {5, 3, 1}, 200.0)});
-  const MetricsSnapshot now =
-      SnapshotWith({HistSample("h", {50.0}, {4, 2}, 120.0)});
-  const MetricsSnapshot d = now.Since(earlier);
-  ASSERT_NE(d.Find("h"), nullptr);
-  EXPECT_EQ(d.Find("h")->hist.count, 6u);
-  ASSERT_EQ(d.Find("h")->hist.bounds.size(), 1u);
-  EXPECT_DOUBLE_EQ(d.Find("h")->hist.bounds[0], 50.0);
-  EXPECT_EQ(d.Find("h")->hist.counts, (std::vector<uint64_t>{4, 2}));
-}
-
-TEST(ObsMetrics, SinceHistogramDecreasePassesCurrentThrough) {
-  // Same shape but a shrinking bucket means the histogram was reset:
-  // subtracting would underflow, so the current distribution passes
-  // through.
-  const MetricsSnapshot earlier =
-      SnapshotWith({HistSample("h", {10.0}, {8, 2}, 100.0)});
-  const MetricsSnapshot now =
-      SnapshotWith({HistSample("h", {10.0}, {3, 2}, 40.0)});
-  const MetricsSnapshot d = now.Since(earlier);
-  ASSERT_NE(d.Find("h"), nullptr);
-  EXPECT_EQ(d.Find("h")->hist.count, 5u);
-  EXPECT_EQ(d.Find("h")->hist.counts, (std::vector<uint64_t>{3, 2}));
-  EXPECT_DOUBLE_EQ(d.Find("h")->hist.sum, 40.0);
-}
-
-TEST(ObsMetrics, SinceDisappearedAndAppearedMetrics) {
-  // Since iterates the *current* snapshot: a metric present only in the
-  // earlier sample vanishes from the delta (nothing to report), and a
-  // freshly appeared metric passes through unchanged.
-  const MetricsSnapshot earlier =
-      SnapshotWith({CounterSample("gone", 7), CounterSample("kept", 10)});
-  const MetricsSnapshot now =
-      SnapshotWith({CounterSample("kept", 13), CounterSample("new", 4)});
-  const MetricsSnapshot d = now.Since(earlier);
-  EXPECT_EQ(d.Find("gone"), nullptr);
-  ASSERT_NE(d.Find("kept"), nullptr);
-  EXPECT_EQ(d.Find("kept")->counter, 3u);
-  ASSERT_NE(d.Find("new"), nullptr);
-  EXPECT_EQ(d.Find("new")->counter, 4u);
 }
 
 TEST(ObsMetrics, WritePrometheusExposition) {

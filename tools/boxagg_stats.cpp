@@ -19,14 +19,12 @@
 //     document loadable in Perfetto;
 //   - with --prometheus [PATH|-], writes the snapshot in Prometheus text
 //     exposition format (bare --prometheus means stdout, which then stays
-//     pure exposition — no table);
-//   - with --watch TICKS, switches to live mode: a background Harvester
-//     samples the registry while the batch re-runs once per tick, and each
-//     tick prints one JSON line of windowed rates, sliding percentiles, and
-//     SLO verdicts (--slo-objective-us / --slo-budget set the objective).
+//     pure exposition — no table).
 //
-// Exit status is non-zero if any cross-check fails. Two invariants are
-// enforced, both documented in src/obs/query_obs.h and storage/io_stats.h:
+// Numeric flags take a plain decimal value; anything else (a sign, trailing
+// characters, overflow) prints the usage text and exits 2. Exit status is 1
+// if any cross-check fails. Two invariants are enforced, both documented in
+// src/obs/query_obs.h and storage/io_stats.h:
 //
 //   coverage identity   sum over levels of node_visits == the workload's
 //                       logical-read delta (every dominance-descent fetch
@@ -34,10 +32,12 @@
 //   eviction ordering   evictions >= dirty_writebacks (write-backs are
 //                       counted on the eviction path only)
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,8 +50,6 @@
 #include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/query_obs.h"
-#include "obs/slo.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
@@ -76,10 +74,6 @@ struct Options {
   std::string json_path;   // empty = no JSON dump; "-" = stdout
   std::string trace_path;  // empty = no trace file
   std::string prom_path;   // empty = no Prometheus dump; "-" = stdout
-  size_t watch = 0;        // >0 = live mode: N ticks of one JSON line each
-  uint64_t watch_interval_ms = 20;  // harvester period in watch mode
-  double slo_objective_us = 100000;  // watch-mode SLO: morsel latency bound
-  double slo_budget = 0.001;         // watch-mode SLO: allowed bad fraction
 };
 
 int Usage() {
@@ -89,10 +83,27 @@ int Usage() {
                "                    [--queries Q] [--batch B] [--threads T]\n"
                "                    [--shards S] [--buffer-mb M] [--seed S]\n"
                "                    [--json PATH|-] [--trace PATH]\n"
-               "                    [--prometheus [PATH|-]]\n"
-               "                    [--watch TICKS] [--watch-interval-ms MS]\n"
-               "                    [--slo-objective-us US] [--slo-budget F]\n");
+               "                    [--prometheus [PATH|-]]\n");
   return 2;
+}
+
+/// Parses `v` as a decimal integer that fits in T. strtoull alone would
+/// accept "-1" (wrapping to 2^64-1), stop silently at "abc" (yielding 0) and
+/// saturate on overflow; all three are rejected here.
+template <class T>
+bool ParseUnsigned(const char* flag, const char* v, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE ||
+      x > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr,
+                 "boxagg_stats: %s needs a non-negative integer, got '%s'\n",
+                 flag, v);
+    return false;
+  }
+  *out = static_cast<T>(x);
+  return true;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
@@ -106,30 +117,26 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     };
     const char* a = argv[i];
     const char* v = nullptr;
+    auto number = [&](auto* dst) {
+      return (v = next(a)) != nullptr && ParseUnsigned(a, v, dst);
+    };
     if (std::strcmp(a, "--backend") == 0) {
       if ((v = next(a)) == nullptr) return false;
       opt->backend = v;
     } else if (std::strcmp(a, "--n") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->n = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->n)) return false;
     } else if (std::strcmp(a, "--queries") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->queries = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->queries)) return false;
     } else if (std::strcmp(a, "--batch") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->batch = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->batch)) return false;
     } else if (std::strcmp(a, "--threads") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->threads = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->threads)) return false;
     } else if (std::strcmp(a, "--shards") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->shards = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->shards)) return false;
     } else if (std::strcmp(a, "--buffer-mb") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->buffer_mb = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->buffer_mb)) return false;
     } else if (std::strcmp(a, "--seed") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->seed = std::strtoull(v, nullptr, 10);
+      if (!number(&opt->seed)) return false;
     } else if (std::strcmp(a, "--json") == 0) {
       if ((v = next(a)) == nullptr) return false;
       opt->json_path = v;
@@ -142,18 +149,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         opt->prom_path = argv[++i];
       }
-    } else if (std::strcmp(a, "--watch") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->watch = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(a, "--watch-interval-ms") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->watch_interval_ms = std::strtoull(v, nullptr, 10);
-    } else if (std::strcmp(a, "--slo-objective-us") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->slo_objective_us = std::strtod(v, nullptr);
-    } else if (std::strcmp(a, "--slo-budget") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->slo_budget = std::strtod(v, nullptr);
     } else {
       std::fprintf(stderr, "boxagg_stats: unknown argument %s\n", a);
       return false;
@@ -167,7 +162,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
   }
   if (opt->threads == 0) opt->threads = 1;
   if (opt->batch == 0) opt->batch = opt->queries;
-  if (opt->watch_interval_ms == 0) opt->watch_interval_ms = 1;
   return true;
 }
 
@@ -212,91 +206,12 @@ void ExportIoStats(obs::MetricsRegistry* reg, const IoStats& d) {
   set("io.probe_fetches_saved", d.probe_fetches_saved);
 }
 
-/// Live mode: a Harvester samples the registry on a background thread while
-/// the main thread re-runs the query batch once per tick and prints one
-/// JSON object per line — windowed counter rates, sliding morsel-latency
-/// percentiles, and the SLO verdicts — jq-friendly for dashboards and CI.
-///
-/// Each tick also takes one synchronous sample (SampleOnce) so the window
-/// is guaranteed to cover the work just done regardless of how the
-/// background period aligns with batch wall time.
-template <class Index>
-int RunWatch(const Options& opt, BufferPool* pool, BoxSumIndex<Index>* indexp,
-             const std::vector<Box>& queries) {
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-  BoxSumIndex<Index>& index = *indexp;
-
-  obs::HarvesterOptions hopt;
-  hopt.interval_us = opt.watch_interval_ms * 1000;
-  hopt.ring_capacity = 4096;
-  obs::Harvester harvester(reg, hopt);
-  harvester.AddSampleHook([pool, reg] { pool->ExportMetrics(reg); });
-  harvester.WatchTraceSink(
-      static_cast<obs::RingBufferSink*>(obs::CurrentTraceSink()));
-
-  // A CLI run lasts seconds, not hours: burn rates are evaluated over a
-  // 1 s fast / 5 s slow window pair instead of the paging defaults.
-  obs::SloEngine slos;
-  obs::SloSpec spec;
-  spec.name = "morsel_latency";
-  spec.latency_metric = "executor.morsel_latency_us";
-  spec.objective_us = opt.slo_objective_us;
-  spec.error_budget = opt.slo_budget;
-  spec.fast_window_us = 1000000;
-  spec.slow_window_us = 5000000;
-  slos.AddSpec(spec);
-
-  exec::ParallelQueryExecutor executor(opt.threads);
-  exec::BatchQueryFn fn = exec::BoxSumBatchQueryFn(&index);
-  std::vector<double> results;
-  exec::BatchExecStats st;
-
-  harvester.SampleOnce();  // window anchor before the first tick
-  harvester.Start();
-  for (size_t tick = 0; tick < opt.watch; ++tick) {
-    if (Status s = executor.RunBatchGrouped(fn, queries, opt.batch, &results,
-                                            &st, pool);
-        !s.ok()) {
-      harvester.Stop();
-      return Die("watch batch", s);
-    }
-    harvester.SampleOnce();
-
-    const obs::WindowStats w = harvester.ring().Window(spec.slow_window_us);
-    const std::vector<obs::SloVerdict> verdicts =
-        slos.EvaluateAll(harvester.ring());
-
-    std::printf("{\"tick\":%zu,\"window_sec\":%.3f,\"samples\":%zu", tick,
-                w.valid ? w.SpanSeconds() : 0.0, w.samples);
-    const obs::WindowStats::CounterWindow* qc =
-        w.FindCounter("executor.queries");
-    std::printf(",\"qps\":%.1f", qc != nullptr ? qc->rate_per_sec : 0.0);
-    const obs::WindowStats::HistogramWindow* hw =
-        w.FindHistogram("executor.morsel_latency_us");
-    std::printf(
-        ",\"morsel_p50_us\":%.1f,\"morsel_p95_us\":%.1f,\"morsel_p99_us\":%.1f",
-        hw != nullptr ? hw->p50 : 0.0, hw != nullptr ? hw->p95 : 0.0,
-        hw != nullptr ? hw->p99 : 0.0);
-    const obs::WindowStats::GaugeWindow* res =
-        w.FindGauge("bufferpool.resident");
-    std::printf(",\"resident_pages\":%" PRId64,
-                res != nullptr ? res->last : static_cast<int64_t>(0));
-    std::printf(",\"slos\":");
-    obs::SloEngine::WriteJson(stdout, verdicts);
-    std::printf("}\n");
-    std::fflush(stdout);
-  }
-  harvester.Stop();
-  return 0;
-}
-
 /// Runs the query phase against an already-built index and reports the
 /// metric/invariant breakdown. Callers flush+reset the pool first so the
 /// measured deltas cover query traffic only.
 template <class Index>
 int QueryAndReport(const Options& opt, BufferPool* pool,
                    BoxSumIndex<Index>* indexp, const std::vector<Box>& queries) {
-  if (opt.watch > 0) return RunWatch(opt, pool, indexp, queries);
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
   obs::QueryObs* qobs = obs::CurrentQueryObs();
   BoxSumIndex<Index>& index = *indexp;

@@ -33,6 +33,14 @@ bench-stdout    Bench binaries print only BASELINE/JSON lines on stdout so
                 banned, and a printf must be a `BASELINE ...` or `JSON ...`
                 (or raw `{...}`) line; human-readable tables go through
                 obs::Log* (stderr) or the bench:: helpers in bench/common.h.
+
+lock-rank-table The set of (rank, mutex name) pairs declared in src/ equals
+                the rows of the rank table in DESIGN.md section 12. A
+                declaration is a sync::Mutex or sync::SharedMutex built from
+                a name string and a sync::lock_rank::kX constant (brace or
+                paren initializer, on one line or wrapped); kX is resolved to
+                its number in src/core/sync.h. A mutex added, renamed or
+                re-ranked without its table row (or a stale row) is flagged.
 """
 
 from __future__ import annotations
@@ -48,6 +56,18 @@ SOURCE_EXTS = (".h", ".cc", ".cpp")
 
 # The one file allowed to name raw std:: synchronization primitives.
 SYNC_H = os.path.join("src", "core", "sync.h")
+
+DESIGN_MD = "DESIGN.md"
+RANK_NAMESPACE = re.compile(r"namespace lock_rank \{(.*?)\}", re.S)
+RANK_CONSTANT = re.compile(
+    r"inline\s+constexpr\s+uint32_t\s+(k\w+)\s*=\s*(\d+)\s*;")
+# Matched against comment-stripped code, where string literals are blanked
+# to spaces but keep their quotes and columns; the name is then read back
+# from the raw text at the same offsets.
+RANKED_MUTEX = re.compile(
+    r"\bsync::(?:Shared)?Mutex\s+\w+\s*[{(]\s*(\"[^\"]*\")\s*,"
+    r"\s*sync::lock_rank::(k\w+)\s*[})]")
+RANK_TABLE_ROW = re.compile(r"^\|\s*(\d+)\s*\|\s*`([^`]+)`\s*\|")
 
 RAW_SYNC_TYPES = re.compile(
     r"\bstd::(mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
@@ -273,15 +293,70 @@ def check_bench_stdout(rel, raw_lines, code_lines, findings):
                     "is machine-readable only (use obs::Log* for tables)"))
 
 
+def rank_constants():
+    """{kX: rank} for the constants of sync.h's lock_rank namespace."""
+    with open(os.path.join(REPO_ROOT, SYNC_H), encoding="utf-8") as f:
+        block = RANK_NAMESPACE.search(f.read())
+    return {m.group(1): int(m.group(2))
+            for m in RANK_CONSTANT.finditer(block.group(1) if block else "")}
+
+
+def design_rank_rows():
+    """{(rank, name): line} for the rows of DESIGN.md section 12's table."""
+    rows = {}
+    in_section = False
+    with open(os.path.join(REPO_ROOT, DESIGN_MD), encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.startswith("## "):
+                in_section = line.startswith("## 12.")
+                continue
+            m = RANK_TABLE_ROW.match(line) if in_section else None
+            if m:
+                rows[(int(m.group(1)), m.group(2))] = lineno
+    return rows
+
+
+def ranked_mutexes(rel, text, code, ranks, declared, findings):
+    """Adds {(rank, name): (path, line)} for each ranked mutex in a file."""
+    for m in RANKED_MUTEX.finditer(code):
+        lineno = code.count("\n", 0, m.start()) + 1
+        name = text[m.start(1) + 1:m.end(1) - 1]
+        if m.group(2) not in ranks:
+            findings.append(Finding(
+                rel, lineno, "lock-rank-table",
+                f"sync::lock_rank::{m.group(2)} is not defined in {SYNC_H}"))
+            continue
+        declared[(ranks[m.group(2)], name)] = (rel, lineno)
+
+
+def check_lock_rank_table(declared, findings):
+    rows = design_rank_rows()
+    for (rank, name), (rel, lineno) in sorted(declared.items()):
+        if (rank, name) not in rows:
+            findings.append(Finding(
+                rel, lineno, "lock-rank-table",
+                f"mutex `{name}` at rank {rank} has no row in the "
+                f"{DESIGN_MD} section 12 rank table"))
+    for (rank, name), lineno in sorted(rows.items()):
+        if (rank, name) not in declared:
+            findings.append(Finding(
+                DESIGN_MD, lineno, "lock-rank-table",
+                f"rank table row {rank} `{name}` matches no mutex "
+                "declared in src/"))
+
+
 def main(argv) -> int:
     findings: list[Finding] = []
     nfiles = 0
+    ranks = rank_constants()
+    declared: dict = {}
     for rel, full in iter_source_files():
         nfiles += 1
         with open(full, "r", encoding="utf-8") as f:
             text = f.read()
+        code = strip_comments_and_strings(text)
         raw_lines = text.splitlines()
-        code_lines = strip_comments_and_strings(text).splitlines()
+        code_lines = code.splitlines()
         # splitlines() drops a trailing empty element mismatch only if the
         # stripper changed the line count, which it never does.
         assert len(raw_lines) == len(code_lines), rel
@@ -289,6 +364,9 @@ def main(argv) -> int:
         check_ignore_status(rel, raw_lines, findings)
         check_hot_path(rel, raw_lines, code_lines, findings)
         check_bench_stdout(rel, raw_lines, code_lines, findings)
+        if rel.startswith("src" + os.sep):
+            ranked_mutexes(rel, text, code, ranks, declared, findings)
+    check_lock_rank_table(declared, findings)
     for f in findings:
         print(f)
     summary = (f"lint_invariants: {len(findings)} violation(s) in "

@@ -453,13 +453,6 @@ class PackedBaTree {
     return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
                             : pool_->Fetch(pid, g);
   }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
-    }
-  }
 
   // ---- raw page accessors -------------------------------------------------
 
@@ -771,9 +764,7 @@ class PackedBaTree {
         for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
       }
     }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
+    for (const Group& gr : groups) {
       BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, gr.members.data(),
                                              gr.members.size(), qs, outs,
                                              obs_level + 1));

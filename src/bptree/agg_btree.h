@@ -381,13 +381,6 @@ class AggBTree {
     return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
                             : pool_->Fetch(pid, g);
   }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
-    }
-  }
 
   // ---- page accessors -----------------------------------------------------
   // The key strips are page-size independent (they start right after the
@@ -600,9 +593,7 @@ class AggBTree {
   /// per-probe arithmetic matches DominanceSum exactly. The pin is dropped
   /// before descending, like the sequential loop's per-iteration guard.
   /// Scratch comes from the thread-local arena (zero heap traffic once
-  /// warm); before descending into a group, the next group's child page is
-  /// software-prefetched so its header and key strip are in cache when its
-  /// turn comes.
+  /// warm).
   Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
                            const double* qs, V* outs,
                            unsigned obs_level = 0) const {
@@ -661,9 +652,7 @@ class AggBTree {
         j = k;
       }
     }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
+    for (const Group& gr : groups) {
       BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
                                              gr.end - gr.begin, qs, outs,
                                              obs_level + 1));

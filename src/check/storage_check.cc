@@ -30,7 +30,7 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
     const Shard& s = *shards_[si];
     sync::MutexLock lock(&s.mu);
 
-    // Every lazily allocated frame is exactly one of: resident (page table)
+    // Every lazily allocated frame is exactly one of: resident (frame table)
     // or free. A frame in neither is leaked; one in both is double-owned.
     if (s.frames.size() + s.free_frames.size() != s.frame_storage.size()) {
       return ShardCorruption(
@@ -45,14 +45,46 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
                   " frames, capacity " + std::to_string(s.capacity));
     }
 
+    // The frame table holds exactly the resident frames (every allocated
+    // frame not on the free list carries a page), at load <= 1/2 so every
+    // probe ends at an empty slot.
+    size_t resident_frames = 0;
+    for (const auto& f : s.frame_storage) {
+      if (f->id != kInvalidPageId) ++resident_frames;
+    }
+    if (s.frames.size() != resident_frames) {
+      return ShardCorruption(
+          si, "frame table holds " + std::to_string(s.frames.size()) +
+                  " keys but " + std::to_string(resident_frames) +
+                  " frames are resident");
+    }
+    if (2 * s.frames.size() > s.frames.slot_count()) {
+      return ShardCorruption(
+          si, "frame table load " + std::to_string(s.frames.size()) + "/" +
+                  std::to_string(s.frames.slot_count()) + " exceeds 1/2");
+    }
+
     size_t in_lru_frames = 0;
-    for (const auto& [id, f] : s.frames) {
-      if (f == nullptr) {
-        return ShardCorruption(si, "null frame pointer in page table");
-      }
+    size_t occupied = 0;
+    const size_t slots = s.frames.slot_count();
+    for (size_t slot = 0; slot < slots; ++slot) {
+      const Frame* f = s.frames.slot(slot).frame;
+      if (f == nullptr) continue;
+      ++occupied;
+      const uint64_t id = s.frames.slot(slot).key;
       if (f->id != id) {
         return CorruptionAt(id, "frame id " + std::to_string(f->id) +
-                                    " disagrees with its page-table key");
+                                    " disagrees with its frame-table key");
+      }
+      // Linear probing with backward-shift erase: the run from the key's
+      // home slot up to its slot is fully occupied, or Find stops early.
+      for (size_t i = s.frames.Home(id); i != slot; i = (i + 1) % slots) {
+        if (s.frames.slot(i).frame == nullptr) {
+          return CorruptionAt(id, "frame-table key unreachable: empty slot " +
+                                      std::to_string(i) +
+                                      " between its home slot and slot " +
+                                      std::to_string(slot));
+        }
       }
       if (ShardOf(id) != si || f->shard != si) {
         return CorruptionAt(id, "page resident in shard " +
@@ -80,6 +112,12 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
       }
       if (f->in_lru) ++in_lru_frames;
     }
+    if (occupied != s.frames.size()) {
+      return ShardCorruption(
+          si, "frame table counts " + std::to_string(s.frames.size()) +
+                  " keys but " + std::to_string(occupied) +
+                  " slots are occupied");
+    }
 
     if (s.lru.size() != in_lru_frames) {
       return ShardCorruption(
@@ -94,11 +132,10 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
         return CorruptionAt(f->id, "stale LRU position (lru_pos does not "
                                    "point back at the list node)");
       }
-      auto res = s.frames.find(f->id);
-      if (res == s.frames.end() || res->second != f) {
+      if (s.frames.Find(f->id) != f) {
         return ShardCorruption(si, "LRU frame for page " +
                                        std::to_string(f->id) +
-                                       " is not in the page table");
+                                       " is not in the frame table");
       }
     }
 

@@ -476,13 +476,6 @@ class EcdfBTree {
     return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
                             : pool_->Fetch(pid, g);
   }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
-    }
-  }
 
   // ---- page accessors -----------------------------------------------------
 
@@ -1084,10 +1077,7 @@ class EcdfBTree {
         }
       }
     }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      // Warm the next group's child while the current one is processed.
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
+    for (const Group& gr : groups) {
       BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
                                              gr.end - gr.begin, qs, projected,
                                              outs, obs_level + 1));

@@ -21,8 +21,7 @@
 // I/O discipline: one BufferPool::Fetch per node visit, paired with one
 // obs::NoteNodeVisit — the replica keeps boxagg_stats' attribution
 // identity sum(node_visits) == logical_reads intact. Batched descents note
-// saved probe fetches and PrefetchHint the next group's page exactly like
-// the live trees.
+// saved probe fetches exactly like the live trees.
 
 #ifndef BOXAGG_REPLICA_COMPACT_REPLICA_H_
 #define BOXAGG_REPLICA_COMPACT_REPLICA_H_
@@ -130,7 +129,6 @@ class CompactReplica {
         return CorruptionAt(pid, "compact-replica: meta crc mismatch");
       }
       const PageId next = p->ReadAt<uint64_t>(replica::kMetaNext);
-      if (next != kInvalidPageId) pool_->PrefetchHint(next);
       meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
                   p->data() + replica::kMetaHeaderBytes + len);
       c->meta_pages.push_back(pid);
@@ -209,8 +207,8 @@ class CompactReplica {
 
   /// Batched dominance sums, bit-identical to `count` independent calls —
   /// the same grouping discipline as the live trees (first containing
-  /// record wins, spilled borders before descents, prefetch hints between
-  /// groups), so count == 1 reproduces the sequential fetch sequence.
+  /// record wins, spilled borders before descents), so count == 1
+  /// reproduces the sequential fetch sequence.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -854,11 +852,7 @@ class CompactReplica {
       }
     }
     if (!runs.empty()) {
-      for (size_t gi = 0; gi < runs.size(); ++gi) {
-        if (gi + 1 < runs.size()) {
-          pool_->PrefetchHint(PageOf(c, runs[gi + 1].child));
-        }
-        const Run& r = runs[gi];
+      for (const Run& r : runs) {
         BOXAGG_RETURN_NOT_OK(BatchRec(c, r.child, idx + r.begin,
                                       r.end - r.begin, qs, outs, dims,
                                       obs_level + 1));
@@ -887,11 +881,7 @@ class CompactReplica {
         for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
       }
     }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) {
-        pool_->PrefetchHint(PageOf(c, groups[gi + 1].child));
-      }
-      const Group& gr = groups[gi];
+    for (const Group& gr : groups) {
       BOXAGG_RETURN_NOT_OK(BatchRec(c, gr.child, gr.members.data(),
                                     gr.members.size(), qs, outs, dims,
                                     obs_level + 1));

@@ -30,12 +30,13 @@ BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards,
     size_t cap = capacity / shards + (i < capacity % shards ? 1 : 0);
     s->capacity = cap < kMinShardFrames ? kMinShardFrames : cap;
     total += s->capacity;
-    // Pre-size to capacity: avoids rehash/realloc churn while the pool warms
-    // up (frames are allocated lazily but never exceed capacity). The lock
-    // is uncontended (the shard is not published yet) but satisfies the
-    // static GUARDED_BY discipline.
+    // Pre-size to capacity: the frame table is fixed-size, and the frame
+    // vectors never reallocate while the pool warms up (frames are
+    // allocated lazily but never exceed capacity). The lock is uncontended
+    // (the shard is not published yet) but satisfies the static
+    // GUARDED_BY discipline.
     sync::MutexLock lock(&s->mu);
-    s->frames.reserve(s->capacity);
+    s->frames = FrameTable<Frame>(s->capacity);
     s->frame_storage.reserve(s->capacity);
     s->free_frames.reserve(s->capacity);
     shards_.push_back(std::move(s));
@@ -56,7 +57,7 @@ size_t BufferPool::PinnedFrames() const {
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (const auto& [id, f] : s.frames) {
+    for (const auto& f : s.frame_storage) {
       if (f->pin_count.load(std::memory_order_relaxed) > 0) ++n;
     }
   }
@@ -133,16 +134,15 @@ void BufferPool::LockShardTimed(Shard& s) {
       ->Record(static_cast<double>(obs::NowMicros() - t0));
 }
 
+// LINT:hot-path
 Status BufferPool::Fetch(PageId id, PageGuard* out) {
   stats_.AddLogicalRead();
   Shard& s = *shards_[ShardOf(id)];
   LockShardTimed(s);
   sync::MutexLock lock(&s.mu, sync::kAdoptLock);
-  auto it = s.frames.find(id);
-  if (it != s.frames.end()) {
+  if (Frame* f = s.frames.Find(id); f != nullptr) {
     stats_.AddBufferHit();
     s.hits.fetch_add(1, std::memory_order_relaxed);
-    Frame* f = it->second;
     ParkLru(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
@@ -160,7 +160,7 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
   f->in_lru = false;
-  s.frames[id] = f;
+  s.frames.Insert(id, f);
   *out = PageGuard(this, f);
   return Status::OK();
 }
@@ -173,12 +173,10 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
   Shard& s = *shards_[ShardOf(key)];
   LockShardTimed(s);
   sync::MutexLock lock(&s.mu, sync::kAdoptLock);
-  auto it = s.frames.find(key);
-  if (it != s.frames.end()) {
+  if (Frame* f = s.frames.Find(key); f != nullptr) {
     stats_.AddBufferHit();
     s.hits.fetch_add(1, std::memory_order_relaxed);
     s.snapshot_hits.fetch_add(1, std::memory_order_relaxed);
-    Frame* f = it->second;
     ParkLru(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
@@ -198,47 +196,11 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
   f->in_lru = false;
-  s.frames[key] = f;
+  s.frames.Insert(key, f);
   *out = PageGuard(this, f);
   return Status::OK();
 }
-
-void BufferPool::PrefetchHint(PageId id) const {
-  if (id == kInvalidPageId) return;
-  PrefetchKey(id);
-}
-
-void BufferPool::PrefetchSnapshotHint(const PageVersionView& view,
-                                      PageId logical) const {
-  if (logical == kInvalidPageId) return;
-  PrefetchKey(view.VersionKey(logical));
-}
-
-void BufferPool::PrefetchKey(uint64_t id) const {
-#if defined(__GNUC__) || defined(__clang__)
-  const Shard& s = *shards_[ShardOf(id)];
-  // try_lock only: a prefetch hint must never serialize against real pool
-  // traffic. Missing the hint costs nothing but the prefetch.
-  if (!s.mu.TryLock()) return;
-  auto it = s.frames.find(id);
-  if (it == s.frames.end()) {
-    s.mu.Unlock();
-    return;
-  }
-  // Warm the node header, key strip, and first record lines — enough for
-  // the in-node search to start without a compulsory miss. Bounded so a
-  // hint stays a handful of instructions regardless of page size.
-  const Page& page = it->second->page;
-  const uint32_t bytes = page.size() < 1024 ? page.size() : 1024;
-  const uint8_t* data = page.data();
-  for (uint32_t off = 0; off < bytes; off += 64) {
-    __builtin_prefetch(data + off, /*rw=*/0, /*locality=*/3);
-  }
-  s.mu.Unlock();
-#else
-  (void)id;
-#endif
-}
+// LINT:hot-path-end
 
 Status BufferPool::ReadWithRetry(PageId id, Page* page) {
   Status st = file_->ReadPage(id, page);
@@ -278,16 +240,14 @@ Status BufferPool::New(PageGuard* out) {
   Shard& s = *shards_[ShardOf(id)];
   sync::MutexLock lock(&s.mu);
   // A freed-then-reused page may still be resident with stale contents.
-  auto it = s.frames.find(id);
-  Frame* f = nullptr;
-  if (it != s.frames.end()) {
-    f = it->second;
+  Frame* f = s.frames.Find(id);
+  if (f != nullptr) {
     assert(f->pin_count.load(std::memory_order_relaxed) == 0);
     ParkLru(s, f);
   } else {
     BOXAGG_RETURN_NOT_OK(GetFreeFrame(s, &f));
     f->id = id;
-    s.frames[id] = f;
+    s.frames.Insert(id, f);
   }
   f->page.Zero();
   f->pin_count.store(1, std::memory_order_relaxed);
@@ -302,16 +262,14 @@ Status BufferPool::Delete(PageId id) {
   Shard& s = *shards_[ShardOf(id)];
   {
     sync::MutexLock lock(&s.mu);
-    auto it = s.frames.find(id);
-    if (it != s.frames.end()) {
-      Frame* f = it->second;
+    if (Frame* f = s.frames.Find(id); f != nullptr) {
       if (f->pin_count.load(std::memory_order_relaxed) != 0) {
         return Status::InvalidArgument("Delete of pinned page");
       }
       ParkLru(s, f);
+      s.frames.Erase(id);
       f->id = kInvalidPageId;
       f->dirty.store(false, std::memory_order_relaxed);
-      s.frames.erase(it);
       s.free_frames.push_back(f);
     }
   }
@@ -322,12 +280,13 @@ Status BufferPool::FlushAll() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (auto& [id, f] : s.frames) {
+    for (const auto& f : s.frame_storage) {
+      // Free frames are never dirty (Delete and EvictOne clear the flag).
       if (f->dirty.load(std::memory_order_relaxed)) {
         // A snapshot frame's id is a version key, not a writable page id;
         // such frames are read-only and must never be dirty.
-        assert((id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
-        BOXAGG_RETURN_NOT_OK(file_->WritePage(id, f->page));
+        assert((f->id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
+        BOXAGG_RETURN_NOT_OK(file_->WritePage(f->id, f->page));
         stats_.AddPhysicalWrite();
         f->dirty.store(false, std::memory_order_relaxed);
       }
@@ -341,20 +300,24 @@ Status BufferPool::Reset() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (auto& [id, f] : s.frames) {
+    for (const auto& f : s.frame_storage) {
       if (f->pin_count.load(std::memory_order_relaxed) != 0) {
         return Status::InvalidArgument("Reset with pinned pages");
       }
+    }
+    for (const auto& f : s.frame_storage) {
+      if (f->id == kInvalidPageId) continue;  // already free
       f->id = kInvalidPageId;
       f->in_lru = false;
-      s.free_frames.push_back(f);
+      s.free_frames.push_back(f.get());
     }
-    s.frames.clear();
+    s.frames.Clear();
     s.parked.splice(s.parked.end(), s.lru);  // keep every frame's node alive
   }
   return Status::OK();
 }
 
+// LINT:hot-path
 void BufferPool::Unpin(Frame* f, bool dirty) {
   Shard& s = *shards_[f->shard];
   sync::MutexLock lock(&s.mu);
@@ -372,6 +335,7 @@ void BufferPool::Touch(Shard& s, Frame* f) {
   s.lru.splice(s.lru.end(), f->in_lru ? s.lru : s.parked, f->lru_pos);
   f->in_lru = true;
 }
+// LINT:hot-path-end
 
 void BufferPool::ParkLru(Shard& s, Frame* f) {
   if (!f->in_lru) return;
@@ -404,6 +368,7 @@ Status BufferPool::GetFreeFrame(Shard& s, Frame** out) {
   return Status::OK();
 }
 
+// LINT:hot-path
 Status BufferPool::EvictOne(Shard& s) {
   if (s.lru.empty()) {
     return Status::NoSpace("buffer pool exhausted (all pages pinned)");
@@ -429,10 +394,11 @@ Status BufferPool::EvictOne(Shard& s) {
   }
   stats_.AddEviction();
   s.evictions.fetch_add(1, std::memory_order_relaxed);
-  s.frames.erase(f->id);
+  s.frames.Erase(f->id);
   f->id = kInvalidPageId;
   s.free_frames.push_back(f);
   return Status::OK();
 }
+// LINT:hot-path-end
 
 }  // namespace boxagg

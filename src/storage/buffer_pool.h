@@ -7,14 +7,14 @@
 //
 // Concurrency: the pool is sharded. Frames are partitioned into `shards`
 // independent sub-pools by a hash of the PageId; each shard has its own
-// mutex, page table, LRU list, and free list, so concurrent readers on
-// different shards never contend. With shards == 1 (the default) the pool
-// performs exactly the seed implementation's operation sequence — one LRU,
-// one eviction order — so single-threaded paper-fidelity I/O counts are
-// bit-identical. Fetch is safe from any number of threads; New/Delete
-// mutate the PageFile's allocation state and must not run concurrently
-// with other pool calls (writes/inserts remain single-threaded, see
-// DESIGN.md "Concurrency model").
+// mutex, frame table (storage/frame_table.h), LRU list, and free list, so
+// concurrent readers on different shards never contend. With shards == 1
+// (the default) the pool performs exactly the seed implementation's
+// operation sequence — one LRU, one eviction order — so single-threaded
+// paper-fidelity I/O counts are bit-identical. Fetch is safe from any
+// number of threads; New/Delete mutate the PageFile's allocation state and
+// must not run concurrently with other pool calls (writes/inserts remain
+// single-threaded, see DESIGN.md "Concurrency model").
 
 #ifndef BOXAGG_STORAGE_BUFFER_POOL_H_
 #define BOXAGG_STORAGE_BUFFER_POOL_H_
@@ -23,10 +23,10 @@
 #include <cassert>
 #include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/sync.h"
+#include "storage/frame_table.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
@@ -94,10 +94,6 @@ class BufferPool {
   Status FetchSnapshot(const PageVersionView& view, PageId logical,
                        PageGuard* out);
 
-  /// PrefetchHint for a snapshot-resident page (same no-side-effect
-  /// contract). Thread-safe.
-  void PrefetchSnapshotHint(const PageVersionView& view, PageId logical) const;
-
   /// Pins every page in `ids[0..count)` in order, exactly as `count`
   /// consecutive Fetch calls would (same counting, same LRU touches), and
   /// appends the guards to `out`. On error, pages pinned by this call are
@@ -112,14 +108,6 @@ class BufferPool {
   /// node fetched once for a group of k probes saves k-1 per-probe
   /// fetches); surfaces as stats().probe_fetches_saved. Thread-safe.
   void NoteProbeFetchesSaved(uint64_t n) { stats_.AddProbeFetchesSaved(n); }
-
-  /// Best-effort CPU-cache warm-up for page `id` ahead of an imminent
-  /// Fetch: if the page is resident, issues software prefetches for the
-  /// head of its frame. Deliberately invisible to every pool invariant the
-  /// experiments are measured on — no counter bump, no LRU touch, no pin,
-  /// no I/O — and it backs off instantly (try_lock) rather than contend
-  /// with a real Fetch. Thread-safe.
-  void PrefetchHint(PageId id) const;
 
   /// Allocates a fresh page in the file, pins it zero-filled and dirty.
   /// Not safe concurrently with any other pool call.
@@ -172,10 +160,12 @@ class BufferPool {
   /// every quiescent point — a non-zero value there is a leaked PageGuard.
   [[nodiscard]] size_t PinnedFrames() const;
 
-  /// Audits the pool's internal accounting shard by shard: page-table keys
-  /// match frame ids and hash to the owning shard, LRU membership mirrors
-  /// the in_lru flags and holds exactly the unpinned resident frames, free
-  /// frames carry no page, and no shard exceeds its capacity. With
+  /// Audits the pool's internal accounting shard by shard: the frame table
+  /// holds exactly the resident frames at load <= 1/2, its keys match frame
+  /// ids, hash to the owning shard and are reachable from their home slots,
+  /// LRU membership mirrors the in_lru flags and holds exactly the unpinned
+  /// resident frames, free frames carry no page, and no shard exceeds its
+  /// capacity. With
   /// ctx->expect_unpinned set, any pinned frame is reported as a leak.
   /// Implemented in src/check/storage_check.cc.
   Status CheckConsistency(CheckContext* ctx = nullptr) const;
@@ -206,7 +196,9 @@ class BufferPool {
   struct Shard {
     mutable sync::Mutex mu{"bufferpool.shard",
                            sync::lock_rank::kBufferPoolShard};
-    std::unordered_map<PageId, Frame*> frames GUARDED_BY(mu);
+    // Resident frames by key (live PageId or bit-63 snapshot key); sized
+    // once to the shard's capacity, never grown.
+    FrameTable<Frame> frames GUARDED_BY(mu);
     // front = coldest (evict first)
     std::list<Frame*> lru GUARDED_BY(mu);
     // nodes of pinned/free frames (see Frame)
@@ -238,7 +230,6 @@ class BufferPool {
   }
 
   void Unpin(Frame* f, bool dirty);
-  void PrefetchKey(uint64_t key) const;
   Status GetFreeFrame(Shard& s, Frame** out) REQUIRES(s.mu);
   Status EvictOne(Shard& s) REQUIRES(s.mu);
   void Touch(Shard& s, Frame* f) REQUIRES(s.mu);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "batree/packed_ba_tree.h"
+#include "check/checkable.h"
 #include "core/box_sum_index.h"
 #include "exec/parallel_executor.h"
 #include "exec/query_adapters.h"
@@ -92,6 +93,12 @@ TEST(ConcurrentStress, RandomFetchesKeepContentsAndAccountingExact) {
   EXPECT_EQ(d.logical_reads, d.buffer_hits + d.physical_reads);
   EXPECT_EQ(d.physical_writes, 0u);  // read-only: nothing to write back
   ExpectIoInvariant(pool.stats());
+  // Every shard's frame table, LRU and free list still agree, and no pin
+  // survived the threads.
+  CheckContext ctx;
+  ctx.expect_unpinned = true;
+  const Status audit = pool.CheckConsistency(&ctx);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 class ParallelQueryTest : public ::testing::Test {

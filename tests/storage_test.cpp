@@ -1,5 +1,6 @@
 // Unit tests for the paged storage engine: PageFile backends, allocation,
-// BufferPool LRU behaviour, pinning, dirty write-back, and I/O accounting.
+// BufferPool LRU behaviour, pinning, dirty write-back, I/O accounting, and
+// the allocation-free miss path (linked with alloc_count.cpp).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,11 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "alloc_count.h"
+#include "check/checkable.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
@@ -406,34 +411,118 @@ TEST(IoStatsTest, ProbeFetchesSavedAndHitRate) {
 // Randomized consistency check: a pool over a file must behave exactly like a
 // big in-memory array of pages, regardless of access order and pool size.
 TEST(BufferPoolProperty, RandomWorkloadMatchesDirectFile) {
+  // Random New / Fetch / dirtying Fetch / Delete (its id is recycled by a
+  // later New) / Reset against a shadow copy of every live page, on one
+  // global LRU and on 8 shards, auditing the pool every 100 steps and the
+  // backing file directly at the end.
   std::mt19937 rng(7);
-  for (size_t capacity : {8u, 9u, 33u}) {
-    MemPageFile file(512);
-    BufferPool pool(&file, capacity);
-    std::vector<std::vector<int>> shadow;  // shadow[i][0..3] ints per page
-    for (int step = 0; step < 3000; ++step) {
-      int op = static_cast<int>(rng() % 3);
-      if (shadow.empty() || op == 0) {
-        PageGuard g;
-        ASSERT_TRUE(pool.New(&g).ok());
-        int v = static_cast<int>(rng() % 1000);
-        g.page()->WriteAt<int>(0, v);
-        g.MarkDirty();
-        ASSERT_EQ(g.id(), shadow.size());
-        shadow.push_back({v});
-      } else {
-        size_t id = rng() % shadow.size();
-        PageGuard g;
-        ASSERT_TRUE(pool.Fetch(static_cast<PageId>(id), &g).ok());
-        ASSERT_EQ(g.page()->ReadAt<int>(0), shadow[id][0]) << "page " << id;
-        if (op == 2) {
-          int v = static_cast<int>(rng() % 1000);
+  for (size_t shards : {size_t{1}, size_t{8}}) {
+    for (size_t capacity : {8u, 9u, 33u}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", capacity " +
+                   std::to_string(capacity));
+      MemPageFile file(512);
+      BufferPool pool(&file, capacity, shards);
+      std::vector<PageId> live;
+      std::unordered_map<PageId, int> shadow;
+      for (int step = 0; step < 3000; ++step) {
+        const unsigned op = rng() % 100;
+        if (live.empty() || op < 25) {
+          PageGuard g;
+          ASSERT_TRUE(pool.New(&g).ok());
+          ASSERT_EQ(shadow.count(g.id()), 0u) << "New reused a live id";
+          EXPECT_EQ(g.page()->ReadAt<int>(0), 0) << "page " << g.id();
+          const int v = static_cast<int>(rng() % 1000) + 1;
           g.page()->WriteAt<int>(0, v);
           g.MarkDirty();
-          shadow[id][0] = v;
+          live.push_back(g.id());
+          shadow[g.id()] = v;
+        } else if (op < 85) {
+          const PageId id = live[rng() % live.size()];
+          PageGuard g;
+          ASSERT_TRUE(pool.Fetch(id, &g).ok());
+          ASSERT_EQ(g.page()->ReadAt<int>(0), shadow[id]) << "page " << id;
+          if (op >= 55) {
+            const int v = static_cast<int>(rng() % 1000) + 1;
+            g.page()->WriteAt<int>(0, v);
+            g.MarkDirty();
+            shadow[id] = v;
+          }
+        } else if (op < 98) {
+          const size_t i = rng() % live.size();
+          const PageId id = live[i];
+          ASSERT_TRUE(pool.Delete(id).ok());
+          live[i] = live.back();
+          live.pop_back();
+          shadow.erase(id);
+        } else {
+          ASSERT_TRUE(pool.Reset().ok());
+          ASSERT_EQ(pool.resident(), 0u);
+        }
+        if (step % 100 == 99) {
+          CheckContext ctx;
+          ctx.expect_unpinned = true;
+          const Status audit = pool.CheckConsistency(&ctx);
+          ASSERT_TRUE(audit.ok()) << "step " << step << ": "
+                                  << audit.ToString();
         }
       }
+      ASSERT_TRUE(pool.FlushAll().ok());
+      Page direct(512);
+      for (const auto& [id, v] : shadow) {
+        ASSERT_TRUE(file.ReadPage(id, &direct).ok()) << "page " << id;
+        EXPECT_EQ(direct.ReadAt<int>(0), v) << "page " << id;
+      }
     }
+  }
+}
+
+TEST(BufferPoolAlloc, WarmMissPathMakesZeroHeapAllocations) {
+  // Once every frame exists, a miss that evicts (writing back a dirty
+  // victim) and reads the page in touches the heap zero times: the frame
+  // table is fixed-size, LRU nodes only move by splice, and the free list
+  // is pre-sized.
+  constexpr PageId kPages = 300;
+  constexpr int kMisses = 10000;
+  for (size_t shards : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    MemPageFile file(512);
+    BufferPool pool(&file, /*capacity=*/64, shards);
+    for (PageId i = 0; i < kPages; ++i) {
+      PageGuard g;
+      ASSERT_TRUE(pool.New(&g).ok());
+      g.page()->WriteAt<uint64_t>(0, g.id());
+      g.MarkDirty();
+    }
+    // Warm-up: a full cyclic pass allocates every frame of every shard.
+    const auto pass = [&pool](PageId from, int count) {
+      for (int i = 0; i < count; ++i) {
+        const PageId id = (from + static_cast<PageId>(i)) % kPages;
+        PageGuard g;
+        if (!pool.Fetch(id, &g).ok() || g.page()->ReadAt<uint64_t>(0) != id) {
+          return false;
+        }
+        if (i % 2 == 0) g.MarkDirty();
+      }
+      return true;
+    };
+    ASSERT_TRUE(pass(0, static_cast<int>(kPages)));
+
+    // A cyclic scan over more pages than any shard holds misses every
+    // time under LRU.
+    const IoStats before = pool.stats();
+    const uint64_t allocs_before = testutil::HeapAllocations();
+    const bool ok = pass(0, kMisses);
+    const uint64_t allocs = testutil::HeapAllocations() - allocs_before;
+    ASSERT_TRUE(ok);
+    const IoStats d = pool.stats().Since(before);
+    EXPECT_EQ(d.physical_reads, static_cast<uint64_t>(kMisses));
+    EXPECT_EQ(d.evictions, static_cast<uint64_t>(kMisses));
+    EXPECT_GT(d.dirty_writebacks, 0u);
+    EXPECT_EQ(allocs, 0u) << "heap allocations on the warm miss path";
+    CheckContext ctx;
+    ctx.expect_unpinned = true;
+    const Status audit = pool.CheckConsistency(&ctx);
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
   }
 }
 

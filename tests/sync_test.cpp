@@ -148,8 +148,8 @@ TEST(LockOrderRegistry, NestingRecordsAnEdge) {
 
 TEST(LockOrderRegistry, TryLockBelowHeldRankIsAllowed) {
   // A try-lock never blocks, so taking a LOWER-ranked lock via TryLock
-  // while holding a higher one must not trip the checker — this is the
-  // BufferPool::PrefetchHint pattern.
+  // while holding a higher one must not trip the checker — a caller may
+  // probe a lock it could not wait for and back off on failure.
   Mutex high("test.try_high", 1400);
   Mutex low("test.try_low", 1390);
   MutexLock a(&high);

@@ -4,7 +4,9 @@
 // space); BAT and ECDFu are comparable with a logarithmic overhead; ECDFq is
 // by far the largest (every update/bulk region materializes prefix borders).
 // This bench reproduces the ordering aR < BAT ~ ECDFu << ECDFq and prints
-// sizes in MB plus the ratio to the aR-tree.
+// sizes in MB plus the ratio to the aR-tree, then one exact
+// "BASELINE backend=<b> pages=<n>" line per index on stdout (CI diffs these
+// against bench/baselines/fig9a_pages_small.txt).
 
 #include "bench/suite.h"
 
@@ -39,5 +41,15 @@ int main() {
       (ar <= bu && ar <= bq && ar <= bat) ? "yes" : "NO",
       (bq >= bu && bq >= bat) ? "yes" : "NO",
       (bat < 4 * bu && bu < 4 * bat) ? "yes" : "NO");
+  const std::pair<const char*, Storage*> backends[] = {
+      {"ar", &suite.ar_storage()},
+      {"ecdfu", &suite.ecdfu_storage()},
+      {"ecdfq", &suite.ecdfq_storage()},
+      {"bat", &suite.bat_storage()}};
+  for (const auto& [name, storage] : backends) {
+    std::printf("BASELINE backend=%s pages=%llu\n", name,
+                static_cast<unsigned long long>(
+                    storage->file()->live_page_count()));
+  }
   return 0;
 }

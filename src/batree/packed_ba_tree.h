@@ -317,8 +317,9 @@ class PackedBaTree {
   }
 
   /// Bulk-loads an empty tree: recursive median partitioning builds the
-  /// k-d-B structure top-down; each node's record borders are classified
-  /// directly from the node's full point set.
+  /// k-d-B structure top-down, and each node's record borders are read
+  /// from the node's point set. The input is sorted once; see "bulk
+  /// loading" below.
   Status BulkLoad(std::vector<Entry> entries) {
     BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
@@ -326,6 +327,9 @@ class PackedBaTree {
     }
     if (!PageSizeViable()) {
       return Status::InvalidArgument("page size too small for value type");
+    }
+    if (entries.size() > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("BulkLoad of more than 2^32 - 1 points");
     }
     SortAndCoalesce(&entries, dims_);
     if (entries.empty()) return Status::OK();
@@ -338,8 +342,16 @@ class PackedBaTree {
       root_ = base.root();
       return Status::OK();
     }
-    return BuildRec(&entries, 0, entries.size(), Box::Universe(dims_),
-                    &root_);
+    const size_t n = entries.size();
+    BulkState st{&entries, std::vector<RegionId>(n)};
+    const std::vector<uint32_t> orders = RootOrders(entries);
+    IdOrders root;
+    root.n = n;
+    for (int c = 0; c + 1 < dims_; ++c) {
+      root.by[static_cast<size_t>(c)] =
+          orders.data() + static_cast<size_t>(c) * n;
+    }
+    return BuildRec(&st, root, Box::Universe(dims_), &root_);
   }
 
   /// Deep structural audit (test/debug aid and fsck entry point). Checks
@@ -1164,82 +1176,176 @@ class PackedBaTree {
   }
 
   // ---- bulk loading --------------------------------------------------------
+  //
+  // The build sorts once. BulkLoad sorts and coalesces its input, and from
+  // then on a point is its index in that lexicographic order: its id. For
+  // each border dimension c, a node holds its ids in "order c":
+  // lexicographic over the other dimensions, then c. Border c drops
+  // dimension c, so its entries are a filter of order c that comes out
+  // sorted by projection, with equal projections adjacent. Order dims-1 is
+  // plain lexicographic, i.e. ascending ids. A node hands each child its
+  // slice of every order by a stable counting distribution over region
+  // labels, so no node below the root sorts.
 
-  Status BuildRec(std::vector<Entry>* entries, size_t lo, size_t hi,
-                  const Box& box, PageId* out) {
-    const size_t n = hi - lo;
+  /// Region label of an id while its node distributes the orders.
+  using RegionId = uint16_t;
+
+  /// A bulk-load node's points: its ids in each of the dims_ orders.
+  /// by[c] == nullptr stands for 0..n-1, the root's lexicographic order,
+  /// which is never stored.
+  struct IdOrders {
+    std::array<const uint32_t*, kMaxDims> by{};
+    size_t n = 0;
+    uint32_t Id(int c, size_t k) const {
+      const uint32_t* ids = by[static_cast<size_t>(c)];
+      return ids != nullptr ? ids[k] : static_cast<uint32_t>(k);
+    }
+  };
+
+  /// State shared by the nodes of one BulkLoad.
+  struct BulkState {
+    const std::vector<Entry>* entries;  // sorted and coalesced; index = id
+    std::vector<RegionId> region;       // label per id, see BuildRec
+  };
+
+  /// A point id with one of its coordinates, the sort and selection key.
+  struct CoordKey {
+    double coord;
+    uint32_t id;
+  };
+
+  /// The root's orders 0..dims-2, back to back; order dims-1 is the
+  /// identity. Each sorts keys on the order's leading dimension f and
+  /// breaks ties on the other dimensions. Points are distinct, so two that
+  /// tie on every dimension but c differ in c, and their ids already order
+  /// them by c.
+  std::vector<uint32_t> RootOrders(const std::vector<Entry>& entries) const {
+    const size_t n = entries.size();
+    std::vector<uint32_t> orders(static_cast<size_t>(dims_ - 1) * n);
+    std::vector<CoordKey> keys(n);
+    for (int c = 0; c + 1 < dims_; ++c) {
+      const int f = c == 0 ? 1 : 0;
+      for (size_t k = 0; k < n; ++k) {
+        keys[k] = CoordKey{entries[k].pt[f], static_cast<uint32_t>(k)};
+      }
+      std::sort(keys.begin(), keys.end(),
+                [&entries, c, f, this](const CoordKey& a, const CoordKey& b) {
+                  if (a.coord != b.coord) return a.coord < b.coord;
+                  const Point& pa = entries[a.id].pt;
+                  const Point& pb = entries[b.id].pt;
+                  for (int j = f + 1; j < dims_; ++j) {
+                    if (j != c && pa[j] != pb[j]) return pa[j] < pb[j];
+                  }
+                  return a.id < b.id;
+                });
+      uint32_t* ids = orders.data() + static_cast<size_t>(c) * n;
+      for (size_t k = 0; k < n; ++k) ids[k] = keys[k].id;
+    }
+    return orders;
+  }
+
+  Status BuildRec(BulkState* st, const IdOrders& node, const Box& box,
+                  PageId* out) {
+    const std::vector<Entry>& entries = *st->entries;
+    const size_t n = node.n;
     const size_t leaf_target = std::max<size_t>(4, LeafCapacity() * 9 / 10);
     if (n <= leaf_target) {
       PageGuard g;
       BOXAGG_RETURN_NOT_OK(pool_->New(&g));
       SetLeafHeader(g.page(), static_cast<uint32_t>(n));
-      for (size_t i = 0; i < n; ++i) {
-        WriteLeafEntry(g.page(), static_cast<uint32_t>(i),
-                       (*entries)[lo + i].pt, (*entries)[lo + i].value);
+      for (size_t k = 0; k < n; ++k) {
+        const Entry& e = entries[node.Id(dims_ - 1, k)];
+        WriteLeafEntry(g.page(), static_cast<uint32_t>(k), e.pt, e.value);
       }
       g.MarkDirty();
       *out = g.id();
       return Status::OK();
     }
-    const size_t int_target = std::max<size_t>(2, FanoutTarget() * 9 / 10);
+    // A node's regions must fit RegionId.
+    const size_t int_target =
+        std::min<size_t>(std::max<size_t>(2, FanoutTarget() * 9 / 10),
+                         std::numeric_limits<RegionId>::max());
     size_t fanout = (n + leaf_target - 1) / leaf_target;
     fanout = std::min(fanout, int_target);
     fanout = std::max<size_t>(fanout, 2);
 
+    // Regions are ranges of `keys`, which the splits permute in place.
     struct Region {
       Box box;
       size_t lo, hi;
     };
-    std::vector<Region> regions{{box, lo, hi}};
-    while (regions.size() < fanout) {
-      size_t biggest = 0;
-      for (size_t i = 1; i < regions.size(); ++i) {
-        if (regions[i].hi - regions[i].lo >
-            regions[biggest].hi - regions[biggest].lo) {
-          biggest = i;
+    std::vector<Region> regions{{box, 0, n}};
+    {
+      std::vector<CoordKey> keys(n);
+      for (size_t k = 0; k < n; ++k) keys[k].id = node.Id(dims_ - 1, k);
+      while (regions.size() < fanout) {
+        size_t biggest = 0;
+        for (size_t i = 1; i < regions.size(); ++i) {
+          if (regions[i].hi - regions[i].lo >
+              regions[biggest].hi - regions[biggest].lo) {
+            biggest = i;
+          }
+        }
+        Region reg = regions[biggest];
+        if (reg.hi - reg.lo < 2) break;
+        int m = -1;
+        double x = 0;
+        size_t below = 0;
+        if (!ChooseRegionSplit(entries, keys.data() + reg.lo, reg.hi - reg.lo,
+                               &m, &x, &below)) {
+          break;
+        }
+        Region lo_r = reg, hi_r = reg;
+        lo_r.hi = reg.lo + below;
+        lo_r.box.hi[m] = x;
+        hi_r.lo = reg.lo + below;
+        hi_r.box.lo[m] = x;
+        regions[biggest] = lo_r;
+        regions.push_back(hi_r);
+      }
+      if (regions.size() < 2) {
+        return Status::Corruption("bulk load failed to partition region");
+      }
+      for (size_t r = 0; r < regions.size(); ++r) {
+        for (size_t k = regions[r].lo; k < regions[r].hi; ++k) {
+          st->region[keys[k].id] = static_cast<RegionId>(r);
         }
       }
-      Region reg = regions[biggest];
-      if (reg.hi - reg.lo < 2) break;
-      int m = -1;
-      double x = 0;
-      size_t mid = 0;
-      if (!ChooseRegionSplit(entries, reg.lo, reg.hi, &m, &x, &mid)) break;
-      Region lo_r = reg, hi_r = reg;
-      lo_r.hi = mid;
-      lo_r.box.hi[m] = x;
-      hi_r.lo = mid;
-      hi_r.box.lo[m] = x;
-      regions[biggest] = lo_r;
-      regions.push_back(hi_r);
-    }
-    if (regions.size() < 2) {
-      return Status::Corruption("bulk load failed to partition region");
     }
 
     std::vector<RecImage> recs(regions.size());
-    for (size_t i = 0; i < regions.size(); ++i) {
-      recs[i].box = regions[i].box;
-      BOXAGG_RETURN_NOT_OK(BuildRec(entries, regions[i].lo, regions[i].hi,
-                                    regions[i].box, &recs[i].child));
-    }
-    for (size_t i = 0; i < regions.size(); ++i) {
-      for (size_t k = lo; k < hi; ++k) {
-        const Entry& e = (*entries)[k];
-        int c = Classify(recs[i].box, e.pt);
-        if (c == kSkip || c == kInside) continue;
-        if (c == dims_) {
-          recs[i].subtotal += e.value;
-        } else {
-          recs[i].border[static_cast<size_t>(c)].inline_entries.push_back(
-              Entry{e.pt.DropDim(c, dims_), e.value});
+    {
+      // Child r's slice of order c is [lo_r, hi_r) of block c, filled in
+      // order c's sequence: a stable counting distribution.
+      std::vector<uint32_t> child_ids(static_cast<size_t>(dims_) * n);
+      std::vector<size_t> next(regions.size());
+      for (int c = 0; c < dims_; ++c) {
+        uint32_t* block = child_ids.data() + static_cast<size_t>(c) * n;
+        for (size_t r = 0; r < regions.size(); ++r) next[r] = regions[r].lo;
+        for (size_t k = 0; k < n; ++k) {
+          const uint32_t id = node.Id(c, k);
+          block[next[st->region[id]]++] = id;
         }
       }
-      for (int b = 0; b < dims_; ++b) {
-        SortAndCoalesce(
-            &recs[i].border[static_cast<size_t>(b)].inline_entries,
-            dims_ - 1);
+      for (size_t r = 0; r < regions.size(); ++r) {
+        IdOrders child;
+        child.n = regions[r].hi - regions[r].lo;
+        for (int c = 0; c < dims_; ++c) {
+          child.by[static_cast<size_t>(c)] =
+              child_ids.data() + static_cast<size_t>(c) * n + regions[r].lo;
+        }
+        recs[r].box = regions[r].box;
+        BOXAGG_RETURN_NOT_OK(
+            BuildRec(st, child, regions[r].box, &recs[r].child));
       }
+    }  // the children's orders are released before this node's border pass
+    if (node.by[static_cast<size_t>(dims_ - 1)] == nullptr) {
+      // The root: every label has been read.
+      std::vector<RegionId>().swap(st->region);
+    }
+    AddSubtotals(entries, node, &recs);
+    for (RecImage& r : recs) {
+      for (int c = 0; c < dims_; ++c) FillBorder(entries, node, c, &r);
     }
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->New(&g));
@@ -1250,47 +1356,134 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  bool ChooseRegionSplit(std::vector<Entry>* entries, size_t lo, size_t hi,
-                         int* m, double* x, size_t* mid) const {
-    std::array<double, kMaxDims> spread{};
+  /// Chooses the split of the region keys[0, n) and partitions it there:
+  /// the dimension of largest spread (the lowest on ties; a zero spread
+  /// never splits) at its median coordinate, or at the next larger
+  /// coordinate when the median is the region's minimum. On return
+  /// keys[0, *below) hold the points under *x. Selection, not sorting.
+  bool ChooseRegionSplit(const std::vector<Entry>& entries, CoordKey* keys,
+                         size_t n, int* m, double* x, size_t* below) const {
+    Point mn = entries[keys[0].id].pt, mx = mn;
+    for (size_t k = 1; k < n; ++k) {
+      const Point& p = entries[keys[k].id].pt;
+      for (int d = 0; d < dims_; ++d) {
+        mn[d] = std::min(mn[d], p[d]);
+        mx[d] = std::max(mx[d], p[d]);
+      }
+    }
+    int dim = -1;
+    double best_spread = 0;
     for (int d = 0; d < dims_; ++d) {
-      double mn = (*entries)[lo].pt[d], mx = (*entries)[lo].pt[d];
-      for (size_t i = lo; i < hi; ++i) {
-        mn = std::min(mn, (*entries)[i].pt[d]);
-        mx = std::max(mx, (*entries)[i].pt[d]);
+      if (mx[d] - mn[d] > best_spread) {
+        best_spread = mx[d] - mn[d];
+        dim = d;
       }
-      spread[static_cast<size_t>(d)] = mx - mn;
     }
-    std::vector<int> order(static_cast<size_t>(dims_));
-    for (int d = 0; d < dims_; ++d) order[static_cast<size_t>(d)] = d;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return spread[static_cast<size_t>(a)] > spread[static_cast<size_t>(b)];
-    });
-    for (int attempt = 0; attempt < dims_; ++attempt) {
-      int d = order[static_cast<size_t>(attempt)];
-      if (spread[static_cast<size_t>(d)] <= 0) continue;
-      std::sort(entries->begin() + static_cast<ptrdiff_t>(lo),
-                entries->begin() + static_cast<ptrdiff_t>(hi),
-                [d](const Entry& a, const Entry& b) {
-                  return a.pt[d] < b.pt[d];
-                });
-      size_t half = lo + (hi - lo) / 2;
-      double cand = (*entries)[half].pt[d];
-      if (cand == (*entries)[lo].pt[d]) {
-        size_t i = half;
-        while (i < hi && (*entries)[i].pt[d] == cand) ++i;
-        if (i == hi) continue;
-        cand = (*entries)[i].pt[d];
-        half = i;
+    if (dim < 0) return false;
+    for (size_t k = 0; k < n; ++k) {
+      keys[k].coord = entries[keys[k].id].pt[dim];
+    }
+    CoordKey* const end = keys + n;
+    CoordKey* const median = keys + n / 2;
+    std::nth_element(keys, median, end,
+                     [](const CoordKey& a, const CoordKey& b) {
+                       return a.coord < b.coord;
+                     });
+    double cand = median->coord;
+    if (cand == mn[dim]) {
+      // Keys from the median on are >= cand, and a positive spread
+      // guarantees a larger one among them.
+      double next = std::numeric_limits<double>::infinity();
+      for (const CoordKey* k = median; k != end; ++k) {
+        if (k->coord > cand) next = std::min(next, k->coord);
+      }
+      cand = next;
+    }
+    *below = static_cast<size_t>(
+        std::partition(keys, end,
+                       [cand](const CoordKey& k) { return k.coord < cand; }) -
+        keys);
+    *m = dim;
+    *x = cand;
+    return true;
+  }
+
+  /// Subtotal of every record: the points strictly below its low corner,
+  /// summed in lexicographic order. One pass over that order; a record
+  /// leaves the active set once p_0 reaches its lo_0.
+  void AddSubtotals(const std::vector<Entry>& entries, const IdOrders& node,
+                    std::vector<RecImage>* recs) const {
+    std::vector<RecImage*> active;
+    for (RecImage& r : *recs) active.push_back(&r);
+    double drop_at = -std::numeric_limits<double>::infinity();
+    for (size_t k = 0; k < node.n && !active.empty(); ++k) {
+      const Entry& e = entries[node.Id(dims_ - 1, k)];
+      if (e.pt[0] >= drop_at) {
+        std::erase_if(active, [&e](const RecImage* r) {
+          return r->box.lo[0] <= e.pt[0];
+        });
+        drop_at = std::numeric_limits<double>::infinity();
+        for (const RecImage* r : active) {
+          drop_at = std::min(drop_at, r->box.lo[0]);
+        }
+      }
+      for (RecImage* r : active) {
+        bool below = true;
+        for (int j = 1; j < dims_ && below; ++j) below = e.pt[j] < r->box.lo[j];
+        if (below) r->subtotal += e.value;
+      }
+    }
+  }
+
+  /// Border c of record r, read from order c cut by binary search on that
+  /// order's leading dimension f (1 for c = 0, else 0) to the slab the
+  /// border can occupy: lo_f <= p_f < hi_f when f < c (p_f is not
+  /// deficient) or d = 2 (a point deficient in both dimensions counts in
+  /// the subtotal), otherwise p_f < hi_f. A slab comes sorted by the
+  /// border's projection, so equal projections are adjacent and coalesce in
+  /// the same pass.
+  void FillBorder(const std::vector<Entry>& entries, const IdOrders& node,
+                  int c, RecImage* r) const {
+    const int f = c == 0 ? 1 : 0;
+    auto first_not_below = [&](double v) {
+      size_t lo = 0, hi = node.n;
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (entries[node.Id(c, mid)].pt[f] < v) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    };
+    const size_t begin =
+        f < c || dims_ == 2 ? first_not_below(r->box.lo[f]) : 0;
+    const size_t end = first_not_below(r->box.hi[f]);
+    // Border 0 needs p_0 < lo_0. Ids are lexicographic ranks, so that holds
+    // exactly for the ids below the rank of the first point with
+    // p_0 >= lo_0, and the test reads no point.
+    const uint32_t id_end =
+        c == 0 ? static_cast<uint32_t>(
+                     std::partition_point(entries.begin(), entries.end(),
+                                          [r](const Entry& e) {
+                                            return e.pt[0] < r->box.lo[0];
+                                          }) -
+                     entries.begin())
+               : std::numeric_limits<uint32_t>::max();
+    std::vector<Entry>& out = r->border[static_cast<size_t>(c)].inline_entries;
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t id = node.Id(c, k);
+      if (id >= id_end) continue;
+      const Entry& e = entries[id];
+      if (Classify(r->box, e.pt) != c) continue;
+      const Point proj = e.pt.DropDim(c, dims_);
+      if (!out.empty() && LexEqual(out.back().pt, proj, dims_ - 1)) {
+        out.back().value += e.value;
       } else {
-        while ((*entries)[half - 1].pt[d] == cand) --half;
+        out.push_back(Entry{proj, e.value});
       }
-      *m = d;
-      *x = cand;
-      *mid = half;
-      return true;
     }
-    return false;
   }
 
   // ---- traversal -----------------------------------------------------------

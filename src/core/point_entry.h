@@ -35,9 +35,17 @@ inline bool LexEqual(const Point& a, const Point& b, int dims) {
 }
 
 /// Sorts entries lexicographically and coalesces identical points by summing
-/// their values.
+/// their values. Input that is already strictly sorted (a border image, a
+/// projected sub-load) returns after one O(n) check.
 template <class V>
 void SortAndCoalesce(std::vector<PointEntry<V>>* entries, int dims) {
+  if (std::adjacent_find(entries->begin(), entries->end(),
+                         [dims](const PointEntry<V>& a,
+                                const PointEntry<V>& b) {
+                           return !LexLess(a.pt, b.pt, dims);
+                         }) == entries->end()) {
+    return;
+  }
   std::sort(entries->begin(), entries->end(),
             [dims](const PointEntry<V>& a, const PointEntry<V>& b) {
               return LexLess(a.pt, b.pt, dims);

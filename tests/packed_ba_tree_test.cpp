@@ -429,5 +429,190 @@ TEST(PackedBaTree, WorksInsideBoxSumReduction) {
   }
 }
 
+// ---- bulk-load structure ----------------------------------------------------
+
+// Points on a coarse integer grid (0..side-1 per dimension) with integer
+// values: heavy coordinate ties and coalesced duplicates, every sum exact.
+// `flat_dim` >= 0 pins that dimension to one value (zero spread).
+std::vector<PointEntry<double>> GridPoints(int n, int dims, int side,
+                                           uint32_t seed, int flat_dim = -1) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> coord(0, side - 1);
+  std::vector<PointEntry<double>> out;
+  for (int i = 0; i < n; ++i) {
+    PointEntry<double> e;
+    for (int d = 0; d < dims; ++d) e.pt[d] = d == flat_dim ? 3 : coord(rng);
+    e.value = 1 + rng() % 9;
+    out.push_back(e);
+  }
+  return out;
+}
+
+struct TieCase {
+  int dims;
+  int side;
+  int flat_dim;
+};
+
+// The bulk split's tie rules: a median equal to the region minimum moves up
+// to the next larger value, and a zero-spread dimension is never chosen.
+TEST(PackedBaTree, TieHeavyBulkLoadsMatchOracleExactly) {
+  for (const TieCase& tc : {TieCase{2, 64, -1}, TieCase{3, 16, -1},
+                            TieCase{4, 8, -1}, TieCase{3, 64, 1}}) {
+    SCOPED_TRACE("d=" + std::to_string(tc.dims) +
+                 " flat=" + std::to_string(tc.flat_dim));
+    auto pts = GridPoints(6000, tc.dims, tc.side, 51, tc.flat_dim);
+    MemPageFile file(1024);
+    BufferPool pool(&file, 4096);
+    PackedBaTree<double> tree(&pool, tc.dims);
+    NaiveDominanceSum<double> naive(tc.dims);
+    for (const auto& e : pts) naive.Insert(e.pt, e.value);
+    ASSERT_TRUE(tree.BulkLoad(pts).ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
+    std::mt19937 rng(52);
+    std::uniform_int_distribution<int> coord(-1, 2 * tc.side);
+    for (int i = 0; i < 300; ++i) {
+      Point q;
+      for (int d = 0; d < tc.dims; ++d) q[d] = coord(rng) * 0.5;
+      double got = 0;
+      ASSERT_TRUE(tree.DominanceSum(q, &got).ok());
+      ASSERT_EQ(got, naive.Query(q)) << q.ToString(tc.dims);
+    }
+  }
+}
+
+// The same distinct point set in three input orders builds byte-identical
+// page files: leaf entries, border entries and every sum are in a canonical
+// order.
+TEST(PackedBaTree, BulkLoadIgnoresInputOrder) {
+  for (int dims : {2, 3}) {
+    SCOPED_TRACE("d=" + std::to_string(dims));
+    auto pts = RandomPoints(5000, dims, 61);
+    SortAndCoalesce(&pts, dims);
+    std::mt19937 rng(62);
+    std::uniform_real_distribution<double> uv(-5, 5);
+    for (auto& e : pts) e.value = uv(rng);
+    std::vector<std::vector<std::vector<uint8_t>>> images;
+    for (int run = 0; run < 3; ++run) {
+      std::shuffle(pts.begin(), pts.end(), rng);
+      MemPageFile file(1024);
+      BufferPool pool(&file, 4096);
+      PackedBaTree<double> tree(&pool, dims);
+      ASSERT_TRUE(tree.BulkLoad(pts).ok());
+      ASSERT_TRUE(pool.FlushAll().ok());
+      std::vector<std::vector<uint8_t>> image;
+      Page page(file.page_size());
+      for (PageId id = 0; id < file.page_count(); ++id) {
+        ASSERT_TRUE(file.ReadPage(id, &page).ok());
+        image.emplace_back(page.data(), page.data() + page.size());
+      }
+      images.push_back(std::move(image));
+    }
+    EXPECT_TRUE(images[0] == images[1]);
+    EXPECT_TRUE(images[0] == images[2]);
+  }
+}
+
+void HashBytes(const void* data, size_t n, uint64_t* h) {
+  const auto* b = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    *h ^= b[i];
+    *h *= 0x100000001b3ull;  // FNV-1a
+  }
+}
+
+void HashDouble(double v, uint64_t* h) { HashBytes(&v, sizeof(v), h); }
+
+// Hashes every internal node's record boxes and the points (not values) of
+// every border, inline or spilled, in page order, decoding the packed layout
+// documented in batree/packed_ba_tree.h (V = double). Leaf pages and values
+// are left out.
+void HashStructure(BufferPool* pool, int dims, PageId pid, uint64_t* h) {
+  std::vector<PageId> children;
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool->Fetch(pid, &g).ok());
+    const Page* p = g.page();
+    if (p->ReadAt<uint16_t>(0) != 10) return;  // leaf
+    const uint32_t n = p->ReadAt<uint32_t>(4);
+    const uint32_t rec_size =
+        sizeof(Box) + 16 + 8 * static_cast<uint32_t>(dims);
+    const uint32_t entry_size = 8 * static_cast<uint32_t>(dims);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t off = 16 + i * rec_size;
+      const Box box = p->ReadAt<Box>(off);
+      for (int d = 0; d < dims; ++d) {
+        HashDouble(box.lo[d], h);
+        HashDouble(box.hi[d], h);
+      }
+      children.push_back(p->ReadAt<uint64_t>(off + sizeof(Box)));
+      for (int b = 0; b < dims; ++b) {
+        const uint64_t ref = p->ReadAt<uint64_t>(
+            off + sizeof(Box) + 16 + 8 * static_cast<uint32_t>(b));
+        std::vector<Point> border;
+        uint8_t kind = 0;
+        if (ref == ~uint64_t{0}) {
+          kind = 0;
+        } else if ((ref >> 63) != 0) {
+          kind = 1;
+          const auto block = static_cast<uint32_t>(ref);
+          const uint16_t cnt = p->ReadAt<uint16_t>(block);
+          for (uint32_t k = 0; k < cnt; ++k) {
+            Point q;
+            for (int d = 0; d < dims - 1; ++d) {
+              q[d] = p->ReadAt<double>(block + 4 + k * entry_size +
+                                       8 * static_cast<uint32_t>(d));
+            }
+            border.push_back(q);
+          }
+        } else {
+          kind = 2;
+          PackedBaTree<double> sub(pool, dims - 1, static_cast<PageId>(ref));
+          std::vector<PointEntry<double>> es;
+          ASSERT_TRUE(sub.ScanAll(&es).ok());
+          for (const auto& e : es) border.push_back(e.pt);
+        }
+        HashBytes(&kind, 1, h);
+        for (const Point& q : border) {
+          for (int d = 0; d < dims - 1; ++d) HashDouble(q[d], h);
+        }
+      }
+    }
+  }
+  for (PageId c : children) HashStructure(pool, dims, c, h);
+}
+
+struct StructureGolden {
+  int dims;
+  uint32_t page_size;
+  int n;
+  uint64_t pages;
+  uint64_t hash;
+};
+
+// Regions, border entry sets and spill decisions of fixed-seed bulk loads,
+// recorded from the build that sorted every region at every split.
+TEST(PackedBaTree, BulkLoadStructureGolden) {
+  const StructureGolden kGolden[] = {
+      {2, 2048, 6000, 200, 17704083864494823822ull},
+      {3, 2048, 5000, 1047, 17762361187503331683ull},
+      {4, 4096, 4000, 817, 11219665250272457466ull},
+  };
+  for (const StructureGolden& gd : kGolden) {
+    SCOPED_TRACE("d=" + std::to_string(gd.dims));
+    MemPageFile file(gd.page_size);
+    BufferPool pool(&file, 4096);
+    PackedBaTree<double> tree(&pool, gd.dims);
+    ASSERT_TRUE(
+        tree.BulkLoad(RandomPoints(gd.n, gd.dims, 80u + gd.dims)).ok());
+    uint64_t pages = 0;
+    ASSERT_TRUE(tree.PageCount(&pages).ok());
+    uint64_t hash = 0xcbf29ce484222325ull;
+    HashStructure(&pool, gd.dims, tree.root(), &hash);
+    EXPECT_EQ(pages, gd.pages);
+    EXPECT_EQ(hash, gd.hash);
+  }
+}
+
 }  // namespace
 }  // namespace boxagg

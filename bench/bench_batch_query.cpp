@@ -2,13 +2,16 @@
 // QueryBatch at batch sizes 1/16/256/4096 versus the per-query path, for the
 // three corner-transform backends (ECDF-Bu, ECDF-Bq, packed BA-tree).
 //
-// The per-query reference is the pre-batching read path — 2^d independent
-// DominanceSum probes per query — measured cold. Every batched run must be
-// byte-identical to it, batch=1 must reproduce its logical AND physical I/O
-// counts exactly (the seed-fidelity discipline, mirroring shards=1), and
-// batch>=16 must show a measurable logical-fetch reduction; any violation
-// exits 1. Batched runs at batch>1 additionally pin the 2^d sign-index roots
-// via BufferPool::FetchMulti for the duration of the run (the prefetch-hint
+// The per-query reference is the per-corner read path — 2^d independent
+// DominanceSum probes per query, no corner dedup — measured cold.
+// DominanceSum is a one-probe DominanceSumBatch, so the reference and every
+// batched run share one descent per structure. Every batched run must be
+// byte-identical to it, batch=1 must read exactly its logical AND physical
+// I/O counts (a same-path consistency check), and batch>=16 must show a
+// measurable logical-fetch reduction; any violation exits 1. The fidelity
+// guard against the seed's I/O is the committed baseline below. Batched
+// runs at batch>1 additionally pin the 2^d sign-index roots via
+// BufferPool::FetchMulti for the duration of the run (the prefetch-hint
 // contract: shared path pages stay resident under eviction pressure).
 //
 // A final pass per backend fans morsels of 256 sorted queries out over
@@ -17,7 +20,8 @@
 // Output: a table plus one "JSON "-prefixed line per (backend, batch) with
 // the buffer-pool delta (logical/physical/hit-rate/probes-saved), and one
 // "BASELINE" line per backend with the batch=1 I/O counts — CI diffs these
-// against bench/baselines/batch1_io_small.txt to catch read-path drift.
+// against bench/baselines/batch1_io_small.txt, recorded from the seed's
+// sequential descent, to catch read-path drift.
 
 #include <chrono>
 #include <cstring>
@@ -40,9 +44,9 @@ double MillisSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// The pre-batching per-query read path: 2^d independent dominance-sum
-// probes, no corner dedup, no multi-probe descent. This is the oracle every
-// batched run is compared against, arithmetic and I/O both.
+// The per-corner read path: 2^d independent one-probe dominance sums, no
+// corner dedup. This is the oracle every batched run is compared against,
+// arithmetic and I/O both.
 template <class Index>
 Status SeedPathQuery(BoxSumIndex<Index>* index, const Box& q, double* out) {
   *out = 0;
@@ -88,7 +92,7 @@ void RunBackend(const char* name, const Config& cfg, Storage* storage,
     std::vector<PageGuard> pins;
     if (batch > 1) {
       // Prefetch hint: keep the 2^d sign-index roots pinned for the whole
-      // run. Skipped at batch=1 to preserve seed I/O fidelity.
+      // run. Skipped at batch=1 so its I/O stays the per-corner path's.
       std::vector<PageId> roots;
       for (uint32_t s = 0; s < index->index_count(); ++s) {
         if (index->index(s).root() != kInvalidPageId) {
@@ -120,7 +124,7 @@ void RunBackend(const char* name, const Config& cfg, Storage* storage,
           d.physical_reads != ref.physical_reads) {
         std::fprintf(
             stderr,
-            "%s: batch=1 I/O drifted from the per-query path: "
+            "%s: batch=1 I/O differs from the per-corner path: "
             "logical %llu != %llu or physical %llu != %llu\n",
             name, static_cast<unsigned long long>(d.logical_reads),
             static_cast<unsigned long long>(ref.logical_reads),

@@ -161,129 +161,40 @@ class PackedBaTree {
   }
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Total value of all points dominated by `q`. A +infinity coordinate
-  /// (an unbounded query side) is clamped to the largest finite double,
-  /// which dominates every storable point, so half-space and whole-space
-  /// queries work.
+  /// Total value of all points dominated by `query`: a one-probe
+  /// DominanceSumBatch, i.e. the paper's single root-to-leaf walk.
   Status DominanceSum(const Point& query, V* out,
                       unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    Point q = query;
-    for (int d = 0; d < dims_; ++d) {
-      q[d] = std::min(q[d], std::numeric_limits<double>::max());
-    }
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSum(q[0], out, obs_level);
-    }
-    PageId pid = root_;
-    for (unsigned level = obs_level;; ++level) {
-      // Spilled-border queries below need their own pins; collect them while
-      // the node page is mapped, then run them unpinned.
-      core::ArenaScope scope(core::ScratchArena());
-      core::ArenaVector<std::pair<int, PageId>> tree_borders;
-      PageId next = kInvalidPageId;
-      {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-        obs::NoteNodeVisit(level);
-        const Page* page = g.page();
-        if (PageType(page) == kLeaf) {
-          uint32_t n = LeafCount(page);
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(page, i);
-            if (q.Dominates(pt, dims_)) {
-              V v;
-              ReadLeafValue(page, i, &v);
-              *out += v;
-            }
-          }
-          return Status::OK();
-        }
-        uint32_t n = IntCount(page);
-        bool found = false;
-        for (uint32_t i = 0; i < n && !found; ++i) {
-          Box box = RecBox(page, i);
-          if (!box.ContainsPointHalfOpen(q, dims_)) continue;
-          found = true;
-          V sub;
-          ReadRecSubtotal(page, i, &sub);
-          *out += sub;
-          for (int b = 0; b < dims_; ++b) {
-            uint64_t ref = RecBorderRef(page, i, b);
-            if (ref == kEmptyRef) continue;
-            Point projected = q.DropDim(b, dims_);
-            if (IsInlineRef(ref)) {
-              // In-page scan: zero extra I/O — the packing payoff. Each
-              // entry is decoded into a Point (ReadBlockEntry): a packed
-              // block stores only dims - 1 coordinates per entry.
-              uint32_t off = InlineOffset(ref);
-              uint32_t cnt = BlockCount(page, off);
-              for (uint32_t k = 0; k < cnt; ++k) {
-                Point pt;
-                V v;
-                ReadBlockEntry(page, off, k, &pt, &v);
-                if (projected.Dominates(pt, dims_ - 1)) *out += v;
-              }
-            } else {
-              tree_borders.push_back({b, static_cast<PageId>(ref)});
-            }
-          }
-          next = RecChild(page, i);
-        }
-        if (!found) {
-          return Status::Corruption("query point not covered by any record");
-        }
-      }
-      for (auto [b, tree_root] : tree_borders) {
-        obs::NoteBorderProbes(1);
-        V part;
-        BOXAGG_RETURN_NOT_OK(
-            BorderTreeQuery(tree_root, q.DropDim(b, dims_), &part, level + 1));
-        *out += part;
-      }
-      pid = next;
-    }
+    return DominanceSumBatch(&query, 1, out, obs_level);
   }
 
-  /// Batched dominance sums: outs[i] = DominanceSum(queries[i]),
-  /// bit-identical to `count` independent calls — each probe performs the
-  /// same subtotal, inline-border, spilled-border, and leaf additions in the
-  /// same order; only the traversal order across probes and the page-fetch
-  /// count change. Probes are gathered per record in page order (first
-  /// containing record wins, like the sequential scan); inline borders are
-  /// scanned in-page while the node is pinned, spilled border trees are
-  /// probed with sub-batches after the pin is dropped — mirroring the
-  /// sequential pin discipline exactly, so count == 1 reproduces seed I/O.
+  /// Batched dominance sums: outs[i] = total value of all points dominated
+  /// by queries[i]. A +infinity coordinate (an unbounded query side) is
+  /// clamped to the largest finite double, which dominates every storable
+  /// point, so half-space and whole-space queries work. A probe's additions
+  /// (subtotals, inline borders, spilled borders, leaf entries: same values,
+  /// same order) and the pages on its path do not depend on which other
+  /// probes share its batch, so results are bit-identical for any batching.
+  /// Probes are gathered per record in page order (first containing record
+  /// wins); inline borders are scanned in-page while the node is pinned,
+  /// spilled border trees are probed with sub-batches after the pin is
+  /// dropped and before the walk goes down, so each page is fetched once
+  /// per batch.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
     if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Point> qs(queries, queries + count);
-    for (auto& q : qs) {
+    core::Arena& arena = core::ScratchArena();
+    core::ArenaScope scope(arena);
+    Point one;
+    Point* qs = core::ScratchArray(arena, count, &one);
+    for (size_t i = 0; i < count; ++i) {
+      qs[i] = queries[i];
       for (int d = 0; d < dims_; ++d) {
-        q[d] = std::min(q[d], std::numeric_limits<double>::max());
+        qs[i][d] = std::min(qs[i][d], std::numeric_limits<double>::max());
       }
     }
-    if (dims_ == 1) {
-      core::ArenaVector<double> keys(count);
-      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSumBatch(keys.data(), count, outs, obs_level);
-    }
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    const core::ArenaVector<Point>& q_ref = qs;
-    std::sort(order.begin(), order.end(),
-              [this, &q_ref](uint32_t a, uint32_t b) {
-                if (LexLess(q_ref[a], q_ref[b], dims_)) return true;
-                if (LexLess(q_ref[b], q_ref[a], dims_)) return false;
-                return a < b;
-              });
-    return DominanceBatchRec(root_, order.data(), count, qs.data(), outs,
-                             obs_level);
+    return ClampedBatch(arena, qs, count, outs, obs_level);
   }
 
   // LINT:hot-path-end
@@ -667,131 +578,162 @@ class PackedBaTree {
   }
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One node of the batched descent: `idx[0..m)` are probe indices (already
-  /// clamped queries) whose paths all pass through `pid`. Probes are
-  /// assigned to the FIRST record whose box contains them, in page order.
-  /// Per-probe arithmetic matches DominanceSum exactly: subtotal, inline
-  /// borders scanned in ascending dimension order while the node is pinned,
-  /// then spilled border trees in the same dimension order after the pin is
-  /// dropped, then the descent's contributions.
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const Point* qs, V* outs,
-                           unsigned obs_level = 0) const {
-    struct Spill {
-      int b;
-      PageId tree_root;
-    };
-    struct Group {
+  /// The batched descent over already clamped probes; `outs` must be zero.
+  /// Spilled borders enter here too, below the public clamp. Probe order
+  /// does not matter: a node groups its probes by record in page order.
+  Status ClampedBatch(core::Arena& arena, const Point* qs, size_t count,
+                      V* outs, unsigned obs_level) const {
+    if (dims_ == 1) {
+      double one = 0;
+      double* keys = core::ScratchArray(arena, count, &one);
+      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
+      AggBTree<V> base(pool_, root_, view_);
+      return base.DominanceSumBatch(keys, count, outs, obs_level);
+    }
+    uint32_t one = 0;
+    uint32_t* idx = core::ScratchArray(arena, count, &one);
+    for (size_t i = 0; i < count; ++i) idx[i] = static_cast<uint32_t>(i);
+    return DominanceBatchRec(arena, root_, idx, count, qs, outs, obs_level);
+  }
+
+  /// The batched descent below `pid`: `idx[0..m)` are the probes whose
+  /// paths all pass through `pid`; the node reorders them in place into
+  /// per-record groups. A probe takes the FIRST record whose box contains
+  /// it, in page order, and adds the record's subtotal, its inline borders
+  /// in ascending dimension order while the node is pinned, then its
+  /// spilled border trees in the same order after the pin is dropped, then
+  /// the walk's contributions below. While every probe takes the same
+  /// record the walk continues in place; a node that splits the probes
+  /// recurses once per record.
+  Status DominanceBatchRec(core::Arena& arena, PageId pid, uint32_t* idx,
+                           size_t m, const Point* qs, V* outs,
+                           unsigned level) const {
+    struct Group {  // idx[begin, end) took record `child`
       PageId child;
-      core::ArenaVector<uint32_t> members;  // original probe indices
-      core::ArenaVector<Spill> spills;
+      size_t begin;
+      size_t end;
+      int spills;  // spilled borders: dimension and tree root
+      int spill_dims[kMaxDims];
+      PageId spill_roots[kMaxDims];
     };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* page = g.page();
-      if (PageType(page) == kLeaf) {
-        uint32_t n = LeafCount(page);
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(page, i);
-            if (q.Dominates(pt, dims_)) {
-              V v;
-              ReadLeafValue(page, i, &v);
-              *out += v;
+    for (;; ++level) {
+      core::ArenaScope scope(arena);
+      Group one{};
+      Group* groups = nullptr;
+      size_t n_groups = 0;
+      {
+        PageGuard g;
+        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        obs::NoteNodeVisit(level);
+        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
+        const Page* page = g.page();
+        if (PageType(page) == kLeaf) {
+          const uint32_t n = LeafCount(page);
+          for (size_t j = 0; j < m; ++j) {
+            const Point& q = qs[idx[j]];
+            V& out = outs[idx[j]];
+            for (uint32_t i = 0; i < n; ++i) {
+              if (q.Dominates(LeafPoint(page, i), dims_)) {
+                V v;
+                ReadLeafValue(page, i, &v);
+                out += v;
+              }
             }
           }
+          return Status::OK();
         }
-        return Status::OK();
-      }
-      uint32_t n = IntCount(page);
-      core::ArenaVector<uint8_t> taken(m, 0);
-      size_t assigned = 0;
-      for (uint32_t i = 0; i < n && assigned < m; ++i) {
-        Box box = RecBox(page, i);
-        core::ArenaVector<uint32_t> members;
-        for (size_t j = 0; j < m; ++j) {
-          if (taken[j]) continue;
-          if (box.ContainsPointHalfOpen(qs[idx[j]], dims_)) {
-            taken[j] = 1;
-            ++assigned;
-            members.push_back(idx[j]);
+        const uint32_t n = IntCount(page);
+        groups = core::ScratchArray(arena, std::min<size_t>(n, m), &one);
+        size_t assigned = 0;  // idx[0, assigned) have their record
+        for (uint32_t i = 0; i < n && assigned < m; ++i) {
+          const Box box = RecBox(page, i);
+          const size_t begin = assigned;
+          for (size_t t = assigned; t < m; ++t) {
+            if (box.ContainsPointHalfOpen(qs[idx[t]], dims_)) {
+              std::swap(idx[t], idx[assigned++]);
+            }
           }
-        }
-        if (members.empty()) continue;
-        V sub;
-        ReadRecSubtotal(page, i, &sub);
-        for (uint32_t probe : members) outs[probe] += sub;
-        core::ArenaVector<Spill> spills;
-        for (int b = 0; b < dims_; ++b) {
-          uint64_t ref = RecBorderRef(page, i, b);
-          if (ref == kEmptyRef) continue;
-          if (IsInlineRef(ref)) {
+          if (assigned == begin) continue;
+          Group& gr = groups[n_groups++];
+          gr.child = RecChild(page, i);
+          gr.begin = begin;
+          gr.end = assigned;
+          gr.spills = 0;
+          V sub;
+          ReadRecSubtotal(page, i, &sub);
+          for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += sub;
+          for (int b = 0; b < dims_; ++b) {
+            const uint64_t ref = RecBorderRef(page, i, b);
+            if (ref == kEmptyRef) continue;
+            if (!IsInlineRef(ref)) {
+              gr.spill_dims[gr.spills] = b;
+              gr.spill_roots[gr.spills++] = static_cast<PageId>(ref);
+              continue;
+            }
             // In-page scan: zero extra I/O — the packing payoff.
-            uint32_t off = InlineOffset(ref);
-            uint32_t cnt = BlockCount(page, off);
-            for (uint32_t probe : members) {
-              Point projected = qs[probe].DropDim(b, dims_);
+            const uint32_t off = InlineOffset(ref);
+            const uint32_t cnt = BlockCount(page, off);
+            for (size_t t = begin; t < assigned; ++t) {
+              const Point projected = qs[idx[t]].DropDim(b, dims_);
+              V& out = outs[idx[t]];
               for (uint32_t k = 0; k < cnt; ++k) {
                 Point pt;  // decoded: packed entries hold dims - 1 coords
                 V v;
                 ReadBlockEntry(page, off, k, &pt, &v);
-                if (projected.Dominates(pt, dims_ - 1)) outs[probe] += v;
+                if (projected.Dominates(pt, dims_ - 1)) out += v;
               }
             }
-          } else {
-            spills.push_back(Spill{b, static_cast<PageId>(ref)});
           }
         }
-        groups.push_back(
-            Group{RecChild(page, i), std::move(members), std::move(spills)});
-      }
-      if (assigned != m) {
-        return Status::Corruption("query point not covered by any record");
-      }
-    }
-    // Spilled borders of this node before any descent, like the sequential
-    // loop's per-level tree_borders pass.
-    core::ArenaVector<Point> pts;
-    core::ArenaVector<V> parts;
-    for (const Group& gr : groups) {
-      const size_t gs = gr.members.size();
-      for (const Spill& sp : gr.spills) {
-        pts.resize(gs);
-        parts.resize(gs);
-        for (size_t t = 0; t < gs; ++t) {
-          pts[t] = qs[gr.members[t]].DropDim(sp.b, dims_);
+        if (assigned != m) {
+          return Status::Corruption("query point not covered by any record");
         }
-        obs::NoteBorderProbes(gs);
-        PackedBaTree sub(pool_, dims_ - 1, sp.tree_root, view_);
-        BOXAGG_RETURN_NOT_OK(sub.DominanceSumBatch(pts.data(), gs,
-                                                   parts.data(),
-                                                   obs_level + 1));
-        for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
       }
+      // Every spilled border of this node before any descent.
+      for (size_t k = 0; k < n_groups; ++k) {
+        const Group& gr = groups[k];
+        for (int s = 0; s < gr.spills; ++s) {
+          BOXAGG_RETURN_NOT_OK(SpilledBorderBatch(
+              arena, gr.spill_roots[s], gr.spill_dims[s], idx + gr.begin,
+              gr.end - gr.begin, qs, outs, level + 1));
+        }
+      }
+      if (n_groups == 1) {  // one record takes every probe: walk on
+        pid = groups[0].child;
+        continue;
+      }
+      for (size_t k = 0; k < n_groups; ++k) {
+        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(
+            arena, groups[k].child, idx + groups[k].begin,
+            groups[k].end - groups[k].begin, qs, outs, level + 1));
+      }
+      return Status::OK();
     }
-    for (const Group& gr : groups) {
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, gr.members.data(),
-                                             gr.members.size(), qs, outs,
-                                             obs_level + 1));
+  }
+
+  /// Probes one spilled border tree with `members`' queries projected by
+  /// dropping dimension `b`; each probe adds its border sum as one value.
+  Status SpilledBorderBatch(core::Arena& arena, PageId tree_root, int b,
+                            const uint32_t* members, size_t m,
+                            const Point* qs, V* outs, unsigned level) const {
+    core::ArenaScope scope(arena);
+    Point one_pt;
+    V one_part{};
+    Point* pts = core::ScratchArray(arena, m, &one_pt);
+    V* parts = core::ScratchArray(arena, m, &one_part);
+    for (size_t t = 0; t < m; ++t) {
+      pts[t] = qs[members[t]].DropDim(b, dims_);
+      parts[t] = V{};
     }
+    obs::NoteBorderProbes(m);
+    PackedBaTree sub(pool_, dims_ - 1, tree_root, view_);
+    BOXAGG_RETURN_NOT_OK(sub.ClampedBatch(arena, pts, m, parts, level));
+    for (size_t t = 0; t < m; ++t) outs[members[t]] += parts[t];
     return Status::OK();
   }
 
   // LINT:hot-path-end
   // ---- border image operations --------------------------------------------
-
-  Status BorderTreeQuery(PageId tree_root, const Point& q, V* out,
-                         unsigned obs_level = 0) const {
-    PackedBaTree sub(pool_, dims_ - 1, tree_root, view_);
-    return sub.DominanceSum(q, out, obs_level);
-  }
 
   Status BorderImageInsert(BorderImage* b, const Point& projected,
                            const V& v) {

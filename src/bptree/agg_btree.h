@@ -139,65 +139,40 @@ class AggBTree {
   }
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Sum of values over all keys <= q. An empty tree yields V{}.
+  /// Sum of values over all keys <= q: a one-probe DominanceSumBatch, i.e.
+  /// the single root-to-leaf walk. An empty tree yields V{}.
   ///
   /// `obs_level` offsets the per-level node-visit attribution (obs/): a
   /// border sub-tree embedded at parent level L passes L+1 so its root
   /// counts at the depth it actually sits in the composite structure.
   Status DominanceSum(double q, V* out, unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    const uint32_t page_size = pool_->file()->page_size();
-    PageId pid = root_;
-    for (unsigned level = obs_level;; ++level) {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(level);
-      const Page* p = g.page();
-      const uint8_t* base = p->data();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        const double* keys =
-            reinterpret_cast<const double*>(base + kHeaderSize);
-        const uint32_t cut = simd::FirstGreater(keys, n, q);
-        const uint8_t* vals = base + LeafValueOffset(page_size, 0);
-        for (uint32_t i = 0; i < cut; ++i) {
-          V v;
-          std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
-          *out += v;
-        }
-        return Status::OK();
-      }
-      uint32_t idx = RouteInternal(p, n, q);
-      const uint8_t* recs = base + InternalChildOffset(page_size, 0);
-      for (uint32_t i = 0; i < idx; ++i) {
-        V s;
-        std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
-        *out += s;
-      }
-      std::memcpy(&pid, recs + size_t{idx} * kInternalRec, sizeof(PageId));
-    }
+    return DominanceSumBatch(&q, 1, out, obs_level);
   }
 
-  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i],
-  /// bit-identical to `count` independent DominanceSum calls — every probe
-  /// performs the same per-node additions in the same order; only the
-  /// traversal order across probes and the page-fetch count change. Probes
-  /// are routed in sorted key order and grouped by child, so each tree page
-  /// is fetched and pinned at most once per batch. With count == 1 the
-  /// fetch/pin sequence is exactly DominanceSum's (seed I/O fidelity).
+  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i].
+  /// A probe's additions (same values, same order) and the pages on its
+  /// path do not depend on which other probes share its batch, so results
+  /// are bit-identical for any batching. Probes are routed in sorted key
+  /// order and grouped by child, so each tree page is fetched and pinned at
+  /// most once per batch.
   Status DominanceSumBatch(const double* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
     if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
-      if (qs[a] != qs[b]) return qs[a] < qs[b];
-      return a < b;
-    });
-    return DominanceBatchRec(root_, order.data(), count, qs, outs, obs_level);
+    core::Arena& arena = core::ScratchArena();
+    core::ArenaScope scope(arena);
+    uint32_t first = 0;
+    core::ArenaVector<uint32_t> order{core::ArenaAllocator<uint32_t>(&arena)};
+    if (count > 1) {
+      order.resize(count);
+      for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
+      std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
+        if (qs[a] != qs[b]) return qs[a] < qs[b];
+        return a < b;
+      });
+    }
+    return DominanceBatchRec(arena, root_, count > 1 ? order.data() : &first,
+                             count, qs, outs, obs_level);
   }
 
   // LINT:hot-path-end
@@ -588,76 +563,86 @@ class AggBTree {
   // ---- traversal ----------------------------------------------------------
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One node of the batched descent: `idx[0..m)` are probe indices sorted
-  /// by key whose paths all pass through `pid`. The node is fetched once;
-  /// per-probe arithmetic matches DominanceSum exactly. The pin is dropped
-  /// before descending, like the sequential loop's per-iteration guard.
-  /// Scratch comes from the thread-local arena (zero heap traffic once
-  /// warm).
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const double* qs, V* outs,
-                           unsigned obs_level = 0) const {
+  /// The batched descent below `pid`: `idx[0..m)` are probe indices sorted
+  /// by key whose paths all pass through `pid`. Each node is fetched once
+  /// and its pin dropped before the walk goes down; while every probe routes
+  /// to the same child the walk continues in place, and a node that splits
+  /// the probes recurses once per child. Scratch comes from `arena`, the
+  /// caller's thread-local arena (zero heap traffic once warm).
+  Status DominanceBatchRec(core::Arena& arena, PageId pid,
+                           const uint32_t* idx, size_t m, const double* qs,
+                           V* outs, unsigned level) const {
     struct Group {
       PageId child;
       size_t begin;
       size_t end;
     };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* p = g.page();
-      const uint8_t* base = p->data();
-      const uint32_t page_size = pool_->file()->page_size();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        const double* keys =
-            reinterpret_cast<const double*>(base + kHeaderSize);
-        const uint8_t* vals = base + LeafValueOffset(page_size, 0);
-        for (size_t j = 0; j < m; ++j) {
-          const double q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          const uint32_t cut = simd::FirstGreater(keys, n, q);
-          for (uint32_t i = 0; i < cut; ++i) {
-            V v;
-            std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
-            *out += v;
+    const uint32_t page_size = pool_->file()->page_size();
+    for (;; ++level) {
+      core::ArenaScope scope(arena);
+      core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(&arena)};
+      PageId next = kInvalidPageId;  // the child, when it takes every probe
+      {
+        PageGuard g;
+        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        obs::NoteNodeVisit(level);
+        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
+        const Page* p = g.page();
+        const uint8_t* base = p->data();
+        uint32_t n = Count(p);
+        if (Type(p) == kLeaf) {
+          const double* keys =
+              reinterpret_cast<const double*>(base + kHeaderSize);
+          const uint8_t* vals = base + LeafValueOffset(page_size, 0);
+          for (size_t j = 0; j < m; ++j) {
+            const uint32_t cut = simd::FirstGreater(keys, n, qs[idx[j]]);
+            V acc = outs[idx[j]];
+            for (uint32_t i = 0; i < cut; ++i) {
+              V v;
+              std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
+              acc += v;
+            }
+            outs[idx[j]] = acc;
           }
+          return Status::OK();
         }
-        return Status::OK();
-      }
-      // Sorted probes route monotonically, so per-child groups are
-      // contiguous runs of idx.
-      const uint8_t* recs = base + InternalChildOffset(page_size, 0);
-      size_t j = 0;
-      while (j < m) {
-        const uint32_t route = RouteInternal(p, n, qs[idx[j]]);
-        size_t k = j + 1;
-        while (k < m && RouteInternal(p, n, qs[idx[k]]) == route) ++k;
-        for (size_t t = j; t < k; ++t) {
-          V* out = &outs[idx[t]];
-          for (uint32_t i = 0; i < route; ++i) {
-            V s;
-            std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
-            *out += s;
+        const uint8_t* recs = base + InternalChildOffset(page_size, 0);
+        size_t j = 0;
+        while (j < m) {
+          const uint32_t route = RouteInternal(p, n, qs[idx[j]]);
+          size_t k = j + 1;
+          while (k < m && RouteInternal(p, n, qs[idx[k]]) == route) ++k;
+          for (size_t t = j; t < k; ++t) {
+            V acc = outs[idx[t]];
+            for (uint32_t i = 0; i < route; ++i) {
+              V s;
+              std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
+              acc += s;
+            }
+            outs[idx[t]] = acc;
           }
+          PageId child;
+          std::memcpy(&child, recs + size_t{route} * kInternalRec,
+                      sizeof(PageId));
+          if (j == 0 && k == m) {
+            next = child;
+            break;
+          }
+          groups.push_back(Group{child, j, k});
+          j = k;
         }
-        PageId child;
-        std::memcpy(&child, recs + size_t{route} * kInternalRec,
-                    sizeof(PageId));
-        groups.push_back(Group{child, j, k});
-        j = k;
       }
+      if (next != kInvalidPageId) {  // one child takes every probe: walk on
+        pid = next;
+        continue;
+      }
+      for (const Group& gr : groups) {
+        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(arena, gr.child, idx + gr.begin,
+                                               gr.end - gr.begin, qs, outs,
+                                               level + 1));
+      }
+      return Status::OK();
     }
-    for (const Group& gr : groups) {
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
-                                             gr.end - gr.begin, qs, outs,
-                                             obs_level + 1));
-    }
-    return Status::OK();
   }
 
   // LINT:hot-path-end

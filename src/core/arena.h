@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace boxagg {
@@ -36,13 +37,16 @@ namespace core {
 
 /// Chained-block bump allocator. Blocks grow geometrically and are never
 /// released until the arena is destroyed; Rewind() only moves the bump
-/// cursor, so steady-state use touches the heap zero times.
+/// cursor, so steady-state use touches the heap zero times. The first block
+/// is reserved at construction, so there is always a current block.
 class Arena {
  public:
   static constexpr size_t kBlockAlign = 64;  // cache-line aligned blocks
 
   explicit Arena(size_t first_block_bytes = 64 * 1024)
-      : next_block_bytes_(first_block_bytes) {}
+      : next_block_bytes_(first_block_bytes) {
+    AddBlock(0);
+  }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -56,19 +60,17 @@ class Arena {
   void* Allocate(size_t bytes, size_t align) {
     assert(align != 0 && (align & (align - 1)) == 0 && align <= kBlockAlign);
     for (;;) {
-      if (!blocks_.empty()) {
-        Block& b = blocks_[current_];
-        size_t aligned = (b.used + (align - 1)) & ~(align - 1);
-        if (aligned + bytes <= b.size) {
-          b.used = aligned + bytes;
-          return b.data + aligned;
-        }
-        if (current_ + 1 < blocks_.size()) {
-          // Advance into a block retained by an earlier Rewind.
-          ++current_;
-          blocks_[current_].used = 0;
-          continue;
-        }
+      Block& b = blocks_[current_];
+      size_t aligned = (b.used + (align - 1)) & ~(align - 1);
+      if (aligned + bytes <= b.size) {
+        b.used = aligned + bytes;
+        return b.data + aligned;
+      }
+      if (current_ + 1 < blocks_.size()) {
+        // Advance into a block retained by an earlier Rewind.
+        ++current_;
+        blocks_[current_].used = 0;
+        continue;
       }
       AddBlock(bytes);
     }
@@ -81,12 +83,10 @@ class Arena {
   };
 
   [[nodiscard]] Mark Position() const {
-    if (blocks_.empty()) return {};
     return {current_, blocks_[current_].used};
   }
 
   void Rewind(Mark m) {
-    if (blocks_.empty()) return;
     assert(m.block <= current_);
     current_ = m.block;
     blocks_[current_].used = m.used;
@@ -181,6 +181,18 @@ struct ArenaAllocator {
 
 template <class T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
+
+/// Uninitialized scratch for `n` Ts under the current ArenaScope: `one`
+/// itself when n == 1, so a one-probe descent touches no arena memory,
+/// else a fresh arena array. T must be trivially copyable; nothing is
+/// destroyed.
+template <class T>
+T* ScratchArray(Arena& arena, size_t n, T* one) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  if (n == 1) return one;
+  return static_cast<T*>(arena.Allocate(n * sizeof(T), alignof(T)));
+}
 
 }  // namespace core
 }  // namespace boxagg

@@ -323,6 +323,7 @@ class EoBoxSumIndex {
   size_t index_count() const { return terms_.size(); }
 
   Status Insert(const Box& box, double value) {
+    BOXAGG_RETURN_NOT_OK(CheckBox(box, dims_));
     total_ += value;
     for (Term& t : terms_) {
       BOXAGG_RETURN_NOT_OK(t.index.Insert(StoragePoint(box, t), value));
@@ -331,6 +332,8 @@ class EoBoxSumIndex {
   }
 
   Status Query(const Box& q, double* out) const {
+    *out = 0;
+    BOXAGG_RETURN_NOT_OK(CheckBox(q, dims_));
     // boxsum = total - sum_not_intersecting;
     // sum_not = sum over terms of (-1)^{|T|+1} . term.
     double not_sum = 0;
@@ -345,6 +348,9 @@ class EoBoxSumIndex {
   }
 
   Status BulkLoad(const std::vector<BoxObject>& objects) {
+    for (const BoxObject& o : objects) {
+      BOXAGG_RETURN_NOT_OK(CheckBox(o.box, dims_));
+    }
     for (Term& t : terms_) {
       std::vector<PointEntry<double>> pts;
       pts.reserve(objects.size());

@@ -157,90 +157,49 @@ class EcdfBTree {
   }
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Total value of all points dominated by `q` (Sec. 2 semantics).
+  /// Total value of all points dominated by `q` (Sec. 2 semantics): a
+  /// one-probe DominanceSumBatch, i.e. the single root-to-leaf walk.
   ///
   /// `obs_level` offsets the per-level node-visit attribution (obs/):
   /// border sub-trees hanging off level L are probed at level L+1, so the
   /// composite structure's depth breakdown stays consistent.
   Status DominanceSum(const Point& q, V* out, unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSum(q[0], out, obs_level);
-    }
-    PageId pid = root_;
-    Point projected = q.DropDim(0, dims_);
-    for (unsigned level = obs_level;; ++level) {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(level);
-      const Page* p = g.page();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        for (uint32_t i = 0; i < n; ++i) {
-          Point pt = LeafPoint(p, i);
-          if (pt[0] > q[0]) break;
-          if (q.Dominates(pt, dims_)) {
-            V v;
-            ReadLeafValue(p, i, &v);
-            *out += v;
-          }
-        }
-        return Status::OK();
-      }
-      uint32_t idx = RouteInternal(p, n, q[0]);
-      if (variant_ == EcdfVariant::kUpdateOptimized) {
-        // Sum the borders of every child left of the path.
-        if (idx > 0) obs::NoteBorderProbes(idx);
-        for (uint32_t i = 0; i < idx; ++i) {
-          V part;
-          EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, i), view_);
-          BOXAGG_RETURN_NOT_OK(sub.DominanceSum(projected, &part, level + 1));
-          *out += part;
-        }
-      } else if (idx > 0) {
-        // One prefix border covers everything left of the path.
-        obs::NoteBorderProbes(1);
-        V part;
-        EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, idx - 1),
-                      view_);
-        BOXAGG_RETURN_NOT_OK(sub.DominanceSum(projected, &part, level + 1));
-        *out += part;
-      }
-      pid = InternalChild(p, idx);
-    }
+    return DominanceSumBatch(&q, 1, out, obs_level);
   }
 
-  /// Batched dominance sums: outs[i] = DominanceSum(qs[i]), bit-identical to
-  /// `count` independent calls — each probe performs the same border and leaf
-  /// additions in the same order; only the traversal order across probes and
-  /// the page-fetch count change. Probes are sorted by the dim-0 key so the
-  /// main branch routes them monotonically: each node is fetched once per
-  /// batch, and border subtrees are themselves probed with sub-batches
-  /// (recursively down to the 1-d AggBTree base case). With count == 1 the
-  /// fetch/pin sequence is exactly DominanceSum's (seed I/O fidelity).
+  /// Batched dominance sums: outs[i] = total value of all points dominated
+  /// by qs[i]. A probe's border and leaf additions (same values, same
+  /// order) and the pages on its path do not depend on which other probes
+  /// share its batch, so results are bit-identical for any batching. Probes
+  /// are sorted by the dim-0 key so the main branch routes them
+  /// monotonically: each node is fetched once per batch, and border
+  /// subtrees are themselves probed with sub-batches (recursively down to
+  /// the 1-d AggBTree base case).
   Status DominanceSumBatch(const Point* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
     if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
+    core::Arena& arena = core::ScratchArena();
+    core::ArenaScope scope(arena);
     if (dims_ == 1) {
-      core::ArenaVector<double> keys(count);
+      double one_key = 0;
+      double* keys = core::ScratchArray(arena, count, &one_key);
       for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
       AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSumBatch(keys.data(), count, outs, obs_level);
+      return base.DominanceSumBatch(keys, count, outs, obs_level);
     }
-    core::ArenaVector<Point> projected(count);
+    Point one_pt;
+    Point* projected = core::ScratchArray(arena, count, &one_pt);
     for (size_t i = 0; i < count; ++i) projected[i] = qs[i].DropDim(0, dims_);
-    core::ArenaVector<uint32_t> order(count);
+    uint32_t one = 0;
+    uint32_t* order = core::ScratchArray(arena, count, &one);
     for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
+    std::sort(order, order + count, [qs](uint32_t a, uint32_t b) {
       if (qs[a][0] != qs[b][0]) return qs[a][0] < qs[b][0];
       return a < b;
     });
-    return DominanceBatchRec(root_, order.data(), count, qs, projected.data(),
-                             outs, obs_level);
+    return DominanceBatchRec(arena, root_, order, count, qs, projected, outs,
+                             obs_level);
   }
 
   // LINT:hot-path-end
@@ -981,108 +940,106 @@ class EcdfBTree {
   // ---- traversal ----------------------------------------------------------
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One main-branch node of the batched descent: `idx[0..m)` are probe
-  /// indices sorted by dim-0 key whose paths all pass through `pid`.
-  /// Per-probe arithmetic matches DominanceSum exactly: borders are added in
-  /// ascending record order (Bu) or as the single prefix border (Bq) before
-  /// the descent's contributions, and border probes happen while the node is
-  /// pinned, as in the sequential loop. The pin is dropped before descending.
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const Point* qs, const Point* projected, V* outs,
-                           unsigned obs_level = 0) const {
+  /// The batched descent below main-branch node `pid`: `idx[0..m)` are
+  /// probe indices sorted by dim-0 key whose paths all pass through `pid`.
+  /// Per probe, borders are added in ascending record order (Bu) or as the
+  /// single prefix border (Bq) before the walk's contributions below;
+  /// border probes run while the node is pinned, and the pin is dropped
+  /// before the walk goes down. While every probe routes to the same child
+  /// the walk continues in place; a node that splits the probes recurses
+  /// once per child.
+  Status DominanceBatchRec(core::Arena& arena, PageId pid,
+                           const uint32_t* idx, size_t m, const Point* qs,
+                           const Point* projected, V* outs,
+                           unsigned level) const {
     struct Group {
       uint32_t route;
       PageId child;
       size_t begin;
       size_t end;
     };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* p = g.page();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(p, i);
-            if (pt[0] > q[0]) break;
-            if (q.Dominates(pt, dims_)) {
-              V v;
-              ReadLeafValue(p, i, &v);
-              *out += v;
+    for (;; ++level) {
+      core::ArenaScope scope(arena);
+      core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(&arena)};
+      {
+        PageGuard g;
+        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        obs::NoteNodeVisit(level);
+        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
+        const Page* p = g.page();
+        uint32_t n = Count(p);
+        if (Type(p) == kLeaf) {
+          for (size_t j = 0; j < m; ++j) {
+            const Point& q = qs[idx[j]];
+            V& out = outs[idx[j]];
+            for (uint32_t i = 0; i < n; ++i) {
+              Point pt = LeafPoint(p, i);
+              if (pt[0] > q[0]) break;
+              if (q.Dominates(pt, dims_)) {
+                V v;
+                ReadLeafValue(p, i, &v);
+                out += v;
+              }
             }
           }
+          return Status::OK();
         }
-        return Status::OK();
-      }
-      // Sorted probes route monotonically, so per-child groups are
-      // contiguous runs of idx with strictly increasing routes.
-      size_t j = 0;
-      while (j < m) {
-        const uint32_t route = RouteInternal(p, n, qs[idx[j]][0]);
-        size_t k = j + 1;
-        while (k < m && RouteInternal(p, n, qs[idx[k]][0]) == route) ++k;
-        groups.push_back(Group{route, InternalChild(p, route), j, k});
-        j = k;
-      }
-      if (variant_ == EcdfVariant::kUpdateOptimized) {
-        // Border i is needed by every probe routed right of record i — a
-        // contiguous suffix of the sorted batch. Probing borders in
-        // ascending i gives each probe its border additions in the same
-        // order as the sequential `for (i < idx)` loop.
-        size_t gi = 0;  // first group with route > i
-        core::ArenaVector<Point> pts;
-        core::ArenaVector<V> parts;
-        for (uint32_t i = 0; i < groups.back().route; ++i) {
-          while (groups[gi].route <= i) ++gi;
-          const size_t s = groups[gi].begin;
-          const size_t gs = m - s;
-          pts.resize(gs);
-          parts.resize(gs);
+        // Sorted probes route monotonically, so per-child groups are
+        // contiguous runs of idx with strictly increasing routes.
+        size_t j = 0;
+        while (j < m) {
+          const uint32_t route = RouteInternal(p, n, qs[idx[j]][0]);
+          size_t k = j + 1;
+          while (k < m && RouteInternal(p, n, qs[idx[k]][0]) == route) ++k;
+          groups.push_back(Group{route, InternalChild(p, route), j, k});
+          j = k;
+        }
+        Point one_pt;
+        V one_part{};
+        Point* pts = core::ScratchArray(arena, m, &one_pt);
+        V* parts = core::ScratchArray(arena, m, &one_part);
+        // Probes idx[s, e) through border `border`, each adding its sum.
+        auto probe_border = [&](PageId border, size_t s, size_t e) -> Status {
+          const size_t gs = e - s;
           for (size_t t = 0; t < gs; ++t) pts[t] = projected[idx[s + t]];
           obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, i), view_);
+          EcdfBTree sub(pool_, dims_ - 1, variant_, border, view_);
           BOXAGG_RETURN_NOT_OK(
-              sub.DominanceSumBatch(pts.data(), gs, parts.data(),
-                                    obs_level + 1));
+              sub.DominanceSumBatch(pts, gs, parts, level + 1));
           for (size_t t = 0; t < gs; ++t) outs[idx[s + t]] += parts[t];
-        }
-      } else {
-        // Bq: each route group reads exactly one prefix border.
-        core::ArenaVector<Point> pts;
-        core::ArenaVector<V> parts;
-        for (const Group& gr : groups) {
-          if (gr.route == 0) continue;
-          const size_t gs = gr.end - gr.begin;
-          pts.resize(gs);
-          parts.resize(gs);
-          for (size_t t = 0; t < gs; ++t) {
-            pts[t] = projected[idx[gr.begin + t]];
+          return Status::OK();
+        };
+        if (variant_ == EcdfVariant::kUpdateOptimized) {
+          // Border i is needed by every probe routed right of record i — a
+          // contiguous suffix of the sorted batch. Probing borders in
+          // ascending i gives each probe its border additions in ascending
+          // record order.
+          size_t gi = 0;  // first group with route > i
+          for (uint32_t i = 0; i < groups.back().route; ++i) {
+            while (groups[gi].route <= i) ++gi;
+            BOXAGG_RETURN_NOT_OK(
+                probe_border(InternalBorder(p, i), groups[gi].begin, m));
           }
-          obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_,
-                        InternalBorder(p, gr.route - 1), view_);
-          BOXAGG_RETURN_NOT_OK(
-              sub.DominanceSumBatch(pts.data(), gs, parts.data(),
-                                    obs_level + 1));
-          for (size_t t = 0; t < gs; ++t) {
-            outs[idx[gr.begin + t]] += parts[t];
+        } else {
+          // Bq: each route group reads exactly one prefix border.
+          for (const Group& gr : groups) {
+            if (gr.route == 0) continue;
+            BOXAGG_RETURN_NOT_OK(probe_border(InternalBorder(p, gr.route - 1),
+                                              gr.begin, gr.end));
           }
         }
       }
+      if (groups.size() == 1) {  // one child takes every probe: walk on
+        pid = groups[0].child;
+        continue;
+      }
+      for (const Group& gr : groups) {
+        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(arena, gr.child, idx + gr.begin,
+                                               gr.end - gr.begin, qs,
+                                               projected, outs, level + 1));
+      }
+      return Status::OK();
     }
-    for (const Group& gr : groups) {
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
-                                             gr.end - gr.begin, qs, projected,
-                                             outs, obs_level + 1));
-    }
-    return Status::OK();
   }
 
   // LINT:hot-path-end

@@ -189,26 +189,18 @@ class CompactReplica {
   }
 
   // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
-  /// Total value over points dominated by `q`; mirrors
-  /// PackedBaTree::DominanceSum (and AggBTree's when dims == 1) addition
-  /// for addition, so results are byte-identical to the source tree.
+  /// Total value over points dominated by `q`: a one-probe
+  /// DominanceSumBatch, i.e. the single root-to-leaf walk.
   Status DominanceSum(const Point& query, V* out,
                       unsigned obs_level = 0) const {
-    *out = V{};
-    BOXAGG_RETURN_NOT_OK(EnsureOpen());
-    const Cache& c = *cache_;
-    if (root_ == kInvalidPageId || c.node_count == 0) return Status::OK();
-    Point q = query;
-    for (int d = 0; d < dims_; ++d) {
-      q[d] = std::min(q[d], std::numeric_limits<double>::max());
-    }
-    return SumRec(c, 0, q, dims_, out, obs_level);
+    return DominanceSumBatch(&query, 1, out, obs_level);
   }
 
-  /// Batched dominance sums, bit-identical to `count` independent calls —
-  /// the same grouping discipline as the live trees (first containing
-  /// record wins, spilled borders before descents), so count == 1
-  /// reproduces the sequential fetch sequence.
+  /// Batched dominance sums with the live trees' discipline (clamp, lex
+  /// sort, first containing record wins, spilled borders before the walk
+  /// goes down), so every probe makes the source tree's additions in the
+  /// source tree's order and results are byte-identical to it for any
+  /// batching.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -217,7 +209,17 @@ class CompactReplica {
     if (root_ == kInvalidPageId || c.node_count == 0 || count == 0) {
       return Status::OK();
     }
-    return SortedBatch(c, 0, queries, count, outs, dims_, obs_level);
+    core::Arena& arena = core::ScratchArena();
+    core::ArenaScope scope(arena);
+    Point one;
+    Point* qs = core::ScratchArray(arena, count, &one);
+    for (size_t i = 0; i < count; ++i) {
+      qs[i] = queries[i];
+      for (int d = 0; d < dims_; ++d) {
+        qs[i][d] = std::min(qs[i][d], std::numeric_limits<double>::max());
+      }
+    }
+    return ClampedBatch(arena, c, 0, qs, count, outs, dims_, obs_level);
   }
   // LINT:hot-path-end
 
@@ -466,11 +468,6 @@ class CompactReplica {
     std::vector<uint64_t> val_dict;  // raw V bit patterns
   };
 
-  struct SpillProbe {
-    int b;
-    uint64_t ord;
-  };
-
   Status EnsureOpen() const {
     if (cache_) return Status::OK();
     return const_cast<CompactReplica*>(this)->Open();
@@ -539,28 +536,65 @@ class CompactReplica {
     }
   }
 
-  /// Sequential descent; mirrors PackedBaTree::DominanceSum's per-level
-  /// pin/arena discipline, and AggBTree::DominanceSum for the 1-d node
-  /// kinds (the main tree when dims_ == 1, spilled borders at depth 1).
-  Status SumRec(const Cache& c, uint64_t ord, const Point& q, int dims,
-                V* out, unsigned obs_level) const {
-    for (unsigned level = obs_level;; ++level) {
-      core::ArenaScope scope(core::ScratchArena());
-      core::ArenaVector<SpillProbe> tree_borders;
-      uint64_t next = 0;
+  /// Sorts already clamped probes lexicographically (tie: original index)
+  /// and runs the batched descent from node `ord`; `outs` must be zero. The
+  /// entry discipline of both PackedBaTree (lex sort over dims) and
+  /// AggBTree (key sort == lex sort at dims == 1), so it serves the
+  /// top-level batch AND the spilled-border sub-batch.
+  Status ClampedBatch(core::Arena& arena, const Cache& c, uint64_t ord,
+                      const Point* qs, size_t count, V* outs, int dims,
+                      unsigned obs_level) const {
+    uint32_t one = 0;
+    uint32_t* order = core::ScratchArray(arena, count, &one);
+    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
+    std::sort(order, order + count, [dims, qs](uint32_t a, uint32_t b) {
+      if (LexLess(qs[a], qs[b], dims)) return true;
+      if (LexLess(qs[b], qs[a], dims)) return false;
+      return a < b;
+    });
+    return BatchRec(arena, c, ord, order, count, qs, outs, dims, obs_level);
+  }
+
+  /// The batched descent below node `ord`; a kind-dispatched mirror of
+  /// PackedBaTree::DominanceBatchRec and AggBTree::DominanceBatchRec.
+  /// Aggregate nodes split the key-sorted `idx[0..m)` into contiguous runs
+  /// per child and decode only the value prefix their probes add; BA nodes
+  /// regroup `idx` in place per record. While every probe takes the same
+  /// child the walk continues in place; a node that splits the probes
+  /// recurses once per child.
+  Status BatchRec(core::Arena& arena, const Cache& c, uint64_t ord,
+                  uint32_t* idx, size_t m, const Point* qs, V* outs,
+                  int dims, unsigned level) const {
+    struct Group {  // idx[begin, end) go to child `child`
+      uint64_t child;
+      size_t begin;
+      size_t end;
+      int spills;  // spilled borders: dimension and tree ordinal
+      int spill_dims[kMaxDims];
+      uint64_t spill_ords[kMaxDims];
+    };
+    for (;; ++level) {
+      core::ArenaScope scope(arena);
+      Group one{};
+      Group* groups = nullptr;
+      size_t n_groups = 0;
       {
         PageGuard g;
         const uint8_t* p = nullptr;
         BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
         obs::NoteNodeVisit(level);
+        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
         const uint8_t kind = *p++;
         const uint32_t n = static_cast<uint32_t>(replica::ReadVarint(&p));
-        // Drained leaves (possible after forced splits in the source tree)
-        // are encoded as a bare kind + count; nothing follows.
-        if (n == 0) return Status::OK();
-        if (kind == replica::kNodeAggLeaf) {
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<double> keys(n);
+        if (n == 0) return Status::OK();  // drained leaf: nothing follows
+        core::ArenaVector<uint64_t> tok(n,
+                                        core::ArenaAllocator<uint64_t>(&arena));
+        groups = core::ScratchArray(arena, std::min<size_t>(n, m), &one);
+        const bool leaf = kind == replica::kNodeAggLeaf;
+        if (leaf || kind == replica::kNodeAggInternal) {
+          const uint64_t first_child = leaf ? 0 : replica::ReadVarint(&p);
+          core::ArenaVector<double> keys(n,
+                                         core::ArenaAllocator<double>(&arena));
           const replica::StripRef ks = replica::ParseStrip(&p, n);
           replica::DecodeStripU64(ks, n, tok.data());
           if ((ks.header & replica::kStripDictBit) != 0) {
@@ -570,323 +604,139 @@ class CompactReplica {
               keys[i] = replica::UnmapDouble(tok[i]);
             }
           }
-          const uint32_t cut = simd::FirstGreater(keys.data(), n, q[0]);
-          core::ArenaVector<V> vals(cut);
-          DecodeValueStrip(c, &p, n, cut, tok.data(), vals.data());
-          for (uint32_t i = 0; i < cut; ++i) *out += vals[i];
-          return Status::OK();
-        }
-        if (kind == replica::kNodeAggInternal) {
-          const uint64_t first_child = replica::ReadVarint(&p);
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<double> lowkeys(n);
-          const replica::StripRef ks = replica::ParseStrip(&p, n);
-          replica::DecodeStripU64(ks, n, tok.data());
-          if ((ks.header & replica::kStripDictBit) != 0) {
-            for (uint32_t i = 0; i < n; ++i) {
-              lowkeys[i] = c.key_dict[tok[i]];
-            }
-          } else {
-            for (uint32_t i = 0; i < n; ++i) {
-              lowkeys[i] = replica::UnmapDouble(tok[i]);
-            }
+          // A leaf probe adds values [0, cut); an internal probe adds the
+          // subtree sums [0, route) and goes to child `route` (lowkey 0
+          // acts as -infinity).
+          uint32_t one_cut = 0;
+          uint32_t* cuts = core::ScratchArray(arena, m, &one_cut);
+          uint32_t take = 0;
+          for (size_t j = 0; j < m; ++j) {
+            cuts[j] = leaf ? simd::FirstGreater(keys.data(), n, qs[idx[j]][0])
+                           : simd::FirstGreater(keys.data() + 1, n - 1,
+                                                qs[idx[j]][0]);
+            take = std::max(take, cuts[j]);
           }
-          const uint32_t route =
-              simd::FirstGreater(lowkeys.data() + 1, n - 1, q[0]);
-          core::ArenaVector<V> sums(route);
-          DecodeValueStrip(c, &p, n, route, tok.data(), sums.data());
-          for (uint32_t i = 0; i < route; ++i) *out += sums[i];
-          next = first_child + route;
+          core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(&arena));
+          DecodeValueStrip(c, &p, n, take, tok.data(), vals.data());
+          for (size_t j = 0; j < m; ++j) {
+            V acc = outs[idx[j]];
+            for (uint32_t i = 0; i < cuts[j]; ++i) acc += vals[i];
+            outs[idx[j]] = acc;
+          }
+          if (leaf) return Status::OK();
+          // Sorted probes route monotonically: groups are runs of idx.
+          for (size_t j = 0; j < m;) {
+            size_t k = j + 1;
+            while (k < m && cuts[k] == cuts[j]) ++k;
+            groups[n_groups++] = Group{first_child + cuts[j], j, k, 0, {}, {}};
+            j = k;
+          }
         } else if (kind == replica::kNodeBaLeaf) {
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<Point> pts(n);
+          core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(&arena));
           DecodePointColumns(c, &p, n, dims, tok.data(), pts.data());
-          core::ArenaVector<V> vals(n);
+          core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(&arena));
           DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-          for (uint32_t i = 0; i < n; ++i) {
-            if (q.Dominates(pts[i], dims)) *out += vals[i];
+          for (size_t j = 0; j < m; ++j) {
+            const Point& q = qs[idx[j]];
+            V acc = outs[idx[j]];
+            for (uint32_t i = 0; i < n; ++i) {
+              if (q.Dominates(pts[i], dims)) acc += vals[i];
+            }
+            outs[idx[j]] = acc;
           }
           return Status::OK();
         } else {  // kNodeBaInternal
           const uint64_t first_child = replica::ReadVarint(&p);
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<Box> boxes(n);
-          for (uint32_t i = 0; i < n; ++i) boxes[i] = Box{};
+          core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(&arena));
           DecodeBoxColumns(c, &p, n, dims, tok.data(), boxes.data());
-          core::ArenaVector<V> subs(n);
+          core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(&arena));
           DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
-          bool found = false;
-          for (uint32_t i = 0; i < n && !found; ++i) {
-            if (!boxes[i].ContainsPointHalfOpen(q, dims)) {
+          size_t assigned = 0;  // idx[0, assigned) have their record
+          for (uint32_t i = 0; i < n && assigned < m; ++i) {
+            const size_t begin = assigned;
+            for (size_t t = assigned; t < m; ++t) {
+              if (boxes[i].ContainsPointHalfOpen(qs[idx[t]], dims)) {
+                std::swap(idx[t], idx[assigned++]);
+              }
+            }
+            if (assigned == begin) {
               SkipBorderSection(&p, dims);
               continue;
             }
-            found = true;
-            *out += subs[i];
+            Group& gr = groups[n_groups++];
+            gr.child = first_child + i;
+            gr.begin = begin;
+            gr.end = assigned;
+            gr.spills = 0;
+            for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += subs[i];
             for (int b = 0; b < dims; ++b) {
               const uint8_t tag = *p++;
               if (tag == replica::kBorderEmpty) continue;
-              Point projected = q.DropDim(b, dims);
-              if (tag == replica::kBorderInline) {
-                const uint32_t cnt =
-                    static_cast<uint32_t>(replica::ReadVarint(&p));
-                core::ArenaVector<uint64_t> btok(cnt);
-                core::ArenaVector<Point> bpts(cnt);
-                DecodePointColumns(c, &p, cnt, dims - 1, btok.data(),
-                                   bpts.data());
-                core::ArenaVector<V> bvals(cnt);
-                DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
-                for (uint32_t k = 0; k < cnt; ++k) {
-                  if (projected.Dominates(bpts[k], dims - 1)) {
-                    *out += bvals[k];
-                  }
-                }
-              } else {
-                tree_borders.push_back(
-                    SpillProbe{b, replica::ReadVarint(&p)});
+              if (tag != replica::kBorderInline) {
+                gr.spill_dims[gr.spills] = b;
+                gr.spill_ords[gr.spills++] = replica::ReadVarint(&p);
+                continue;
               }
-            }
-            next = first_child + i;
-          }
-          if (!found) {
-            return Status::Corruption(
-                "query point not covered by any record");
-          }
-        }
-      }
-      for (const SpillProbe& tb : tree_borders) {
-        obs::NoteBorderProbes(1);
-        V part{};
-        BOXAGG_RETURN_NOT_OK(SumRec(c, tb.ord, q.DropDim(tb.b, dims),
-                                    dims - 1, &part, level + 1));
-        *out += part;
-      }
-      ord = next;
-    }
-  }
-
-  /// Zeroes outs, clamps, sorts probes lexicographically (tie: original
-  /// index) and runs the batched descent — the entry discipline of both
-  /// PackedBaTree::DominanceSumBatch (lex sort over dims) and
-  /// AggBTree::DominanceSumBatch (key sort == lex sort at dims == 1), so
-  /// it serves as the top-level batch AND the spilled-border sub-batch.
-  Status SortedBatch(const Cache& c, uint64_t ord, const Point* queries,
-                     size_t count, V* outs, int dims,
-                     unsigned obs_level) const {
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Point> qs(queries, queries + count);
-    for (auto& q : qs) {
-      for (int d = 0; d < dims; ++d) {
-        q[d] = std::min(q[d], std::numeric_limits<double>::max());
-      }
-    }
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    const core::ArenaVector<Point>& q_ref = qs;
-    std::sort(order.begin(), order.end(),
-              [dims, &q_ref](uint32_t a, uint32_t b) {
-                if (LexLess(q_ref[a], q_ref[b], dims)) return true;
-                if (LexLess(q_ref[b], q_ref[a], dims)) return false;
-                return a < b;
-              });
-    return BatchRec(c, ord, order.data(), count, qs.data(), outs, dims,
-                    obs_level);
-  }
-
-  /// One node of the batched descent; kind-dispatched mirror of
-  /// PackedBaTree::DominanceBatchRec and AggBTree::DominanceBatchRec.
-  Status BatchRec(const Cache& c, uint64_t ord, const uint32_t* idx,
-                  size_t m, const Point* qs, V* outs, int dims,
-                  unsigned obs_level) const {
-    struct Spill {
-      int b;
-      uint64_t ord;
-    };
-    struct Group {
-      uint64_t child;
-      core::ArenaVector<uint32_t> members;  // original probe indices
-      core::ArenaVector<Spill> spills;
-    };
-    struct Run {  // agg-internal groups: contiguous slices of idx
-      uint64_t child;
-      size_t begin;
-      size_t end;
-    };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    core::ArenaVector<Run> runs;
-    {
-      PageGuard g;
-      const uint8_t* p = nullptr;
-      BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const uint8_t kind = *p++;
-      const uint32_t n = static_cast<uint32_t>(replica::ReadVarint(&p));
-      if (n == 0) return Status::OK();  // drained leaf: nothing follows
-      if (kind == replica::kNodeAggLeaf) {
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<double> keys(n);
-        const replica::StripRef ks = replica::ParseStrip(&p, n);
-        replica::DecodeStripU64(ks, n, tok.data());
-        if ((ks.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) keys[i] = c.key_dict[tok[i]];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            keys[i] = replica::UnmapDouble(tok[i]);
-          }
-        }
-        core::ArenaVector<V> vals(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-        for (size_t j = 0; j < m; ++j) {
-          const uint32_t cut =
-              simd::FirstGreater(keys.data(), n, qs[idx[j]][0]);
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < cut; ++i) *out += vals[i];
-        }
-        return Status::OK();
-      }
-      if (kind == replica::kNodeAggInternal) {
-        const uint64_t first_child = replica::ReadVarint(&p);
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<double> lowkeys(n);
-        const replica::StripRef ks = replica::ParseStrip(&p, n);
-        replica::DecodeStripU64(ks, n, tok.data());
-        if ((ks.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) lowkeys[i] = c.key_dict[tok[i]];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            lowkeys[i] = replica::UnmapDouble(tok[i]);
-          }
-        }
-        core::ArenaVector<V> sums(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), sums.data());
-        size_t j = 0;
-        while (j < m) {
-          const uint32_t route =
-              simd::FirstGreater(lowkeys.data() + 1, n - 1, qs[idx[j]][0]);
-          size_t k = j + 1;
-          while (k < m &&
-                 simd::FirstGreater(lowkeys.data() + 1, n - 1,
-                                    qs[idx[k]][0]) == route) {
-            ++k;
-          }
-          for (size_t t = j; t < k; ++t) {
-            V* out = &outs[idx[t]];
-            for (uint32_t i = 0; i < route; ++i) *out += sums[i];
-          }
-          runs.push_back(Run{first_child + route, j, k});
-          j = k;
-        }
-      } else if (kind == replica::kNodeBaLeaf) {
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<Point> pts(n);
-        DecodePointColumns(c, &p, n, dims, tok.data(), pts.data());
-        core::ArenaVector<V> vals(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            if (q.Dominates(pts[i], dims)) *out += vals[i];
-          }
-        }
-        return Status::OK();
-      } else {  // kNodeBaInternal
-        const uint64_t first_child = replica::ReadVarint(&p);
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<Box> boxes(n);
-        for (uint32_t i = 0; i < n; ++i) boxes[i] = Box{};
-        DecodeBoxColumns(c, &p, n, dims, tok.data(), boxes.data());
-        core::ArenaVector<V> subs(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
-        core::ArenaVector<uint8_t> taken(m, 0);
-        size_t assigned = 0;
-        for (uint32_t i = 0; i < n && assigned < m; ++i) {
-          core::ArenaVector<uint32_t> members;
-          for (size_t j = 0; j < m; ++j) {
-            if (taken[j]) continue;
-            if (boxes[i].ContainsPointHalfOpen(qs[idx[j]], dims)) {
-              taken[j] = 1;
-              ++assigned;
-              members.push_back(idx[j]);
-            }
-          }
-          if (members.empty()) {
-            SkipBorderSection(&p, dims);
-            continue;
-          }
-          for (uint32_t probe : members) outs[probe] += subs[i];
-          core::ArenaVector<Spill> spills;
-          for (int b = 0; b < dims; ++b) {
-            const uint8_t tag = *p++;
-            if (tag == replica::kBorderEmpty) continue;
-            if (tag == replica::kBorderInline) {
               const uint32_t cnt =
                   static_cast<uint32_t>(replica::ReadVarint(&p));
-              core::ArenaVector<uint64_t> btok(cnt);
-              core::ArenaVector<Point> bpts(cnt);
+              core::ArenaScope block_scope(arena);
+              core::ArenaVector<uint64_t> btok(
+                  cnt, core::ArenaAllocator<uint64_t>(&arena));
+              core::ArenaVector<Point> bpts(
+                  cnt, core::ArenaAllocator<Point>(&arena));
               DecodePointColumns(c, &p, cnt, dims - 1, btok.data(),
                                  bpts.data());
-              core::ArenaVector<V> bvals(cnt);
+              core::ArenaVector<V> bvals(cnt, core::ArenaAllocator<V>(&arena));
               DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
-              for (uint32_t probe : members) {
-                Point projected = qs[probe].DropDim(b, dims);
+              for (size_t t = begin; t < assigned; ++t) {
+                const Point projected = qs[idx[t]].DropDim(b, dims);
+                V acc = outs[idx[t]];
                 for (uint32_t k = 0; k < cnt; ++k) {
-                  if (projected.Dominates(bpts[k], dims - 1)) {
-                    outs[probe] += bvals[k];
-                  }
+                  if (projected.Dominates(bpts[k], dims - 1)) acc += bvals[k];
                 }
+                outs[idx[t]] = acc;
               }
-            } else {
-              spills.push_back(Spill{b, replica::ReadVarint(&p)});
             }
           }
-          groups.push_back(Group{first_child + i, std::move(members),
-                                 std::move(spills)});
-        }
-        if (assigned != m) {
-          return Status::Corruption(
-              "query point not covered by any record");
+          if (assigned != m) {
+            return Status::Corruption("query point not covered by any record");
+          }
         }
       }
-    }
-    if (!runs.empty()) {
-      for (const Run& r : runs) {
-        BOXAGG_RETURN_NOT_OK(BatchRec(c, r.child, idx + r.begin,
-                                      r.end - r.begin, qs, outs, dims,
-                                      obs_level + 1));
+      // Every spilled border of this node before any descent, like the live
+      // tree; each sub-batch sorts its projected probes exactly as the live
+      // tree's spilled-border sub-batch over the same root would.
+      for (size_t k = 0; k < n_groups; ++k) {
+        const Group& gr = groups[k];
+        const size_t gs = gr.end - gr.begin;
+        for (int s = 0; s < gr.spills; ++s) {
+          core::ArenaScope spill_scope(arena);
+          Point one_pt;
+          V one_part{};
+          Point* pts = core::ScratchArray(arena, gs, &one_pt);
+          V* parts = core::ScratchArray(arena, gs, &one_part);
+          for (size_t t = 0; t < gs; ++t) {
+            pts[t] = qs[idx[gr.begin + t]].DropDim(gr.spill_dims[s], dims);
+            parts[t] = V{};
+          }
+          obs::NoteBorderProbes(gs);
+          BOXAGG_RETURN_NOT_OK(ClampedBatch(arena, c, gr.spill_ords[s], pts,
+                                            gs, parts, dims - 1, level + 1));
+          for (size_t t = 0; t < gs; ++t) outs[idx[gr.begin + t]] += parts[t];
+        }
+      }
+      if (n_groups == 1) {  // one child takes every probe: walk on
+        ord = groups[0].child;
+        continue;
+      }
+      for (size_t k = 0; k < n_groups; ++k) {
+        BOXAGG_RETURN_NOT_OK(BatchRec(arena, c, groups[k].child,
+                                      idx + groups[k].begin,
+                                      groups[k].end - groups[k].begin, qs,
+                                      outs, dims, level + 1));
       }
       return Status::OK();
     }
-    // Spilled borders of this node before any descent, like the live
-    // tree's per-level tree_borders pass; each sub-batch re-clamps and
-    // re-sorts its projected probes exactly as a fresh
-    // PackedBaTree::DominanceSumBatch over the spilled root would.
-    core::ArenaVector<Point> pts;
-    core::ArenaVector<V> parts;
-    for (const Group& gr : groups) {
-      const size_t gs = gr.members.size();
-      for (const Spill& sp : gr.spills) {
-        pts.resize(gs);
-        parts.resize(gs);
-        for (size_t t = 0; t < gs; ++t) {
-          pts[t] = qs[gr.members[t]].DropDim(sp.b, dims);
-        }
-        for (size_t t = 0; t < gs; ++t) parts[t] = V{};
-        obs::NoteBorderProbes(gs);
-        BOXAGG_RETURN_NOT_OK(SortedBatch(c, sp.ord, pts.data(), gs,
-                                         parts.data(), dims - 1,
-                                         obs_level + 1));
-        for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
-      }
-    }
-    for (const Group& gr : groups) {
-      BOXAGG_RETURN_NOT_OK(BatchRec(c, gr.child, gr.members.data(),
-                                    gr.members.size(), qs, outs, dims,
-                                    obs_level + 1));
-    }
-    return Status::OK();
   }
 
   /// Decodes 2*dims box-corner strips (lo columns then hi columns).

@@ -1,8 +1,9 @@
 // Tests for the batched query path: DominanceSumBatch on every backend,
 // BoxSumIndex::QueryBatch (corner dedup + per-sign-index grouping), batch=1
-// I/O fidelity to the per-probe seed path, and morsel-grouped parallel
-// execution. The contract everywhere is BYTE-identity: batching may change
-// traversal order and page-fetch counts, never a single result bit.
+// I/O pinned to goldens of the sequential seed descent, and morsel-grouped
+// parallel execution. The contract everywhere is BYTE-identity: batching
+// may change traversal order and page-fetch counts, never a single result
+// bit.
 
 #include <gtest/gtest.h>
 
@@ -74,7 +75,9 @@ std::vector<Box> QueriesDims(int dims, size_t count, uint64_t seed) {
   return out;
 }
 
-// The pre-batching per-query read path: one DominanceSum per sign index.
+// The per-corner read path: one DominanceSum per sign index, no corner
+// dedup. DominanceSum is a one-probe DominanceSumBatch, so this path and
+// QueryBatch share one descent per structure.
 template <class Index>
 void SeedPathQuery(BoxSumIndex<Index>* index, const Box& q, double* out) {
   *out = 0;
@@ -87,6 +90,8 @@ void SeedPathQuery(BoxSumIndex<Index>* index, const Box& q, double* out) {
   }
 }
 
+// One 502-probe batch against 502 one-probe batches (DominanceSum): the
+// big batch groups probes per child, the small ones walk alone.
 TEST(AggBTreeBatch, MatchesSequentialByteForByte) {
   MemPageFile file(512);  // tiny pages -> several levels
   BufferPool pool(&file, 256);
@@ -118,9 +123,10 @@ TEST(AggBTreeBatch, MatchesSequentialByteForByte) {
 }
 
 // Property: QueryBatch output is byte-identical to a sequential per-query
-// loop AND to the per-sign-index seed path, for every backend and 1-3
-// dimensions, over a query mix with degenerate and repeated boxes. Batch
-// queries are reads: CheckConsistency afterwards confirms nothing mutated.
+// loop AND to the per-corner path (one-probe batches), for every backend
+// and 1-3 dimensions, over a query mix with degenerate and repeated boxes.
+// Batch queries are reads: CheckConsistency afterwards confirms nothing
+// mutated.
 template <class Index, class Factory>
 void CheckBatchProperty(int dims, int n, uint32_t seed, Factory factory) {
   MemPageFile file(2048);
@@ -203,11 +209,20 @@ TEST(BatchBoxSumProperty, BaTree) {
   }
 }
 
-// batch=1 must issue the exact Fetch sequence of the per-probe seed path:
-// cumulative logical reads, buffer hits, AND physical reads (LRU eviction
-// order included — the pool is sized small enough to evict) all match.
+// batch=1 I/O, pinned to goldens: cumulative logical reads, buffer hits
+// AND physical reads (LRU eviction order included — the pool is sized small
+// enough to evict) of 30 one-box batches, recorded from the build whose
+// DominanceSum was still a separate sequential descent. The per-corner path
+// must read exactly the same pages as QueryBatch(&q, 1).
+struct IoGolden {
+  uint64_t logical_reads;
+  uint64_t buffer_hits;
+  uint64_t physical_reads;
+};
+
 template <class Index, class Factory>
-void CheckBatchOneIoFidelity(Factory factory, uint32_t seed = 77) {
+void CheckBatchOneIoFidelity(const IoGolden& golden, Factory factory,
+                             uint32_t seed = 77) {
   MemPageFile file(1024);
   BufferPool pool(&file, 32);  // tight: eviction order differences would show
   auto objs = World2d(2500, seed);
@@ -234,31 +249,37 @@ void CheckBatchOneIoFidelity(Factory factory, uint32_t seed = 77) {
 
   EXPECT_EQ(
       std::memcmp(one.data(), seq.data(), seq.size() * sizeof(double)), 0);
-  EXPECT_EQ(batch_io.logical_reads, seed_io.logical_reads);
-  EXPECT_EQ(batch_io.buffer_hits, seed_io.buffer_hits);
-  EXPECT_EQ(batch_io.physical_reads, seed_io.physical_reads);
-  EXPECT_EQ(batch_io.probe_fetches_saved, 0u);  // no grouping at batch=1
+  for (const IoStats& io : {seed_io, batch_io}) {
+    EXPECT_EQ(io.logical_reads, golden.logical_reads);
+    EXPECT_EQ(io.buffer_hits, golden.buffer_hits);
+    EXPECT_EQ(io.physical_reads, golden.physical_reads);
+    EXPECT_EQ(io.probe_fetches_saved, 0u);  // no grouping at batch=1
+  }
 }
 
 TEST(BatchIoFidelity, EcdfBuBatchOneMatchesSeed) {
-  CheckBatchOneIoFidelity<EcdfBTree<double>>([](BufferPool* pool, int d) {
-    return EcdfBTree<double>(pool, d, EcdfVariant::kUpdateOptimized);
-  });
+  CheckBatchOneIoFidelity<EcdfBTree<double>>(
+      {3176, 0, 3176}, [](BufferPool* pool, int d) {
+        return EcdfBTree<double>(pool, d, EcdfVariant::kUpdateOptimized);
+      });
 }
 
 TEST(BatchIoFidelity, EcdfBqBatchOneMatchesSeed) {
-  CheckBatchOneIoFidelity<EcdfBTree<double>>([](BufferPool* pool, int d) {
-    return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
-  });
+  CheckBatchOneIoFidelity<EcdfBTree<double>>(
+      {1012, 403, 609}, [](BufferPool* pool, int d) {
+        return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
+      });
 }
 
 TEST(BatchIoFidelity, PackedBaTreeBatchOneMatchesSeed) {
   CheckBatchOneIoFidelity<PackedBaTree<double>>(
+      {1811, 32, 1779},
       [](BufferPool* pool, int d) { return PackedBaTree<double>(pool, d); });
 }
 
 TEST(BatchIoFidelity, BaTreeBatchOneMatchesSeed) {
   CheckBatchOneIoFidelity<PackedBaTree<double>>(
+      {1763, 50, 1713},
       [](BufferPool* pool, int d) { return PackedBaTree<double>(pool, d); },
       177);
 }

@@ -404,5 +404,34 @@ TEST(BoxSumIndexTest, BulkLoadRejectsMalformedObjects) {
   EXPECT_NEAR(s, want, 1e-9 * std::abs(want));
 }
 
+// The [13] reduction keeps a running total next to its term indexes, so a
+// NaN box that slipped in would be counted by every later query: no
+// dominance test matches its NaN keys, so it never counts as disjoint.
+TEST(BoxSumIndexTest, EoReductionRejectsMalformedBoxes) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 256);
+  EoBoxSumIndex<PackedBaTree<double>> eo(
+      2, [&](int dims) { return PackedBaTree<double>(&pool, dims); });
+  ASSERT_TRUE(eo.Insert(Box(Point(0.3, 0.3), Point(0.4, 0.4)), 4.0).ok());
+  const Box inverted(Point(0.6, 0.6), Point(0.2, 0.2));
+  const Box nan_lo(Point(kNaN, 0.2), Point(0.6, 0.6));
+  const Box nan_hi(Point(0.2, 0.2), Point(0.6, kNaN));
+  EXPECT_TRUE(IsInvalidArgument(eo.Insert(inverted, 1.0)));
+  EXPECT_TRUE(IsInvalidArgument(eo.Insert(nan_lo, 1.0)));
+  EXPECT_TRUE(IsInvalidArgument(eo.Insert(nan_hi, 1.0)));
+  double s = 0;
+  EXPECT_TRUE(IsInvalidArgument(eo.Query(inverted, &s)));
+  EXPECT_TRUE(IsInvalidArgument(eo.Query(nan_lo, &s)));
+  std::vector<BoxObject> objs = World(50, 21);
+  objs[30].box.lo[0] = kNaN;
+  EXPECT_TRUE(IsInvalidArgument(eo.BulkLoad(objs)));
+  // The rejected calls left the total and every term index alone: a query
+  // disjoint from the one stored box sees nothing, the whole space sees it.
+  ASSERT_TRUE(eo.Query(Box(Point(0.7, 0.7), Point(0.9, 0.9)), &s).ok());
+  EXPECT_EQ(s, 0.0);
+  ASSERT_TRUE(eo.Query(Box(Point(-kInf, -kInf), Point(kInf, kInf)), &s).ok());
+  EXPECT_DOUBLE_EQ(s, 4.0);
+}
+
 }  // namespace
 }  // namespace boxagg

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/logger.h"
-#include "obs/metrics.h"
 #include "obs/query_obs.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
@@ -42,17 +41,15 @@
 namespace boxagg {
 namespace bench {
 
-/// BOXAGG_OBS=1 installs a process-global metrics registry, trace ring, and
-/// query-observation sink (intentionally leaked: observability outlives every
-/// benchmark scope). CI uses this to verify that enabled-mode I/O counts are
+/// BOXAGG_OBS=1 installs a process-global trace ring and query-observation
+/// sink (intentionally leaked: observability outlives every benchmark
+/// scope). CI uses this to verify that enabled-mode I/O counts are
 /// bit-identical to disabled-mode — instrumentation observes, never fetches.
 inline void MaybeEnableObsFromEnv() {
   const char* v = std::getenv("BOXAGG_OBS");
   if (v == nullptr || std::atoi(v) == 0) return;
-  static auto* reg = new obs::MetricsRegistry();
   static auto* sink = new obs::RingBufferSink(1u << 16);
   static auto* qobs = new obs::QueryObs();
-  obs::MetricsRegistry::InstallGlobal(reg);
   obs::SetTraceSink(sink);
   obs::InstallQueryObs(qobs);
 }

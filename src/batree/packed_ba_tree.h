@@ -292,7 +292,10 @@ class PackedBaTree {
     }
     std::vector<Entry> pts;
     BOXAGG_RETURN_NOT_OK(CheckRec(root_, ctx, &pts));
-    if (ctx->check_oracle) return SelfOracle(pts);
+    if (ctx->check_oracle) {
+      return SampledSelfOracle(*this, dims_, pts,
+                               "self-oracle dominance-sum mismatch");
+    }
     return Status::OK();
   }
 
@@ -1631,33 +1634,6 @@ class PackedBaTree {
     PackedBaTree sub(pool_, dims_ - 1, broot, view_);
     std::vector<Entry> scratch;
     return sub.CheckRec(broot, ctx, &scratch);
-  }
-
-  Status SelfOracle(const std::vector<Entry>& pts) const {
-    const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
-    for (size_t k = 0; k < pts.size(); k += step) {
-      for (double jitter : {0.0, 0.25}) {
-        Point q = pts[k].pt;
-        for (int d = 0; d < dims_; ++d) q[d] += jitter;
-        V got;
-        BOXAGG_RETURN_NOT_OK(DominanceSum(q, &got));
-        V want{};
-        for (const Entry& e : pts) {
-          if (q.Dominates(e.pt, dims_)) want += e.value;
-        }
-        want -= got;
-        double drift = 0;
-        if constexpr (std::is_same_v<V, double>) {
-          drift = std::abs(want);
-        } else {
-          for (double c : want.c) drift += std::abs(c);
-        }
-        if (drift > 1e-6) {
-          return Status::Corruption("self-oracle dominance-sum mismatch");
-        }
-      }
-    }
-    return Status::OK();
   }
 
   Status DestroyRec(PageId pid) {

@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -136,6 +137,34 @@ double AggDrift(const V& a, const V& b) {
 /// values the tests and benches insert, tight enough to catch any real
 /// drift (a lost or double-counted entry shifts sums by >= one value).
 inline constexpr double kAggDriftTolerance = 1e-6;
+
+/// Sampled naive-oracle check of a dominance-sum index against the points
+/// it holds. About 400 of `pts` (all of them when there are at most 400)
+/// are probed twice, at the point itself and shifted by 0.25 in every
+/// dimension; `index.DominanceSum(q, &got)` must match the naive sum over
+/// `pts` within kAggDriftTolerance, or the check returns Corruption(`what`).
+template <class Index, class Entry>
+Status SampledSelfOracle(const Index& index, int dims,
+                         const std::vector<Entry>& pts, const char* what) {
+  using V = std::decay_t<decltype(Entry::value)>;
+  const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
+  for (size_t k = 0; k < pts.size(); k += step) {
+    for (double jitter : {0.0, 0.25}) {
+      auto q = pts[k].pt;
+      for (int d = 0; d < dims; ++d) q[d] += jitter;
+      V got;
+      BOXAGG_RETURN_NOT_OK(index.DominanceSum(q, &got));
+      V want{};
+      for (const Entry& e : pts) {
+        if (q.Dominates(e.pt, dims)) want += e.value;
+      }
+      if (AggDrift(want, got) > kAggDriftTolerance) {
+        return Status::Corruption(what);
+      }
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace boxagg
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "geom/point.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace boxagg {
@@ -15,19 +14,10 @@ namespace boxagg {
 
 void GenerationPin::Release() {
   if (bag_ != nullptr && snap_ != nullptr) {
-    if (acquire_us_ != 0) {
-      // Stamped at pin time only when a registry was installed; record
-      // against whatever registry is installed NOW (usually the same one).
-      if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-        reg->GetHistogram("bagfile.pin_hold_us", obs::LatencyBucketsUs())
-            ->Record(static_cast<double>(obs::NowMicros() - acquire_us_));
-      }
-    }
     bag_->Unpin(snap_->generation);
   }
   bag_ = nullptr;
   snap_.reset();
-  acquire_us_ = 0;
 }
 
 uint64_t GenerationPin::VersionKey(PageId logical) const {
@@ -431,8 +421,6 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
   }
   const uint64_t new_gen = generation_ + 1;
 
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-  const uint64_t commit_t0 = reg != nullptr ? obs::NowMicros() : 0;
   obs::Span commit_span("bag.commit");
   commit_span.SetGeneration(static_cast<int64_t>(new_gen));
 
@@ -493,19 +481,12 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
   //    >= its retired_at, so eligibility (min pinned >= retired_at) can
   //    only grow. In-memory bookkeeping only — if we crash before the
   //    pages are reused, recovery's orphan sweep reclaims them again.
-  size_t retired_now = 0;
   {
     obs::Span span("bag.commit.retire_push");
     span.SetGeneration(static_cast<int64_t>(new_gen));
-    const uint64_t retire_us = reg != nullptr ? obs::NowMicros() : 0;
     sync::MutexLock lock(&retire_mu_);
-    for (PageId id : old_map_pages) {
-      retired_.push_back({id, new_gen, retire_us});
-    }
-    for (PageId id : deferred_frees_) {
-      retired_.push_back({id, new_gen, retire_us});
-    }
-    retired_now = old_map_pages.size() + deferred_frees_.size();
+    for (PageId id : old_map_pages) retired_.push_back({id, new_gen});
+    for (PageId id : deferred_frees_) retired_.push_back({id, new_gen});
   }
   deferred_frees_.clear();
 
@@ -518,13 +499,6 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
     BOXAGG_RETURN_NOT_OK(ReclaimRetired(nullptr));
   }
 
-  if (reg != nullptr) {
-    reg->GetCounter("bagfile.commits")->Inc();
-    reg->GetCounter("bagfile.pages_retired")->Inc(retired_now);
-    reg->GetHistogram("bagfile.commit_latency_us", obs::LatencyBucketsUs())
-        ->Record(static_cast<double>(obs::NowMicros() - commit_t0));
-  }
-
   if (post_commit_hook_) {
     obs::Span span("bag.commit.post_hook");
     span.SetGeneration(static_cast<int64_t>(new_gen));
@@ -534,17 +508,12 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
 }
 
 Status BagFile::PinCurrent(GenerationPin* out) {
-  // Clock read (metrics-enabled only) happens before gen_mu_ so the
-  // critical section stays as short as the uninstrumented one.
-  const uint64_t now_us =
-      obs::MetricsRegistry::Global() != nullptr ? obs::NowMicros() : 0;
   sync::MutexLock lock(&gen_mu_);
   if (current_snap_ == nullptr) {
     return Status::InvalidArgument("PinCurrent before Create/Open");
   }
   ++pin_counts_[current_snap_->generation];
   *out = GenerationPin(this, current_snap_);
-  out->acquire_us_ = now_us;
   return Status::OK();
 }
 
@@ -597,13 +566,6 @@ Status BagFile::ReclaimRetired(size_t* reclaimed) {
     has_pins = !pin_counts_.empty();
     if (has_pins) min_pinned = pin_counts_.begin()->first;
   }
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-  const uint64_t now_us = reg != nullptr ? obs::NowMicros() : 0;
-  obs::Histogram* lag_hist = nullptr;  // fetched lazily, outside retire_mu_
-  if (reg != nullptr) {
-    lag_hist = reg->GetHistogram("bagfile.retire_reclaim_lag_us",
-                                 obs::LatencyBucketsUs());
-  }
   sync::MutexLock lock(&retire_mu_);
   // retired_ is append-ordered by retired_at, so the reclaimable entries
   // form a prefix.
@@ -614,17 +576,11 @@ Status BagFile::ReclaimRetired(size_t* reclaimed) {
     if (has_pins && r.retired_at > min_pinned) break;
     st = physical_->Free(r.physical);
     if (!st.ok()) break;
-    if (lag_hist != nullptr && r.retired_us != 0 && now_us > r.retired_us) {
-      lag_hist->Record(static_cast<double>(now_us - r.retired_us));
-    }
     ++n;
   }
   retired_.erase(retired_.begin(),
                  retired_.begin() + static_cast<ptrdiff_t>(n));
   if (reclaimed != nullptr) *reclaimed = n;
-  if (reg != nullptr && n > 0) {
-    reg->GetCounter("bagfile.pages_reclaimed")->Inc(n);
-  }
   return st;
 }
 

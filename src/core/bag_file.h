@@ -128,10 +128,8 @@ class GenerationPin : public PageVersionView {
       Release();
       bag_ = o.bag_;
       snap_ = std::move(o.snap_);
-      acquire_us_ = o.acquire_us_;
       o.bag_ = nullptr;
       o.snap_.reset();
-      o.acquire_us_ = 0;
     }
     return *this;
   }
@@ -173,9 +171,6 @@ class GenerationPin : public PageVersionView {
 
   BagFile* bag_ = nullptr;
   std::shared_ptr<const GenerationSnapshot> snap_;
-  /// Pin time; nonzero only when a metrics registry was installed at
-  /// PinCurrent (Release records bagfile.pin_hold_us from it).
-  uint64_t acquire_us_ = 0;
 };
 
 class BagFile : public PageFile {
@@ -316,7 +311,6 @@ class BagFile : public PageFile {
   struct RetiredPage {
     PageId physical;
     uint64_t retired_at;  ///< generation whose commit retired the page
-    uint64_t retired_us;  ///< wall time of retirement; 0 = metrics disabled
   };
 
   PageFile* physical_;  // not owned

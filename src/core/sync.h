@@ -112,7 +112,6 @@ inline constexpr uint32_t kRetireList = 160;       ///< BagFile retire list
 inline constexpr uint32_t kPageStore = 170;        ///< Mem/Fault page slots
 inline constexpr uint32_t kThreadPoolQueue = 200;  ///< exec::ThreadPool
 inline constexpr uint32_t kExecLatch = 210;        ///< executor done-latch
-inline constexpr uint32_t kMetricsRegistry = 300;  ///< obs::MetricsRegistry
 inline constexpr uint32_t kTraceSink = 310;        ///< obs::RingBufferSink
 inline constexpr uint32_t kLeaf = 1000;  ///< never hold anything beyond this
 }  // namespace lock_rank
@@ -127,7 +126,7 @@ inline constexpr uint32_t kLeaf = 1000;  ///< never hold anything beyond this
 class LockOrderRegistry {
  public:
   /// Locks one thread may hold simultaneously. Exceeding it aborts — the
-  /// project's deepest legitimate nesting is 2 (shard -> metrics).
+  /// project's deepest legitimate nesting is 3 (shard -> retire -> store).
   static constexpr size_t kMaxHeld = 16;
 
   /// Rank check + held-stack push for a BLOCKING acquisition. Call before
@@ -397,9 +396,9 @@ class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
 
-  /// Adopts a mutex the caller already holds (e.g. acquired through an
-  /// ACQUIRE-annotated helper like BufferPool::LockShardTimed); the scope
-  /// releases it on destruction.
+  /// Adopts a mutex the caller already holds (e.g. acquired through
+  /// TryLock or an ACQUIRE-annotated helper); the scope releases it on
+  /// destruction.
   MutexLock(Mutex* mu, AdoptLockT) REQUIRES(mu) : mu_(mu) {}
 
   MutexLock(const MutexLock&) = delete;

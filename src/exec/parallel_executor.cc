@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "core/sync.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 
@@ -20,17 +19,9 @@ double MicrosBetween(Clock::time_point a, Clock::time_point b) {
 }
 
 // Latency distribution over `latencies` (one entry per morsel) plus the
-// batch's buffer-pool delta. When a metrics registry is installed the
-// per-morsel latencies also feed `executor.morsel_latency_us`, so repeated
-// batches accumulate a process-wide distribution.
+// batch's buffer-pool delta.
 void FillStats(BatchExecStats* stats, std::vector<double>* latencies,
                BufferPool* pool, const IoStats& before) {
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-      reg != nullptr && !latencies->empty()) {
-    obs::Histogram* h = reg->GetHistogram("executor.morsel_latency_us",
-                                          obs::LatencyBucketsUs());
-    for (double l : *latencies) h->Record(l);
-  }
   const size_t n = latencies->size();
   if (n > 0) {
     std::sort(latencies->begin(), latencies->end());
@@ -70,14 +61,6 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
   std::atomic<size_t> next{0};
   std::vector<double> latencies(stats ? num_morsels : 0);
 
-  // Unclaimed-morsel depth, sampled at every claim (observability only).
-  obs::Gauge* depth_gauge = nullptr;
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-    depth_gauge = reg->GetGauge("executor.queue_depth");
-    depth_gauge->Set(static_cast<int64_t>(num_morsels));
-    reg->GetCounter("executor.queries")->Inc(n);
-  }
-
   sync::Mutex mu("exec.latch", sync::lock_rank::kExecLatch);
   sync::CondVar done_cv;
   size_t workers_done = 0;
@@ -85,14 +68,11 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
 
   auto t0 = Clock::now();
   for (size_t w = 0; w < workers; ++w) {
-    pool_->Submit([&, record = stats != nullptr, depth_gauge] {
+    pool_->Submit([&, record = stats != nullptr] {
       Status local = Status::OK();
       for (;;) {
         size_t m = next.fetch_add(1, std::memory_order_relaxed);
         if (m >= num_morsels) break;
-        if (depth_gauge != nullptr) {
-          depth_gauge->Set(static_cast<int64_t>(num_morsels - m - 1));
-        }
         const size_t lo = m * morsel;
         const size_t hi = std::min(n, lo + morsel);
         obs::Span span("morsel", "executor");

@@ -451,7 +451,9 @@ class CompactReplica {
     }
     if (ctx->check_oracle) {
       BOXAGG_RETURN_NOT_OK(EnsureOpen());
-      BOXAGG_RETURN_NOT_OK(SelfOracle(pts));
+      BOXAGG_RETURN_NOT_OK(SampledSelfOracle(
+          *this, dims_, pts,
+          "compact-replica: self-oracle dominance-sum mismatch"));
     }
     return Status::OK();
   }
@@ -1091,29 +1093,6 @@ class CompactReplica {
       }
     }
     info->depth = 0;  // mixed-depth forests: BA depth is not audited here
-    return Status::OK();
-  }
-
-  /// Sampled naive-oracle comparison over the main-branch points, the same
-  /// discipline (and tolerance) as PackedBaTree::SelfOracle.
-  Status SelfOracle(const std::vector<Entry>& pts) const {
-    const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
-    for (size_t k = 0; k < pts.size(); k += step) {
-      for (double jitter : {0.0, 0.25}) {
-        Point q = pts[k].pt;
-        for (int d = 0; d < dims_; ++d) q[d] += jitter;
-        V got;
-        BOXAGG_RETURN_NOT_OK(DominanceSum(q, &got));
-        V want{};
-        for (const Entry& e : pts) {
-          if (q.Dominates(e.pt, dims_)) want += e.value;
-        }
-        if (AggDrift(want, got) > kAggDriftTolerance) {
-          return Status::Corruption(
-              "compact-replica: self-oracle dominance-sum mismatch");
-        }
-      }
-    }
     return Status::OK();
   }
 

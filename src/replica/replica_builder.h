@@ -33,7 +33,6 @@
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "geom/point.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "replica/replica_format.h"
 #include "simd/simd.h"
@@ -92,24 +91,9 @@ class ReplicaBuilder {
   };
 
   Status BuildForest(PageId src_root, int dims, PageId* root_out) {
-    // Rebuild observability: post-commit replica rebuild hooks run this on
-    // the writer thread, so the span/latency make publish-to-fresh-replica
-    // lag directly visible in traces and windowed percentiles.
+    // Post-commit replica rebuild hooks run this on the writer thread, so
+    // the span makes publish-to-fresh-replica lag visible in traces.
     obs::Span build_span("replica.build", "replica");
-    obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-    const uint64_t t0 = reg != nullptr ? obs::NowMicros() : 0;
-    Status st = BuildForestInner(src_root, dims, root_out, &build_span);
-    if (reg != nullptr) {
-      reg->GetCounter(st.ok() ? "replica.builds" : "replica.build_failures")
-          ->Inc();
-      reg->GetHistogram("replica.build_latency_us", obs::LatencyBucketsUs())
-          ->Record(static_cast<double>(obs::NowMicros() - t0));
-    }
-    return st;
-  }
-
-  Status BuildForestInner(PageId src_root, int dims, PageId* root_out,
-                          obs::Span* build_span) {
     std::vector<NodeImage> nodes;
     std::vector<uint64_t> key_toks, val_toks;
     uint64_t entry_count = 0;
@@ -269,9 +253,9 @@ class ReplicaBuilder {
                          simd::Crc32c(p->data(), replica::kHdrCrc));
     g.MarkDirty();
     *root_out = g.id();
-    build_span->SetPagesFetched(
+    build_span.SetPagesFetched(
         static_cast<int64_t>(data_pages.size() + meta_page_count + 1));
-    build_span->SetProbes(static_cast<int64_t>(nodes.size()));
+    build_span.SetProbes(static_cast<int64_t>(nodes.size()));
     return Status::OK();
   }
 

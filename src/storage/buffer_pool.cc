@@ -1,11 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <chrono>
-#include <cstdio>
 #include <thread>
-
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace boxagg {
 
@@ -64,50 +60,6 @@ size_t BufferPool::PinnedFrames() const {
   return n;
 }
 
-BufferPool::ShardIoCounters BufferPool::shard_stats(size_t shard) const {
-  ShardIoCounters c;
-  if (shard >= shards_.size()) return c;
-  const Shard& s = *shards_[shard];
-  c.hits = s.hits.load(std::memory_order_relaxed);
-  c.misses = s.misses.load(std::memory_order_relaxed);
-  c.evictions = s.evictions.load(std::memory_order_relaxed);
-  c.dirty_writebacks = s.dirty_writebacks.load(std::memory_order_relaxed);
-  return c;
-}
-
-void BufferPool::ExportMetrics(obs::MetricsRegistry* reg) const {
-  if (reg == nullptr) return;
-  char name[64];
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const ShardIoCounters c = shard_stats(i);
-    const auto set = [&](const char* field, uint64_t v) {
-      std::snprintf(name, sizeof(name), "bufferpool.shard%zu.%s", i, field);
-      obs::Counter* counter = reg->GetCounter(name);
-      counter->Reset();
-      counter->Inc(v);
-    };
-    set("hits", c.hits);
-    set("misses", c.misses);
-    set("evictions", c.evictions);
-    set("dirty_writebacks", c.dirty_writebacks);
-  }
-  uint64_t snap_hits = 0;
-  uint64_t snap_misses = 0;
-  for (const auto& sp : shards_) {
-    snap_hits += sp->snapshot_hits.load(std::memory_order_relaxed);
-    snap_misses += sp->snapshot_misses.load(std::memory_order_relaxed);
-  }
-  const auto set_total = [&](const char* metric, uint64_t v) {
-    obs::Counter* counter = reg->GetCounter(metric);
-    counter->Reset();
-    counter->Inc(v);
-  };
-  set_total("bufferpool.snapshot.hits", snap_hits);
-  set_total("bufferpool.snapshot.misses", snap_misses);
-  reg->GetGauge("bufferpool.resident")
-      ->Set(static_cast<int64_t>(resident()));
-}
-
 size_t BufferPool::resident() const {
   size_t n = 0;
   for (const auto& sp : shards_) {
@@ -118,31 +70,13 @@ size_t BufferPool::resident() const {
   return n;
 }
 
-void BufferPool::LockShardTimed(Shard& s) {
-  // Pin-wait observability: uncontended acquisition takes the fast path
-  // with no clock read; only when the shard lock is held by another thread
-  // AND a metrics registry is installed do we time the wait.
-  if (s.mu.TryLock()) return;
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-  if (reg == nullptr) {
-    s.mu.Lock();
-    return;
-  }
-  const uint64_t t0 = obs::NowMicros();
-  s.mu.Lock();
-  reg->GetHistogram("bufferpool.pin_wait_us", obs::LatencyBucketsUs())
-      ->Record(static_cast<double>(obs::NowMicros() - t0));
-}
-
 // LINT:hot-path
 Status BufferPool::Fetch(PageId id, PageGuard* out) {
   stats_.AddLogicalRead();
   Shard& s = *shards_[ShardOf(id)];
-  LockShardTimed(s);
-  sync::MutexLock lock(&s.mu, sync::kAdoptLock);
+  sync::MutexLock lock(&s.mu);
   if (Frame* f = s.frames.Find(id); f != nullptr) {
     stats_.AddBufferHit();
-    s.hits.fetch_add(1, std::memory_order_relaxed);
     ParkLru(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
@@ -155,7 +89,6 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
     return st;
   }
   stats_.AddPhysicalRead();
-  s.misses.fetch_add(1, std::memory_order_relaxed);
   f->id = id;
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
@@ -171,12 +104,9 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
   const uint64_t key = view.VersionKey(logical);
   assert((key & kSnapshotKeyBit) != 0 && "snapshot key missing tag bit");
   Shard& s = *shards_[ShardOf(key)];
-  LockShardTimed(s);
-  sync::MutexLock lock(&s.mu, sync::kAdoptLock);
+  sync::MutexLock lock(&s.mu);
   if (Frame* f = s.frames.Find(key); f != nullptr) {
     stats_.AddBufferHit();
-    s.hits.fetch_add(1, std::memory_order_relaxed);
-    s.snapshot_hits.fetch_add(1, std::memory_order_relaxed);
     ParkLru(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
@@ -190,8 +120,6 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
     return st;
   }
   stats_.AddPhysicalRead();
-  s.misses.fetch_add(1, std::memory_order_relaxed);
-  s.snapshot_misses.fetch_add(1, std::memory_order_relaxed);
   f->id = key;
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
@@ -389,11 +317,9 @@ Status BufferPool::EvictOne(Shard& s) {
     // Eviction-path write-back only (FlushAll's writes are not counted
     // here), so evictions >= dirty_writebacks holds at quiescent points.
     stats_.AddDirtyWriteback();
-    s.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
     f->dirty.store(false, std::memory_order_relaxed);
   }
   stats_.AddEviction();
-  s.evictions.fetch_add(1, std::memory_order_relaxed);
   s.frames.Erase(f->id);
   f->id = kInvalidPageId;
   s.free_frames.push_back(f);

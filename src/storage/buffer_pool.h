@@ -35,10 +35,6 @@
 
 namespace boxagg {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 class PageGuard;
 struct CheckContext;
 
@@ -127,30 +123,6 @@ class BufferPool {
   /// Plain-POD snapshot of the I/O counters (relaxed-atomic reads).
   [[nodiscard]] IoStats stats() const { return stats_.Snapshot(); }
 
-  /// \brief Per-shard traffic counters (relaxed-atomic, always maintained —
-  /// the same cost class as the global IoStats bumps, and never any I/O).
-  struct ShardIoCounters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t dirty_writebacks = 0;
-
-    [[nodiscard]] double HitRate() const {
-      const uint64_t total = hits + misses;
-      return total == 0
-                 ? 0.0
-                 : static_cast<double>(hits) / static_cast<double>(total);
-    }
-  };
-  [[nodiscard]] ShardIoCounters shard_stats(size_t shard) const;
-
-  /// Publishes per-shard counters into `reg` as
-  /// bufferpool.shard<i>.{hits,misses,evictions,dirty_writebacks} (counters
-  /// are set-to-current: call at quiescent points, e.g. after a workload),
-  /// plus pool-wide bufferpool.snapshot.{hits,misses} (the pinned-reader
-  /// FetchSnapshot slice) and a bufferpool.resident gauge.
-  void ExportMetrics(obs::MetricsRegistry* reg) const;
-
   PageFile* file() { return file_; }
   [[nodiscard]] size_t capacity() const { return capacity_; }
   [[nodiscard]] size_t shard_count() const { return shards_.size(); }
@@ -207,16 +179,6 @@ class BufferPool {
     std::vector<Frame*> free_frames GUARDED_BY(mu);
     size_t capacity = 0;
     uint32_t index = 0;  // position in shards_, stamped into new Frames
-    // Per-shard traffic breakdown (observability; relaxed atomics so they
-    // can be read without the shard lock).
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> dirty_writebacks{0};
-    // Snapshot-path (FetchSnapshot) slice of hits/misses: pinned-reader
-    // traffic, disjoint from the live page-id namespace.
-    std::atomic<uint64_t> snapshot_hits{0};
-    std::atomic<uint64_t> snapshot_misses{0};
   };
 
   size_t ShardOf(PageId id) const {
@@ -234,12 +196,6 @@ class BufferPool {
   Status EvictOne(Shard& s) REQUIRES(s.mu);
   void Touch(Shard& s, Frame* f) REQUIRES(s.mu);
   static void ParkLru(Shard& s, Frame* f) REQUIRES(s.mu);
-
-  /// Acquires s.mu, timing the wait into the pin-wait histogram when the
-  /// lock is contended and a metrics registry is installed; uncontended
-  /// acquisition is one try-lock with no clock read. The caller owns the
-  /// lock on return — wrap it in a kAdoptLock MutexLock.
-  void LockShardTimed(Shard& s) ACQUIRE(s.mu);
 
   /// ReadPage with bounded retry on kIoError and checksum-failure
   /// accounting on kCorruption; called under the owning shard's lock.

@@ -13,7 +13,8 @@
 //   boxagg_cli stats index.bag                        size & structure info
 //
 // query and stats sniff the root page class, so they work transparently on
-// both live-tree and replica index files.
+// both live-tree and replica index files. Numeric arguments must be whole
+// numbers ("12x" and "abc" are errors, not 12 and 0).
 //
 // The index file is a crash-safe BagFile (core/bag_file.h): every page is
 // stored under a CRC32C envelope, and `build` publishes the finished trees
@@ -21,6 +22,7 @@
 // or no generation at all, never a half-written one.
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +33,7 @@
 #include "batree/packed_ba_tree.h"
 #include "core/bag_file.h"
 #include "core/box_sum_index.h"
+#include "parse_number.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
 #include "replica/replica_format.h"
@@ -54,12 +57,26 @@ int DieIf(const Status& s, const char* what) {
   return Die(std::string(what) + ": " + s.ToString());
 }
 
+int BadArg(const char* what, const char* needs, const char* got) {
+  return Die(std::string(what) + " needs " + needs + ", got '" + got + "'");
+}
+
 int CmdGen(int argc, char** argv) {
   if (argc < 1) return Die("gen: missing output csv");
   workload::RectConfig cfg;
-  cfg.n = argc >= 2 ? std::strtoull(argv[1], nullptr, 10) : 100000;
-  cfg.avg_side = argc >= 3 ? std::strtod(argv[2], nullptr) : 1e-3;
-  cfg.seed = argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  cfg.n = 100000;
+  cfg.avg_side = 1e-3;
+  cfg.seed = 42;
+  if (argc >= 2 && !ParseUnsigned(argv[1], &cfg.n)) {
+    return BadArg("gen: n", "a non-negative integer", argv[1]);
+  }
+  if (argc >= 3 && (!ParseDouble(argv[2], &cfg.avg_side) ||
+                    !std::isfinite(cfg.avg_side) || cfg.avg_side < 0)) {
+    return BadArg("gen: avg_side", "a finite number >= 0", argv[2]);
+  }
+  if (argc >= 4 && !ParseUnsigned(argv[3], &cfg.seed)) {
+    return BadArg("gen: seed", "a non-negative integer", argv[3]);
+  }
   auto objs = workload::UniformRects(cfg);
   std::ofstream out(argv[0]);
   if (!out) return Die("gen: cannot open output file");
@@ -203,11 +220,14 @@ bool IsReplicaRoot(BufferPool* pool, PageId root) {
 template <class Index>
 int RunQuery(BoxSumIndex<Index>& sums, BoxSumIndex<Index>& counts,
              BufferPool* pool, char** argv) {
+  // NaN and inverted boxes parse here; the index's CheckBox rejects them.
   Box q;
-  q.lo[0] = std::strtod(argv[1], nullptr);
-  q.lo[1] = std::strtod(argv[2], nullptr);
-  q.hi[0] = std::strtod(argv[3], nullptr);
-  q.hi[1] = std::strtod(argv[4], nullptr);
+  double* coords[4] = {&q.lo[0], &q.lo[1], &q.hi[0], &q.hi[1]};
+  for (int i = 0; i < 4; ++i) {
+    if (!ParseDouble(argv[i + 1], coords[i])) {
+      return BadArg("query: a coordinate", "a number", argv[i + 1]);
+    }
+  }
   double sum, count;
   IoStats before = pool->stats();
   if (DieIf(sums.Query(q, &sum), "sum query")) return 1;

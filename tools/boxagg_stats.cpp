@@ -5,21 +5,20 @@
 //                [--batch B] [--threads T] [--seed S]
 //                [--json PATH|-] [--trace PATH]
 //
-// The tool installs the process-global metrics registry, trace ring, and
-// query-observation sink, bulk-loads a 2-d corner-transform index over
-// uniform rectangles, answers Q square queries through the batched executor
-// path (morsels of B queries), and then:
+// The tool installs the process-global trace ring and query-observation
+// sink, bulk-loads a 2-d corner-transform index over uniform rectangles,
+// answers Q square queries through the batched executor path (morsels of B
+// queries), and then:
 //
-//   - prints a human-readable metric table (per-level node visits, border
-//     probes, corner dedup, per-shard buffer-pool traffic, executor
-//     latency histograms) to stdout;
-//   - with --json, writes the same snapshot as a JSON object (PATH or "-"
-//     for stdout);
+//   - prints a table to stdout of the workload's deltas of the two ledgers
+//     the benches read: the buffer pool's IoStats (io.*) and the
+//     QueryObsSnapshot (query.*: per-level node visits, border probes,
+//     corner dedup), plus the executor's BatchExecStats (executor.*:
+//     wall time, throughput, morsel latency percentiles);
+//   - with --json, writes the same values as one flat JSON object (PATH or
+//     "-" for stdout);
 //   - with --trace, writes the drained spans as a chrome://tracing JSON
-//     document loadable in Perfetto;
-//   - with --prometheus [PATH|-], writes the snapshot in Prometheus text
-//     exposition format (bare --prometheus means stdout, which then stays
-//     pure exposition — no table).
+//     document loadable in Perfetto.
 //
 // Numeric flags take a plain decimal value; anything else (a sign, trailing
 // characters, overflow) prints the usage text and exits 2. Exit status is 1
@@ -32,13 +31,10 @@
 //   eviction ordering   evictions >= dirty_writebacks (write-backs are
 //                       counted on the eviction path only)
 
-#include <cerrno>
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,9 +44,9 @@
 #include "exec/parallel_executor.h"
 #include "exec/query_adapters.h"
 #include "obs/logger.h"
-#include "obs/metrics.h"
 #include "obs/query_obs.h"
 #include "obs/trace.h"
+#include "parse_number.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
 #include "storage/buffer_pool.h"
@@ -73,7 +69,6 @@ struct Options {
   uint64_t seed = 42;
   std::string json_path;   // empty = no JSON dump; "-" = stdout
   std::string trace_path;  // empty = no trace file
-  std::string prom_path;   // empty = no Prometheus dump; "-" = stdout
 };
 
 int Usage() {
@@ -82,28 +77,8 @@ int Usage() {
                "                    [--n N]\n"
                "                    [--queries Q] [--batch B] [--threads T]\n"
                "                    [--shards S] [--buffer-mb M] [--seed S]\n"
-               "                    [--json PATH|-] [--trace PATH]\n"
-               "                    [--prometheus [PATH|-]]\n");
+               "                    [--json PATH|-] [--trace PATH]\n");
   return 2;
-}
-
-/// Parses `v` as a decimal integer that fits in T. strtoull alone would
-/// accept "-1" (wrapping to 2^64-1), stop silently at "abc" (yielding 0) and
-/// saturate on overflow; all three are rejected here.
-template <class T>
-bool ParseUnsigned(const char* flag, const char* v, T* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long x = std::strtoull(v, &end, 10);
-  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE ||
-      x > std::numeric_limits<T>::max()) {
-    std::fprintf(stderr,
-                 "boxagg_stats: %s needs a non-negative integer, got '%s'\n",
-                 flag, v);
-    return false;
-  }
-  *out = static_cast<T>(x);
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
@@ -118,7 +93,12 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     const char* a = argv[i];
     const char* v = nullptr;
     auto number = [&](auto* dst) {
-      return (v = next(a)) != nullptr && ParseUnsigned(a, v, dst);
+      if ((v = next(a)) == nullptr) return false;
+      if (ParseUnsigned(v, dst)) return true;
+      std::fprintf(stderr,
+                   "boxagg_stats: %s needs a non-negative integer, got '%s'\n",
+                   a, v);
+      return false;
     };
     if (std::strcmp(a, "--backend") == 0) {
       if ((v = next(a)) == nullptr) return false;
@@ -143,12 +123,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (std::strcmp(a, "--trace") == 0) {
       if ((v = next(a)) == nullptr) return false;
       opt->trace_path = v;
-    } else if (std::strcmp(a, "--prometheus") == 0) {
-      // Optional value: bare --prometheus means stdout.
-      opt->prom_path = "-";
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        opt->prom_path = argv[++i];
-      }
     } else {
       std::fprintf(stderr, "boxagg_stats: unknown argument %s\n", a);
       return false;
@@ -170,49 +144,79 @@ int Die(const char* what, const Status& s) {
   return 1;
 }
 
-/// Publishes the workload's query-observation delta into the registry as
-/// set-to-current counters, so the table/JSON dump carries the breakdown.
-void ExportQueryObs(obs::MetricsRegistry* reg, const obs::QueryObsSnapshot& d) {
-  char name[64];
-  for (size_t i = 0; i < obs::QueryObsSnapshot::kMaxLevels; ++i) {
-    if (d.node_visits[i] == 0) continue;
-    std::snprintf(name, sizeof(name), "query.level%zu.node_visits", i);
-    obs::Counter* c = reg->GetCounter(name);
-    c->Reset();
-    c->Inc(d.node_visits[i]);
-  }
-  auto set = [&](const char* n, uint64_t v) {
-    obs::Counter* c = reg->GetCounter(n);
-    c->Reset();
-    c->Inc(v);
+/// One reported value, already formatted as a JSON number.
+struct Row {
+  std::string name;
+  std::string value;
+};
+
+/// The workload's report: the executor's batch figures, the IoStats delta
+/// and the QueryObsSnapshot delta (levels with no visits are left out).
+std::vector<Row> ReportRows(const exec::BatchExecStats& st, const IoStats& io,
+                            const obs::QueryObsSnapshot& q) {
+  std::vector<Row> rows;
+  char buf[64];
+  auto count = [&](std::string name, uint64_t v) {
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+    rows.push_back({std::move(name), buf});
   };
-  set("query.border_probes", d.border_probes);
-  set("query.corner_probes_issued", d.corner_probes_issued);
-  set("query.corner_probes_deduped", d.corner_probes_deduped);
+  auto real = [&](std::string name, double v) {
+    std::snprintf(buf, sizeof(buf), "%.3f", v);
+    rows.push_back({std::move(name), buf});
+  };
+  count("executor.threads", st.threads);
+  count("executor.queries", st.queries);
+  count("executor.morsels", st.morsels);
+  real("executor.wall_ms", st.wall_ms);
+  real("executor.queries_per_sec", st.queries_per_sec);
+  real("executor.morsel_p50_us", st.latency_p50_us);
+  real("executor.morsel_p95_us", st.latency_p95_us);
+  real("executor.morsel_p99_us", st.latency_p99_us);
+  real("executor.morsel_max_us", st.latency_max_us);
+  count("io.logical_reads", io.logical_reads);
+  count("io.physical_reads", io.physical_reads);
+  count("io.buffer_hits", io.buffer_hits);
+  count("io.physical_writes", io.physical_writes);
+  count("io.evictions", io.evictions);
+  count("io.dirty_writebacks", io.dirty_writebacks);
+  count("io.probe_fetches_saved", io.probe_fetches_saved);
+  count("io.checksum_failures", io.checksum_failures);
+  count("io.read_retries", io.read_retries);
+  for (size_t i = 0; i < obs::QueryObsSnapshot::kMaxLevels; ++i) {
+    if (q.node_visits[i] == 0) continue;
+    count("query.level" + std::to_string(i) + ".node_visits",
+          q.node_visits[i]);
+  }
+  count("query.border_probes", q.border_probes);
+  count("query.corner_probes_issued", q.corner_probes_issued);
+  count("query.corner_probes_deduped", q.corner_probes_deduped);
+  return rows;
 }
 
-void ExportIoStats(obs::MetricsRegistry* reg, const IoStats& d) {
-  auto set = [&](const char* n, uint64_t v) {
-    obs::Counter* c = reg->GetCounter(n);
-    c->Reset();
-    c->Inc(v);
-  };
-  set("io.logical_reads", d.logical_reads);
-  set("io.physical_reads", d.physical_reads);
-  set("io.buffer_hits", d.buffer_hits);
-  set("io.physical_writes", d.physical_writes);
-  set("io.evictions", d.evictions);
-  set("io.dirty_writebacks", d.dirty_writebacks);
-  set("io.probe_fetches_saved", d.probe_fetches_saved);
+void WriteTable(FILE* out, const std::vector<Row>& rows) {
+  size_t width = 0;
+  for (const Row& r : rows) width = std::max(width, r.name.size());
+  for (const Row& r : rows) {
+    std::fprintf(out, "%-*s %s\n", static_cast<int>(width), r.name.c_str(),
+                 r.value.c_str());
+  }
+}
+
+void WriteJson(FILE* out, const std::vector<Row>& rows) {
+  std::fputc('{', out);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(out, "%s\"%s\":%s", i == 0 ? "" : ",", rows[i].name.c_str(),
+                 rows[i].value.c_str());
+  }
+  std::fputs("}\n", out);
 }
 
 /// Runs the query phase against an already-built index and reports the
-/// metric/invariant breakdown. Callers flush+reset the pool first so the
-/// measured deltas cover query traffic only.
+/// I/O breakdown and its invariants. Callers flush+reset the pool first so
+/// the measured deltas cover query traffic only.
 template <class Index>
 int QueryAndReport(const Options& opt, BufferPool* pool,
                    BoxSumIndex<Index>* indexp, const std::vector<Box>& queries) {
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
   obs::QueryObs* qobs = obs::CurrentQueryObs();
   BoxSumIndex<Index>& index = *indexp;
 
@@ -253,42 +257,16 @@ int QueryAndReport(const Options& opt, BufferPool* pool,
     rc = 1;
   }
 
-  ExportQueryObs(reg, qd);
-  ExportIoStats(reg, io);
-  pool->ExportMetrics(reg);
-
-  // With --prometheus on stdout, keep stdout pure exposition format (the
-  // human table would fail a format checker); the breakdown still goes to
-  // --json/--trace if asked.
-  const bool prom_stdout = opt.prom_path == "-";
-  if (!prom_stdout) {
-    std::printf("boxagg_stats: backend=%s n=%zu queries=%zu batch=%zu "
-                "threads=%zu shards=%zu\n",
-                opt.backend.c_str(), opt.n, queries.size(), opt.batch,
-                opt.threads, opt.shards);
-    std::printf("  wall=%.2fms qps=%.0f morsels=%zu p50=%.1fus p95=%.1fus "
-                "p99=%.1fus\n",
-                st.wall_ms, st.queries_per_sec, st.morsels, st.latency_p50_us,
-                st.latency_p95_us, st.latency_p99_us);
-    std::printf("  coverage: node_visits=%" PRIu64 " logical_reads=%" PRIu64
-                " %s\n",
-                qd.TotalNodeVisits(), io.logical_reads,
-                qd.TotalNodeVisits() == io.logical_reads ? "OK" : "MISMATCH");
-  }
-
-  const obs::MetricsSnapshot snap = reg->Snapshot();
-  if (!prom_stdout) snap.WriteTable(stdout);
-
-  if (!opt.prom_path.empty()) {
-    FILE* out =
-        prom_stdout ? stdout : std::fopen(opt.prom_path.c_str(), "w");
-    if (out == nullptr) {
-      obs::LogError("boxagg_stats: cannot open %s", opt.prom_path.c_str());
-      return 1;
-    }
-    snap.WritePrometheus(out);
-    if (out != stdout) std::fclose(out);
-  }
+  std::printf("boxagg_stats: backend=%s n=%zu queries=%zu batch=%zu "
+              "threads=%zu shards=%zu\n",
+              opt.backend.c_str(), opt.n, queries.size(), opt.batch,
+              opt.threads, opt.shards);
+  std::printf("  coverage: node_visits=%" PRIu64 " logical_reads=%" PRIu64
+              " %s\n",
+              qd.TotalNodeVisits(), io.logical_reads,
+              qd.TotalNodeVisits() == io.logical_reads ? "OK" : "MISMATCH");
+  const std::vector<Row> rows = ReportRows(st, io, qd);
+  WriteTable(stdout, rows);
 
   if (!opt.json_path.empty()) {
     FILE* out = opt.json_path == "-" ? stdout
@@ -297,8 +275,7 @@ int QueryAndReport(const Options& opt, BufferPool* pool,
       obs::LogError("boxagg_stats: cannot open %s", opt.json_path.c_str());
       return 1;
     }
-    snap.WriteJson(out);
-    std::fputc('\n', out);
+    WriteJson(out, rows);
     if (out != stdout) std::fclose(out);
   }
 
@@ -374,10 +351,8 @@ int main(int argc, char** argv) {
 
   // Observability on for the whole process lifetime (static: outlives every
   // query and the teardown of the index/pool).
-  static obs::MetricsRegistry registry;
   static obs::RingBufferSink sink(1u << 16);
   static obs::QueryObs qobs;
-  obs::MetricsRegistry::InstallGlobal(&registry);
   obs::SetTraceSink(&sink);
   obs::InstallQueryObs(&qobs);
 

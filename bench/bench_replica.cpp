@@ -13,7 +13,8 @@
 // Any identity or invariant violation exits 1. Output: stderr carries the
 // human-readable table; stdout carries one "JSON "-prefixed line per record,
 // mirrored to $BOXAGG_BENCH_DIR/BENCH_replica.json (jq-friendly, one object
-// per line) for the CI perf-smoke gate.
+// per line) for the CI perf-smoke gate, and two "BASELINE" page-count lines
+// that a ctest diffs against bench/baselines/replica_pages_small.txt.
 
 #include <chrono>
 #include <cstdio>
@@ -156,6 +157,11 @@ int main() {
                 cfg.n, static_cast<unsigned long long>(live_pages),
                 static_cast<unsigned long long>(rep_pages), bat_bpo, rep_bpo,
                 ratio, build_ms, JsonRunMeta(cfg).c_str()));
+  // Exact page counts for the replica-page golden (bench/baselines).
+  std::printf("BASELINE backend=bat pages=%llu\n",
+              static_cast<unsigned long long>(live_pages));
+  std::printf("BASELINE backend=replica pages=%llu\n",
+              static_cast<unsigned long long>(rep_pages));
   if (ratio < 3.0) {
     std::fprintf(stderr,
                  "replica is only %.2fx smaller than the live trees "

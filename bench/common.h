@@ -36,18 +36,40 @@
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "tools/parse_number.h"
 #include "workload/generators.h"
 
 namespace boxagg {
 namespace bench {
+
+/// Reads the BOXAGG_* knob `name` into *out when it is set. A value that
+/// is not wholly a non-negative integer that fits ("300x", "-1", "abc")
+/// ends the bench with status 2 rather than running a configuration that
+/// nobody asked for.
+template <class T>
+void EnvUnsigned(const char* name, T* out) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return;
+  if (!ParseUnsigned(v, out)) {
+    std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n", name,
+                 v);
+    std::exit(2);
+  }
+}
+
+/// A 0/1-style BOXAGG_* switch: any non-zero integer turns it on.
+inline bool EnvFlag(const char* name) {
+  unsigned v = 0;
+  EnvUnsigned(name, &v);
+  return v != 0;
+}
 
 /// BOXAGG_OBS=1 installs a process-global trace ring and query-observation
 /// sink (intentionally leaked: observability outlives every benchmark
 /// scope). CI uses this to verify that enabled-mode I/O counts are
 /// bit-identical to disabled-mode — instrumentation observes, never fetches.
 inline void MaybeEnableObsFromEnv() {
-  const char* v = std::getenv("BOXAGG_OBS");
-  if (v == nullptr || std::atoi(v) == 0) return;
+  if (!EnvFlag("BOXAGG_OBS")) return;
   static auto* sink = new obs::RingBufferSink(1u << 16);
   static auto* qobs = new obs::QueryObs();
   obs::SetTraceSink(sink);
@@ -66,14 +88,14 @@ struct Config {
 
   static Config FromEnv() {
     Config c;
-    if (const char* v = std::getenv("BOXAGG_N")) c.n = std::strtoull(v, nullptr, 10);
-    if (const char* v = std::getenv("BOXAGG_QUERIES")) c.queries = std::strtoull(v, nullptr, 10);
-    if (const char* v = std::getenv("BOXAGG_PAGE_SIZE")) c.page_size = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    if (const char* v = std::getenv("BOXAGG_BUFFER_MB")) c.buffer_mb = std::strtoull(v, nullptr, 10);
-    if (const char* v = std::getenv("BOXAGG_DISK")) c.disk = std::atoi(v) != 0;
-    if (const char* v = std::getenv("BOXAGG_SEED")) c.seed = std::strtoull(v, nullptr, 10);
-    if (const char* v = std::getenv("BOXAGG_SHARDS")) c.shards = std::strtoull(v, nullptr, 10);
-    if (const char* v = std::getenv("BOXAGG_THREADS")) c.threads = std::strtoull(v, nullptr, 10);
+    EnvUnsigned("BOXAGG_N", &c.n);
+    EnvUnsigned("BOXAGG_QUERIES", &c.queries);
+    EnvUnsigned("BOXAGG_PAGE_SIZE", &c.page_size);
+    EnvUnsigned("BOXAGG_BUFFER_MB", &c.buffer_mb);
+    c.disk = EnvFlag("BOXAGG_DISK");
+    EnvUnsigned("BOXAGG_SEED", &c.seed);
+    EnvUnsigned("BOXAGG_SHARDS", &c.shards);
+    EnvUnsigned("BOXAGG_THREADS", &c.threads);
     MaybeEnableObsFromEnv();
     return c;
   }

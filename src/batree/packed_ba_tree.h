@@ -66,6 +66,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -1288,14 +1289,18 @@ class PackedBaTree {
       // The root: every label has been read.
       std::vector<RegionId>().swap(st->region);
     }
-    AddSubtotals(entries, node, &recs);
-    for (RecImage& r : recs) {
-      for (int c = 0; c < dims_; ++c) FillBorder(entries, node, c, &r);
-    }
+    // The node's page comes before its streamed border trees, in the same
+    // allocation order as a build that spills them all in StoreNode.
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->New(&g));
     PageId pid = g.id();
     g.Release();
+    AddSubtotals(entries, node, &recs);
+    for (RecImage& r : recs) {
+      for (int c = 0; c < dims_; ++c) {
+        BOXAGG_RETURN_NOT_OK(FillBorder(entries, node, c, &r));
+      }
+    }
     BOXAGG_RETURN_NOT_OK(StoreNode(pid, &recs));
     *out = pid;
     return Status::OK();
@@ -1387,8 +1392,16 @@ class PackedBaTree {
   /// the subtotal), otherwise p_f < hi_f. A slab comes sorted by the
   /// border's projection, so equal projections are adjacent and coalesce in
   /// the same pass.
-  void FillBorder(const std::vector<Entry>& entries, const IdOrders& node,
-                  int c, RecImage* r) const {
+  ///
+  /// At d = 2 a border that reaches kMaxInlineEntries + 1 entries is one
+  /// StoreNode would spill first, into an AggBTree. It is streamed into
+  /// that tree's Loader from then on, so it is never held whole: the last
+  /// entry stays in `out` until the next projection shows it can no longer
+  /// coalesce. The tree's pages are the ones a spill writes, in the same
+  /// order, since StoreNode spills over-cap borders record by record,
+  /// border by border, and this pass runs in that order.
+  Status FillBorder(const std::vector<Entry>& entries, const IdOrders& node,
+                    int c, RecImage* r) {
     const int f = c == 0 ? 1 : 0;
     auto first_not_below = [&](double v) {
       size_t lo = 0, hi = node.n;
@@ -1416,7 +1429,16 @@ class PackedBaTree {
                                           }) -
                      entries.begin())
                : std::numeric_limits<uint32_t>::max();
-    std::vector<Entry>& out = r->border[static_cast<size_t>(c)].inline_entries;
+    BorderImage& border = r->border[static_cast<size_t>(c)];
+    std::vector<Entry>& out = border.inline_entries;
+    std::optional<typename AggBTree<V>::Loader> loader;
+    auto feed = [&]() -> Status {
+      for (const Entry& e : out) {
+        BOXAGG_RETURN_NOT_OK(loader->Add(e.pt[0], e.value));
+      }
+      out.clear();
+      return Status::OK();
+    };
     for (size_t k = begin; k < end; ++k) {
       const uint32_t id = node.Id(c, k);
       if (id >= id_end) continue;
@@ -1425,10 +1447,18 @@ class PackedBaTree {
       const Point proj = e.pt.DropDim(c, dims_);
       if (!out.empty() && LexEqual(out.back().pt, proj, dims_ - 1)) {
         out.back().value += e.value;
-      } else {
-        out.push_back(Entry{proj, e.value});
+        continue;
       }
+      if (dims_ == 2 && (loader || out.size() == kMaxInlineEntries)) {
+        if (!loader) loader.emplace(pool_);
+        BOXAGG_RETURN_NOT_OK(feed());
+      }
+      out.push_back(Entry{proj, e.value});
     }
+    if (!loader) return Status::OK();
+    BOXAGG_RETURN_NOT_OK(feed());
+    std::vector<Entry>().swap(out);
+    return loader->Finish(&border.tree);
   }
 
   // ---- traversal -----------------------------------------------------------

@@ -30,6 +30,8 @@
 #define BOXAGG_BPTREE_AGG_BTREE_H_
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -220,78 +222,120 @@ class AggBTree {
     return PageCountRec(root_, out);
   }
 
-  /// Builds a tree from entries sorted by strictly increasing key. The tree
-  /// must be empty. Pages are filled to `fill` fraction of capacity.
-  Status BulkLoad(const std::vector<Entry>& sorted, double fill = 1.0) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
-    if (root_ != kInvalidPageId) {
-      return Status::InvalidArgument("BulkLoad into non-empty tree");
+  /// Builds a tree from a sorted stream: Add every entry in strictly
+  /// increasing key order, then Finish. Leaves are full pages, written as
+  /// soon as they fill, except that the last leaf_target + 1 entries are
+  /// held back until Finish so that the tail never leaves a one-entry
+  /// final leaf (it is split leaf_target - 1, 2 instead). Finish then
+  /// builds the internal levels, under the same rule, from the list of
+  /// leaves. Memory is at most leaf_target + 2 entries plus one record per
+  /// leaf.
+  class Loader {
+   public:
+    explicit Loader(BufferPool* pool)
+        : tree_(pool),
+          viable_(PageSizeViable(pool->file()->page_size())),
+          leaf_target_(LeafCapacity(pool->file()->page_size())) {}
+
+    Status Add(double key, const V& v) {
+      if (!viable_) return TooSmall();
+      assert(held_.empty() || held_.back().key < key);
+      held_.push_back(Entry{key, v});
+      // With leaf_target + 2 held, a full leaf still leaves a tail of two.
+      if (held_.size() < size_t{leaf_target_} + 2) return Status::OK();
+      return WriteLeaf(leaf_target_);
     }
-    if (!PageSizeViable(pool_->file()->page_size())) {
-      return Status::InvalidArgument("page size too small for value type");
+
+    /// Writes what is held and the internal levels. *root is the new
+    /// tree's root, or kInvalidPageId when nothing was added.
+    Status Finish(PageId* root) {
+      if (!viable_) return TooSmall();
+      while (!held_.empty()) {
+        BOXAGG_RETURN_NOT_OK(WriteLeaf(Take(held_.size(), leaf_target_)));
+      }
+      const uint32_t internal_target =
+          InternalCapacity(tree_.pool_->file()->page_size());
+      while (level_.size() > 1) {
+        std::vector<Up> next;
+        size_t j = 0;
+        while (j < level_.size()) {
+          const size_t take = Take(level_.size() - j, internal_target);
+          PageGuard g;
+          BOXAGG_RETURN_NOT_OK(tree_.pool_->New(&g));
+          SetHeader(g.page(), kInternal, static_cast<uint32_t>(take));
+          V sum{};
+          for (size_t k = 0; k < take; ++k) {
+            const Up& u = level_[j + k];
+            tree_.WriteInternalEntry(g.page(), static_cast<uint32_t>(k),
+                                     u.lowkey, u.pid, u.sum);
+            sum += u.sum;
+          }
+          g.MarkDirty();
+          next.push_back(Up{level_[j].lowkey, g.id(), sum});
+          j += take;
+        }
+        level_ = std::move(next);
+      }
+      *root = level_.empty() ? kInvalidPageId : level_[0].pid;
+      return Status::OK();
     }
-    if (sorted.empty()) return Status::OK();
-    const uint32_t page_size = pool_->file()->page_size();
-    uint32_t leaf_target = std::max<uint32_t>(
-        1, static_cast<uint32_t>(LeafCapacity(page_size) * fill));
+
+   private:
     struct Up {
       double lowkey;
       PageId pid;
       V sum;
     };
-    // Leaves, written straight into their (zeroed) new pages.
-    std::vector<Up> level;
-    size_t i = 0;
-    while (i < sorted.size()) {
-      size_t take = std::min<size_t>(leaf_target, sorted.size() - i);
-      // Avoid a dangling undersized final leaf.
-      if (sorted.size() - i - take > 0 && sorted.size() - i - take < 2 &&
-          take > 2) {
-        take -= 1;
-      }
+
+    static Status TooSmall() {
+      return Status::InvalidArgument("page size too small for value type");
+    }
+
+    /// Entries for the next node when `remaining` are left: a full node,
+    /// or one fewer when a full one would leave a single entry behind.
+    static size_t Take(size_t remaining, uint32_t target) {
+      size_t take = std::min<size_t>(target, remaining);
+      if (remaining - take == 1 && take > 2) take -= 1;
+      return take;
+    }
+
+    /// Writes the first `take` held entries into a new (zeroed) leaf.
+    Status WriteLeaf(size_t take) {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->New(&g));
+      BOXAGG_RETURN_NOT_OK(tree_.pool_->New(&g));
       SetHeader(g.page(), kLeaf, static_cast<uint32_t>(take));
       V sum{};
       for (size_t k = 0; k < take; ++k) {
-        const Entry& e = sorted[i + k];
-        WriteLeafEntry(g.page(), static_cast<uint32_t>(k), e.key, e.value);
-        sum += e.value;
+        tree_.WriteLeafEntry(g.page(), static_cast<uint32_t>(k), held_[k].key,
+                             held_[k].value);
+        sum += held_[k].value;
       }
       g.MarkDirty();
-      level.push_back(Up{sorted[i].key, g.id(), sum});
-      i += take;
+      level_.push_back(Up{held_[0].key, g.id(), sum});
+      held_.erase(held_.begin(),
+                 held_.begin() + static_cast<std::ptrdiff_t>(take));
+      return Status::OK();
     }
-    // Upper levels.
-    uint32_t internal_target = std::max<uint32_t>(
-        2, static_cast<uint32_t>(InternalCapacity(page_size) * fill));
-    while (level.size() > 1) {
-      std::vector<Up> next;
-      size_t j = 0;
-      while (j < level.size()) {
-        size_t take = std::min<size_t>(internal_target, level.size() - j);
-        if (level.size() - j - take > 0 && level.size() - j - take < 2 &&
-            take > 2) {
-          take -= 1;
-        }
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(pool_->New(&g));
-        SetHeader(g.page(), kInternal, static_cast<uint32_t>(take));
-        V sum{};
-        for (size_t k = 0; k < take; ++k) {
-          const Up& u = level[j + k];
-          WriteInternalEntry(g.page(), static_cast<uint32_t>(k), u.lowkey,
-                             u.pid, u.sum);
-          sum += u.sum;
-        }
-        g.MarkDirty();
-        next.push_back(Up{level[j].lowkey, g.id(), sum});
-        j += take;
-      }
-      level = std::move(next);
+
+    AggBTree tree_;  // the page writer
+    bool viable_;
+    uint32_t leaf_target_;
+    std::vector<Entry> held_;  // entries not yet in a leaf
+    std::vector<Up> level_;    // one record per written leaf
+  };
+
+  /// Builds a tree from entries sorted by strictly increasing key through
+  /// a Loader. The tree must be empty.
+  Status BulkLoad(const std::vector<Entry>& sorted) {
+    BOXAGG_RETURN_NOT_OK(RequireWritable());
+    if (root_ != kInvalidPageId) {
+      return Status::InvalidArgument("BulkLoad into non-empty tree");
     }
-    root_ = level[0].pid;
-    return Status::OK();
+    Loader loader(pool_);
+    for (const Entry& e : sorted) {
+      BOXAGG_RETURN_NOT_OK(loader.Add(e.key, e.value));
+    }
+    return loader.Finish(&root_);
   }
 
   /// Frees every page of the tree; the handle becomes empty.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "batree/packed_ba_tree.h"
@@ -612,6 +613,121 @@ TEST(PackedBaTree, BulkLoadStructureGolden) {
     EXPECT_EQ(pages, gd.pages);
     EXPECT_EQ(hash, gd.hash);
   }
+}
+
+// Border sizes of a d = 2 tree, from the packed internal layout documented
+// in batree/packed_ba_tree.h: the entry count of every inline block and of
+// every spilled border, which at d = 2 is an AggBTree.
+struct BorderSizes {
+  std::vector<uint64_t> inline_sizes;
+  std::vector<uint64_t> spilled_sizes;
+};
+
+template <class Pred>
+bool Any(const std::vector<uint64_t>& sizes, Pred pred) {
+  return std::any_of(sizes.begin(), sizes.end(), pred);
+}
+
+template <class V>
+void CollectBorderSizes(BufferPool* pool, PageId pid, BorderSizes* out) {
+  std::vector<PageId> children;
+  std::vector<PageId> spilled;
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool->Fetch(pid, &g).ok());
+    const Page* p = g.page();
+    if (p->ReadAt<uint16_t>(0) != 10) return;  // leaf
+    const uint32_t n = p->ReadAt<uint32_t>(4);
+    const uint32_t rec_size = sizeof(Box) + 8 + sizeof(V) + 16;
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint32_t off = 16 + i * rec_size;
+      children.push_back(p->ReadAt<uint64_t>(off + sizeof(Box)));
+      for (uint32_t b = 0; b < 2; ++b) {
+        const uint64_t ref =
+            p->ReadAt<uint64_t>(off + sizeof(Box) + 8 + sizeof(V) + 8 * b);
+        if (ref == ~uint64_t{0}) continue;
+        if ((ref >> 63) != 0) {
+          out->inline_sizes.push_back(
+              p->ReadAt<uint16_t>(static_cast<uint32_t>(ref)));
+        } else {
+          spilled.push_back(ref);
+        }
+      }
+    }
+  }
+  for (PageId b : spilled) {
+    uint64_t count = 0;
+    ASSERT_TRUE(AggBTree<V>(pool, b).CountEntries(&count).ok());
+    out->spilled_sizes.push_back(count);
+  }
+  for (PageId c : children) CollectBorderSizes<V>(pool, c, out);
+}
+
+// Bulk-loads grid points (RandomPoints' coordinates, `value` of its values)
+// into a d = 2 tree, pins the page file byte for byte against a hash
+// recorded from the build that held every border whole until StoreNode
+// spilled it, and returns the tree's border sizes.
+template <class V>
+BorderSizes CheckBulkLoadPages(uint32_t page_size, int n, uint32_t seed,
+                               V (*value)(double), uint64_t want_pages,
+                               uint64_t want_hash) {
+  std::vector<PointEntry<V>> pts;
+  for (const auto& e : RandomPoints(n, 2, seed, 1000.0)) {
+    pts.push_back(PointEntry<V>{e.pt, value(e.value)});
+  }
+  MemPageFile file(page_size);
+  BufferPool pool(&file, 4096);
+  PackedBaTree<V> tree(&pool, 2);
+  BorderSizes sizes;
+  EXPECT_TRUE(tree.BulkLoad(pts).ok());
+  EXPECT_TRUE(pool.FlushAll().ok());
+  CollectBorderSizes<V>(&pool, tree.root(), &sizes);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  Page page(page_size);
+  for (PageId id = 0; id < file.page_count(); ++id) {
+    EXPECT_TRUE(file.ReadPage(id, &page).ok());
+    HashBytes(page.data(), page.size(), &hash);
+  }
+  EXPECT_EQ(file.page_count(), want_pages);
+  EXPECT_EQ(hash, want_hash);
+  return sizes;
+}
+
+double DoubleValue(double v) { return v; }
+
+Poly2<3> PolyValue(double v) {
+  Poly2<3> p;
+  for (size_t i = 0; i < p.c.size(); ++i) {
+    p.c[i] = v * static_cast<double>(i + 1);
+  }
+  return p;
+}
+
+// The inputs cover the border-streaming boundaries: borders over the
+// 192-entry inline cap, one of exactly 193 entries (streamed from its last
+// entry on), one longer than two leaves whose tail is leaf_target + 1
+// entries, and one of exactly 192 that stays in its node page.
+TEST(PackedBaTree, BulkLoadPageImageGolden) {
+  const uint64_t leaf = AggBTree<double>::LeafCapacity(1024);
+  const BorderSizes spilled = CheckBulkLoadPages<double>(
+      1024, 6000, 3, DoubleValue, 1131, 18252936063024948335ull);
+  EXPECT_TRUE(Any(spilled.spilled_sizes, [](uint64_t s) { return s == 193; }));
+  EXPECT_TRUE(Any(spilled.spilled_sizes, [leaf](uint64_t s) {
+    return s > 2 * leaf && s % leaf == 1;
+  }));
+  const BorderSizes packed = CheckBulkLoadPages<double>(
+      8192, 1050, 13, DoubleValue, 15, 15323280843339218045ull);
+  EXPECT_TRUE(Any(packed.inline_sizes, [](uint64_t s) { return s == 192; }));
+}
+
+TEST(PackedBaTree, PolynomialBulkLoadPageImageGolden) {
+  const uint64_t leaf = AggBTree<Poly2<3>>::LeafCapacity(2048);
+  const BorderSizes sizes = CheckBulkLoadPages<Poly2<3>>(
+      2048, 6000, 3, PolyValue, 3340, 9606972273644012132ull);
+  EXPECT_TRUE(Any(sizes.spilled_sizes, [](uint64_t s) { return s == 193; }));
+  EXPECT_TRUE(Any(sizes.spilled_sizes, [leaf](uint64_t s) {
+    return s > 2 * leaf && s % leaf == 1;
+  }));
 }
 
 }  // namespace

@@ -18,28 +18,14 @@ namespace {
 
 // Role of a physical page in the recovered generation; decides whether a
 // verification failure there is corruption or an expected crash artifact.
+// The recovered generation is the only one at rest, so every page it does
+// not reference is free (see fsck.h).
 enum PhysClass : uint8_t {
-  kPhysFree = 0,   // unreferenced: torn leftovers are legitimate
+  kPhysFree = 0,   // unreferenced: torn or reclaimed leftovers are legitimate
   kPhysSuper,      // superblock slot (one may hold a torn in-flight commit)
   kPhysMap,        // map-chain page of the recovered generation
   kPhysData,       // image of a mapped logical page
-  kPhysRetired,    // referenced only by the *other* durable generation
 };
-
-// Human-readable role of a physical page for aliasing diagnostics.
-std::string DescribeClass(uint8_t c, PageId logical) {
-  switch (c) {
-    case kPhysSuper:
-      return "a superblock slot";
-    case kPhysMap:
-      return "the checked generation's map page";
-    case kPhysData:
-      return "the checked generation's image of logical page " +
-             std::to_string(logical);
-    default:
-      return "unclassified";
-  }
-}
 
 Status DefaultRootChecker(BufferPool* pool, uint32_t dims,
                           size_t /*root_index*/, PageId root,
@@ -70,15 +56,9 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
 
   // Opening IS recovery: superblock selection, map load, duplicate-
   // reference detection, free-list rebuild all happen (and can fail) here.
-  // Generation-targeted runs open read-only so inspecting the superseded
-  // generation never sweeps the newer one's pages onto the free list.
-  const bool inspect_only = options.target_generation >= 0;
   std::unique_ptr<BagFile> bag;
   BagRecoveryReport rec;
-  BagOpenOptions bopen;
-  bopen.target_generation = options.target_generation;
-  bopen.read_only = inspect_only;
-  BOXAGG_RETURN_NOT_OK(BagFile::Open(physical, bopen, &bag, &rec));
+  BOXAGG_RETURN_NOT_OK(BagFile::Open(physical, &bag, &rec));
   report->generation = rec.generation;
   report->logical_pages = rec.logical_pages;
   report->mapped_pages = rec.mapped_pages;
@@ -109,98 +89,6 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
     phys_to_logical.emplace(e.physical, logical);
   }
 
-  // -- cross-generation analysis ------------------------------------------
-  // The other superblock slot may hold a second durable generation (the one
-  // just superseded, or the newer one when fsck targets the older). Its
-  // exclusive pages are *retired*, not orphaned: unreferenced by the checked
-  // generation but still reachable through the other. A physical page both
-  // generations claim must carry the same (logical, epoch) identity — that
-  // is ordinary CoW sharing of an unmodified page; differing identities mean
-  // the allocator handed one slot to two owners (cross-generation aliasing),
-  // corrupting whichever generation wrote second.
-  std::unique_ptr<BagFile> other;
-  int64_t other_gen = -1;
-  for (int64_t cand : {static_cast<int64_t>(rec.generation) - 1,
-                       static_cast<int64_t>(rec.generation) + 1}) {
-    if (cand < 0) continue;
-    BagOpenOptions oo;
-    oo.target_generation = cand;
-    oo.read_only = true;
-    std::unique_ptr<BagFile> b;
-    if (BagFile::Open(physical, oo, &b).ok()) {
-      other = std::move(b);
-      other_gen = cand;
-      break;
-    }
-  }
-  std::unordered_map<PageId, PageId> other_phys_to_logical;
-  if (other != nullptr) {
-    report->other_generation = other_gen;
-    for (PageId mp : other->map_page_ids()) {
-      if (mp >= cls.size()) {
-        errors.push_back("generation " + std::to_string(other_gen) +
-                         " map page " + std::to_string(mp) +
-                         " lies beyond the file");
-      } else if (cls[mp] == kPhysFree) {
-        cls[mp] = kPhysRetired;
-        ++report->retired_pages;
-      } else {
-        // Map chains are rewritten whole every commit, so any overlap with
-        // the checked generation's footprint is aliasing.
-        errors.push_back(
-            "cross-generation aliasing: physical page " + std::to_string(mp) +
-            " is generation " + std::to_string(other_gen) +
-            "'s map page but also " + DescribeClass(cls[mp], phys_to_logical[mp]));
-      }
-    }
-    for (PageId logical = 0; logical < other->page_count(); ++logical) {
-      const BagMapEntry oe = other->MapEntry(logical);
-      if (!oe.mapped()) continue;
-      if (oe.physical >= cls.size()) {
-        errors.push_back("generation " + std::to_string(other_gen) +
-                         " maps logical page " + std::to_string(logical) +
-                         " beyond the file");
-        continue;
-      }
-      other_phys_to_logical.emplace(oe.physical, logical);
-      switch (cls[oe.physical]) {
-        case kPhysFree:
-          cls[oe.physical] = kPhysRetired;
-          ++report->retired_pages;
-          break;
-        case kPhysData: {
-          const PageId mine_logical = phys_to_logical[oe.physical];
-          const BagMapEntry mine = bag->MapEntry(mine_logical);
-          if (mine_logical != logical || mine.epoch != oe.epoch) {
-            errors.push_back(
-                "cross-generation aliasing: physical page " +
-                std::to_string(oe.physical) + " is generation " +
-                std::to_string(other_gen) + "'s logical " +
-                std::to_string(logical) + " (epoch " +
-                std::to_string(oe.epoch) + ") but the checked generation's "
-                "logical " + std::to_string(mine_logical) + " (epoch " +
-                std::to_string(mine.epoch) + ")");
-          }
-          break;  // same (logical, epoch): CoW sharing, stays kPhysData
-        }
-        case kPhysRetired:
-          break;  // already classified via the other generation itself
-        default:  // kPhysSuper / kPhysMap
-          errors.push_back(
-              "cross-generation aliasing: physical page " +
-              std::to_string(oe.physical) + " is generation " +
-              std::to_string(other_gen) + "'s logical " +
-              std::to_string(logical) + " but also " +
-              DescribeClass(cls[oe.physical], phys_to_logical[oe.physical]));
-          break;
-      }
-    }
-    report->notes.push_back(
-        "second durable generation " + std::to_string(other_gen) +
-        " present; " + std::to_string(report->retired_pages) +
-        " physical page(s) reachable only through it (retired, not orphaned)");
-  }
-
   Page scan(physical->page_size());
   for (PageId id = 0; id < physical->page_count(); ++id) {
     uint64_t epoch = 0;
@@ -217,26 +105,9 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
         case kPhysFree:
           ++report->checksum_failures_free;
           report->notes.push_back("free physical page " + std::to_string(id) +
-                                  " fails verification (crash artifact): " +
+                                  " fails verification (torn or reclaimed): " +
                                   st.message());
           break;
-        case kPhysRetired: {
-          // Damage to the other generation's exclusive pages: corruption of
-          // *that* generation, so it only fails this run under
-          // --all-generations (where we vouch for both).
-          const std::string what =
-              "retired physical page " + std::to_string(id) +
-              " (generation " + std::to_string(other_gen) +
-              ") fails verification: " + st.message();
-          if (options.all_generations) {
-            ++report->checksum_failures_live;
-            errors.push_back(what);
-          } else {
-            ++report->checksum_failures_free;
-            report->notes.push_back(what);
-          }
-          break;
-        }
         default:
           ++report->checksum_failures_live;
           errors.push_back("physical page " + std::to_string(id) +
@@ -255,23 +126,6 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
           std::to_string(phys_to_logical[id]) + ") holds epoch " +
           std::to_string(epoch) + ", map expects " +
           std::to_string(bag->MapEntry(phys_to_logical[id]).epoch) +
-          " (lost write)";
-      if (options.strict_stale) {
-        errors.push_back(what);
-      } else {
-        report->notes.push_back(what);
-      }
-    }
-    if (options.all_generations && cls[id] == kPhysRetired &&
-        other_phys_to_logical.count(id) != 0 &&
-        epoch != other->MapEntry(other_phys_to_logical[id]).epoch) {
-      ++report->stale_pages;
-      const std::string what =
-          "retired physical page " + std::to_string(id) + " (generation " +
-          std::to_string(other_gen) + " logical " +
-          std::to_string(other_phys_to_logical[id]) + ") holds epoch " +
-          std::to_string(epoch) + ", that generation's map expects " +
-          std::to_string(other->MapEntry(other_phys_to_logical[id]).epoch) +
           " (lost write)";
       if (options.strict_stale) {
         errors.push_back(what);
@@ -312,48 +166,11 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
   }
   report->visited_pages = ctx.visited.size();
 
-  // -- second-generation logical sweep (--all-generations) ----------------
-  // Same structural checks against the other durable generation, through
-  // its own read-only handle and pool. A fresh CheckContext: the two
-  // generations legitimately share physical pages but own disjoint logical
-  // spaces, so visit sets must not bleed across.
-  if (options.all_generations && other != nullptr) {
-    BufferPool opool(other.get(),
-                     BufferPool::CapacityForMegabytes(16, options.page_size));
-    CheckContext octx;
-    octx.check_oracle = options.check_oracle;
-    const std::vector<PageId>& oroots = other->roots();
-    for (size_t i = 0; i < oroots.size(); ++i) {
-      if (oroots[i] == kInvalidPageId) continue;
-      std::string err;
-      if (oroots[i] >= other->page_count()) {
-        err = "points beyond the logical space";
-      } else if (!other->IsMapped(oroots[i])) {
-        err = "points at an unmapped logical page";
-      } else if (Status st =
-                     checker(&opool, other->dims(), i, oroots[i], &octx);
-                 !st.ok()) {
-        err = st.message();
-      }
-      if (!err.empty()) {
-        report->root_errors.push_back("generation " +
-                                      std::to_string(other_gen) + " root " +
-                                      std::to_string(i) + ": " + err);
-      }
-    }
-  }
   for (const std::string& e : report->root_errors) errors.push_back(e);
 
   if (!report->root_errors.empty()) {
     report->notes.push_back(
         "accounting and orphan checks skipped (structural errors present)");
-  } else if (inspect_only) {
-    // A read-only generation-targeted open leaves the physical free list
-    // unrebuilt and skips the orphan sweep, so allocation accounting has
-    // nothing trustworthy to audit.
-    report->notes.push_back(
-        "accounting and orphan checks skipped (read-only "
-        "generation-targeted open)");
   } else {
     // Storage-engine accounting. Every fsck guard is released by now, so
     // any surviving pin would be a leak inside the checkers themselves.

@@ -1,15 +1,20 @@
 // boxagg_fsck core: opens a .bag index file (recovering it, exactly like a
-// normal open) and runs every validator over it in two sweeps:
+// normal open) and runs every validator over it in two sweeps. A store at
+// rest holds exactly one generation, the committed one: pins are process
+// state, so the superseded generation's pages were reclaimed at commit or by
+// the open's orphan sweep. fsck checks that one generation and never walks
+// the other superblock slot.
 //
 //   Physical sweep — every slot of the backing file is read through the
 //   CRC32C page layer. A verification failure on a page the recovered
 //   generation depends on (a superblock in use, a map page, a mapped page
-//   image) is corruption; a failure on a free page is only a note, because
-//   torn writes of an interrupted commit legitimately litter unreferenced
-//   slots. Mapped pages additionally cross-check the epoch stamped in the
-//   slot header against the map's expectation: a mismatch means a lost
-//   write left a stale older-generation version on the platter (note by
-//   default, corruption under strict).
+//   image) is corruption; a failure on any other page is only a note,
+//   because torn writes of an interrupted commit and reclaimed pages of the
+//   superseded generation legitimately litter unreferenced slots. Mapped
+//   pages additionally cross-check the epoch stamped in the slot header
+//   against the map's expectation: a mismatch means a lost write left a
+//   stale older-generation version on the platter (note by default,
+//   corruption under strict).
 //
 //   Logical sweep — each root tree runs its CheckConsistency pass against
 //   one shared page-visit set (catching cross-tree page sharing), errors
@@ -49,15 +54,6 @@ struct FsckOptions {
   /// Treat stale reachable pages (slot epoch older than the map expects —
   /// a lost write) as corruption instead of a note.
   bool strict_stale = false;
-  /// Verify this specific durable generation instead of the newest
-  /// recoverable one (-1). The store is opened read-only in that case, so
-  /// inspecting the older generation never disturbs the newer one.
-  int64_t target_generation = -1;
-  /// Additionally run the logical sweep over the other durable generation
-  /// (when its superblock slot is valid). Cross-generation aliasing — one
-  /// physical page claimed by both generations under different
-  /// (logical, epoch) identities — is always an error when detectable.
-  bool all_generations = false;
   uint32_t page_size = kDefaultPageSize;
 };
 
@@ -73,11 +69,6 @@ struct FsckReport {
   uint64_t checksum_failures_live = 0;
   uint64_t checksum_failures_free = 0;
   uint64_t stale_pages = 0;    ///< mapped pages holding an older epoch
-  /// Physical pages referenced only by the *other* durable generation
-  /// (retired by the checked one, or not yet visible to it). Distinguished
-  /// from true orphans: they are still reachable through that generation.
-  uint64_t retired_pages = 0;
-  int64_t other_generation = -1;  ///< second durable generation (-1: none)
   uint32_t dims = 0;
   std::vector<PageId> roots;
   /// One entry per corrupt root: "root <i>: <diagnosis>". Empty when every

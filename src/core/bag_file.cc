@@ -124,12 +124,6 @@ Status BagFile::Create(PageFile* physical, uint32_t dims, uint32_t num_roots,
 
 Status BagFile::Open(PageFile* physical, std::unique_ptr<BagFile>* out,
                      BagRecoveryReport* report) {
-  return Open(physical, BagOpenOptions{}, out, report);
-}
-
-Status BagFile::Open(PageFile* physical, const BagOpenOptions& options,
-                     std::unique_ptr<BagFile>* out,
-                     BagRecoveryReport* report) {
   if (physical->page_count() < kBagSuperblockSlots) {
     return Status::Corruption("file too small for a superblock");
   }
@@ -149,18 +143,7 @@ Status BagFile::Open(PageFile* physical, const BagOpenOptions& options,
     return Status::Corruption("no valid superblock in either slot");
   }
   int chosen;
-  if (options.target_generation >= 0) {
-    // Explicit generation targeting: the two ping-pong slots retain at
-    // most two durable generations; N must match one of them.
-    const auto target = static_cast<uint64_t>(options.target_generation);
-    if (valid[target % kBagSuperblockSlots] &&
-        sbs[target % kBagSuperblockSlots].generation == target) {
-      chosen = static_cast<int>(target % kBagSuperblockSlots);
-    } else {
-      return Status::NotFound("generation " + std::to_string(target) +
-                              " is not durable in either superblock slot");
-    }
-  } else if (valid[0] && valid[1]) {
+  if (valid[0] && valid[1]) {
     chosen = sbs[1].generation > sbs[0].generation ? 1 : 0;
   } else {
     chosen = valid[1] ? 1 : 0;
@@ -174,7 +157,6 @@ Status BagFile::Open(PageFile* physical, const BagOpenOptions& options,
           static_cast<uint64_t>(1 - chosen);
 
   auto bag = std::unique_ptr<BagFile>(new BagFile(physical));
-  bag->read_only_ = options.read_only;
   bag->generation_ = sb.generation;
   bag->dims_ = sb.dims;
   bag->roots_ = sb.roots;
@@ -222,14 +204,8 @@ Status BagFile::Open(PageFile* physical, const BagOpenOptions& options,
     if (live[id] == 0) orphans.push_back(id);
   }
   const uint64_t orphan_count = orphans.size();
-  if (!options.read_only) {
-    physical->SetFreeList(std::move(orphans));
-    bag->SetEpochAfter(bag->generation_);
-  }
-  // In read-only mode neither the inner file's free list nor its write
-  // epoch is touched: pages this (possibly older) generation does not
-  // reference may belong to the *newer* one, and clobbering the free list
-  // would hand them out for reuse.
+  physical->SetFreeList(std::move(orphans));
+  bag->SetEpochAfter(bag->generation_);
 
   if (report != nullptr) {
     report->generation = bag->generation_;
@@ -285,7 +261,6 @@ Status BagFile::LoadMapChain(const BagSuperblock& sb) {
 }
 
 Status BagFile::Extend(uint64_t new_count) {
-  if (read_only_) return Status::InvalidArgument("Extend on read-only bag");
   map_.resize(new_count);
   fresh_.resize(new_count, false);
   return Status::OK();
@@ -334,7 +309,6 @@ Status BagFile::ReadPageEx(PageId id, Page* page, uint64_t* epoch_out) {
 }
 
 Status BagFile::WritePage(PageId id, const Page& page) {
-  if (read_only_) return Status::InvalidArgument("WritePage on read-only bag");
   if (id >= page_count_) return Status::NotFound("logical page out of range");
   BagMapEntry& e = map_[id];
   if (e.mapped() && fresh_[id]) {
@@ -361,7 +335,6 @@ Status BagFile::WritePage(PageId id, const Page& page) {
 }
 
 Status BagFile::Free(PageId id) {
-  if (read_only_) return Status::InvalidArgument("Free on read-only bag");
   if (id >= page_count_) {
     return Status::InvalidArgument("Free of unallocated logical page");
   }
@@ -415,7 +388,6 @@ Status BagFile::WriteMapChain(std::vector<PageId>* new_ids) {
 }
 
 Status BagFile::Commit(const std::vector<PageId>& roots) {
-  if (read_only_) return Status::InvalidArgument("Commit on read-only bag");
   if (roots.size() != roots_.size()) {
     return Status::InvalidArgument("Commit root count mismatch");
   }
@@ -497,12 +469,6 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
     obs::Span span("bag.commit.reclaim");
     span.SetGeneration(static_cast<int64_t>(new_gen));
     BOXAGG_RETURN_NOT_OK(ReclaimRetired(nullptr));
-  }
-
-  if (post_commit_hook_) {
-    obs::Span span("bag.commit.post_hook");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    post_commit_hook_(new_gen);
   }
   return Status::OK();
 }

@@ -55,12 +55,17 @@
 // in-memory state unusable — reopen from the inner file to continue.
 // Pins are in-memory only: a crash implicitly drops them, and recovery's
 // orphan sweep reclaims every retired page.
+//
+// One generation at rest: a store that no process holds open has exactly
+// one generation, the newest valid superblock's. The other slot's older
+// generation is superseded, not retained — its pages were reclaimed at its
+// successor's commit (or by the next Open's sweep) and may already be
+// reused — so nothing opens it; fsck checks the committed generation only.
 
 #ifndef BOXAGG_CORE_BAG_FILE_H_
 #define BOXAGG_CORE_BAG_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -79,20 +84,6 @@ struct BagRecoveryReport {
   uint64_t logical_pages = 0;   ///< logical address-space size
   uint64_t mapped_pages = 0;    ///< logical pages with live contents
   uint64_t orphaned_physical = 0;  ///< unreachable physical pages swept
-};
-
-/// How Open() should position the store.
-struct BagOpenOptions {
-  /// Recover this exact generation instead of the newest valid one; -1
-  /// means newest. With the two ping-pong slots, at most two generations
-  /// are ever durable, so N must match one of them.
-  int64_t target_generation = -1;
-  /// Inspect-only open (fsck of a retained generation): skips the orphan
-  /// sweep, leaves the inner file's free list and write epoch untouched,
-  /// and refuses WritePage/Free/Commit. Safe to run against a physical
-  /// file another (writable) BagFile is layered on, provided no commit
-  /// runs concurrently.
-  bool read_only = false;
 };
 
 /// Immutable image of one published generation (what a pin holds).
@@ -188,12 +179,6 @@ class BagFile : public PageFile {
   static Status Open(PageFile* physical, std::unique_ptr<BagFile>* out,
                      BagRecoveryReport* report = nullptr);
 
-  /// Open with explicit generation targeting and read-only support (fsck's
-  /// --generation/--all-generations path); see BagOpenOptions.
-  static Status Open(PageFile* physical, const BagOpenOptions& options,
-                     std::unique_ptr<BagFile>* out,
-                     BagRecoveryReport* report = nullptr);
-
   /// Debug builds abort if any GenerationPin is still live: a pin holds a
   /// pointer into this object, so outliving it is a use-after-free.
   ~BagFile() override;
@@ -220,15 +205,6 @@ class BagFile : public PageFile {
   /// whatever no pin still protects. Runs on the single writer thread,
   /// concurrently with any number of pinned readers.
   Status Commit(const std::vector<PageId>& roots);
-
-  /// Invoked synchronously at the end of every successful Commit with the
-  /// just-published generation number, on the committing thread — the hook
-  /// for rebuild-on-publish automation (e.g. kicking a ReplicaBuilder
-  /// while readers stay pinned on the old generation). The hook may read
-  /// and write the bag (it is the writer thread) but must not Commit.
-  void set_post_commit_hook(std::function<void(uint64_t)> hook) {
-    post_commit_hook_ = std::move(hook);
-  }
 
   // -- MVCC: pins and reclamation -------------------------------------------
   /// Pins the currently published generation. Thread-safe; wait-free with
@@ -316,7 +292,6 @@ class BagFile : public PageFile {
   PageFile* physical_;  // not owned
   uint64_t generation_ = 0;
   uint32_t dims_ = 0;
-  bool read_only_ = false;
   std::vector<PageId> roots_;
 
   std::vector<BagMapEntry> map_;   // logical id -> {physical, epoch}
@@ -324,8 +299,6 @@ class BagFile : public PageFile {
   std::vector<PageId> map_page_ids_;       // published map chain (physical)
   std::vector<PageId> deferred_frees_;     // physical pages of the published
                                            // generation, retired at Commit
-
-  std::function<void(uint64_t)> post_commit_hook_;
 
   /// Generation table: pin refcount per generation and the published
   /// snapshot. Ordered map so begin() is the oldest pinned generation.

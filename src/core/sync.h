@@ -12,10 +12,12 @@
 //     zero codegen difference.
 //
 //  2. Annotated wrappers: Mutex, SharedMutex, CondVar, and the RAII scopes
-//     MutexLock / WriterLock / ReaderLock. In Release builds each wrapper
-//     is exactly its std:: counterpart (the name/rank constructor
-//     arguments are discarded), so the hot paths — BufferPool shard locks
-//     in particular — pay nothing for the discipline.
+//     MutexLock / WriterLock / ReaderLock. Each wrapper is its std::
+//     counterpart plus the static name and rank (kept in every build so a
+//     translation unit compiled without NDEBUG links safely against an
+//     optimized library); in Release builds the lock paths never read
+//     them, so the hot paths — BufferPool shard locks in particular — pay
+//     nothing for the discipline beyond 16 bytes per lock.
 //
 //  3. LockOrderRegistry, a debug-build deadlock detector. Every Mutex /
 //     SharedMutex is constructed with a static name and a rank from
@@ -284,16 +286,12 @@ class LockOrderRegistry {
 // ---------------------------------------------------------------------------
 
 /// \brief Annotated std::mutex. Construct with a static name and a
-/// lock_rank:: rank; Release builds discard both and the wrapper is a bare
-/// std::mutex.
+/// lock_rank:: rank. Both are stored in every build, so the layout does not
+/// depend on NDEBUG; only builds with lock-order checks read them.
 class CAPABILITY("mutex") Mutex {
  public:
-#if BOXAGG_LOCK_ORDER_CHECKS
   explicit Mutex(const char* name, uint32_t rank)
       : name_(name), rank_(rank) {}
-#else
-  explicit Mutex(const char* /*name*/, uint32_t /*rank*/) {}
-#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
@@ -316,19 +314,12 @@ class CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
 
-#if BOXAGG_LOCK_ORDER_CHECKS
   const char* DebugName() const { return name_; }
   uint32_t DebugRank() const { return rank_; }
-#else
-  const char* DebugName() const { return ""; }
-  uint32_t DebugRank() const { return 0; }
-#endif
 
   std::mutex mu_;
-#if BOXAGG_LOCK_ORDER_CHECKS
   const char* name_;
   uint32_t rank_;
-#endif
 };
 
 /// \brief Annotated std::shared_mutex: one writer or many readers. Same
@@ -336,12 +327,8 @@ class CAPABILITY("mutex") Mutex {
 /// exactly like exclusive ones (a blocked reader deadlocks just as hard).
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
-#if BOXAGG_LOCK_ORDER_CHECKS
   explicit SharedMutex(const char* name, uint32_t rank)
       : name_(name), rank_(rank) {}
-#else
-  explicit SharedMutex(const char* /*name*/, uint32_t /*rank*/) {}
-#endif
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
@@ -365,22 +352,15 @@ class CAPABILITY("shared_mutex") SharedMutex {
   }
 
  private:
-#if BOXAGG_LOCK_ORDER_CHECKS
   const char* DebugName() const { return name_; }
   uint32_t DebugRank() const { return rank_; }
-#else
-  const char* DebugName() const { return ""; }
-  uint32_t DebugRank() const { return 0; }
-#endif
   const void* SharedKey() const {
     return static_cast<const char*>(static_cast<const void*>(this)) + 1;
   }
 
   std::shared_mutex mu_;
-#if BOXAGG_LOCK_ORDER_CHECKS
   const char* name_;
   uint32_t rank_;
-#endif
 };
 
 // ---------------------------------------------------------------------------

@@ -104,18 +104,13 @@ Status MemPageFile::Extend(uint64_t new_count) {
 
 Status MemPageFile::Free(PageId id) {
   BOXAGG_RETURN_NOT_OK(PageFile::Free(id));
-#ifndef NDEBUG
-  // Poison the freed slot: a later read of this id before it is rewritten
-  // now fails the header check instead of returning stale-but-plausible
-  // bytes. (Release builds skip the fill; freed contents are undefined
-  // either way.)
-  {
-    sync::MutexLock lock(&mu_);
-    if (id < slots_.size() && !slots_[id].empty()) {
-      std::fill(slots_[id].begin(), slots_[id].end(), uint8_t{0xDB});
-    }
+  // Poison the freed slot in every build: a later read of this id before it
+  // is rewritten fails the header check instead of returning stale-but-
+  // plausible bytes, so a use-after-free of a page id fails loudly.
+  sync::MutexLock lock(&mu_);
+  if (id < slots_.size() && !slots_[id].empty()) {
+    std::fill(slots_[id].begin(), slots_[id].end(), uint8_t{0xDB});
   }
-#endif
   return Status::OK();
 }
 

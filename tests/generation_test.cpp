@@ -1,9 +1,8 @@
 // Multi-generation MVCC: generation pins, snapshot-bound reads, epoch-based
 // retire/reclaim ordering, executor pin handoff, eviction pressure against
-// reclamation guards, a reader/writer/reclaimer stress (TSan target), the
-// post-commit replica-rebuild hook, and generation-aware fsck
-// (--generation/--all-generations, retired-vs-orphan classification,
-// cross-generation aliasing detection).
+// reclamation guards, a reader/writer/reclaimer stress (TSan target), a
+// replica rebuilt and published after a commit, and fsck's one-generation
+// contract (only the committed generation is checked).
 
 #include <gtest/gtest.h>
 
@@ -415,11 +414,10 @@ TEST(Generation, SnapshotFetchesCacheUnderVersionedKeys) {
 }
 
 // ---------------------------------------------------------------------------
-// Post-commit hook (replica rebuild-on-publish): every Commit invokes the
-// hook with the published generation; the hook rebuilds a compact replica
-// from the just-published tree and the next commit publishes its root.
+// Replica rebuild after a commit: the writer builds a compact replica from
+// the tree Commit just published, and the next commit publishes its root.
 // ---------------------------------------------------------------------------
-TEST(Generation, PostCommitHookRebuildsReplica) {
+TEST(Generation, ReplicaRebuiltAfterCommit) {
   MemPageFile phys(kPageSize);
   std::unique_ptr<BagFile> bag;
   // Root 0: live PackedBaTree; root 1: replica of the previous publish.
@@ -427,19 +425,6 @@ TEST(Generation, PostCommitHookRebuildsReplica) {
   BufferPool pool(bag.get(), 512);
 
   PackedBaTree<double> tree(&pool, 2);
-  PageId replica_root = kInvalidPageId;
-  std::vector<uint64_t> hook_generations;
-  bag->set_post_commit_hook([&](uint64_t published) {
-    hook_generations.push_back(published);
-    // Rebuild the read replica from the tree that was just published. The
-    // hook runs on the writer thread and may write (next commit publishes
-    // the replica) but must not Commit itself.
-    ReplicaBuilder<double> builder(&pool);
-    PageId fresh = kInvalidPageId;
-    ASSERT_TRUE(builder.Build(tree, &fresh).ok());
-    replica_root = fresh;
-  });
-
   double total = 0;
   for (int k = 0; k < 120; ++k) {
     const Point p(static_cast<double>(k % 30), static_cast<double>(k / 30));
@@ -448,13 +433,19 @@ TEST(Generation, PostCommitHookRebuildsReplica) {
   }
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(bag->Commit({tree.root(), kInvalidPageId}).ok());
-  ASSERT_EQ(hook_generations, (std::vector<uint64_t>{1}));
+  ASSERT_EQ(bag->generation(), 1u);
+
+  // Once Commit returns, the writer rebuilds the replica from the tree it
+  // just published (readers pinned on generation 1 are undisturbed).
+  ReplicaBuilder<double> builder(&pool);
+  PageId replica_root = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(tree, &replica_root).ok());
   ASSERT_NE(replica_root, kInvalidPageId);
 
   // Publish the rebuilt replica alongside the tree.
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(bag->Commit({tree.root(), replica_root}).ok());
-  ASSERT_EQ(hook_generations.size(), 2u);
+  ASSERT_EQ(bag->generation(), 2u);
 
   // The replica answers exactly like its source.
   CompactReplica<double> replica(&pool, 2, replica_root);
@@ -477,15 +468,18 @@ TEST(Generation, PostCommitHookRebuildsReplica) {
   FsckReport report;
   Status st = FsckBag(&phys, FsckOptions{}, &report);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(report.generation, 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Generation-aware fsck.
+// fsck checks only the committed generation: a store at rest holds one
+// generation (pins are process state), so every page the committed
+// generation does not reference is free and damage there is a note.
 // ---------------------------------------------------------------------------
 
 // Two published generations of a PackedBaTree store (the default checker's
-// layout), for the fsck tests below.
-void BuildTwoGenerations(MemPageFile* phys) {
+// layout). `gen1_map_pages` receives generation 1's map-chain ids.
+void BuildTwoGenerations(PageFile* phys, std::vector<PageId>* gen1_map_pages) {
   std::unique_ptr<BagFile> bag;
   ASSERT_TRUE(BagFile::Create(phys, 2, 1, &bag).ok());
   BufferPool pool(bag.get(), 512);
@@ -499,6 +493,7 @@ void BuildTwoGenerations(MemPageFile* phys) {
   }
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(bag->Commit({tree.root()}).ok());
+  *gen1_map_pages = bag->map_page_ids();
   for (int k = 0; k < 40; ++k) {
     ASSERT_TRUE(
         tree.Insert(Point(100.0 + k, 100.0 - k), 2.0).ok());
@@ -507,119 +502,70 @@ void BuildTwoGenerations(MemPageFile* phys) {
   ASSERT_TRUE(bag->Commit({tree.root()}).ok());
 }
 
-TEST(GenerationFsck, TargetGenerationAndAllGenerations) {
-  MemPageFile phys(kPageSize);
-  BuildTwoGenerations(&phys);
+TEST(GenerationFsck, ChecksOnlyTheCommittedGeneration) {
+  FaultInjectingPageFile phys(kPageSize, /*seed=*/3);
+  std::vector<PageId> gen1_map_pages;
+  BuildTwoGenerations(&phys, &gen1_map_pages);
+  ASSERT_FALSE(gen1_map_pages.empty());
 
-  // Default: newest generation, with the older one classified retired.
-  FsckOptions opts;
-  FsckReport report;
-  Status st = FsckBag(&phys, opts, &report);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(report.generation, 2u);
-  EXPECT_EQ(report.other_generation, 1);
-  EXPECT_GT(report.retired_pages, 0u);
+  FsckOptions strict;
+  strict.strict_orphans = true;
+  strict.strict_stale = true;
+  for (const FsckOptions& opts : {FsckOptions{}, strict}) {
+    FsckReport report;
+    Status st = FsckBag(&phys, opts, &report);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(report.generation, 2u);
+    EXPECT_EQ(report.checksum_failures_free, 0u);
+  }
 
-  // Explicitly target the superseded generation: a read-only open that
-  // verifies generation 1's structures.
-  opts.target_generation = 1;
-  st = FsckBag(&phys, opts, &report);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(report.generation, 1u);
-  EXPECT_EQ(report.other_generation, 2);
-
-  // Both generations in one run.
-  opts.target_generation = -1;
-  opts.all_generations = true;
-  st = FsckBag(&phys, opts, &report);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(report.generation, 2u);
-  EXPECT_EQ(report.other_generation, 1);
-
-  // A generation that was never durable.
-  opts.all_generations = false;
-  opts.target_generation = 7;
-  st = FsckBag(&phys, opts, &report);
-  EXPECT_FALSE(st.ok());
-}
-
-TEST(GenerationFsck, CrossGenerationAliasingIsCorruption) {
-  MemPageFile phys(kPageSize);
-  BuildTwoGenerations(&phys);
-
-  // Learn both generations' layouts through pins (a pin snapshots the
-  // full logical->physical map and the map-chain ids).
-  std::vector<BagMapEntry> map1, map2;
-  std::vector<PageId> map1_pages;
+  // The pages generation 2 references: its map chain and mapped images.
+  std::vector<bool> referenced(phys.page_count(), false);
+  referenced[0] = referenced[1] = true;  // superblock slots
+  PageId mapped_victim = kInvalidPageId;
   {
-    std::unique_ptr<BagFile> bag2;
-    ASSERT_TRUE(BagFile::Open(&phys, &bag2, nullptr).ok());
-    ASSERT_EQ(bag2->generation(), 2u);
-    GenerationPin pin2;
-    ASSERT_TRUE(bag2->PinCurrent(&pin2).ok());
-    for (PageId l = 0; l < pin2.logical_pages(); ++l) {
-      map2.push_back(pin2.map_entry(l));
+    std::unique_ptr<BagFile> bag;
+    ASSERT_TRUE(BagFile::Open(&phys, &bag).ok());
+    ASSERT_EQ(bag->generation(), 2u);
+    for (PageId id : bag->map_page_ids()) referenced[id] = true;
+    for (PageId l = 0; l < bag->page_count(); ++l) {
+      const BagMapEntry e = bag->MapEntry(l);
+      if (!e.mapped()) continue;
+      referenced[e.physical] = true;
+      mapped_victim = e.physical;
     }
   }
-  {
-    BagOpenOptions oo;
-    oo.target_generation = 1;
-    oo.read_only = true;
-    std::unique_ptr<BagFile> bag1;
-    ASSERT_TRUE(BagFile::Open(&phys, oo, &bag1, nullptr).ok());
-    GenerationPin pin1;
-    ASSERT_TRUE(bag1->PinCurrent(&pin1).ok());
-    for (PageId l = 0; l < pin1.logical_pages(); ++l) {
-      map1.push_back(pin1.map_entry(l));
-    }
-    map1_pages = pin1.map_pages();
+  ASSERT_NE(mapped_victim, kInvalidPageId);
+  for (PageId id : gen1_map_pages) {
+    EXPECT_FALSE(referenced[id]) << "generation 1 map page " << id;
   }
 
-  // A physical page generation 2 maps but generation 1 does not.
-  PageId victim_phys = kInvalidPageId;
-  uint64_t victim_epoch = 0;
-  for (const BagMapEntry& e2 : map2) {
-    if (!e2.mapped()) continue;
-    bool in_gen1 = false;
-    for (const BagMapEntry& e : map1) {
-      in_gen1 = in_gen1 || (e.mapped() && e.physical == e2.physical);
-    }
-    if (!in_gen1) {
-      victim_phys = e2.physical;
-      victim_epoch = e2.epoch;
-      break;
-    }
+  // Damage every page generation 2 does not reference, generation 1's map
+  // chain included: still clean, each page counted as a free failure.
+  const uint64_t payload_bit = (kPageHeaderSize + 8) * 8;
+  uint64_t damaged = 0;
+  for (PageId id = 0; id < referenced.size(); ++id) {
+    if (referenced[id]) continue;
+    phys.FlipBit(id, payload_bit);
+    ++damaged;
   }
-  ASSERT_NE(victim_phys, kInvalidPageId);
-
-  // Rewrite one mapped entry in generation 1's map chain to claim that
-  // physical page under its own (older) epoch — the double-owner state
-  // reclamation bugs would produce.
-  bool patched = false;
-  for (PageId mp : map1_pages) {
-    Page p(kPageSize);
-    ASSERT_TRUE(phys.ReadPage(mp, &p).ok());
-    ASSERT_EQ(p.ReadAt<uint64_t>(kBagMapOffMagic), kBagMapMagic);
-    const uint64_t n = p.ReadAt<uint64_t>(kBagMapOffEntryCount);
-    for (uint64_t k = 0; k < n && !patched; ++k) {
-      const uint32_t off =
-          kBagMapOffEntries + static_cast<uint32_t>(k) * kBagMapEntrySize;
-      const uint64_t phys_id = p.ReadAt<uint64_t>(off);
-      const uint64_t epoch = p.ReadAt<uint64_t>(off + 8);
-      if (phys_id == kInvalidPageId || epoch == victim_epoch) continue;
-      p.WriteAt<uint64_t>(off, victim_phys);
-      ASSERT_TRUE(phys.WritePage(mp, p).ok());
-      patched = true;
-    }
-    if (patched) break;
+  ASSERT_GE(damaged, gen1_map_pages.size());
+  for (const FsckOptions& opts : {FsckOptions{}, strict}) {
+    FsckReport report;
+    Status st = FsckBag(&phys, opts, &report);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(report.generation, 2u);
+    EXPECT_EQ(report.checksum_failures_free, damaged);
+    EXPECT_EQ(report.checksum_failures_live, 0u);
   }
-  ASSERT_TRUE(patched);
 
+  // One flipped bit in a page generation 2 maps is corruption.
+  phys.FlipBit(mapped_victim, payload_bit);
   FsckReport report;
   Status st = FsckBag(&phys, FsckOptions{}, &report);
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("aliasing"), std::string::npos)
-      << st.ToString();
+  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+  EXPECT_EQ(report.checksum_failures_live, 1u);
 }
 
 }  // namespace

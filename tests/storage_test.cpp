@@ -526,9 +526,8 @@ TEST(BufferPoolAlloc, WarmMissPathMakesZeroHeapAllocations) {
   }
 }
 
-#ifndef NDEBUG
 TEST(MemPageFileDebug, FreedPageIsPoisonedAndFailsLoudly) {
-  // Debug builds fill freed slots with 0xDB: a use-after-free of the page
+  // Every build fills freed slots with 0xDB: a use-after-free of the page
   // id must fail the checksum instead of serving stale-but-parsable bytes.
   MemPageFile file(512);
   PageId id = kInvalidPageId;
@@ -543,7 +542,6 @@ TEST(MemPageFileDebug, FreedPageIsPoisonedAndFailsLoudly) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
 }
-#endif
 
 TEST(PageFileTest, SetFreeListReplacesAllocationState) {
   MemPageFile file(512);

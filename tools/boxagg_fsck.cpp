@@ -1,35 +1,25 @@
 // boxagg_fsck: offline verifier for .bag index files.
 //
-//   boxagg_fsck [--no-oracle] [--strict] [--generation=N]
-//               [--all-generations] index.bag
+//   boxagg_fsck [--no-oracle] [--strict] index.bag
 //
-// Recovers the file to its newest durable generation (exactly as a normal
-// open would), verifies every physical slot's CRC32C envelope, cross-checks
+// Recovers the file to its committed generation (exactly as a normal open
+// would), verifies every physical slot's CRC32C envelope, cross-checks
 // page epochs against the generation map (lost-write detection), runs each
 // root tree's structural invariants (page typing, key order, subtree-
 // aggregate identities, border tiling, packed-heap layout) with errors
 // collected per structure, audits buffer-pool/page-file accounting, and
-// sweeps for orphaned pages. When the other superblock slot still holds a
-// second durable generation, its exclusive pages are classified *retired*
-// (reachable through that generation) rather than orphaned, and any
-// physical page the two generations claim under different (logical, epoch)
-// identities is cross-generation aliasing — always corruption. Exit status
-// 0 iff the file is clean; 1 on corruption (with page-level diagnostics) or
-// usage error.
+// sweeps for orphaned pages. A file at rest holds one generation: pages the
+// committed generation does not reference are free, and damage to them is
+// only a note. Exit status 0 iff the file is clean; 1 on corruption (with
+// page-level diagnostics) or usage error.
 //
-// --no-oracle       skips the query self-oracle (structural checks only;
-//                   much faster on large files)
-// --strict          treats orphaned and stale (older-generation) reachable
-//                   pages as corruption instead of a warning
-// --generation=N    verifies durable generation N (opened read-only)
-//                   instead of the newest; fails if N is not durable
-// --all-generations additionally runs the structural sweep over the other
-//                   durable generation, and damage to retired pages
-//                   becomes corruption instead of a note
+// --no-oracle  skips the query self-oracle (structural checks only; much
+//              faster on large files)
+// --strict     treats orphaned and stale (older-generation) reachable
+//              pages as corruption instead of a warning
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -41,7 +31,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr, "usage: boxagg_fsck [--no-oracle] [--strict] "
-                       "[--generation=N] [--all-generations] index.bag\n");
+                       "index.bag\n");
   return 1;
 }
 
@@ -56,17 +46,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--strict") == 0) {
       options.strict_orphans = true;
       options.strict_stale = true;
-    } else if (std::strncmp(argv[i], "--generation=", 13) == 0) {
-      char* end = nullptr;
-      options.target_generation = std::strtoll(argv[i] + 13, &end, 10);
-      if (end == argv[i] + 13 || *end != '\0' ||
-          options.target_generation < 0) {
-        std::fprintf(stderr, "boxagg_fsck: bad generation %s\n",
-                     argv[i] + 13);
-        return Usage();
-      }
-    } else if (std::strcmp(argv[i], "--all-generations") == 0) {
-      options.all_generations = true;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "boxagg_fsck: unknown option %s\n", argv[i]);
       return Usage();
@@ -89,11 +68,6 @@ int main(int argc, char** argv) {
   std::printf("  verified %" PRIu64 " pages, %" PRIu64 " orphaned, "
               "%" PRIu64 " stale\n",
               report.visited_pages, report.orphan_pages, report.stale_pages);
-  if (report.other_generation >= 0) {
-    std::printf("  second durable generation %" PRId64 ": %" PRIu64
-                " retired page(s)\n",
-                report.other_generation, report.retired_pages);
-  }
   if (report.checksum_failures_live + report.checksum_failures_free > 0) {
     std::printf("  checksum failures: %" PRIu64 " on live pages, %" PRIu64
                 " on free pages\n",

@@ -674,7 +674,9 @@ class PackedBaTree {
               gr.spill_roots[gr.spills++] = static_cast<PageId>(ref);
               continue;
             }
-            // In-page scan: zero extra I/O — the packing payoff.
+            // In-page scan: zero extra I/O — the packing payoff. Entries
+            // are strictly lexicographically sorted (audited by (c)), so
+            // past the probe's first coordinate none is dominated.
             const uint32_t off = InlineOffset(ref);
             const uint32_t cnt = BlockCount(page, off);
             for (size_t t = begin; t < assigned; ++t) {
@@ -684,6 +686,7 @@ class PackedBaTree {
                 Point pt;  // decoded: packed entries hold dims - 1 coords
                 V v;
                 ReadBlockEntry(page, off, k, &pt, &v);
+                if (pt[0] > projected[0]) break;
                 if (projected.Dominates(pt, dims_ - 1)) out += v;
               }
             }

@@ -32,16 +32,15 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
 
     // Every lazily allocated frame is exactly one of: resident (frame table)
     // or free. A frame in neither is leaked; one in both is double-owned.
-    if (s.frames.size() + s.free_frames.size() != s.frame_storage.size()) {
+    if (s.frames.size() + s.free_frames.size() != s.allocated) {
       return ShardCorruption(
           si, "frame accounting mismatch: " + std::to_string(s.frames.size()) +
                   " resident + " + std::to_string(s.free_frames.size()) +
-                  " free != " + std::to_string(s.frame_storage.size()) +
-                  " allocated");
+                  " free != " + std::to_string(s.allocated) + " allocated");
     }
-    if (s.frame_storage.size() > s.capacity) {
+    if (s.allocated > s.capacity) {
       return ShardCorruption(
-          si, "allocated " + std::to_string(s.frame_storage.size()) +
+          si, "allocated " + std::to_string(s.allocated) +
                   " frames, capacity " + std::to_string(s.capacity));
     }
 
@@ -49,8 +48,8 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
     // frame not on the free list carries a page), at load <= 1/2 so every
     // probe ends at an empty slot.
     size_t resident_frames = 0;
-    for (const auto& f : s.frame_storage) {
-      if (f->id != kInvalidPageId) ++resident_frames;
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      if (s.slots[i].id != kInvalidPageId) ++resident_frames;
     }
     if (s.frames.size() != resident_frames) {
       return ShardCorruption(
@@ -119,24 +118,48 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
                   " slots are occupied");
     }
 
-    if (s.lru.size() != in_lru_frames) {
-      return ShardCorruption(
-          si, "LRU list holds " + std::to_string(s.lru.size()) +
-                  " frames but " + std::to_string(in_lru_frames) +
-                  " resident frames claim membership");
-    }
-    for (auto it = s.lru.begin(); it != s.lru.end(); ++it) {
-      Frame* f = *it;
-      if (f == nullptr) return ShardCorruption(si, "null frame in LRU list");
-      if (!f->in_lru || f->lru_pos != it) {
-        return CorruptionAt(f->id, "stale LRU position (lru_pos does not "
-                                   "point back at the list node)");
+    // Walk the index-linked LRU from the cold end: every link in range,
+    // every prev pointing back, no cycle, and the walk ends at the tail
+    // after exactly lru_size frames, all of them resident and unpinned.
+    uint32_t walked = 0;
+    uint32_t prev = kNoFrame;
+    for (uint32_t i = s.lru_head; i != kNoFrame; i = s.slots[i].next) {
+      if (i >= s.allocated) {
+        return ShardCorruption(si, "LRU link " + std::to_string(i) +
+                                       " out of range (" +
+                                       std::to_string(s.allocated) +
+                                       " frames allocated)");
       }
-      if (s.frames.Find(f->id) != f) {
+      if (++walked > s.allocated) {
+        return ShardCorruption(si, "LRU links form a cycle");
+      }
+      const Frame& f = s.slots[i];
+      if (f.prev != prev) {
+        return CorruptionAt(f.id, "LRU prev link " + std::to_string(f.prev) +
+                                      " does not point back at frame " +
+                                      std::to_string(prev));
+      }
+      if (!f.in_lru) {
+        return CorruptionAt(f.id, "linked into the LRU but in_lru unset");
+      }
+      if (s.frames.Find(f.id) != &f) {
         return ShardCorruption(si, "LRU frame for page " +
-                                       std::to_string(f->id) +
+                                       std::to_string(f.id) +
                                        " is not in the frame table");
       }
+      prev = i;
+    }
+    if (prev != s.lru_tail) {
+      return ShardCorruption(si, "LRU tail " + std::to_string(s.lru_tail) +
+                                     " is not the last linked frame " +
+                                     std::to_string(prev));
+    }
+    if (walked != s.lru_size || walked != in_lru_frames) {
+      return ShardCorruption(
+          si, "LRU links reach " + std::to_string(walked) +
+                  " frames, its length is " + std::to_string(s.lru_size) +
+                  ", and " + std::to_string(in_lru_frames) +
+                  " resident frames claim membership");
     }
 
     for (const Frame* f : s.free_frames) {

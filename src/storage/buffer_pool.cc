@@ -1,6 +1,8 @@
 #include "storage/buffer_pool.h"
 
 #include <chrono>
+#include <memory>
+#include <new>
 #include <thread>
 
 namespace boxagg {
@@ -19,25 +21,32 @@ BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards,
   shards_.reserve(shards);
   size_t total = 0;
   for (size_t i = 0; i < shards; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->index = static_cast<uint32_t>(i);
     // Distribute capacity as evenly as possible; every shard keeps at least
     // the seed's floor so a single shard can always hold one pin chain.
     size_t cap = capacity / shards + (i < capacity % shards ? 1 : 0);
-    s->capacity = cap < kMinShardFrames ? kMinShardFrames : cap;
-    total += s->capacity;
-    // Pre-size to capacity: the frame table is fixed-size, and the frame
-    // vectors never reallocate while the pool warms up (frames are
-    // allocated lazily but never exceed capacity). The lock is uncontended
-    // (the shard is not published yet) but satisfies the static
-    // GUARDED_BY discipline.
-    sync::MutexLock lock(&s->mu);
-    s->frames = FrameTable<Frame>(s->capacity);
-    s->frame_storage.reserve(s->capacity);
-    s->free_frames.reserve(s->capacity);
-    shards_.push_back(std::move(s));
+    if (cap < kMinShardFrames) cap = kMinShardFrames;
+    total += cap;
+    shards_.push_back(std::make_unique<Shard>(cap, static_cast<uint32_t>(i)));
   }
   capacity_ = total;
+}
+
+// Everything is sized to capacity up front: the frame table is fixed-size,
+// and neither the frame array nor the free list reallocates while the pool
+// warms up. The frame array is raw storage, so slots not yet used cost
+// address space, not resident memory.
+BufferPool::Shard::Shard(size_t cap, uint32_t idx)
+    : frames(cap),
+      slots(std::allocator<Frame>().allocate(cap)),
+      capacity(cap),
+      index(idx) {
+  assert(cap < kNoFrame && "shard capacity exceeds the LRU link range");
+  free_frames.reserve(cap);
+}
+
+BufferPool::Shard::~Shard() {
+  for (uint32_t i = 0; i < allocated; ++i) slots[i].~Frame();
+  std::allocator<Frame>().deallocate(slots, capacity);
 }
 
 BufferPool::~BufferPool() {
@@ -53,8 +62,8 @@ size_t BufferPool::PinnedFrames() const {
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (const auto& f : s.frame_storage) {
-      if (f->pin_count.load(std::memory_order_relaxed) > 0) ++n;
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      if (s.slots[i].pin_count.load(std::memory_order_relaxed) > 0) ++n;
     }
   }
   return n;
@@ -77,7 +86,7 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
   sync::MutexLock lock(&s.mu);
   if (Frame* f = s.frames.Find(id); f != nullptr) {
     stats_.AddBufferHit();
-    ParkLru(s, f);
+    Unlink(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
     return Status::OK();
@@ -92,7 +101,6 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
   f->id = id;
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
-  f->in_lru = false;
   s.frames.Insert(id, f);
   *out = PageGuard(this, f);
   return Status::OK();
@@ -107,7 +115,7 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
   sync::MutexLock lock(&s.mu);
   if (Frame* f = s.frames.Find(key); f != nullptr) {
     stats_.AddBufferHit();
-    ParkLru(s, f);
+    Unlink(s, f);
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
     *out = PageGuard(this, f);
     return Status::OK();
@@ -123,7 +131,6 @@ Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
   f->id = key;
   f->pin_count.store(1, std::memory_order_relaxed);
   f->dirty.store(false, std::memory_order_relaxed);
-  f->in_lru = false;
   s.frames.Insert(key, f);
   *out = PageGuard(this, f);
   return Status::OK();
@@ -171,7 +178,7 @@ Status BufferPool::New(PageGuard* out) {
   Frame* f = s.frames.Find(id);
   if (f != nullptr) {
     assert(f->pin_count.load(std::memory_order_relaxed) == 0);
-    ParkLru(s, f);
+    Unlink(s, f);
   } else {
     BOXAGG_RETURN_NOT_OK(GetFreeFrame(s, &f));
     f->id = id;
@@ -181,7 +188,6 @@ Status BufferPool::New(PageGuard* out) {
   f->pin_count.store(1, std::memory_order_relaxed);
   // Must reach disk even if never touched again.
   f->dirty.store(true, std::memory_order_relaxed);
-  f->in_lru = false;
   *out = PageGuard(this, f);
   return Status::OK();
 }
@@ -194,7 +200,7 @@ Status BufferPool::Delete(PageId id) {
       if (f->pin_count.load(std::memory_order_relaxed) != 0) {
         return Status::InvalidArgument("Delete of pinned page");
       }
-      ParkLru(s, f);
+      Unlink(s, f);
       s.frames.Erase(id);
       f->id = kInvalidPageId;
       f->dirty.store(false, std::memory_order_relaxed);
@@ -208,15 +214,16 @@ Status BufferPool::FlushAll() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (const auto& f : s.frame_storage) {
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      Frame& f = s.slots[i];
       // Free frames are never dirty (Delete and EvictOne clear the flag).
-      if (f->dirty.load(std::memory_order_relaxed)) {
+      if (f.dirty.load(std::memory_order_relaxed)) {
         // A snapshot frame's id is a version key, not a writable page id;
         // such frames are read-only and must never be dirty.
-        assert((f->id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
-        BOXAGG_RETURN_NOT_OK(file_->WritePage(f->id, f->page));
+        assert((f.id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
+        BOXAGG_RETURN_NOT_OK(file_->WritePage(f.id, f.page));
         stats_.AddPhysicalWrite();
-        f->dirty.store(false, std::memory_order_relaxed);
+        f.dirty.store(false, std::memory_order_relaxed);
       }
     }
   }
@@ -228,19 +235,19 @@ Status BufferPool::Reset() {
   for (auto& sp : shards_) {
     Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
-    for (const auto& f : s.frame_storage) {
-      if (f->pin_count.load(std::memory_order_relaxed) != 0) {
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      if (s.slots[i].pin_count.load(std::memory_order_relaxed) != 0) {
         return Status::InvalidArgument("Reset with pinned pages");
       }
     }
-    for (const auto& f : s.frame_storage) {
-      if (f->id == kInvalidPageId) continue;  // already free
-      f->id = kInvalidPageId;
-      f->in_lru = false;
-      s.free_frames.push_back(f.get());
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      Frame& f = s.slots[i];
+      if (f.id == kInvalidPageId) continue;  // already free
+      Unlink(s, &f);
+      f.id = kInvalidPageId;
+      s.free_frames.push_back(&f);
     }
     s.frames.Clear();
-    s.parked.splice(s.parked.end(), s.lru);  // keep every frame's node alive
   }
   return Status::OK();
 }
@@ -252,24 +259,31 @@ void BufferPool::Unpin(Frame* f, bool dirty) {
   assert(f->pin_count.load(std::memory_order_relaxed) > 0);
   if (dirty) f->dirty.store(true, std::memory_order_relaxed);
   if (f->pin_count.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    Touch(s, f);
+    LinkHot(s, f);
   }
 }
 
-void BufferPool::Touch(Shard& s, Frame* f) {
-  // Move the frame's permanent node to the hot end (back) of the lru —
-  // repositioning within lru or adopting from parked, allocation-free
-  // either way.
-  s.lru.splice(s.lru.end(), f->in_lru ? s.lru : s.parked, f->lru_pos);
+void BufferPool::LinkHot(Shard& s, Frame* f) {
+  assert(!f->in_lru);
+  const auto i = static_cast<uint32_t>(f - s.slots);
+  f->prev = s.lru_tail;
+  f->next = kNoFrame;
+  (s.lru_tail == kNoFrame ? s.lru_head : s.slots[s.lru_tail].next) = i;
+  s.lru_tail = i;
+  ++s.lru_size;
   f->in_lru = true;
 }
-// LINT:hot-path-end
 
-void BufferPool::ParkLru(Shard& s, Frame* f) {
+void BufferPool::Unlink(Shard& s, Frame* f) {
   if (!f->in_lru) return;
-  s.parked.splice(s.parked.end(), s.lru, f->lru_pos);
+  (f->prev == kNoFrame ? s.lru_head : s.slots[f->prev].next) = f->next;
+  (f->next == kNoFrame ? s.lru_tail : s.slots[f->next].prev) = f->prev;
+  f->prev = kNoFrame;
+  f->next = kNoFrame;
+  --s.lru_size;
   f->in_lru = false;
 }
+// LINT:hot-path-end
 
 Status BufferPool::GetFreeFrame(Shard& s, Frame** out) {
   if (!s.free_frames.empty()) {
@@ -277,14 +291,9 @@ Status BufferPool::GetFreeFrame(Shard& s, Frame** out) {
     s.free_frames.pop_back();
     return Status::OK();
   }
-  if (s.frame_storage.size() < s.capacity) {
-    s.frame_storage.push_back(
-        std::make_unique<Frame>(file_->page_size(), s.index));
-    Frame* f = s.frame_storage.back().get();
-    // The frame's one-and-only list node, allocated here and never freed.
-    s.parked.push_back(f);
-    f->lru_pos = std::prev(s.parked.end());
-    *out = f;
+  if (s.allocated < s.capacity) {
+    *out = new (&s.slots[s.allocated]) Frame(file_->page_size(), s.index);
+    ++s.allocated;
     return Status::OK();
   }
   BOXAGG_RETURN_NOT_OK(EvictOne(s));
@@ -298,11 +307,11 @@ Status BufferPool::GetFreeFrame(Shard& s, Frame** out) {
 
 // LINT:hot-path
 Status BufferPool::EvictOne(Shard& s) {
-  if (s.lru.empty()) {
+  if (s.lru_head == kNoFrame) {
     return Status::NoSpace("buffer pool exhausted (all pages pinned)");
   }
-  Frame* f = s.lru.front();
-  ParkLru(s, f);
+  Frame* f = &s.slots[s.lru_head];
+  Unlink(s, f);
   if (f->dirty.load(std::memory_order_relaxed)) {
     // Snapshot frames (tagged keys) are read-only: a dirty one here would
     // write page content to a key that is not a real page id.
@@ -310,7 +319,7 @@ Status BufferPool::EvictOne(Shard& s) {
     if (Status st = file_->WritePage(f->id, f->page); !st.ok()) {
       // Keep the frame resident and evictable so a transient I/O failure
       // does not permanently shrink the pool.
-      Touch(s, f);
+      LinkHot(s, f);
       return st;
     }
     stats_.AddPhysicalWrite();

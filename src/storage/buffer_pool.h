@@ -7,21 +7,21 @@
 //
 // Concurrency: the pool is sharded. Frames are partitioned into `shards`
 // independent sub-pools by a hash of the PageId; each shard has its own
-// mutex, frame table (storage/frame_table.h), LRU list, and free list, so
-// concurrent readers on different shards never contend. With shards == 1
-// (the default) the pool performs exactly the seed implementation's
-// operation sequence — one LRU, one eviction order — so single-threaded
-// paper-fidelity I/O counts are bit-identical. Fetch is safe from any
-// number of threads; New/Delete mutate the PageFile's allocation state and
-// must not run concurrently with other pool calls (writes/inserts remain
-// single-threaded, see DESIGN.md "Concurrency model").
+// mutex, frame table (storage/frame_table.h), frame array with an
+// index-linked LRU, and free list, so concurrent readers on different
+// shards never contend. With shards == 1 (the default) the pool performs
+// exactly the seed implementation's operation sequence — one LRU, one
+// eviction order — so single-threaded paper-fidelity I/O counts are
+// bit-identical. Fetch is safe from any number of threads; New/Delete
+// mutate the PageFile's allocation state and must not run concurrently with
+// other pool calls (writes/inserts remain single-threaded, see DESIGN.md
+// "Concurrency model").
 
 #ifndef BOXAGG_STORAGE_BUFFER_POOL_H_
 #define BOXAGG_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cassert>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -150,6 +150,9 @@ class BufferPool {
  private:
   friend class PageGuard;
 
+  // "No frame" in the LRU links and at the ends of an empty LRU.
+  static constexpr uint32_t kNoFrame = ~uint32_t{0};
+
   struct Frame {
     Frame(uint32_t page_size, uint32_t shard_idx)
         : page(page_size), shard(shard_idx) {}
@@ -157,28 +160,39 @@ class BufferPool {
     PageId id = kInvalidPageId;
     std::atomic<int> pin_count{0};
     std::atomic<bool> dirty{false};
-    // The frame's permanent list node: in the shard's lru when in_lru, in
-    // its parked list otherwise. Nodes only ever move by splice, so the
-    // steady-state LRU churn of pin/unpin touches the heap zero times.
-    std::list<Frame*>::iterator lru_pos;
+    // Exact-LRU links while in_lru: indices of the colder (prev) and hotter
+    // (next) neighbours in the owning shard's frame array. A pinned or free
+    // frame is unlinked.
+    uint32_t prev = kNoFrame;
+    uint32_t next = kNoFrame;
     bool in_lru = false;
     const uint32_t shard;  // owning shard; frames never migrate
   };
 
   struct Shard {
+    Shard(size_t capacity, uint32_t index);
+    ~Shard();
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
     mutable sync::Mutex mu{"bufferpool.shard",
                            sync::lock_rank::kBufferPoolShard};
     // Resident frames by key (live PageId or bit-63 snapshot key); sized
     // once to the shard's capacity, never grown.
     FrameTable<Frame> frames GUARDED_BY(mu);
-    // front = coldest (evict first)
-    std::list<Frame*> lru GUARDED_BY(mu);
-    // nodes of pinned/free frames (see Frame)
-    std::list<Frame*> parked GUARDED_BY(mu);
-    std::vector<std::unique_ptr<Frame>> frame_storage GUARDED_BY(mu);
+    // One contiguous array of `capacity` frame slots, allocated with the
+    // pool. Frames [0, allocated) are constructed, in order, on first use;
+    // only then is a frame's page buffer allocated.
+    Frame* const slots;
+    uint32_t allocated GUARDED_BY(mu) = 0;
+    // The exact LRU of the unpinned resident frames, linked through
+    // Frame::prev/next: head = coldest (evict first), tail = hottest.
+    uint32_t lru_head GUARDED_BY(mu) = kNoFrame;
+    uint32_t lru_tail GUARDED_BY(mu) = kNoFrame;
+    uint32_t lru_size GUARDED_BY(mu) = 0;
     std::vector<Frame*> free_frames GUARDED_BY(mu);
-    size_t capacity = 0;
-    uint32_t index = 0;  // position in shards_, stamped into new Frames
+    const size_t capacity;
+    const uint32_t index;  // position in shards_, stamped into new Frames
   };
 
   size_t ShardOf(PageId id) const {
@@ -194,8 +208,8 @@ class BufferPool {
   void Unpin(Frame* f, bool dirty);
   Status GetFreeFrame(Shard& s, Frame** out) REQUIRES(s.mu);
   Status EvictOne(Shard& s) REQUIRES(s.mu);
-  void Touch(Shard& s, Frame* f) REQUIRES(s.mu);
-  static void ParkLru(Shard& s, Frame* f) REQUIRES(s.mu);
+  static void LinkHot(Shard& s, Frame* f) REQUIRES(s.mu);
+  static void Unlink(Shard& s, Frame* f) REQUIRES(s.mu);
 
   /// ReadPage with bounded retry on kIoError and checksum-failure
   /// accounting on kCorruption; called under the owning shard's lock.

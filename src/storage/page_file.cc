@@ -145,8 +145,9 @@ FilePageFile::~FilePageFile() {
 Status FilePageFile::Open(const std::string& path, uint32_t page_size,
                           bool truncate,
                           std::unique_ptr<FilePageFile>* out) {
-  int flags = O_RDWR | O_CREAT;
-  if (truncate) flags |= O_TRUNC;
+  // Only a truncating open creates the file: reopening a missing path fails
+  // with ENOENT instead of leaving an empty file behind.
+  const int flags = truncate ? O_RDWR | O_CREAT | O_TRUNC : O_RDWR;
   int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
     return Status::IoError("open(" + path + "): " + std::strerror(errno));

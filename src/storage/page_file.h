@@ -163,8 +163,10 @@ class FilePageFile : public PageFile {
  public:
   ~FilePageFile() override;
 
-  /// Creates (truncating) or opens `path`. On open of an existing file the
-  /// page count is derived from the file size; the free list starts empty.
+  /// Creates (truncating) or opens the existing `path`; without `truncate`
+  /// a missing file is an error, not created. On open of an existing file
+  /// the page count is derived from the file size; the free list starts
+  /// empty.
   static Status Open(const std::string& path, uint32_t page_size,
                      bool truncate, std::unique_ptr<FilePageFile>* out);
 

@@ -482,6 +482,51 @@ TEST(PackedBaTree, TieHeavyBulkLoadsMatchOracleExactly) {
   }
 }
 
+// An inline-border scan stops at the first entry whose first coordinate
+// passes the probe's. Here dimensions 0 and 1 take only 4 values while
+// dimension 2 takes 200, so every 2-d inline border (whose first coordinate
+// is dimension 0 or 1) repeats each first coordinate many times, and the
+// integer probes land exactly on them: entries tied with the probe's first
+// coordinate must still get the full dominance test on the second.
+TEST(PackedBaTree, InlineBorderScanWithTiedFirstCoordinates) {
+  std::mt19937 rng(61);
+  std::vector<PointEntry<double>> pts;
+  for (int i = 0; i < 6000; ++i) {
+    PointEntry<double> e;
+    e.pt = Point(rng() % 4, rng() % 4, rng() % 200);
+    e.value = 1 + rng() % 9;
+    pts.push_back(e);
+  }
+  NaiveDominanceSum<double> naive(3);
+  for (const auto& e : pts) naive.Insert(e.pt, e.value);
+  std::vector<Point> qs;
+  for (int x = -1; x <= 4; ++x) {
+    for (int y = -1; y <= 4; ++y) {
+      for (int z = -10; z <= 210; z += 11) qs.push_back(Point(x, y, z));
+    }
+  }
+  for (bool bulk : {true, false}) {
+    SCOPED_TRACE(bulk ? "bulk load" : "inserts");
+    MemPageFile file(1024);
+    BufferPool pool(&file, 4096);
+    PackedBaTree<double> tree(&pool, 3);
+    if (bulk) {
+      ASSERT_TRUE(tree.BulkLoad(pts).ok());
+    } else {
+      for (const auto& e : pts) ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
+    }
+    ASSERT_TRUE(tree.CheckConsistency().ok());
+    std::vector<double> got(qs.size());
+    ASSERT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), got.data()).ok());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      ASSERT_EQ(got[i], naive.Query(qs[i])) << qs[i].ToString(3);
+      double one = 0;
+      ASSERT_TRUE(tree.DominanceSum(qs[i], &one).ok());
+      ASSERT_EQ(one, got[i]) << qs[i].ToString(3);
+    }
+  }
+}
+
 // The same distinct point set in three input orders builds byte-identical
 // page files: leaf entries, border entries and every sum are in a canonical
 // order.

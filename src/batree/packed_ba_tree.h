@@ -86,12 +86,8 @@ class PackedBaTree {
  public:
   using Entry = PointEntry<V>;
 
-  /// `view` non-null binds the handle to a pinned generation snapshot (MVCC):
-  /// every node read resolves through the view's version map and the handle
-  /// rejects mutation. Null (default) reads/writes the live tree.
-  PackedBaTree(BufferPool* pool, int dims, PageId root = kInvalidPageId,
-               const PageVersionView* view = nullptr)
-      : pool_(pool), dims_(dims), root_(root), view_(view) {
+  PackedBaTree(BufferPool* pool, int dims, PageId root = kInvalidPageId)
+      : pool_(pool), dims_(dims), root_(root) {
     assert(dims_ >= 1 && dims_ <= kMaxDims);
   }
 
@@ -119,12 +115,11 @@ class PackedBaTree {
 
   /// Adds `v` at point `p`.
   Status Insert(const Point& p, const V& v) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (!PageSizeViable()) {
       return Status::InvalidArgument("page size too small for value type");
     }
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       BOXAGG_RETURN_NOT_OK(base.Insert(p[0], v));
       root_ = base.root();
       return Status::OK();
@@ -203,7 +198,7 @@ class PackedBaTree {
   Status ScanAll(std::vector<Entry>* out) const {
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       std::vector<typename AggBTree<V>::Entry> flat;
       BOXAGG_RETURN_NOT_OK(base.ScanAll(&flat));
       for (const auto& e : flat) out->push_back(Entry{Point(e.key), e.value});
@@ -222,7 +217,7 @@ class PackedBaTree {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.PageCount(out);
     }
     return PageCountRec(root_, out);
@@ -233,7 +228,6 @@ class PackedBaTree {
   /// from the node's point set. The input is sorted once; see "bulk
   /// loading" below.
   Status BulkLoad(std::vector<Entry> entries) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
       return Status::InvalidArgument("BulkLoad into non-empty tree");
     }
@@ -288,7 +282,7 @@ class PackedBaTree {
     if (ctx == nullptr) ctx = &local;
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.CheckConsistency(ctx);
     }
     std::vector<Entry> pts;
@@ -302,10 +296,9 @@ class PackedBaTree {
 
   /// Frees every page.
   Status Destroy() {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       BOXAGG_RETURN_NOT_OK(base.Destroy());
     } else {
       BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
@@ -362,23 +355,6 @@ class PackedBaTree {
   }
   uint32_t BorderEntrySize() const {
     return 8 * static_cast<uint32_t>(dims_ - 1) + sizeof(V);
-  }
-
-  // ---- MVCC plumbing ------------------------------------------------------
-
-  /// Mutations are only legal on a live (view-less) handle; a snapshot-bound
-  /// tree is immutable by construction.
-  Status RequireWritable() const {
-    if (view_ != nullptr) {
-      return Status::InvalidArgument(
-          "mutation through a snapshot-bound tree handle");
-    }
-    return Status::OK();
-  }
-  /// Routes a node read through the pinned snapshot when bound to one.
-  Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
   }
 
   // ---- raw page accessors -------------------------------------------------
@@ -447,7 +423,7 @@ class PackedBaTree {
 
   Status LoadNode(PageId pid, std::vector<RecImage>* recs) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     if (PageType(p) != kInternal) {
       return Status::Corruption("expected packed internal node");
@@ -524,7 +500,7 @@ class PackedBaTree {
     }
 
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     Page* p = g.page();
     p->Zero();
     p->WriteAt<uint16_t>(0, kInternal);
@@ -591,7 +567,7 @@ class PackedBaTree {
       double one = 0;
       double* keys = core::ScratchArray(arena, count, &one);
       for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.DominanceSumBatch(keys, count, outs, obs_level);
     }
     uint32_t one = 0;
@@ -627,7 +603,7 @@ class PackedBaTree {
       size_t n_groups = 0;
       {
         PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
         obs::NoteNodeVisit(level);
         if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
         const Page* page = g.page();
@@ -733,7 +709,7 @@ class PackedBaTree {
       parts[t] = V{};
     }
     obs::NoteBorderProbes(m);
-    PackedBaTree sub(pool_, dims_ - 1, tree_root, view_);
+    PackedBaTree sub(pool_, dims_ - 1, tree_root);
     BOXAGG_RETURN_NOT_OK(sub.ClampedBatch(arena, pts, m, parts, level));
     for (size_t t = 0; t < m; ++t) outs[members[t]] += parts[t];
     return Status::OK();
@@ -866,7 +842,7 @@ class PackedBaTree {
     uint16_t type;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       type = PageType(g.page());
     }
     if (type == kLeaf) {
@@ -874,7 +850,7 @@ class PackedBaTree {
       std::vector<Entry> low, high;
       {
         PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
         uint32_t n = LeafCount(g.page());
         for (uint32_t i = 0; i < n; ++i) {
           Entry e;
@@ -1008,7 +984,7 @@ class PackedBaTree {
     uint16_t type;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       type = PageType(g.page());
     }
     if (type == kLeaf) {
@@ -1074,7 +1050,7 @@ class PackedBaTree {
   Status InsertLeaf(PageId pid, const Point& p, const V& v,
                     SplitResult* split) {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     Page* page = g.page();
     uint32_t n = LeafCount(page);
     for (uint32_t i = 0; i < n; ++i) {
@@ -1471,7 +1447,7 @@ class PackedBaTree {
     std::vector<PageId> children;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       type = PageType(p);
       if (type == kLeaf) {
@@ -1498,7 +1474,7 @@ class PackedBaTree {
     std::vector<std::pair<PageId, bool>> kids;  // (pid-or-border, is_border)
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       *out += 1;
       if (PageType(p) == kLeaf) return Status::OK();
@@ -1515,7 +1491,7 @@ class PackedBaTree {
     }
     for (auto [kid, is_border] : kids) {
       if (is_border) {
-        PackedBaTree sub(pool_, dims_ - 1, kid, view_);
+        PackedBaTree sub(pool_, dims_ - 1, kid);
         uint64_t cnt = 0;
         BOXAGG_RETURN_NOT_OK(sub.PageCount(&cnt));
         *out += cnt;
@@ -1536,7 +1512,7 @@ class PackedBaTree {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "packed-ba-tree"));
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       const uint16_t type = PageType(p);
       if (type == kLeaf) {
@@ -1661,10 +1637,10 @@ class PackedBaTree {
   Status CheckBorderTree(PageId broot, CheckContext* ctx) const {
     if (broot == kInvalidPageId) return Status::OK();
     if (dims_ - 1 == 1) {
-      AggBTree<V> base(pool_, broot, view_);
+      AggBTree<V> base(pool_, broot);
       return base.CheckConsistency(ctx);
     }
-    PackedBaTree sub(pool_, dims_ - 1, broot, view_);
+    PackedBaTree sub(pool_, dims_ - 1, broot);
     std::vector<Entry> scratch;
     return sub.CheckRec(broot, ctx, &scratch);
   }
@@ -1673,7 +1649,7 @@ class PackedBaTree {
     std::vector<std::pair<PageId, bool>> kids;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       if (PageType(p) == kInternal) {
         uint32_t n = IntCount(p);
@@ -1702,7 +1678,6 @@ class PackedBaTree {
   BufferPool* pool_;
   int dims_;
   PageId root_;
-  const PageVersionView* view_ = nullptr;  // non-null: snapshot-bound reads
 };
 
 }  // namespace boxagg

@@ -50,13 +50,6 @@ namespace boxagg {
 /// The handle owns no pages itself; it records the root PageId, which changes
 /// on root splits. Callers embedding a tree inside another page (borders)
 /// must persist root() after mutating operations.
-///
-/// MVCC reads: constructed with a non-null `view` (a pinned generation —
-/// core/bag_file.h GenerationPin), every node fetch resolves through
-/// BufferPool::FetchSnapshot against that version instead of the live
-/// translation map, so queries answer as of the pinned generation while a
-/// writer commits newer ones. A view-bound handle is read-only: mutating
-/// entry points refuse with InvalidArgument.
 template <class V>
 class AggBTree {
  public:
@@ -68,9 +61,8 @@ class AggBTree {
     V value;
   };
 
-  AggBTree(BufferPool* pool, PageId root = kInvalidPageId,
-           const PageVersionView* view = nullptr)
-      : pool_(pool), root_(root), view_(view) {}
+  AggBTree(BufferPool* pool, PageId root = kInvalidPageId)
+      : pool_(pool), root_(root) {}
 
   [[nodiscard]] PageId root() const { return root_; }
   [[nodiscard]] bool empty() const { return root_ == kInvalidPageId; }
@@ -110,7 +102,6 @@ class AggBTree {
 
   /// Adds `v` to the aggregate at `key` (coalescing equal keys).
   Status Insert(double key, const V& v) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (!PageSizeViable(pool_->file()->page_size())) {
       return Status::InvalidArgument("page size too small for value type");
     }
@@ -183,7 +174,7 @@ class AggBTree {
     *out = V{};
     if (root_ == kInvalidPageId) return Status::OK();
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(root_, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
     const Page* p = g.page();
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
@@ -327,7 +318,6 @@ class AggBTree {
   /// Builds a tree from entries sorted by strictly increasing key through
   /// a Loader. The tree must be empty.
   Status BulkLoad(const std::vector<Entry>& sorted) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
       return Status::InvalidArgument("BulkLoad into non-empty tree");
     }
@@ -340,7 +330,6 @@ class AggBTree {
 
   /// Frees every page of the tree; the handle becomes empty.
   Status Destroy() {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ == kInvalidPageId) return Status::OK();
     BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
     root_ = kInvalidPageId;
@@ -385,21 +374,6 @@ class AggBTree {
     V left_sum{};
     V right_sum{};
   };
-
-  /// A handle bound to a pinned generation serves reads only.
-  Status RequireWritable() const {
-    return view_ == nullptr
-               ? Status::OK()
-               : Status::InvalidArgument(
-                     "mutation through a snapshot-bound tree handle");
-  }
-
-  /// Node fetch: live page table, or the pinned generation when this
-  /// handle carries a view.
-  Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
-  }
 
   // ---- page accessors -----------------------------------------------------
   // The key strips are page-size independent (they start right after the
@@ -462,7 +436,7 @@ class AggBTree {
   Status InsertRec(PageId pid, double key, const V& v, SplitResult* split) {
     split->happened = false;
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     Page* p = g.page();
     uint32_t n = Count(p);
     const uint32_t page_size = pool_->file()->page_size();
@@ -628,7 +602,7 @@ class AggBTree {
       PageId next = kInvalidPageId;  // the child, when it takes every probe
       {
         PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
         obs::NoteNodeVisit(level);
         if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
         const Page* p = g.page();
@@ -640,13 +614,15 @@ class AggBTree {
           const uint8_t* vals = base + LeafValueOffset(page_size, 0);
           for (size_t j = 0; j < m; ++j) {
             const uint32_t cut = simd::FirstGreater(keys, n, qs[idx[j]]);
-            V acc = outs[idx[j]];
+            // Summed in place: with a local copy, GCC may split a wide V
+            // (Poly2) into one scalar register per coefficient and add
+            // them one by one, which slowed the functional descent ~20%.
+            V& acc = outs[idx[j]];
             for (uint32_t i = 0; i < cut; ++i) {
               V v;
               std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
               acc += v;
             }
-            outs[idx[j]] = acc;
           }
           return Status::OK();
         }
@@ -692,7 +668,7 @@ class AggBTree {
   // LINT:hot-path-end
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
@@ -713,7 +689,7 @@ class AggBTree {
 
   Status CountRec(PageId pid, uint64_t* out) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
@@ -728,7 +704,7 @@ class AggBTree {
 
   Status PageCountRec(PageId pid, uint64_t* out) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     *out += 1;
     if (Type(p) == kInternal) {
@@ -754,7 +730,7 @@ class AggBTree {
                   SubtreeFacts* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "agg-btree"));
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     const uint16_t type = Type(p);
     if (type != kLeaf && type != kInternal) {
@@ -839,7 +815,7 @@ class AggBTree {
     std::vector<PageId> children;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       if (Type(p) == kInternal) {
         uint32_t n = Count(p);
@@ -857,7 +833,6 @@ class AggBTree {
 
   BufferPool* pool_;
   PageId root_;
-  const PageVersionView* view_ = nullptr;  // non-null: snapshot-bound reads
 };
 
 }  // namespace boxagg

@@ -1,4 +1,5 @@
-// Checkable: the repo-wide structural-verification layer.
+// CheckContext and the shared helpers of the repo-wide structural-
+// verification layer.
 //
 // Every disk index and the storage engine itself expose
 // CheckConsistency(CheckContext*), a deep structural audit that re-derives
@@ -65,57 +66,6 @@ struct CheckContext {
     return Status::OK();
   }
 };
-
-/// \brief Interface over anything that can audit its own invariants.
-///
-/// The index handles are value-semantic templates; RunChecks works on any
-/// mix of them via this interface (see MakeCheckable below).
-class Checkable {
- public:
-  virtual ~Checkable() = default;
-
-  /// Human-readable name for reports ("agg-btree", "buffer-pool", ...).
-  virtual const char* CheckName() const = 0;
-
-  /// Deep structural audit; OK or Status::Corruption with page diagnostics.
-  virtual Status CheckConsistency(CheckContext* ctx) const = 0;
-};
-
-/// Adapter: wraps a reference to any object exposing
-/// CheckConsistency(CheckContext*) as a Checkable (no ownership taken).
-template <class T>
-class CheckableRef final : public Checkable {
- public:
-  CheckableRef(const T* target, const char* name)
-      : target_(target), name_(name) {}
-
-  const char* CheckName() const override { return name_; }
-  Status CheckConsistency(CheckContext* ctx) const override {
-    return target_->CheckConsistency(ctx);
-  }
-
- private:
-  const T* target_;
-  const char* name_;
-};
-
-template <class T>
-CheckableRef<T> MakeCheckable(const T* target, const char* name) {
-  return CheckableRef<T>(target, name);
-}
-
-/// Runs every check against one shared context, stopping at the first
-/// failure and prefixing it with the failing structure's name.
-inline Status RunChecks(const std::vector<const Checkable*>& checks,
-                        CheckContext* ctx) {
-  for (const Checkable* c : checks) {
-    if (Status st = c->CheckConsistency(ctx); !st.ok()) {
-      return Status::Corruption(std::string(c->CheckName()) + ": " +
-                                st.message());
-    }
-  }
-  return Status::OK();
-}
 
 /// Absolute drift between two aggregate values: |a - b| summed over
 /// components. Aggregates are rebuilt in a different addition order than the

@@ -59,6 +59,7 @@ Status FsckBag(PageFile* physical, const FsckOptions& options,
   std::unique_ptr<BagFile> bag;
   BagRecoveryReport rec;
   BOXAGG_RETURN_NOT_OK(BagFile::Open(physical, &bag, &rec));
+  report->opened = true;
   report->generation = rec.generation;
   report->logical_pages = rec.logical_pages;
   report->mapped_pages = rec.mapped_pages;

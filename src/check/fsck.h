@@ -1,8 +1,7 @@
 // boxagg_fsck core: opens a .bag index file (recovering it, exactly like a
 // normal open) and runs every validator over it in two sweeps. A store at
-// rest holds exactly one generation, the committed one: pins are process
-// state, so the superseded generation's pages were reclaimed at commit or by
-// the open's orphan sweep. fsck checks that one generation and never walks
+// rest holds exactly one generation, the committed one: the superseded
+// generation's pages were freed at commit or by the open's orphan sweep. fsck checks that one generation and never walks
 // the other superblock slot.
 //
 //   Physical sweep — every slot of the backing file is read through the
@@ -58,6 +57,7 @@ struct FsckOptions {
 };
 
 struct FsckReport {
+  bool opened = false;         ///< recovery read the store; else all zero
   uint64_t generation = 0;     ///< generation the file recovered to
   uint64_t file_pages = 0;     ///< physical pages (incl. superblock slots)
   uint64_t logical_pages = 0;  ///< logical address-space size

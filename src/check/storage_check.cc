@@ -91,7 +91,7 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
                                     " but hashes to shard " +
                                     std::to_string(ShardOf(id)));
       }
-      const int pins = f->pin_count.load(std::memory_order_relaxed);
+      const int pins = f->pin_count;
       if (pins < 0) {
         return CorruptionAt(id,
                             "negative pin count " + std::to_string(pins));
@@ -168,7 +168,7 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
         return ShardCorruption(si, "free frame still carries page " +
                                        std::to_string(f->id));
       }
-      if (f->pin_count.load(std::memory_order_relaxed) != 0) {
+      if (f->pin_count != 0) {
         return ShardCorruption(si, "free frame has a non-zero pin count");
       }
       if (f->in_lru) {

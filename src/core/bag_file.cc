@@ -9,71 +9,6 @@
 
 namespace boxagg {
 
-// ---------------------------------------------------------------------------
-// GenerationPin
-
-void GenerationPin::Release() {
-  if (bag_ != nullptr && snap_ != nullptr) {
-    bag_->Unpin(snap_->generation);
-  }
-  bag_ = nullptr;
-  snap_.reset();
-}
-
-uint64_t GenerationPin::VersionKey(PageId logical) const {
-  assert(snap_ != nullptr);
-  const BagMapEntry e = map_entry(logical);
-  if (!e.mapped()) {
-    // Epochs start at 1, so the epoch-0 slice of the tagged key space is
-    // free for unmapped (all-zero) logical pages.
-    assert(logical < (uint64_t{1} << 32) && "logical id overflows key slice");
-    return kSnapshotKeyBit | logical;
-  }
-  assert(e.physical < (uint64_t{1} << 32) && "physical id overflows key");
-  assert(e.epoch >= 1 && e.epoch < (uint64_t{1} << 31) &&
-         "epoch overflows key");
-  return kSnapshotKeyBit | (e.epoch << 32) | e.physical;
-}
-
-Status GenerationPin::ReadVersioned(PageId logical, Page* page) const {
-  if (snap_ == nullptr) {
-    return Status::InvalidArgument("read through an empty GenerationPin");
-  }
-  if (logical >= snap_->map.size()) {
-    return Status::NotFound("logical page out of range in pinned generation");
-  }
-  const BagMapEntry& e = snap_->map[logical];
-  if (!e.mapped()) {
-    page->Zero();  // allocated but never written as of this generation
-    return Status::OK();
-  }
-  // Reads go straight to the physical file: the live BagFile state (map,
-  // fresh flags, epoch) belongs to the writer thread and is never touched.
-  uint64_t hdr_epoch = 0;
-  BOXAGG_RETURN_NOT_OK(bag_->physical_->ReadPageEx(e.physical, page,
-                                                   &hdr_epoch));
-  if (hdr_epoch != e.epoch) {
-    // The pin should make this impossible (retired pages are not reused
-    // while pinned); seeing it means reclamation ordering is broken.
-    return Status::Corruption(
-        "pinned generation " + std::to_string(snap_->generation) +
-        ", logical page " + std::to_string(logical) +
-        ": physical epoch " + std::to_string(hdr_epoch) +
-        " != pinned epoch " + std::to_string(e.epoch) +
-        " — page reclaimed while pinned");
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// BagFile
-
-BagFile::~BagFile() {
-  // A live pin holds a pointer into this object; outliving the bag is a
-  // use-after-free. Fail fast at the teardown site in debug builds.
-  assert(live_pins() == 0 && "GenerationPin outlived its BagFile");
-}
-
 void BagFile::SetEpochAfter(uint64_t gen) {
   // Writes made after generation `gen` is published belong to the
   // in-flight generation gen + 1; both the logical layer and the inner
@@ -117,7 +52,6 @@ Status BagFile::Create(PageFile* physical, uint32_t dims, uint32_t num_roots,
   BOXAGG_RETURN_NOT_OK(physical->Sync());
 
   bag->SetEpochAfter(0);
-  bag->InstallSnapshot();
   *out = std::move(bag);
   return Status::OK();
 }
@@ -214,7 +148,6 @@ Status BagFile::Open(PageFile* physical, std::unique_ptr<BagFile>* out,
     report->mapped_pages = sb.logical_pages - bag->free_list().size();
     report->orphaned_physical = orphan_count;
   }
-  bag->InstallSnapshot();
   *out = std::move(bag);
   return Status::OK();
 }
@@ -266,26 +199,6 @@ Status BagFile::Extend(uint64_t new_count) {
   return Status::OK();
 }
 
-Status BagFile::AllocPhysical(PageId* out) {
-  sync::MutexLock lock(&retire_mu_);
-  return physical_->Allocate(out);
-}
-
-Status BagFile::FreePhysical(PageId id) {
-  sync::MutexLock lock(&retire_mu_);
-  return physical_->Free(id);
-}
-
-void BagFile::InstallSnapshot() {
-  auto snap = std::make_shared<GenerationSnapshot>();
-  snap->generation = generation_;
-  snap->roots = roots_;
-  snap->map = map_;
-  snap->map_pages = map_page_ids_;
-  sync::MutexLock lock(&gen_mu_);
-  current_snap_ = std::move(snap);
-}
-
 Status BagFile::ReadPageEx(PageId id, Page* page, uint64_t* epoch_out) {
   if (id >= page_count_) return Status::NotFound("logical page out of range");
   const BagMapEntry& e = map_[id];
@@ -319,12 +232,12 @@ Status BagFile::WritePage(PageId id, const Page& page) {
   // Copy-on-write: the published image (if any) must survive a crash until
   // the next commit, so the new version goes to a fresh physical page.
   PageId fresh_phys = kInvalidPageId;
-  BOXAGG_RETURN_NOT_OK(AllocPhysical(&fresh_phys));
+  BOXAGG_RETURN_NOT_OK(physical_->Allocate(&fresh_phys));
   Status st = physical_->WritePage(fresh_phys, page);
   if (!st.ok()) {
     // why: undo of a failed write; the fresh page was never referenced, and
     // the write error below is the one the caller must see.
-    IgnoreStatus(FreePhysical(fresh_phys));
+    IgnoreStatus(physical_->Free(fresh_phys));
     return st;
   }
   if (e.mapped()) deferred_frees_.push_back(e.physical);
@@ -341,9 +254,8 @@ Status BagFile::Free(PageId id) {
   BagMapEntry& e = map_[id];
   if (e.mapped()) {
     if (fresh_[id]) {
-      // Written this epoch only; no committed state depends on it, and no
-      // published generation (hence no pin) references it.
-      BOXAGG_RETURN_NOT_OK(FreePhysical(e.physical));
+      // Written this epoch only; no committed state depends on it.
+      BOXAGG_RETURN_NOT_OK(physical_->Free(e.physical));
     } else {
       // Part of the published generation: recycle only after the next
       // commit, when no crash can roll back to a state that needs it.
@@ -362,7 +274,7 @@ Status BagFile::WriteMapChain(std::vector<PageId>* new_ids) {
   // Allocate the whole chain first so each page can point at its successor.
   for (uint64_t i = 0; i < n_pages; ++i) {
     PageId id = kInvalidPageId;
-    BOXAGG_RETURN_NOT_OK(AllocPhysical(&id));
+    BOXAGG_RETURN_NOT_OK(physical_->Allocate(&id));
     new_ids->push_back(id);
   }
   Page p(page_size_);
@@ -436,118 +348,30 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
   }
 
   // 4. The old generation is now unreachable *on the platter*; advance the
-  //    in-memory state and publish the new generation's snapshot so new
-  //    pins land on it.
+  //    in-memory state.
   const std::vector<PageId> old_map_pages = std::move(map_page_ids_);
   map_page_ids_ = std::move(new_map_ids);
   fresh_.assign(map_.size(), false);
   generation_ = new_gen;
   roots_ = roots;
   SetEpochAfter(new_gen);
-  InstallSnapshot();
 
-  // 5. Retire the old generation's private pages (its map chain and every
-  //    page image superseded or freed this epoch). Retiring AFTER the
-  //    snapshot switch is what makes concurrent no-pin reclamation safe:
-  //    once an entry is visible, every future pin lands on a generation
-  //    >= its retired_at, so eligibility (min pinned >= retired_at) can
-  //    only grow. In-memory bookkeeping only — if we crash before the
-  //    pages are reused, recovery's orphan sweep reclaims them again.
-  {
-    obs::Span span("bag.commit.retire_push");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    sync::MutexLock lock(&retire_mu_);
-    for (PageId id : old_map_pages) retired_.push_back({id, new_gen});
-    for (PageId id : deferred_frees_) retired_.push_back({id, new_gen});
-  }
-  deferred_frees_.clear();
-
-  // 6. Reclaim whatever no pin protects. With zero pins this frees the
-  //    just-retired pages in exactly the order the pre-MVCC code did, so
-  //    single-threaded free-list traces stay bit-identical.
+  // 5. Free the old generation's private pages: its map chain, then every
+  //    page image superseded or freed this epoch. Nothing references them
+  //    any more; if we crash before they are reused, recovery's orphan
+  //    sweep reclaims them again.
   {
     obs::Span span("bag.commit.reclaim");
     span.SetGeneration(static_cast<int64_t>(new_gen));
-    BOXAGG_RETURN_NOT_OK(ReclaimRetired(nullptr));
-  }
-  return Status::OK();
-}
-
-Status BagFile::PinCurrent(GenerationPin* out) {
-  sync::MutexLock lock(&gen_mu_);
-  if (current_snap_ == nullptr) {
-    return Status::InvalidArgument("PinCurrent before Create/Open");
-  }
-  ++pin_counts_[current_snap_->generation];
-  *out = GenerationPin(this, current_snap_);
-  return Status::OK();
-}
-
-void BagFile::Unpin(uint64_t gen) {
-  bool last_of_gen = false;
-  {
-    sync::MutexLock lock(&gen_mu_);
-    auto it = pin_counts_.find(gen);
-    assert(it != pin_counts_.end() && "Unpin of an unpinned generation");
-    if (it == pin_counts_.end()) return;
-    if (--it->second == 0) {
-      pin_counts_.erase(it);
-      last_of_gen = true;
+    for (PageId id : old_map_pages) {
+      BOXAGG_RETURN_NOT_OK(physical_->Free(id));
+    }
+    for (PageId id : deferred_frees_) {
+      BOXAGG_RETURN_NOT_OK(physical_->Free(id));
     }
   }
-  if (last_of_gen) {
-    // why: best-effort reclamation on the unpin path; the pages stay on
-    // the retire list on failure and the next Commit/ReclaimRetired call
-    // retries, so nothing is lost and there is no caller to report to.
-    IgnoreStatus(ReclaimRetired(nullptr));
-  }
-}
-
-size_t BagFile::live_pins() const {
-  sync::MutexLock lock(&gen_mu_);
-  size_t n = 0;
-  for (const auto& [gen, count] : pin_counts_) n += count;
-  return n;
-}
-
-uint64_t BagFile::min_pinned_generation() const {
-  sync::MutexLock lock(&gen_mu_);
-  return pin_counts_.empty() ? generation_ : pin_counts_.begin()->first;
-}
-
-size_t BagFile::retired_pages() const {
-  sync::MutexLock lock(&retire_mu_);
-  return retired_.size();
-}
-
-Status BagFile::ReclaimRetired(size_t* reclaimed) {
-  // Read the pin floor first, *then* take the retire lock. Safe without
-  // holding both: generations only grow, and every retire-list entry is
-  // published after its generation, so a pin acquired between the two
-  // locks can only raise the floor, never invalidate it (see Commit).
-  bool has_pins;
-  uint64_t min_pinned = 0;
-  {
-    sync::MutexLock lock(&gen_mu_);
-    has_pins = !pin_counts_.empty();
-    if (has_pins) min_pinned = pin_counts_.begin()->first;
-  }
-  sync::MutexLock lock(&retire_mu_);
-  // retired_ is append-ordered by retired_at, so the reclaimable entries
-  // form a prefix.
-  size_t n = 0;
-  Status st = Status::OK();
-  while (n < retired_.size()) {
-    const RetiredPage& r = retired_[n];
-    if (has_pins && r.retired_at > min_pinned) break;
-    st = physical_->Free(r.physical);
-    if (!st.ok()) break;
-    ++n;
-  }
-  retired_.erase(retired_.begin(),
-                 retired_.begin() + static_cast<ptrdiff_t>(n));
-  if (reclaimed != nullptr) *reclaimed = n;
-  return st;
+  deferred_frees_.clear();
+  return Status::OK();
 }
 
 }  // namespace boxagg

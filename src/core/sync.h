@@ -11,20 +11,20 @@
 //     compiler) they expand to nothing, so the layer is annotation-only —
 //     zero codegen difference.
 //
-//  2. Annotated wrappers: Mutex, SharedMutex, CondVar, and the RAII scopes
-//     MutexLock / WriterLock / ReaderLock. Each wrapper is its std::
-//     counterpart plus the static name and rank (kept in every build so a
-//     translation unit compiled without NDEBUG links safely against an
-//     optimized library); in Release builds the lock paths never read
-//     them, so the hot paths — BufferPool shard locks in particular — pay
-//     nothing for the discipline beyond 16 bytes per lock.
+//  2. Annotated wrappers: Mutex, CondVar, and the RAII scope MutexLock.
+//     Each wrapper is its std:: counterpart plus the static name and rank
+//     (kept in every build so a translation unit compiled without NDEBUG
+//     links safely against an optimized library); in Release builds the
+//     lock paths never read them, so the hot paths — BufferPool shard
+//     locks in particular — pay nothing for the discipline beyond 16
+//     bytes per lock.
 //
-//  3. LockOrderRegistry, a debug-build deadlock detector. Every Mutex /
-//     SharedMutex is constructed with a static name and a rank from
-//     lock_rank:: (the project-wide acquisition order, tabulated in
-//     DESIGN.md §12). In debug builds each blocking acquisition is checked
-//     against the calling thread's currently-held stack: acquiring a lock
-//     whose rank is <= any held lock's rank is a rank inversion and aborts
+//  3. LockOrderRegistry, a debug-build deadlock detector. Every Mutex is
+//     constructed with a static name and a rank from lock_rank:: (the
+//     project-wide acquisition order, tabulated in DESIGN.md §12). In
+//     debug builds each blocking acquisition is checked against the
+//     calling thread's currently-held stack: acquiring a lock whose rank
+//     is <= any held lock's rank is a rank inversion and aborts
 //     immediately, printing both lock names and the full held stack — a
 //     potential deadlock becomes a deterministic test failure on the FIRST
 //     inverted acquisition, whether or not a second thread ever contends.
@@ -49,7 +49,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 
 // ---------------------------------------------------------------------------
 // Clang thread-safety annotation macros (no-ops elsewhere).
@@ -68,19 +67,9 @@
 #define ACQUIRED_BEFORE(...) BOXAGG_TS_ATTR(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) BOXAGG_TS_ATTR(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) BOXAGG_TS_ATTR(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  BOXAGG_TS_ATTR(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) BOXAGG_TS_ATTR(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  BOXAGG_TS_ATTR(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) BOXAGG_TS_ATTR(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  BOXAGG_TS_ATTR(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  BOXAGG_TS_ATTR(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) BOXAGG_TS_ATTR(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  BOXAGG_TS_ATTR(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) BOXAGG_TS_ATTR(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) BOXAGG_TS_ATTR(assert_capability(x))
 #define RETURN_CAPABILITY(x) BOXAGG_TS_ATTR(lock_returned(x))
@@ -103,14 +92,12 @@ namespace sync {
 
 /// Project-wide lock acquisition order: a thread may only block on a lock
 /// whose rank is STRICTLY GREATER than every lock it already holds. Gaps
-/// are deliberate — future subsystems (latch crabbing, shadow-paging
-/// generations) slot in without renumbering. Table mirrored in DESIGN.md
-/// §12; the lock-rank-table rule of tools/lint_invariants.py checks that
-/// its rows equal the ranked mutexes declared in src/.
+/// are deliberate — future subsystems (latch crabbing, say) slot in
+/// without renumbering. Table mirrored in DESIGN.md §12; the
+/// lock-rank-table rule of tools/lint_invariants.py checks that its rows
+/// equal the ranked mutexes declared in src/.
 namespace lock_rank {
 inline constexpr uint32_t kBufferPoolShard = 100;  ///< BufferPool Shard::mu
-inline constexpr uint32_t kGenerationTable = 150;  ///< BagFile gen/pin table
-inline constexpr uint32_t kRetireList = 160;       ///< BagFile retire list
 inline constexpr uint32_t kPageStore = 170;        ///< Mem/Fault page slots
 inline constexpr uint32_t kThreadPoolQueue = 200;  ///< exec::ThreadPool
 inline constexpr uint32_t kExecLatch = 210;        ///< executor done-latch
@@ -128,7 +115,7 @@ inline constexpr uint32_t kLeaf = 1000;  ///< never hold anything beyond this
 class LockOrderRegistry {
  public:
   /// Locks one thread may hold simultaneously. Exceeding it aborts — the
-  /// project's deepest legitimate nesting is 3 (shard -> retire -> store).
+  /// project's deepest legitimate nesting is 2 (shard -> store).
   static constexpr size_t kMaxHeld = 16;
 
   /// Rank check + held-stack push for a BLOCKING acquisition. Call before
@@ -282,7 +269,7 @@ class LockOrderRegistry {
 #endif
 
 // ---------------------------------------------------------------------------
-// Mutex / SharedMutex
+// Mutex
 // ---------------------------------------------------------------------------
 
 /// \brief Annotated std::mutex. Construct with a static name and a
@@ -322,47 +309,6 @@ class CAPABILITY("mutex") Mutex {
   uint32_t rank_;
 };
 
-/// \brief Annotated std::shared_mutex: one writer or many readers. Same
-/// name/rank discipline as Mutex; shared acquisitions are order-checked
-/// exactly like exclusive ones (a blocked reader deadlocks just as hard).
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(const char* name, uint32_t rank)
-      : name_(name), rank_(rank) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-    BOXAGG_LOCK_ORDER_ON_ACQUIRE(this, DebugName(), DebugRank());
-    mu_.lock();
-  }
-  void Unlock() RELEASE() {
-    BOXAGG_LOCK_ORDER_ON_RELEASE(this);
-    mu_.unlock();
-  }
-  void LockShared() ACQUIRE_SHARED() {
-    // Distinct per-thread key per mode: a thread may not hold the same
-    // SharedMutex in both modes, and the reader key keeps OnRelease exact.
-    BOXAGG_LOCK_ORDER_ON_ACQUIRE(SharedKey(), DebugName(), DebugRank());
-    mu_.lock_shared();
-  }
-  void UnlockShared() RELEASE_SHARED() {
-    BOXAGG_LOCK_ORDER_ON_RELEASE(SharedKey());
-    mu_.unlock_shared();
-  }
-
- private:
-  const char* DebugName() const { return name_; }
-  uint32_t DebugRank() const { return rank_; }
-  const void* SharedKey() const {
-    return static_cast<const char*>(static_cast<const void*>(this)) + 1;
-  }
-
-  std::shared_mutex mu_;
-  const char* name_;
-  uint32_t rank_;
-};
-
 // ---------------------------------------------------------------------------
 // RAII scopes
 // ---------------------------------------------------------------------------
@@ -388,32 +334,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// \brief RAII exclusive (writer) lock on a SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-  ~WriterLock() RELEASE() { mu_->Unlock(); }
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// \brief RAII shared (reader) lock on a SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex* mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-  ~ReaderLock() RELEASE_GENERIC() { mu_->UnlockShared(); }
-
- private:
-  SharedMutex* const mu_;
 };
 
 // ---------------------------------------------------------------------------

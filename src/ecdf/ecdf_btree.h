@@ -63,14 +63,9 @@ class EcdfBTree {
  public:
   using Entry = PointEntry<V>;
 
-  /// `view` non-null binds the handle to a pinned generation snapshot (MVCC):
-  /// every node read resolves through the view's version map and the handle
-  /// rejects mutation. Null (default) reads/writes the live tree.
   EcdfBTree(BufferPool* pool, int dims, EcdfVariant variant,
-            PageId root = kInvalidPageId,
-            const PageVersionView* view = nullptr)
-      : pool_(pool), dims_(dims), variant_(variant), root_(root),
-        view_(view) {
+            PageId root = kInvalidPageId)
+      : pool_(pool), dims_(dims), variant_(variant), root_(root) {
     assert(dims_ >= 1 && dims_ <= kMaxDims);
   }
 
@@ -107,12 +102,11 @@ class EcdfBTree {
 
   /// Adds `v` at point `p` (coalescing identical points in the main branch).
   Status Insert(const Point& p, const V& v) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (!PageSizeViable(pool_->file()->page_size())) {
       return Status::InvalidArgument("page size too small for value type");
     }
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       BOXAGG_RETURN_NOT_OK(base.Insert(p[0], v));
       root_ = base.root();
       return Status::OK();
@@ -185,7 +179,7 @@ class EcdfBTree {
       double one_key = 0;
       double* keys = core::ScratchArray(arena, count, &one_key);
       for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.DominanceSumBatch(keys, count, outs, obs_level);
     }
     Point one_pt;
@@ -208,11 +202,11 @@ class EcdfBTree {
     *out = V{};
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.TotalSum(out);
     }
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(root_, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
     const Page* p = g.page();
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
@@ -236,7 +230,7 @@ class EcdfBTree {
   Status ScanAll(std::vector<Entry>* out) const {
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       std::vector<typename AggBTree<V>::Entry> flat;
       BOXAGG_RETURN_NOT_OK(base.ScanAll(&flat));
       for (const auto& e : flat) {
@@ -252,7 +246,7 @@ class EcdfBTree {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.CountEntries(out);
     }
     std::vector<Entry> all;
@@ -267,7 +261,7 @@ class EcdfBTree {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.PageCount(out);
     }
     return PageCountRec(root_, out);
@@ -276,7 +270,6 @@ class EcdfBTree {
   /// Bulk-loads the tree (must be empty) from `entries`; sorts and coalesces
   /// internally. Borders are bulk-loaded from contiguous sorted ranges.
   Status BulkLoad(std::vector<Entry> entries) {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ != kInvalidPageId) {
       return Status::InvalidArgument("BulkLoad into non-empty tree");
     }
@@ -369,10 +362,9 @@ class EcdfBTree {
   /// Frees every page (main branch and all borders); the handle becomes
   /// empty.
   Status Destroy() {
-    BOXAGG_RETURN_NOT_OK(RequireWritable());
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       BOXAGG_RETURN_NOT_OK(base.Destroy());
     } else {
       BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
@@ -393,7 +385,7 @@ class EcdfBTree {
     if (ctx == nullptr) ctx = &local;
     if (root_ == kInvalidPageId) return Status::OK();
     if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
+      AggBTree<V> base(pool_, root_);
       return base.CheckConsistency(ctx);
     }
     SubtreeFacts facts;
@@ -418,23 +410,6 @@ class EcdfBTree {
     V left_sum{};
     V right_sum{};
   };
-
-  // ---- MVCC plumbing ------------------------------------------------------
-
-  /// Mutations are only legal on a live (view-less) handle; a snapshot-bound
-  /// tree is immutable by construction.
-  Status RequireWritable() const {
-    if (view_ != nullptr) {
-      return Status::InvalidArgument(
-          "mutation through a snapshot-bound tree handle");
-    }
-    return Status::OK();
-  }
-  /// Routes a node read through the pinned snapshot when bound to one.
-  Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
-  }
 
   // ---- page accessors -----------------------------------------------------
 
@@ -516,7 +491,7 @@ class EcdfBTree {
                   SubtreeFacts* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "ecdf-btree"));
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     const uint16_t type = Type(p);
     if (type != kLeaf && type != kInternal) {
@@ -598,8 +573,7 @@ class EcdfBTree {
       prefix += child.sum;
 
       // Border: audit its own structure, then the variant identity.
-      EcdfBTree border(pool_, dims_ - 1, variant_, InternalBorder(p, i),
-                       view_);
+      EcdfBTree border(pool_, dims_ - 1, variant_, InternalBorder(p, i));
       BOXAGG_RETURN_NOT_OK(border.CheckConsistency(ctx));
       V border_total;
       BOXAGG_RETURN_NOT_OK(border.TotalSum(&border_total));
@@ -675,7 +649,7 @@ class EcdfBTree {
   /// Clone of a base AggBTree page graph (type 1/2 pages).
   Status CloneAgg(PageId pid, PageId* out) {
     PageGuard src, dst;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &src));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &src));
     BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
     std::memcpy(dst.page()->data(), src.page()->data(),
                 pool_->file()->page_size());
@@ -688,13 +662,13 @@ class EcdfBTree {
       for (uint32_t i = 0; i < n; ++i) {
         // Re-fetch per child to bound pin counts.
         PageGuard d2;
-        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
         const uint32_t child_off = AggBTree<V>::InternalChildOffset(ps, i);
         PageId child = d2.page()->ReadAt<uint64_t>(child_off);
         d2.Release();
         PageId cloned;
         BOXAGG_RETURN_NOT_OK(CloneAgg(child, &cloned));
-        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
         d2.page()->WriteAt<uint64_t>(child_off, cloned);
         d2.MarkDirty();
       }
@@ -705,7 +679,7 @@ class EcdfBTree {
   Status CloneRec(PageId pid, PageId* out) {
     {
       PageGuard src, dst;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &src));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &src));
       BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
       std::memcpy(dst.page()->data(), src.page()->data(),
                   pool_->file()->page_size());
@@ -714,19 +688,19 @@ class EcdfBTree {
       if (Type(src.page()) == kLeaf) return Status::OK();
     }
     PageGuard d;
-    BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d));
     uint32_t n = Count(d.page());
     d.Release();
     for (uint32_t i = 0; i < n; ++i) {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(*out, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &g));
       PageId child = InternalChild(g.page(), i);
       PageId border = InternalBorder(g.page(), i);
       g.Release();
       PageId child_copy, border_copy;
       BOXAGG_RETURN_NOT_OK(CloneRec(child, &child_copy));
       BOXAGG_RETURN_NOT_OK(CloneBorder(border, &border_copy));
-      BOXAGG_RETURN_NOT_OK(FetchNode(*out, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &g));
       SetInternalChild(g.page(), i, child_copy);
       SetInternalBorder(g.page(), i, border_copy);
       g.MarkDirty();
@@ -740,7 +714,7 @@ class EcdfBTree {
                    SplitResult* split) {
     split->happened = false;
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     Page* page = g.page();
     uint32_t n = Count(page);
     const uint32_t page_size = pool_->file()->page_size();
@@ -963,7 +937,7 @@ class EcdfBTree {
       core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(&arena)};
       {
         PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
         obs::NoteNodeVisit(level);
         if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
         const Page* p = g.page();
@@ -1003,7 +977,7 @@ class EcdfBTree {
           const size_t gs = e - s;
           for (size_t t = 0; t < gs; ++t) pts[t] = projected[idx[s + t]];
           obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_, border, view_);
+          EcdfBTree sub(pool_, dims_ - 1, variant_, border);
           BOXAGG_RETURN_NOT_OK(
               sub.DominanceSumBatch(pts, gs, parts, level + 1));
           for (size_t t = 0; t < gs; ++t) outs[idx[s + t]] += parts[t];
@@ -1045,7 +1019,7 @@ class EcdfBTree {
   // LINT:hot-path-end
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
@@ -1068,7 +1042,7 @@ class EcdfBTree {
 
   Status PageCountRec(PageId pid, uint64_t* out) const {
     PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
     const Page* p = g.page();
     *out += 1;
     if (Type(p) != kInternal) return Status::OK();
@@ -1081,7 +1055,7 @@ class EcdfBTree {
     for (auto [child, border] : kids) {
       BOXAGG_RETURN_NOT_OK(PageCountRec(child, out));
       if (border != kInvalidPageId) {
-        EcdfBTree sub(pool_, dims_ - 1, variant_, border, view_);
+        EcdfBTree sub(pool_, dims_ - 1, variant_, border);
         uint64_t b = 0;
         BOXAGG_RETURN_NOT_OK(sub.PageCount(&b));
         *out += b;
@@ -1094,7 +1068,7 @@ class EcdfBTree {
     std::vector<std::pair<PageId, PageId>> kids;
     {
       PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
       if (Type(p) == kInternal) {
         uint32_t n = Count(p);
@@ -1117,7 +1091,6 @@ class EcdfBTree {
   int dims_;
   EcdfVariant variant_;
   PageId root_;
-  const PageVersionView* view_ = nullptr;  // non-null: snapshot-bound reads
 };
 
 }  // namespace boxagg

@@ -60,10 +60,7 @@ struct BatchExecStats {
 /// \brief Executes query batches on an owned ThreadPool.
 ///
 /// The executor is reusable: construct once per thread count, run many
-/// batches. RunBatchGrouped blocks the caller until the batch completes, so
-/// a caller that must answer the whole batch from one MVCC generation takes
-/// a GenerationPin before the call, captures it in `fn`, and drops it after
-/// the call returns — one pin then spans every morsel.
+/// batches. RunBatchGrouped blocks the caller until the batch completes.
 class ParallelQueryExecutor {
  public:
   explicit ParallelQueryExecutor(size_t threads);

@@ -39,7 +39,7 @@ struct TraceEvent {
   int64_t level = -1;               ///< tree level, -1 when n/a
   int64_t pages_fetched = -1;       ///< logical page fetches inside the span
   int64_t probes = -1;              ///< probes carried / queries in batch
-  int64_t generation = -1;          ///< MVCC generation, -1 when n/a
+  int64_t generation = -1;          ///< BagFile generation, -1 when n/a
 };
 
 /// \brief Receives completed spans; implementations must be thread-safe.

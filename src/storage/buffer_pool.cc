@@ -63,7 +63,7 @@ size_t BufferPool::PinnedFrames() const {
     const Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
     for (uint32_t i = 0; i < s.allocated; ++i) {
-      if (s.slots[i].pin_count.load(std::memory_order_relaxed) > 0) ++n;
+      if (s.slots[i].pin_count > 0) ++n;
     }
   }
   return n;
@@ -87,7 +87,7 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
   if (Frame* f = s.frames.Find(id); f != nullptr) {
     stats_.AddBufferHit();
     Unlink(s, f);
-    f->pin_count.fetch_add(1, std::memory_order_relaxed);
+    ++f->pin_count;
     *out = PageGuard(this, f);
     return Status::OK();
   }
@@ -99,39 +99,9 @@ Status BufferPool::Fetch(PageId id, PageGuard* out) {
   }
   stats_.AddPhysicalRead();
   f->id = id;
-  f->pin_count.store(1, std::memory_order_relaxed);
-  f->dirty.store(false, std::memory_order_relaxed);
+  f->pin_count = 1;
+  f->dirty = false;
   s.frames.Insert(id, f);
-  *out = PageGuard(this, f);
-  return Status::OK();
-}
-
-Status BufferPool::FetchSnapshot(const PageVersionView& view, PageId logical,
-                                 PageGuard* out) {
-  stats_.AddLogicalRead();
-  const uint64_t key = view.VersionKey(logical);
-  assert((key & kSnapshotKeyBit) != 0 && "snapshot key missing tag bit");
-  Shard& s = *shards_[ShardOf(key)];
-  sync::MutexLock lock(&s.mu);
-  if (Frame* f = s.frames.Find(key); f != nullptr) {
-    stats_.AddBufferHit();
-    Unlink(s, f);
-    f->pin_count.fetch_add(1, std::memory_order_relaxed);
-    *out = PageGuard(this, f);
-    return Status::OK();
-  }
-  Frame* f = nullptr;
-  BOXAGG_RETURN_NOT_OK(GetFreeFrame(s, &f));
-  if (Status st = view.ReadVersioned(logical, &f->page); !st.ok()) {
-    s.free_frames.push_back(f);  // don't leak the frame on a failed read
-    if (st.code() == Status::Code::kCorruption) stats_.AddChecksumFailure();
-    return st;
-  }
-  stats_.AddPhysicalRead();
-  f->id = key;
-  f->pin_count.store(1, std::memory_order_relaxed);
-  f->dirty.store(false, std::memory_order_relaxed);
-  s.frames.Insert(key, f);
   *out = PageGuard(this, f);
   return Status::OK();
 }
@@ -177,7 +147,7 @@ Status BufferPool::New(PageGuard* out) {
   // A freed-then-reused page may still be resident with stale contents.
   Frame* f = s.frames.Find(id);
   if (f != nullptr) {
-    assert(f->pin_count.load(std::memory_order_relaxed) == 0);
+    assert(f->pin_count == 0);
     Unlink(s, f);
   } else {
     BOXAGG_RETURN_NOT_OK(GetFreeFrame(s, &f));
@@ -185,9 +155,9 @@ Status BufferPool::New(PageGuard* out) {
     s.frames.Insert(id, f);
   }
   f->page.Zero();
-  f->pin_count.store(1, std::memory_order_relaxed);
+  f->pin_count = 1;
   // Must reach disk even if never touched again.
-  f->dirty.store(true, std::memory_order_relaxed);
+  f->dirty = true;
   *out = PageGuard(this, f);
   return Status::OK();
 }
@@ -197,13 +167,13 @@ Status BufferPool::Delete(PageId id) {
   {
     sync::MutexLock lock(&s.mu);
     if (Frame* f = s.frames.Find(id); f != nullptr) {
-      if (f->pin_count.load(std::memory_order_relaxed) != 0) {
+      if (f->pin_count != 0) {
         return Status::InvalidArgument("Delete of pinned page");
       }
       Unlink(s, f);
       s.frames.Erase(id);
       f->id = kInvalidPageId;
-      f->dirty.store(false, std::memory_order_relaxed);
+      f->dirty = false;
       s.free_frames.push_back(f);
     }
   }
@@ -217,13 +187,10 @@ Status BufferPool::FlushAll() {
     for (uint32_t i = 0; i < s.allocated; ++i) {
       Frame& f = s.slots[i];
       // Free frames are never dirty (Delete and EvictOne clear the flag).
-      if (f.dirty.load(std::memory_order_relaxed)) {
-        // A snapshot frame's id is a version key, not a writable page id;
-        // such frames are read-only and must never be dirty.
-        assert((f.id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
+      if (f.dirty) {
         BOXAGG_RETURN_NOT_OK(file_->WritePage(f.id, f.page));
         stats_.AddPhysicalWrite();
-        f.dirty.store(false, std::memory_order_relaxed);
+        f.dirty = false;
       }
     }
   }
@@ -236,7 +203,7 @@ Status BufferPool::Reset() {
     Shard& s = *sp;
     sync::MutexLock lock(&s.mu);
     for (uint32_t i = 0; i < s.allocated; ++i) {
-      if (s.slots[i].pin_count.load(std::memory_order_relaxed) != 0) {
+      if (s.slots[i].pin_count != 0) {
         return Status::InvalidArgument("Reset with pinned pages");
       }
     }
@@ -256,11 +223,9 @@ Status BufferPool::Reset() {
 void BufferPool::Unpin(Frame* f, bool dirty) {
   Shard& s = *shards_[f->shard];
   sync::MutexLock lock(&s.mu);
-  assert(f->pin_count.load(std::memory_order_relaxed) > 0);
-  if (dirty) f->dirty.store(true, std::memory_order_relaxed);
-  if (f->pin_count.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    LinkHot(s, f);
-  }
+  assert(f->pin_count > 0);
+  if (dirty) f->dirty = true;
+  if (--f->pin_count == 0) LinkHot(s, f);
 }
 
 void BufferPool::LinkHot(Shard& s, Frame* f) {
@@ -312,10 +277,7 @@ Status BufferPool::EvictOne(Shard& s) {
   }
   Frame* f = &s.slots[s.lru_head];
   Unlink(s, f);
-  if (f->dirty.load(std::memory_order_relaxed)) {
-    // Snapshot frames (tagged keys) are read-only: a dirty one here would
-    // write page content to a key that is not a real page id.
-    assert((f->id & kSnapshotKeyBit) == 0 && "dirty snapshot frame");
+  if (f->dirty) {
     if (Status st = file_->WritePage(f->id, f->page); !st.ok()) {
       // Keep the frame resident and evictable so a transient I/O failure
       // does not permanently shrink the pool.
@@ -326,7 +288,7 @@ Status BufferPool::EvictOne(Shard& s) {
     // Eviction-path write-back only (FlushAll's writes are not counted
     // here), so evictions >= dirty_writebacks holds at quiescent points.
     stats_.AddDirtyWriteback();
-    f->dirty.store(false, std::memory_order_relaxed);
+    f->dirty = false;
   }
   stats_.AddEviction();
   s.frames.Erase(f->id);

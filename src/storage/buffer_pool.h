@@ -20,7 +20,6 @@
 #ifndef BOXAGG_STORAGE_BUFFER_POOL_H_
 #define BOXAGG_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cassert>
 #include <memory>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "storage/io_stats.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
-#include "storage/page_version.h"
 #include "storage/status.h"
 
 namespace boxagg {
@@ -75,20 +73,6 @@ class BufferPool {
 
   /// Pins page `id`, reading it from the file on a miss. Thread-safe.
   Status Fetch(PageId id, PageGuard* out);
-
-  /// Pins logical page `logical` as of the pinned version `view`, reading
-  /// through view.ReadVersioned on a miss. Snapshot frames share the pool
-  /// with live frames but live under view.VersionKey(logical) — a key that
-  /// identifies immutable page *content* (see storage/page_version.h), so
-  /// a hit can never be stale and no invalidation exists. Counting matches
-  /// Fetch (logical read; buffer hit or physical read). Snapshot frames
-  /// are read-only: callers must not MarkDirty them. Thread-safe, and —
-  /// unlike Fetch — safe concurrently with the single writer's New/Delete,
-  /// because it never touches the live page-id namespace or the PageFile
-  /// allocation state. Eviction under pressure works normally (unpinned
-  /// snapshot frames are clean, so evicting one is free).
-  Status FetchSnapshot(const PageVersionView& view, PageId logical,
-                       PageGuard* out);
 
   /// Pins every page in `ids[0..count)` in order, exactly as `count`
   /// consecutive Fetch calls would (same counting, same LRU touches), and
@@ -158,8 +142,9 @@ class BufferPool {
         : page(page_size), shard(shard_idx) {}
     Page page;
     PageId id = kInvalidPageId;
-    std::atomic<int> pin_count{0};
-    std::atomic<bool> dirty{false};
+    // Pin state: read and written only under the owning shard's mutex.
+    int pin_count = 0;
+    bool dirty = false;
     // Exact-LRU links while in_lru: indices of the colder (prev) and hotter
     // (next) neighbours in the owning shard's frame array. A pinned or free
     // frame is unlinked.
@@ -177,8 +162,8 @@ class BufferPool {
 
     mutable sync::Mutex mu{"bufferpool.shard",
                            sync::lock_rank::kBufferPoolShard};
-    // Resident frames by key (live PageId or bit-63 snapshot key); sized
-    // once to the shard's capacity, never grown.
+    // Resident frames by PageId; sized once to the shard's capacity, never
+    // grown.
     FrameTable<Frame> frames GUARDED_BY(mu);
     // One contiguous array of `capacity` frame slots, allocated with the
     // pool. Frames [0, allocated) are constructed, in order, on first use;

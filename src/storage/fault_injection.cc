@@ -69,11 +69,6 @@ Status FaultInjectingPageFile::WritePage(PageId id, const Page& page) {
     return Status::IoError("injected write error");
   }
   if (id >= durable_.size()) return Status::NotFound("page id out of range");
-  if (guards_.count(id) != 0) {
-    ++guard_violations_;
-    assert(false && "WritePage to a pinned (guarded) physical page");
-    return Status::IoError("guard violation: write to pinned page");
-  }
   Pending& p = pending_[id];
   p.slot.resize(slot_size());
   EncodePageSlot(p.slot.data(), page_size_, id, write_epoch_, page.data());
@@ -82,18 +77,6 @@ Status FaultInjectingPageFile::WritePage(PageId id, const Page& page) {
     p.torn_prefix = torn_prefix_;
   }
   return Status::OK();
-}
-
-Status FaultInjectingPageFile::Free(PageId id) {
-  {
-    sync::MutexLock lock(&mu_);
-    if (guards_.count(id) != 0) {
-      ++guard_violations_;
-      assert(false && "Free of a pinned (guarded) physical page");
-      return Status::IoError("guard violation: free of pinned page");
-    }
-  }
-  return PageFile::Free(id);
 }
 
 Status FaultInjectingPageFile::Sync() {
@@ -148,7 +131,6 @@ void FaultInjectingPageFile::Reopen() {
   torn_write_at_ = 0;
   torn_prefix_ = 0;
   crash_at_io_ = 0;
-  // guards_ intentionally survives: pins are reader state, not store state.
 }
 
 void FaultInjectingPageFile::ScheduleReadError(uint64_t nth, uint64_t times) {
@@ -187,29 +169,6 @@ void FaultInjectingPageFile::ZeroDurablePage(PageId id) {
   sync::MutexLock lock(&mu_);
   assert(id < durable_.size());
   durable_[id].clear();  // reverts to never-written
-}
-
-void FaultInjectingPageFile::GuardPage(PageId id) {
-  sync::MutexLock lock(&mu_);
-  ++guards_[id];
-}
-
-void FaultInjectingPageFile::UnguardPage(PageId id) {
-  sync::MutexLock lock(&mu_);
-  auto it = guards_.find(id);
-  assert(it != guards_.end() && "UnguardPage without matching GuardPage");
-  if (it == guards_.end()) return;
-  if (--it->second == 0) guards_.erase(it);
-}
-
-uint64_t FaultInjectingPageFile::guard_violations() const {
-  sync::MutexLock lock(&mu_);
-  return guard_violations_;
-}
-
-size_t FaultInjectingPageFile::guarded_pages() const {
-  sync::MutexLock lock(&mu_);
-  return guards_.size();
 }
 
 bool FaultInjectingPageFile::crashed() const {

@@ -31,18 +31,8 @@
 //   ZeroDurablePage(id)          - simulates a lost write: the slot reverts
 //                                  to never-written zeros.
 //
-// Page guards (MVCC reclamation-ordering oracle): a snapshot reader that
-// pins a generation calls GuardPage on every physical page its pinned root
-// set can reach. A WritePage or Free against a guarded page means the
-// writer reused or retired a page before every pin on it dropped — the
-// exact bug epoch-based reclamation must make impossible. Guard hits bump
-// guard_violations(), abort in debug builds, and fail the I/O, so both
-// crash_torture (release) and unit tests (debug) catch ordering bugs.
-// Guards are refcounted (overlapping readers) and are metadata, not I/O:
-// guarding never counts against scheduled faults and survives Crash/Reopen.
-//
-// All methods are thread-safe behind one internal mutex: torture readers
-// run concurrently with the writer thread against this store.
+// All methods are thread-safe behind one internal mutex, so concurrent
+// readers through a sharded BufferPool can share one store.
 
 #ifndef BOXAGG_STORAGE_FAULT_INJECTION_H_
 #define BOXAGG_STORAGE_FAULT_INJECTION_H_
@@ -62,7 +52,6 @@ class FaultInjectingPageFile : public PageFile {
   // -- PageFile interface ---------------------------------------------------
   Status ReadPageEx(PageId id, Page* page, uint64_t* epoch_out) override;
   Status WritePage(PageId id, const Page& page) override;
-  Status Free(PageId id) override;
   Status Sync() override;
 
   // -- fault scheduling -----------------------------------------------------
@@ -84,15 +73,6 @@ class FaultInjectingPageFile : public PageFile {
   // -- direct durable-image corruption --------------------------------------
   void FlipBit(PageId id, uint64_t bit_index);
   void ZeroDurablePage(PageId id);
-
-  // -- reclamation-ordering guards ------------------------------------------
-  /// Marks `id` as pinned by a snapshot reader: any WritePage or Free
-  /// against it is a reclamation-ordering violation. Refcounted.
-  void GuardPage(PageId id);
-  void UnguardPage(PageId id);
-  /// WritePage/Free attempts against guarded pages (should stay 0).
-  [[nodiscard]] uint64_t guard_violations() const;
-  [[nodiscard]] size_t guarded_pages() const;
 
   // -- introspection --------------------------------------------------------
   [[nodiscard]] bool crashed() const;
@@ -123,9 +103,6 @@ class FaultInjectingPageFile : public PageFile {
   std::vector<std::vector<uint8_t>> durable_ GUARDED_BY(mu_);
   // ordered for determinism
   std::map<PageId, Pending> pending_ GUARDED_BY(mu_);
-  // physical id -> pin refcount
-  std::map<PageId, uint32_t> guards_ GUARDED_BY(mu_);
-  uint64_t guard_violations_ GUARDED_BY(mu_) = 0;
 
   uint64_t rng_state_ GUARDED_BY(mu_);
   bool crashed_ GUARDED_BY(mu_) = false;

@@ -1,6 +1,6 @@
 // FrameTable: a buffer-pool shard's page table — a fixed-capacity
-// open-addressing hash map from a 64-bit frame key (a live PageId, or a
-// bit-63 snapshot version key) to the frame that holds it.
+// open-addressing hash map from a 64-bit frame key (a PageId) to the frame
+// that holds it.
 //
 // Layout: a power-of-two array of 16-byte slots {key, frame}; a null frame
 // marks an empty slot. The slot count is fixed at construction to at least

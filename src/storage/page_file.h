@@ -42,9 +42,9 @@ struct CheckContext;
 /// path — each page belongs to exactly one shard). Allocation and freeing
 /// remain single-threaded, like all index mutation. The in-memory backends
 /// (MemPageFile, FaultInjectingPageFile) strengthen this: their reads are
-/// additionally safe against a concurrent Allocate/Free/Extend, which MVCC
-/// snapshot readers rely on; FilePageFile keeps the weaker base contract
-/// (pread is position-independent, but the size check races Extend).
+/// additionally safe against a concurrent Allocate/Free/Extend; FilePageFile
+/// keeps the weaker base contract (pread is position-independent, but the
+/// size check races Extend).
 class PageFile {
  public:
   explicit PageFile(uint32_t page_size) : page_size_(page_size) {}
@@ -131,11 +131,12 @@ class PageFile {
 /// \brief In-memory PageFile; page slots live in heap vectors.
 ///
 /// Unlike the base contract, MemPageFile serializes ReadPageEx/WritePage/
-/// Extend/Free on an internal mutex: MVCC snapshot readers
-/// (core/bag_file.h GenerationPin) read retained-generation pages from
-/// arbitrary threads while the single writer allocates and CoWs, so
-/// slot-vector growth must not race in-flight reads. The lock is
-/// uncontended in single-threaded benches and does not change I/O counts.
+/// Extend/Free on an internal mutex. It protects the slot vectors: the
+/// outer vector's growth in Extend and each slot's bytes, so reads from
+/// buffer-pool shards on several threads, eviction write-backs and the
+/// debug-mode poisoning in Free never touch a slot while another call
+/// resizes or fills it. The lock is uncontended in single-threaded benches
+/// and does not change I/O counts.
 class MemPageFile : public PageFile {
  public:
   explicit MemPageFile(uint32_t page_size = kDefaultPageSize)

@@ -1,6 +1,7 @@
 // FrameTable (src/storage/frame_table.h): collisions, wrap-around probe
-// runs, backward-shift erase, live and snapshot keys side by side, filling
-// to capacity, and a seeded differential run against std::unordered_map.
+// runs, backward-shift erase, keys that differ only in bit 63 side by side,
+// filling to capacity, and a seeded differential run against
+// std::unordered_map.
 
 #include "storage/frame_table.h"
 
@@ -11,10 +12,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/page_version.h"
-
 namespace boxagg {
 namespace {
+
+// Keys use all 64 bits: a key and the same key with bit 63 set must hash,
+// probe and erase independently.
+constexpr uint64_t kTopBit = uint64_t{1} << 63;
 
 struct TestFrame {
   uint64_t key = 0;
@@ -152,24 +155,24 @@ TEST(FrameTable, EraseFromTheMiddleOfAClusterKeepsEverySurvivorReachable) {
 
 TEST(FrameTable, LiveAndSnapshotKeysShareOneTable) {
   Table t(16);
-  std::vector<TestFrame> live(8);
-  std::vector<TestFrame> snap(8);
+  std::vector<TestFrame> low(8);
+  std::vector<TestFrame> high(8);
   for (uint64_t id = 0; id < 8; ++id) {
-    live[id].key = id;
-    snap[id].key = id | kSnapshotKeyBit;
-    t.Insert(live[id].key, &live[id]);
-    t.Insert(snap[id].key, &snap[id]);
+    low[id].key = id;
+    high[id].key = id | kTopBit;
+    t.Insert(low[id].key, &low[id]);
+    t.Insert(high[id].key, &high[id]);
   }
   EXPECT_EQ(t.size(), 16u);
   for (uint64_t id = 0; id < 8; ++id) {
-    EXPECT_EQ(t.Find(id), &live[id]);
-    EXPECT_EQ(t.Find(id | kSnapshotKeyBit), &snap[id]);
+    EXPECT_EQ(t.Find(id), &low[id]);
+    EXPECT_EQ(t.Find(id | kTopBit), &high[id]);
   }
-  // Dropping one namespace leaves the other intact.
+  // Erasing low keys leaves their bit-63 twins intact.
   for (uint64_t id = 0; id < 8; id += 2) ASSERT_TRUE(t.Erase(id));
   for (uint64_t id = 0; id < 8; ++id) {
-    EXPECT_EQ(t.Find(id), id % 2 == 0 ? nullptr : &live[id]);
-    EXPECT_EQ(t.Find(id | kSnapshotKeyBit), &snap[id]);
+    EXPECT_EQ(t.Find(id), id % 2 == 0 ? nullptr : &low[id]);
+    EXPECT_EQ(t.Find(id | kTopBit), &high[id]);
   }
   ExpectWellFormed(t);
 }
@@ -204,10 +207,10 @@ TEST(FrameTable, RandomOpsMatchUnorderedMap) {
   for (TestFrame& f : pool) free_frames.push_back(&f);
 
   // Keys from a small universe (so inserts, hits and erases all recur),
-  // half of them tagged as snapshot keys.
+  // half of them with bit 63 set.
   const auto random_key = [&rng] {
     const uint64_t id = rng() % 200;
-    return (rng() & 1) != 0 ? id | kSnapshotKeyBit : id;
+    return (rng() & 1) != 0 ? id | kTopBit : id;
   };
   for (int op = 0; op < kOps; ++op) {
     const uint64_t key = random_key();

@@ -1,5 +1,5 @@
-// Tests for the annotated sync layer (src/core/sync.h): the Mutex /
-// SharedMutex / CondVar wrappers and, in debug builds, the
+// Tests for the annotated sync layer (src/core/sync.h): the Mutex and
+// CondVar wrappers and, in debug builds, the
 // LockOrderRegistry's rank-inversion and held-stack behavior.
 //
 // The registry's failure mode is an abort with both lock names on stderr,
@@ -11,9 +11,7 @@
 #include "core/sync.h"
 
 #include <atomic>
-#include <chrono>
 #include <thread>
-#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -73,34 +71,6 @@ TEST(SyncMutex, AdoptingScopeReleasesAnAlreadyHeldLock) {
   }
   ASSERT_TRUE(mu.TryLock());
   mu.Unlock();
-}
-
-TEST(SyncSharedMutex, ManyConcurrentReaders) {
-  SharedMutex mu("test.shared", lock_rank::kLeaf);
-  constexpr int kReaders = 4;
-  std::atomic<int> inside{0};
-  std::atomic<int> peak{0};
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int i = 0; i < kReaders; ++i) {
-    readers.emplace_back([&] {
-      ReaderLock lock(&mu);
-      int now = inside.fetch_add(1, std::memory_order_acq_rel) + 1;
-      int seen = peak.load(std::memory_order_relaxed);
-      while (now > seen &&
-             !peak.compare_exchange_weak(seen, now,
-                                         std::memory_order_relaxed)) {
-      }
-      // Linger so the readers overlap; shared mode must admit all of them.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      inside.fetch_sub(1, std::memory_order_acq_rel);
-    });
-  }
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(inside.load(), 0);
-  EXPECT_GT(peak.load(), 1) << "readers never overlapped — shared mode "
-                               "is behaving like an exclusive lock";
-  WriterLock lock(&mu);  // and the writer path still works afterwards
 }
 
 TEST(SyncCondVar, WaitNotifyRoundTrip) {

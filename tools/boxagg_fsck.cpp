@@ -35,6 +35,29 @@ int Usage() {
   return 1;
 }
 
+void PrintSummary(const char* path, const FsckReport& report) {
+  std::printf("%s: generation %" PRIu64 ", %" PRIu64 " physical pages, "
+              "%" PRIu64 " logical (%" PRIu64 " mapped), %u dims, "
+              "%zu roots\n",
+              path, report.generation, report.file_pages,
+              report.logical_pages, report.mapped_pages, report.dims,
+              report.roots.size());
+  std::printf("  verified %" PRIu64 " pages, %" PRIu64 " orphaned, "
+              "%" PRIu64 " stale\n",
+              report.visited_pages, report.orphan_pages, report.stale_pages);
+  if (report.checksum_failures_live + report.checksum_failures_free > 0) {
+    std::printf("  checksum failures: %" PRIu64 " on live pages, %" PRIu64
+                " on free pages\n",
+                report.checksum_failures_live, report.checksum_failures_free);
+  }
+  for (const std::string& err : report.root_errors) {
+    std::printf("  CORRUPT %s\n", err.c_str());
+  }
+  for (const std::string& note : report.notes) {
+    std::printf("  note: %s\n", note.c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -59,26 +82,8 @@ int main(int argc, char** argv) {
 
   FsckReport report;
   Status st = FsckIndexFile(path, options, &report);
-  std::printf("%s: generation %" PRIu64 ", %" PRIu64 " physical pages, "
-              "%" PRIu64 " logical (%" PRIu64 " mapped), %u dims, "
-              "%zu roots\n",
-              path, report.generation, report.file_pages,
-              report.logical_pages, report.mapped_pages, report.dims,
-              report.roots.size());
-  std::printf("  verified %" PRIu64 " pages, %" PRIu64 " orphaned, "
-              "%" PRIu64 " stale\n",
-              report.visited_pages, report.orphan_pages, report.stale_pages);
-  if (report.checksum_failures_live + report.checksum_failures_free > 0) {
-    std::printf("  checksum failures: %" PRIu64 " on live pages, %" PRIu64
-                " on free pages\n",
-                report.checksum_failures_live, report.checksum_failures_free);
-  }
-  for (const std::string& err : report.root_errors) {
-    std::printf("  CORRUPT %s\n", err.c_str());
-  }
-  for (const std::string& note : report.notes) {
-    std::printf("  note: %s\n", note.c_str());
-  }
+  // A file recovery could not read has no summary to print.
+  if (report.opened) PrintSummary(path, report);
   if (!st.ok()) {
     std::fprintf(stderr, "boxagg_fsck: %s: %s\n", path,
                  st.ToString().c_str());

@@ -1,9 +1,9 @@
 // crash_torture: randomized crash-recovery soak test for the BagFile
 // commit protocol, run over the deterministic fault-injecting store.
 //
-//   crash_torture [--iters N] [--seed S] [--readers R] [--verbose]
+//   crash_torture [--iters N] [--seed S] [--verbose]
 //
-// Each iteration (fully determined by its seed when --readers 0):
+// Each iteration (fully determined by its seed):
 //   1. Creates a BagFile over a FaultInjectingPageFile and grows three
 //      structures through one buffer pool: a 1-d aggregate B-tree, a 2-d
 //      ECDF-B-tree (update-optimized borders), and a 2-d BA-tree.
@@ -23,28 +23,16 @@
 //          for the recovered generation, exactly (values are integers, so
 //          sums are exact in double arithmetic).
 //
-// With --readers R > 0, R concurrent snapshot readers run against the live
-// store for the whole workload: each loop pins the published generation,
-// guards every physical page of the pinned footprint (data images + map
-// chain) against reclamation — a writer touching a guarded page trips
-// guard_violations() and fails the iteration — and checks dominance sums
-// through snapshot-bound tree handles against the oracle of the *pinned*
-// generation, exactly, while the writer keeps committing newer generations
-// over the same pages. Reader I/O shifts where the scheduled power cut
-// lands (iterations are no longer bit-reproducible across thread
-// interleavings), which is the point: the cut hits commit, reclamation, and
-// pinned reads in every relative order. Readers tolerate only post-crash
-// I/O errors; any mismatch or pre-crash failure fails the iteration.
-//
 // The final stdout line is one JSON object summarizing the run (iteration
 // count, where the power cuts landed, which generation recovery landed on,
-// guard-violation total, and how many oracle checks the readers and the
-// recovery pass executed) — jq-friendly for the CI mvcc-torture job.
+// and how many oracle checks the recovery pass executed) — jq-friendly.
 //
-// Exit status 0 iff every iteration passes.
+// --iters and --seed take a plain decimal value; anything else (a sign,
+// trailing characters, overflow), like an unknown flag, prints the usage
+// text and exits 2. Otherwise the exit status is 0 iff every iteration
+// passes.
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -52,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "batree/packed_ba_tree.h"
@@ -60,9 +47,9 @@
 #include "check/checkable.h"
 #include "check/fsck.h"
 #include "core/bag_file.h"
-#include "core/sync.h"
 #include "ecdf/ecdf_btree.h"
 #include "obs/logger.h"
+#include "parse_number.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection.h"
 
@@ -141,108 +128,17 @@ int Fail(uint64_t seed, const std::string& what) {
   return 1;
 }
 
-/// Writer/reader shared state for one iteration. Leaf-ranked mutex: it is
-/// always the last (and only torture-owned) lock a thread holds.
-struct SharedOracles {
-  sync::Mutex mu{"torture.oracles", sync::lock_rank::kLeaf};
-  std::map<uint64_t, Oracle> by_generation GUARDED_BY(mu);
-  std::string first_reader_error GUARDED_BY(mu);
-  /// Snapshot-reader probes that ran all three oracle comparisons clean
-  /// (atomic, not mu-guarded: bumped on every reader loop pass).
-  std::atomic<uint64_t> oracle_checks{0};
-};
-
-/// Run-wide tallies for the final JSON summary line. Written by the main
-/// thread only (per-iteration reader counts land via SharedOracles).
+/// Run-wide tallies for the final JSON summary line.
 struct TortureStats {
   uint64_t iterations = 0;
   uint64_t crash_mid_run = 0;     // scheduled cut fired during the workload
   uint64_t crash_end_of_run = 0;  // cut resolved at end-of-run power cut
   uint64_t recovered_acked = 0;      // recovery landed on the acked gen
   uint64_t recovered_in_flight = 0;  // ... on the interrupted commit's gen
-  uint64_t guard_violations = 0;
-  uint64_t reader_oracle_checks = 0;
   uint64_t recovery_oracle_checks = 0;
 };
 
-/// One snapshot reader: pin the published generation, guard every physical
-/// page of the pinned footprint, check dominance sums through snapshot-bound
-/// tree handles against the pinned generation's oracle, unguard, unpin,
-/// repeat until stopped. Only post-crash I/O errors are tolerated.
-void ReaderLoop(BagFile* bag, BufferPool* pool, FaultInjectingPageFile* phys,
-                SharedOracles* shared, const std::atomic<bool>* stop,
-                uint64_t rng_seed) {
-  Rng rng{rng_seed};
-  auto fail = [shared](const std::string& what) {
-    sync::MutexLock lock(&shared->mu);
-    if (shared->first_reader_error.empty()) shared->first_reader_error = what;
-  };
-  while (!stop->load(std::memory_order_acquire)) {
-    GenerationPin pin;
-    if (Status st = bag->PinCurrent(&pin); !st.ok()) {
-      if (!phys->crashed()) fail("pin: " + st.ToString());
-      return;
-    }
-    // Guard the whole pinned footprint (map chain + mapped images): any
-    // WritePage/Free against these while the pin is live is the
-    // reclamation-ordering bug this harness exists to catch.
-    std::vector<PageId> guarded;
-    for (PageId mp : pin.map_pages()) {
-      phys->GuardPage(mp);
-      guarded.push_back(mp);
-    }
-    for (PageId l = 0; l < pin.logical_pages(); ++l) {
-      const BagMapEntry e = pin.map_entry(l);
-      if (e.mapped()) {
-        phys->GuardPage(e.physical);
-        guarded.push_back(e.physical);
-      }
-    }
-    // The oracle for a pinned generation is always on file: the writer
-    // stores it (under the lock) before the commit that publishes it.
-    Oracle oracle;
-    {
-      sync::MutexLock lock(&shared->mu);
-      oracle = shared->by_generation.at(pin.generation());
-    }
-    Status st = Status::OK();
-    {
-      AggBTree<double> agg(pool, pin.roots()[0], &pin);
-      EcdfBTree<double> ecdf(pool, kDims, EcdfVariant::kUpdateOptimized,
-                             pin.roots()[1], &pin);
-      PackedBaTree<double> ba(pool, kDims, pin.roots()[2], &pin);
-      for (int probe = 0; probe < 4 && st.ok(); ++probe) {
-        const double qk = rng.Int(600);
-        const Point qp(rng.Int(120), rng.Int(120));
-        double got = 0;
-        st = agg.DominanceSum(qk, &got);
-        if (st.ok() && got != AggOracleSum(oracle.agg, qk)) {
-          st = Status::Corruption("agg sum diverged from pinned oracle");
-        }
-        if (st.ok()) st = ecdf.DominanceSum(qp, &got);
-        if (st.ok() && got != PointOracleSum(oracle.ecdf, qp)) {
-          st = Status::Corruption("ecdf sum diverged from pinned oracle");
-        }
-        if (st.ok()) st = ba.DominanceSum(qp, &got);
-        if (st.ok() && got != PointOracleSum(oracle.ba, qp)) {
-          st = Status::Corruption("ba sum diverged from pinned oracle");
-        }
-      }
-    }
-    for (PageId id : guarded) phys->UnguardPage(id);
-    if (st.ok()) shared->oracle_checks.fetch_add(4, std::memory_order_relaxed);
-    if (!st.ok()) {
-      if (!phys->crashed()) {
-        fail("snapshot read at generation " +
-             std::to_string(pin.generation()) + ": " + st.ToString());
-      }
-      return;
-    }
-  }
-}
-
-int RunIteration(uint64_t seed, bool verbose, int readers,
-                 TortureStats* stats) {
+int RunIteration(uint64_t seed, bool verbose, TortureStats* stats) {
   FaultInjectingPageFile phys(kDefaultPageSize, seed);
   std::unique_ptr<BagFile> bag;
   if (Status st = BagFile::Create(&phys, kDims, kNumRoots, &bag); !st.ok()) {
@@ -250,11 +146,8 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
   }
 
   Rng rng{seed ^ 0xc7a5c7a5c7a5c7a5ull};
-  SharedOracles shared;
-  {
-    sync::MutexLock lock(&shared.mu);
-    shared.by_generation[0] = Oracle{};  // generation 0: empty
-  }
+  std::map<uint64_t, Oracle> by_generation;
+  by_generation[0] = Oracle{};  // generation 0: empty
   Oracle cur;
   uint64_t acked = 0;
   uint64_t in_flight = 0;  // 0 = no commit was interrupted
@@ -270,14 +163,6 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
   {
     BufferPool pool(bag.get(),
                     BufferPool::CapacityForMegabytes(1, kDefaultPageSize));
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> reader_threads;
-    reader_threads.reserve(static_cast<size_t>(readers));
-    for (int r = 0; r < readers; ++r) {
-      reader_threads.emplace_back(ReaderLoop, bag.get(), &pool, &phys,
-                                  &shared, &stop,
-                                  seed ^ (0x5eadull * (r + 2)));
-    }
     AggBTree<double> agg(&pool);
     EcdfBTree<double> ecdf(&pool, kDims, EcdfVariant::kUpdateOptimized);
     PackedBaTree<double> ba(&pool, kDims);
@@ -309,13 +194,8 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
       }
       // From here the commit itself may be interrupted — and may still
       // have become durable, so its oracle must be on file either way.
-      // Stored before Commit (under the lock), so a reader pinning the
-      // just-published generation always finds its oracle.
       const uint64_t candidate = bag->generation() + 1;
-      {
-        sync::MutexLock lock(&shared.mu);
-        shared.by_generation[candidate] = cur;
-      }
+      by_generation[candidate] = cur;
       if (bag->Commit({agg.root(), ecdf.root(), ba.root()}).ok()) {
         acked = candidate;
       } else {
@@ -323,31 +203,10 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
         down = true;
       }
     }
-    // Readers join before the pool and bag go away: a pin holds a pointer
-    // into the BagFile, and queries run through this pool.
-    stop.store(true, std::memory_order_release);
-    for (std::thread& t : reader_threads) t.join();
     if (down && !phys.crashed()) {
       return Fail(seed, "workload failed without a crash");
     }
   }
-  {
-    sync::MutexLock lock(&shared.mu);
-    if (!shared.first_reader_error.empty()) {
-      return Fail(seed, "reader: " + shared.first_reader_error);
-    }
-  }
-  stats->reader_oracle_checks +=
-      shared.oracle_checks.load(std::memory_order_relaxed);
-  stats->guard_violations += phys.guard_violations();
-  if (phys.guard_violations() != 0) {
-    return Fail(seed, std::to_string(phys.guard_violations()) +
-                          " reclamation-ordering guard violation(s)");
-  }
-  if (phys.guarded_pages() != 0) {
-    return Fail(seed, "readers left pages guarded after joining");
-  }
-
   // Power cut at end-of-run if the scheduled point was never reached:
   // whatever sits unsynced in the simulated OS cache is resolved now.
   if (phys.crashed()) {
@@ -390,11 +249,7 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
   if (Status st = BagFile::Open(&phys, &rec); !st.ok()) {
     return Fail(seed, "reopen: " + st.ToString());
   }
-  Oracle oracle;
-  {
-    sync::MutexLock lock(&shared.mu);
-    oracle = shared.by_generation.at(recovered);
-  }
+  const Oracle& oracle = by_generation.at(recovered);
   BufferPool pool(rec.get(),
                   BufferPool::CapacityForMegabytes(1, kDefaultPageSize));
   AggBTree<double> agg(&pool, rec->roots()[0]);
@@ -444,32 +299,32 @@ int RunIteration(uint64_t seed, bool verbose, int readers,
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: crash_torture [--iters N] [--seed S] [--verbose]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t iters = 100;
   uint64_t seed = 1;
-  int readers = 0;
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseUnsigned(argv[++i], &iters)) return Usage();
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--readers") == 0 && i + 1 < argc) {
-      readers = static_cast<int>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseUnsigned(argv[++i], &seed)) return Usage();
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       verbose = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: crash_torture [--iters N] [--seed S] "
-                   "[--readers R] [--verbose]\n");
-      return 1;
+      return Usage();
     }
   }
   TortureStats stats;
   for (uint64_t i = 0; i < iters; ++i) {
-    if (RunIteration(seed + i, verbose, readers, &stats) != 0) return 1;
+    if (RunIteration(seed + i, verbose, &stats) != 0) return 1;
     if (!verbose && iters >= 20 && (i + 1) % (iters / 10) == 0) {
       obs::LogInfo("crash_torture: %" PRIu64 "/%" PRIu64 " iterations ok",
                    i + 1, iters);
@@ -479,13 +334,11 @@ int main(int argc, char** argv) {
   // Machine-readable run summary: exactly one stdout line, one JSON object.
   std::printf(
       "{\"tool\":\"crash_torture\",\"status\":\"pass\",\"iterations\":%" PRIu64
-      ",\"readers\":%d,\"crash_mid_run\":%" PRIu64
-      ",\"crash_end_of_run\":%" PRIu64 ",\"recovered_acked\":%" PRIu64
-      ",\"recovered_in_flight\":%" PRIu64 ",\"guard_violations\":%" PRIu64
-      ",\"reader_oracle_checks\":%" PRIu64
+      ",\"crash_mid_run\":%" PRIu64 ",\"crash_end_of_run\":%" PRIu64
+      ",\"recovered_acked\":%" PRIu64 ",\"recovered_in_flight\":%" PRIu64
       ",\"recovery_oracle_checks\":%" PRIu64 "}\n",
-      stats.iterations, readers, stats.crash_mid_run, stats.crash_end_of_run,
-      stats.recovered_acked, stats.recovered_in_flight, stats.guard_violations,
-      stats.reader_oracle_checks, stats.recovery_oracle_checks);
+      stats.iterations, stats.crash_mid_run, stats.crash_end_of_run,
+      stats.recovered_acked, stats.recovered_in_flight,
+      stats.recovery_oracle_checks);
   return 0;
 }

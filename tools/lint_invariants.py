@@ -36,10 +36,10 @@ bench-stdout    Bench binaries print only BASELINE/JSON lines on stdout so
 
 lock-rank-table The set of (rank, mutex name) pairs declared in src/ equals
                 the rows of the rank table in DESIGN.md section 12. A
-                declaration is a sync::Mutex or sync::SharedMutex built from
-                a name string and a sync::lock_rank::kX constant (brace or
-                paren initializer, on one line or wrapped); kX is resolved to
-                its number in src/core/sync.h. A mutex added, renamed or
+                declaration is a sync::Mutex built from a name string and a
+                sync::lock_rank::kX constant (brace or paren initializer, on
+                one line or wrapped); kX is resolved to its number in
+                src/core/sync.h. A mutex added, renamed or
                 re-ranked without its table row (or a stale row) is flagged.
 """
 
@@ -65,7 +65,7 @@ RANK_CONSTANT = re.compile(
 # to spaces but keep their quotes and columns; the name is then read back
 # from the raw text at the same offsets.
 RANKED_MUTEX = re.compile(
-    r"\bsync::(?:Shared)?Mutex\s+\w+\s*[{(]\s*(\"[^\"]*\")\s*,"
+    r"\bsync::Mutex\s+\w+\s*[{(]\s*(\"[^\"]*\")\s*,"
     r"\s*sync::lock_rank::(k\w+)\s*[})]")
 RANK_TABLE_ROW = re.compile(r"^\|\s*(\d+)\s*\|\s*`([^`]+)`\s*\|")
 

@@ -9,9 +9,13 @@
 // against its scalar reference. Any violation exits 1.
 //
 // Output: stderr carries the human-readable table; stdout carries one
-// "JSON "-prefixed line per measurement. The same lines are appended to
-// $BOXAGG_BENCH_DIR/BENCH_descent.json (BOXAGG_BENCH_DIR defaults to "."),
-// one JSON object per line — jq-friendly for the CI perf-smoke gate.
+// "JSON "-prefixed line per measurement and one
+// "BASELINE backend=<tree> logical_per_round=<n>" line per warm-batch
+// record, which the descent_io_small ctest (and descent_io_small_obs, with
+// BOXAGG_OBS=1) diffs against bench/baselines/descent_io_small.txt. The
+// JSON lines are also written to $BOXAGG_BENCH_DIR/BENCH_descent.json
+// (BOXAGG_BENCH_DIR defaults to "."), one object per line, which
+// tools/perf_gate.py compares with results/BENCH_descent.json.
 
 #include <algorithm>
 #include <array>
@@ -223,6 +227,8 @@ void BenchDescent(const char* name, const Config& cfg, Storage* storage,
                  name, simd::kBackend, cfg.n, nq, rounds, wall, qps,
                  static_cast<unsigned long long>(d.logical_reads / rounds),
                  JsonRunMeta(cfg).c_str()));
+  std::printf("BASELINE backend=%s logical_per_round=%llu\n", name,
+              static_cast<unsigned long long>(d.logical_reads / rounds));
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // by far the largest (every update/bulk region materializes prefix borders).
 // This bench reproduces the ordering aR < BAT ~ ECDFu << ECDFq and prints
 // sizes in MB plus the ratio to the aR-tree, then one exact
-// "BASELINE backend=<b> pages=<n>" line per index on stdout (CI diffs these
-// against bench/baselines/fig9a_pages_small.txt).
+// "BASELINE backend=<b> pages=<n>" line per index on stdout (the
+// fig9a_pages_small ctest diffs these against
+// bench/baselines/fig9a_pages_small.txt).
 
 #include "bench/suite.h"
 

@@ -3,7 +3,7 @@
 // binaries-identical inputs:
 //
 //   size      pages and bytes-per-object, replica vs live packed BA-trees
-//             (the Fig. 9a axis; the CI gate asserts >= 3x smaller)
+//             (the Fig. 9a axis; the bench asserts >= 3x smaller)
 //   io        cold-pool physical reads and hit rate for a fig9b-style query
 //             batch at a 10 MB and at a 1 MB buffer, both backends (the
 //             replica must do strictly fewer physical reads at 1 MB)
@@ -12,9 +12,10 @@
 //
 // Any identity or invariant violation exits 1. Output: stderr carries the
 // human-readable table; stdout carries one "JSON "-prefixed line per record,
-// mirrored to $BOXAGG_BENCH_DIR/BENCH_replica.json (jq-friendly, one object
-// per line) for the CI perf-smoke gate, and two "BASELINE" page-count lines
-// that a ctest diffs against bench/baselines/replica_pages_small.txt.
+// mirrored to $BOXAGG_BENCH_DIR/BENCH_replica.json (one object per line),
+// which tools/perf_gate.py compares with results/BENCH_replica.json, and two
+// "BASELINE" page-count lines that the replica_pages_small ctest diffs
+// against bench/baselines/replica_pages_small.txt.
 
 #include <chrono>
 #include <cstdio>

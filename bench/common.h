@@ -66,8 +66,9 @@ inline bool EnvFlag(const char* name) {
 
 /// BOXAGG_OBS=1 installs a process-global trace ring and query-observation
 /// sink (intentionally leaked: observability outlives every benchmark
-/// scope). CI uses this to verify that enabled-mode I/O counts are
-/// bit-identical to disabled-mode — instrumentation observes, never fetches.
+/// scope). The *_io_small_obs ctests use this to verify that enabled-mode
+/// I/O counts are bit-identical to disabled-mode — instrumentation
+/// observes, never fetches.
 inline void MaybeEnableObsFromEnv() {
   if (!EnvFlag("BOXAGG_OBS")) return;
   static auto* sink = new obs::RingBufferSink(1u << 16);

@@ -6,7 +6,6 @@
 
 #include "core/sync.h"
 #include "obs/trace.h"
-#include "storage/buffer_pool.h"
 
 namespace boxagg {
 namespace exec {
@@ -18,10 +17,8 @@ double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-// Latency distribution over `latencies` (one entry per morsel) plus the
-// batch's buffer-pool delta.
-void FillStats(BatchExecStats* stats, std::vector<double>* latencies,
-               BufferPool* pool, const IoStats& before) {
+// Latency distribution over `latencies` (one entry per morsel).
+void FillLatencies(BatchExecStats* stats, std::vector<double>* latencies) {
   const size_t n = latencies->size();
   if (n > 0) {
     std::sort(latencies->begin(), latencies->end());
@@ -29,11 +26,6 @@ void FillStats(BatchExecStats* stats, std::vector<double>* latencies,
     stats->latency_p95_us = (*latencies)[n - 1 - (n - 1) / 20];
     stats->latency_p99_us = (*latencies)[n - 1 - (n - 1) / 100];
     stats->latency_max_us = latencies->back();
-  }
-  if (pool) {
-    stats->has_io = true;
-    stats->io = pool->stats().Since(before);
-    stats->hit_rate = stats->io.HitRate();
   }
 }
 }  // namespace
@@ -47,15 +39,13 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
                                               const std::vector<Box>& queries,
                                               size_t morsel,
                                               std::vector<double>* results,
-                                              BatchExecStats* stats,
-                                              BufferPool* pool) {
+                                              BatchExecStats* stats) {
   const size_t n = queries.size();
   results->assign(n, 0.0);
   if (stats) *stats = BatchExecStats{};
   if (n == 0) return Status::OK();
   if (morsel == 0) morsel = n;
   const size_t num_morsels = (n + morsel - 1) / morsel;
-  const IoStats io_before = pool ? pool->stats() : IoStats{};
 
   const size_t workers = pool_->size();
   std::atomic<size_t> next{0};
@@ -101,7 +91,7 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
     stats->queries_per_sec =
         stats->wall_ms > 0 ? 1000.0 * static_cast<double>(n) / stats->wall_ms
                            : 0;
-    FillStats(stats, &latencies, pool, io_before);
+    FillLatencies(stats, &latencies);
   }
   return first_error;
 }

@@ -21,13 +21,9 @@
 
 #include "exec/thread_pool.h"
 #include "geom/box.h"
-#include "storage/io_stats.h"
 #include "storage/status.h"
 
 namespace boxagg {
-
-class BufferPool;
-
 namespace exec {
 
 /// A read-only batched query: answers `count` boxes, filling out[0..count).
@@ -50,11 +46,6 @@ struct BatchExecStats {
   double latency_p95_us = 0;
   double latency_p99_us = 0;
   double latency_max_us = 0;
-  // Buffer-pool traffic attributable to this batch (snapshot delta around
-  // the run), filled when a pool is passed to RunBatchGrouped.
-  bool has_io = false;
-  IoStats io{};
-  double hit_rate = 0;  ///< io.HitRate() of the delta
 };
 
 /// \brief Executes query batches on an owned ThreadPool.
@@ -80,13 +71,12 @@ class ParallelQueryExecutor {
   /// whole batch is one morsel; `morsel` == 1 answers query by query.
   /// Writes results[i] for queries[i] and returns the first morsel error
   /// encountered (remaining morsels still run to completion). `stats` is
-  /// optional; when `pool` is given too, stats->io is filled with the
-  /// batch's buffer-pool delta.
+  /// optional. Buffer-pool traffic is the caller's to measure: snapshot
+  /// BufferPool::stats() around the call.
   Status RunBatchGrouped(const BatchQueryFn& fn,
                          const std::vector<Box>& queries, size_t morsel,
                          std::vector<double>* results,
-                         BatchExecStats* stats = nullptr,
-                         BufferPool* pool = nullptr);
+                         BatchExecStats* stats = nullptr);
 
  private:
   std::unique_ptr<ThreadPool> pool_;

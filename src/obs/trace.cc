@@ -92,9 +92,6 @@ void WriteChromeTrace(FILE* out, const std::vector<TraceEvent>& events) {
     if (e.structure != nullptr) {
       std::fprintf(out, ",\"structure\":\"%s\"", e.structure);
     }
-    if (e.level >= 0) {
-      std::fprintf(out, ",\"level\":%lld", static_cast<long long>(e.level));
-    }
     if (e.pages_fetched >= 0) {
       std::fprintf(out, ",\"pages_fetched\":%lld",
                    static_cast<long long>(e.pages_fetched));

@@ -36,7 +36,6 @@ struct TraceEvent {
   uint64_t dur_us = 0;              ///< span duration
   uint32_t tid = 0;                 ///< small per-thread ordinal, not OS tid
   uint32_t depth = 0;               ///< nesting depth within the thread
-  int64_t level = -1;               ///< tree level, -1 when n/a
   int64_t pages_fetched = -1;       ///< logical page fetches inside the span
   int64_t probes = -1;              ///< probes carried / queries in batch
   int64_t generation = -1;          ///< BagFile generation, -1 when n/a
@@ -88,7 +87,6 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   /// Tag setters are no-ops on an inert span.
-  void SetLevel(int64_t level) { event_.level = level; }
   void SetPagesFetched(int64_t n) { event_.pages_fetched = n; }
   void SetProbes(int64_t n) { event_.probes = n; }
   void SetGeneration(int64_t g) { event_.generation = g; }

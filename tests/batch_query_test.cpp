@@ -351,9 +351,8 @@ TEST(BatchDedup, DistinctQueriesShareDescentPages) {
 }
 
 // Morsel-grouped parallel execution: byte-identical to the sequential
-// per-query loop under threads + shards, with the buffer-pool delta
-// reported in the stats. (Name anchors the TSan CI regex.)
-TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
+// per-query loop under threads + shards. (Name anchors the TSan CI regex.)
+TEST(BatchExecGrouped, MatchesSequential) {
   MemPageFile file(2048);
   BufferPool pool(&file, 1024, /*shards=*/4);
   auto objs = World2d(3000, 88);
@@ -373,8 +372,7 @@ TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
     std::vector<double> results;
     exec::BatchExecStats st;
     ASSERT_TRUE(
-        executor.RunBatchGrouped(fn, queries, morsel, &results, &st, &pool)
-            .ok());
+        executor.RunBatchGrouped(fn, queries, morsel, &results, &st).ok());
     EXPECT_EQ(std::memcmp(results.data(), oracle.data(),
                           oracle.size() * sizeof(double)),
               0)
@@ -383,10 +381,6 @@ TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
     const size_t want_morsels =
         morsel == 0 ? 1 : (queries.size() + morsel - 1) / morsel;
     EXPECT_EQ(st.morsels, want_morsels);
-    EXPECT_TRUE(st.has_io);
-    EXPECT_GT(st.io.logical_reads, 0u);
-    EXPECT_EQ(st.io.logical_reads,
-              st.io.buffer_hits + st.io.physical_reads);
   }
 }
 

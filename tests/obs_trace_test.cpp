@@ -29,7 +29,6 @@ class SinkGuard {
 TEST(ObsTrace, SpanIsInertWithoutSink) {
   ASSERT_EQ(CurrentTraceSink(), nullptr);
   Span span("noop", "test");
-  span.SetLevel(3);
   EXPECT_FALSE(span.active());
 }
 
@@ -42,7 +41,6 @@ TEST(ObsTrace, NestedSpansRecordDepthAndCloseInnerFirst) {
     EXPECT_TRUE(outer.active());
     {
       Span inner("inner");
-      inner.SetLevel(1);
       inner.SetPagesFetched(4);
     }
   }
@@ -54,7 +52,6 @@ TEST(ObsTrace, NestedSpansRecordDepthAndCloseInnerFirst) {
   EXPECT_EQ(events[0].depth, 1u);
   EXPECT_EQ(events[1].depth, 0u);
   EXPECT_EQ(events[0].tid, events[1].tid);
-  EXPECT_EQ(events[0].level, 1);
   EXPECT_EQ(events[0].pages_fetched, 4);
   EXPECT_EQ(events[0].probes, -1);
   EXPECT_EQ(events[1].probes, 2);
@@ -87,7 +84,6 @@ TEST(ObsTrace, ChromeTraceJsonShape) {
   SinkGuard guard(&sink);
   {
     Span span("dominance_sum", "bat");
-    span.SetLevel(2);
     span.SetPagesFetched(7);
     span.SetProbes(16);
   }
@@ -106,7 +102,6 @@ TEST(ObsTrace, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("\"structure\":\"bat\""), std::string::npos);
-  EXPECT_NE(json.find("\"level\":2"), std::string::npos);
   EXPECT_NE(json.find("\"pages_fetched\":7"), std::string::npos);
   EXPECT_NE(json.find("\"probes\":16"), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
@@ -127,7 +122,6 @@ TEST(ObsTrace, OmittedTagsStayOutOfJson) {
   const std::string json(buf, len);
   free(buf);
   EXPECT_EQ(json.find("\"structure\""), std::string::npos);
-  EXPECT_EQ(json.find("\"level\""), std::string::npos);
   EXPECT_EQ(json.find("\"pages_fetched\""), std::string::npos);
   EXPECT_EQ(json.find("\"probes\""), std::string::npos);
 }
@@ -149,7 +143,6 @@ TEST(ObsTrace, ConcurrentSpanWritersAreSafe) {
         Span outer("outer", "stress");
         outer.SetProbes(i);
         Span inner("inner");
-        inner.SetLevel(i % 4);
       }
     });
   }

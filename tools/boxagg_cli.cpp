@@ -21,12 +21,12 @@
 // with one atomic Commit — a killed build leaves either a complete index
 // or no generation at all, never a half-written one.
 
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -89,25 +89,45 @@ int CmdGen(int argc, char** argv) {
   return 0;
 }
 
-bool ParseCsv(const std::string& path, std::vector<BoxObject>* out) {
+// Reads `path` as rows of exactly five comma-separated numbers
+// (xlo,ylo,xhi,yhi,value), after an optional header line naming xlo. Blank
+// lines are skipped and a trailing '\r' is dropped. On failure `*err` names
+// the file and, for a bad row, its line number.
+bool ParseCsv(const std::string& path, std::vector<BoxObject>* out,
+              std::string* err) {
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    *err = path + ": " + std::strerror(errno);
+    return false;
+  }
   std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (first && line.find("xlo") != std::string::npos) {
-      first = false;
-      continue;  // header
-    }
-    first = false;
+  for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (lineno == 1 && line.find("xlo") != std::string::npos) continue;
     if (line.empty()) continue;
-    std::istringstream ss(line);
-    BoxObject o;
-    char comma;
-    if (!(ss >> o.box.lo[0] >> comma >> o.box.lo[1] >> comma >>
-          o.box.hi[0] >> comma >> o.box.hi[1] >> comma >> o.value)) {
+    std::vector<std::string> fields;
+    for (size_t start = 0;;) {
+      const size_t comma = line.find(',', start);
+      fields.push_back(line.substr(start, comma - start));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
+    }
+    double f[5];
+    bool ok = fields.size() == 5;
+    for (size_t i = 0; ok && i < 5; ++i) {
+      ok = ParseDouble(fields[i].c_str(), &f[i]);
+    }
+    if (!ok) {
+      *err = path + ":" + std::to_string(lineno) +
+             ": want 5 comma-separated numbers, got '" + line + "'";
       return false;
     }
+    BoxObject o;
+    o.box.lo[0] = f[0];
+    o.box.lo[1] = f[1];
+    o.box.hi[0] = f[2];
+    o.box.hi[1] = f[3];
+    o.value = f[4];
     out->push_back(o);
   }
   return true;
@@ -128,7 +148,9 @@ int CmdBuild(int argc, char** argv) {
   }
   argv = pos.data();
   std::vector<BoxObject> objs;
-  if (!ParseCsv(argv[0], &objs)) return Die("build: cannot parse csv");
+  if (std::string err; !ParseCsv(argv[0], &objs, &err)) {
+    return Die("build: " + err);
+  }
   std::printf("loaded %zu objects from %s\n", objs.size(), argv[0]);
 
   std::unique_ptr<FilePageFile> file;

@@ -230,8 +230,8 @@ int QueryAndReport(const Options& opt, BufferPool* pool,
   {
     obs::Span span("workload", opt.backend.c_str());
     span.SetProbes(static_cast<int64_t>(queries.size()));
-    if (Status s = executor.RunBatchGrouped(fn, queries, opt.batch, &results,
-                                            &st, pool);
+    if (Status s =
+            executor.RunBatchGrouped(fn, queries, opt.batch, &results, &st);
         !s.ok()) {
       return Die("query batch", s);
     }

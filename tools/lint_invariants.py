@@ -3,7 +3,7 @@
 
 Run from anywhere (the repo root is located relative to this file), or via
 tools/lint.sh. Exits 1 if any rule is violated, printing one
-`path:line: [rule] message` per finding. CI runs this on every push.
+`path:line: [rule] message` per finding. The lint_invariants ctest runs it.
 
 Rules
 -----

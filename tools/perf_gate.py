@@ -27,8 +27,8 @@ tree, replica record kind + buffer size, ...) so reordering and meta churn
                   scheduler jitter.
 
 Absolute wall-clock fields (wall_ms, *_ms, queries_per_sec) are gated only
-with --gate-wall, for same-machine comparisons (the CI self-test); across
-runner generations they are noise.
+with --gate-wall, for same-machine A/B comparisons; across runner
+generations they are noise.
 
 A baseline record with no matching fresh record fails the gate (a bench that
 silently stopped emitting is itself a regression). Fresh-only records pass

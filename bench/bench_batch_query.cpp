@@ -10,9 +10,9 @@
 // I/O counts (a same-path consistency check), and batch>=16 must show a
 // measurable logical-fetch reduction; any violation exits 1. The fidelity
 // guard against the seed's I/O is the committed baseline below. Batched
-// runs at batch>1 additionally pin the 2^d sign-index roots via
-// BufferPool::FetchMulti for the duration of the run (the prefetch-hint
-// contract: shared path pages stay resident under eviction pressure).
+// runs at batch>1 additionally pin the 2^d sign-index roots for the duration
+// of the run (a prefetch hint: shared path pages stay resident under
+// eviction pressure).
 //
 // A final pass per backend fans morsels of 256 sorted queries out over
 // ParallelQueryExecutor::RunBatchGrouped and re-verifies byte-identity.
@@ -94,14 +94,13 @@ void RunBackend(const char* name, const Config& cfg, Storage* storage,
     if (batch > 1) {
       // Prefetch hint: keep the 2^d sign-index roots pinned for the whole
       // run. Skipped at batch=1 so its I/O stays the per-corner path's.
-      std::vector<PageId> roots;
       for (uint32_t s = 0; s < index->index_count(); ++s) {
-        if (index->index(s).root() != kInvalidPageId) {
-          roots.push_back(index->index(s).root());
-        }
+        const PageId root = index->index(s).root();
+        if (root == kInvalidPageId) continue;
+        PageGuard g;
+        DieIf(pool->Fetch(root, &g), "prefetch sign-index roots");
+        pins.push_back(std::move(g));
       }
-      DieIf(pool->FetchMulti(roots.data(), roots.size(), &pins),
-            "prefetch sign-index roots");
     }
     std::vector<double> results(nq);
     for (size_t lo = 0; lo < nq; lo += batch) {

@@ -24,16 +24,17 @@
 
 #include <time.h>
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/logger.h"
 #include "obs/query_obs.h"
-#include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "tools/parse_number.h"
@@ -64,16 +65,14 @@ inline bool EnvFlag(const char* name) {
   return v != 0;
 }
 
-/// BOXAGG_OBS=1 installs a process-global trace ring and query-observation
-/// sink (intentionally leaked: observability outlives every benchmark
-/// scope). The *_io_small_obs ctests use this to verify that enabled-mode
-/// I/O counts are bit-identical to disabled-mode — instrumentation
-/// observes, never fetches.
+/// BOXAGG_OBS=1 installs a process-global query-observation sink
+/// (intentionally leaked: observability outlives every benchmark scope).
+/// The *_io_small_obs ctests use this to verify that enabled-mode I/O
+/// counts are bit-identical to disabled-mode — instrumentation observes,
+/// never fetches.
 inline void MaybeEnableObsFromEnv() {
   if (!EnvFlag("BOXAGG_OBS")) return;
-  static auto* sink = new obs::RingBufferSink(1u << 16);
   static auto* qobs = new obs::QueryObs();
-  obs::SetTraceSink(sink);
   obs::InstallQueryObs(qobs);
 }
 
@@ -141,14 +140,21 @@ inline std::string JsonRunMeta(const Config& cfg) {
 
 /// Collects the JSON lines destined for one $BOXAGG_BENCH_DIR/BENCH_*.json
 /// file (BOXAGG_BENCH_DIR defaults to "."). Every line is also echoed to
-/// stdout with the "JSON " prefix the CI scrapers key on; the file itself is
-/// rewritten at destruction, one object per line (jq-friendly).
+/// stdout with the "JSON " prefix the CI scrapers key on; the file is
+/// opened (truncated) at construction and written at destruction, one object
+/// per line (jq-friendly). A file that cannot be opened or written ends the
+/// bench with status 1, so no gate reads a stale file from an earlier run.
 class JsonSink {
  public:
   explicit JsonSink(const char* filename) {
     const char* dir = std::getenv("BOXAGG_BENCH_DIR");
     path_ = std::string(dir != nullptr ? dir : ".") + "/" + filename;
+    file_ = std::fopen(path_.c_str(), "w");
+    if (file_ == nullptr) Fail();
   }
+
+  JsonSink(const JsonSink&) = delete;
+  JsonSink& operator=(const JsonSink&) = delete;
 
   void Emit(const std::string& line) {
     std::printf("JSON %s\n", line.c_str());
@@ -156,17 +162,22 @@ class JsonSink {
   }
 
   ~JsonSink() {
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-      return;
+    for (const std::string& l : lines_) {
+      std::fprintf(file_, "%s\n", l.c_str());
     }
-    for (const std::string& l : lines_) std::fprintf(f, "%s\n", l.c_str());
-    std::fclose(f);
+    const bool write_failed = std::ferror(file_) != 0;
+    if (std::fclose(file_) != 0 || write_failed) Fail();
   }
 
  private:
+  [[noreturn]] void Fail() const {
+    std::fprintf(stderr, "cannot write %s: %s\n", path_.c_str(),
+                 std::strerror(errno));
+    std::exit(1);
+  }
+
   std::string path_;
+  std::FILE* file_ = nullptr;
   std::vector<std::string> lines_;
 };
 

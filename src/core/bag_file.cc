@@ -5,7 +5,6 @@
 #include <string>
 
 #include "geom/point.h"
-#include "obs/trace.h"
 
 namespace boxagg {
 
@@ -305,47 +304,30 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
   }
   const uint64_t new_gen = generation_ + 1;
 
-  obs::Span commit_span("bag.commit");
-  commit_span.SetGeneration(static_cast<int64_t>(new_gen));
-
   // 1. Data barrier: every CoW page image of this epoch reaches the
   //    platter before anything references it.
-  {
-    obs::Span span("bag.commit.cow_sync");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    BOXAGG_RETURN_NOT_OK(physical_->Sync());
-  }
+  BOXAGG_RETURN_NOT_OK(physical_->Sync());
 
   // 2. Write the new map chain to fresh physical pages, then barrier it.
   std::vector<PageId> new_map_ids;
-  {
-    obs::Span span("bag.commit.map_chain");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    BOXAGG_RETURN_NOT_OK(WriteMapChain(&new_map_ids));
-    BOXAGG_RETURN_NOT_OK(physical_->Sync());
-    span.SetPagesFetched(static_cast<int64_t>(new_map_ids.size()));
-  }
+  BOXAGG_RETURN_NOT_OK(WriteMapChain(&new_map_ids));
+  BOXAGG_RETURN_NOT_OK(physical_->Sync());
 
   // 3. Publish: the new superblock goes to the slot the OLD generation is
   //    not using. Until the final sync returns, the old superblock (and
   //    every page it references) is untouched on the platter, so a crash
   //    anywhere in steps 1-3 recovers cleanly to the old generation.
-  {
-    obs::Span span("bag.commit.superblock_sync");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    BagSuperblock sb;
-    sb.generation = new_gen;
-    sb.dims = dims_;
-    sb.logical_pages = map_.size();
-    sb.map_head = new_map_ids.empty() ? kInvalidPageId : new_map_ids.front();
-    sb.map_pages = new_map_ids.size();
-    sb.roots = roots;
-    Page p(page_size_);
-    WriteBagSuperblock(&p, sb);
-    BOXAGG_RETURN_NOT_OK(
-        physical_->WritePage(new_gen % kBagSuperblockSlots, p));
-    BOXAGG_RETURN_NOT_OK(physical_->Sync());
-  }
+  BagSuperblock sb;
+  sb.generation = new_gen;
+  sb.dims = dims_;
+  sb.logical_pages = map_.size();
+  sb.map_head = new_map_ids.empty() ? kInvalidPageId : new_map_ids.front();
+  sb.map_pages = new_map_ids.size();
+  sb.roots = roots;
+  Page p(page_size_);
+  WriteBagSuperblock(&p, sb);
+  BOXAGG_RETURN_NOT_OK(physical_->WritePage(new_gen % kBagSuperblockSlots, p));
+  BOXAGG_RETURN_NOT_OK(physical_->Sync());
 
   // 4. The old generation is now unreachable *on the platter*; advance the
   //    in-memory state.
@@ -360,15 +342,11 @@ Status BagFile::Commit(const std::vector<PageId>& roots) {
   //    page image superseded or freed this epoch. Nothing references them
   //    any more; if we crash before they are reused, recovery's orphan
   //    sweep reclaims them again.
-  {
-    obs::Span span("bag.commit.reclaim");
-    span.SetGeneration(static_cast<int64_t>(new_gen));
-    for (PageId id : old_map_pages) {
-      BOXAGG_RETURN_NOT_OK(physical_->Free(id));
-    }
-    for (PageId id : deferred_frees_) {
-      BOXAGG_RETURN_NOT_OK(physical_->Free(id));
-    }
+  for (PageId id : old_map_pages) {
+    BOXAGG_RETURN_NOT_OK(physical_->Free(id));
+  }
+  for (PageId id : deferred_frees_) {
+    BOXAGG_RETURN_NOT_OK(physical_->Free(id));
   }
   deferred_frees_.clear();
   return Status::OK();

@@ -101,7 +101,6 @@ inline constexpr uint32_t kBufferPoolShard = 100;  ///< BufferPool Shard::mu
 inline constexpr uint32_t kPageStore = 170;        ///< Mem/Fault page slots
 inline constexpr uint32_t kThreadPoolQueue = 200;  ///< exec::ThreadPool
 inline constexpr uint32_t kExecLatch = 210;        ///< executor done-latch
-inline constexpr uint32_t kTraceSink = 310;        ///< obs::RingBufferSink
 inline constexpr uint32_t kLeaf = 1000;  ///< never hold anything beyond this
 }  // namespace lock_rank
 

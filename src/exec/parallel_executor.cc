@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "core/sync.h"
-#include "obs/trace.h"
 
 namespace boxagg {
 namespace exec {
@@ -65,8 +64,6 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
         if (m >= num_morsels) break;
         const size_t lo = m * morsel;
         const size_t hi = std::min(n, lo + morsel);
-        obs::Span span("morsel", "executor");
-        span.SetProbes(static_cast<int64_t>(hi - lo));
         auto q0 = record ? Clock::now() : Clock::time_point{};
         Status s = fn(queries.data() + lo, hi - lo, results->data() + lo);
         if (record) latencies[m] = MicrosBetween(q0, Clock::now());

@@ -372,8 +372,8 @@ class CompactReplica {
       prev = mapped;
       c.val_dict[i] = replica::UnmapOrderedBits(mapped);
     }
-    // Data pages: visit + envelope-check every one (FetchMulti in chunks —
-    // the physical sweep fsck wants), and pin down per-page node counts.
+    // Data pages: visit + envelope-check every one (pinned in chunks — the
+    // physical sweep fsck wants), and pin down per-page node counts.
     std::vector<uint32_t> nodes_in_page(data_page_count, 0);
     for (uint64_t i = 0; i < c.node_count; ++i) {
       const uint64_t de = c.dir[i];
@@ -386,9 +386,10 @@ class CompactReplica {
     constexpr size_t kSweepChunk = 32;
     for (size_t base = 0; base < c.data_pages.size(); base += kSweepChunk) {
       const size_t n = std::min(kSweepChunk, c.data_pages.size() - base);
-      std::vector<PageGuard> guards;
-      BOXAGG_RETURN_NOT_OK(
-          pool_->FetchMulti(c.data_pages.data() + base, n, &guards));
+      std::vector<PageGuard> guards(n);
+      for (size_t k = 0; k < n; ++k) {
+        BOXAGG_RETURN_NOT_OK(pool_->Fetch(c.data_pages[base + k], &guards[k]));
+      }
       for (size_t k = 0; k < n; ++k) {
         const PageId pid = c.data_pages[base + k];
         BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));

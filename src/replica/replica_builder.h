@@ -33,7 +33,6 @@
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "geom/point.h"
-#include "obs/trace.h"
 #include "replica/replica_format.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
@@ -91,9 +90,6 @@ class ReplicaBuilder {
   };
 
   Status BuildForest(PageId src_root, int dims, PageId* root_out) {
-    // Post-commit replica rebuild hooks run this on the writer thread, so
-    // the span makes publish-to-fresh-replica lag visible in traces.
-    obs::Span build_span("replica.build", "replica");
     std::vector<NodeImage> nodes;
     std::vector<uint64_t> key_toks, val_toks;
     uint64_t entry_count = 0;
@@ -253,9 +249,6 @@ class ReplicaBuilder {
                          simd::Crc32c(p->data(), replica::kHdrCrc));
     g.MarkDirty();
     *root_out = g.id();
-    build_span.SetPagesFetched(
-        static_cast<int64_t>(data_pages.size() + meta_page_count + 1));
-    build_span.SetProbes(static_cast<int64_t>(nodes.size()));
     return Status::OK();
   }
 

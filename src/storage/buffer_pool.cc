@@ -124,21 +124,6 @@ Status BufferPool::ReadWithRetry(PageId id, Page* page) {
   return st;
 }
 
-Status BufferPool::FetchMulti(const PageId* ids, size_t count,
-                              std::vector<PageGuard>* out) {
-  const size_t base = out->size();
-  out->reserve(base + count);
-  for (size_t i = 0; i < count; ++i) {
-    PageGuard g;
-    if (Status s = Fetch(ids[i], &g); !s.ok()) {
-      out->resize(base);  // destroys (and unpins) the guards taken so far
-      return s;
-    }
-    out->push_back(std::move(g));
-  }
-  return Status::OK();
-}
-
 Status BufferPool::New(PageGuard* out) {
   PageId id;
   BOXAGG_RETURN_NOT_OK(file_->Allocate(&id));

@@ -74,16 +74,6 @@ class BufferPool {
   /// Pins page `id`, reading it from the file on a miss. Thread-safe.
   Status Fetch(PageId id, PageGuard* out);
 
-  /// Pins every page in `ids[0..count)` in order, exactly as `count`
-  /// consecutive Fetch calls would (same counting, same LRU touches), and
-  /// appends the guards to `out`. On error, pages pinned by this call are
-  /// released and `out` is restored to its prior size. Batch executors use
-  /// this as a prefetch hint: pinning a batch's shared path pages (e.g. the
-  /// 2^d sign-index roots) keeps them resident however much eviction
-  /// pressure the batch's probes generate. Thread-safe.
-  Status FetchMulti(const PageId* ids, size_t count,
-                    std::vector<PageGuard>* out);
-
   /// Records `n` page fetches avoided by a batched multi-probe descent (a
   /// node fetched once for a group of k probes saves k-1 per-probe
   /// fetches); surfaces as stats().probe_fetches_saved. Thread-safe.

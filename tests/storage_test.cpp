@@ -337,62 +337,6 @@ TEST(IoStatsTest, SinceComputesComponentwiseDelta) {
   EXPECT_EQ(b.TotalIos(), 17u);
 }
 
-TEST_F(BufferPoolTest, FetchMultiCountsLikeConsecutiveFetches) {
-  std::vector<PageId> ids;
-  for (int i = 0; i < 4; ++i) {
-    PageGuard g;
-    ASSERT_TRUE(pool_.New(&g).ok());
-    g.page()->WriteAt<int>(0, i);
-    g.MarkDirty();
-    ids.push_back(g.id());
-  }
-  ASSERT_TRUE(pool_.FlushAll().ok());
-
-  // Reference: consecutive single Fetches on a reset pool.
-  ASSERT_TRUE(pool_.Reset().ok());
-  IoStats a0 = pool_.stats();
-  {
-    std::vector<PageGuard> guards(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_TRUE(pool_.Fetch(ids[i], &guards[i]).ok());
-    }
-  }
-  IoStats single = pool_.stats().Since(a0);
-
-  ASSERT_TRUE(pool_.Reset().ok());
-  IoStats b0 = pool_.stats();
-  {
-    std::vector<PageGuard> guards;
-    ASSERT_TRUE(pool_.FetchMulti(ids.data(), ids.size(), &guards).ok());
-    ASSERT_EQ(guards.size(), ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(guards[i].id(), ids[i]);
-      EXPECT_EQ(guards[i].page()->ReadAt<int>(0), static_cast<int>(i));
-    }
-    // All pinned at once.
-    EXPECT_EQ(pool_.PinnedFrames(), ids.size());
-  }
-  IoStats multi = pool_.stats().Since(b0);
-  EXPECT_EQ(multi.logical_reads, single.logical_reads);
-  EXPECT_EQ(multi.physical_reads, single.physical_reads);
-  EXPECT_EQ(multi.buffer_hits, single.buffer_hits);
-}
-
-TEST_F(BufferPoolTest, FetchMultiErrorReleasesPartialPins) {
-  PageGuard g;
-  ASSERT_TRUE(pool_.New(&g).ok());
-  PageId good = g.id();
-  g.Release();
-  // Second id was never allocated: the multi-fetch must fail, unpin the
-  // first page, and restore the output vector to its prior contents.
-  std::vector<PageId> ids = {good, static_cast<PageId>(9999)};
-  std::vector<PageGuard> guards;
-  guards.push_back(PageGuard{});  // pre-existing element must survive
-  EXPECT_FALSE(pool_.FetchMulti(ids.data(), ids.size(), &guards).ok());
-  EXPECT_EQ(guards.size(), 1u);
-  EXPECT_EQ(pool_.PinnedFrames(), 0u);
-}
-
 TEST(IoStatsTest, ProbeFetchesSavedAndHitRate) {
   AtomicIoStats stats;
   stats.AddLogicalRead();

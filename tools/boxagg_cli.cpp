@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,9 @@ int CmdGen(int argc, char** argv) {
   auto objs = workload::UniformRects(cfg);
   std::ofstream out(argv[0]);
   if (!out) return Die("gen: cannot open output file");
+  // max_digits10 digits read back as the same double, so `build` indexes
+  // exactly the generated objects.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "xlo,ylo,xhi,yhi,value\n";
   for (const auto& o : objs) {
     out << o.box.lo[0] << ',' << o.box.lo[1] << ',' << o.box.hi[0] << ','

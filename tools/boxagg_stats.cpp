@@ -3,12 +3,12 @@
 //
 //   boxagg_stats [--backend ecdfu|ecdfq|bat|replica] [--n N] [--queries Q]
 //                [--batch B] [--threads T] [--seed S]
-//                [--json PATH|-] [--trace PATH]
+//                [--json PATH|-]
 //
-// The tool installs the process-global trace ring and query-observation
-// sink, bulk-loads a 2-d corner-transform index over uniform rectangles,
-// answers Q square queries through the batched executor path (morsels of B
-// queries), and then:
+// The tool installs the process-global query-observation sink, bulk-loads
+// a 2-d corner-transform index over uniform rectangles, answers Q square
+// queries through the batched executor path (morsels of B queries), and
+// then:
 //
 //   - prints a table to stdout of the workload's deltas of the two ledgers
 //     the benches read: the buffer pool's IoStats (io.*) and the
@@ -16,9 +16,7 @@
 //     corner dedup), plus the executor's BatchExecStats (executor.*:
 //     wall time, throughput, morsel latency percentiles);
 //   - with --json, writes the same values as one flat JSON object (PATH or
-//     "-" for stdout);
-//   - with --trace, writes the drained spans as a chrome://tracing JSON
-//     document loadable in Perfetto.
+//     "-" for stdout).
 //
 // Numeric flags take a plain decimal value; anything else (a sign, trailing
 // characters, overflow) prints the usage text and exits 2. Exit status is 1
@@ -45,7 +43,6 @@
 #include "exec/query_adapters.h"
 #include "obs/logger.h"
 #include "obs/query_obs.h"
-#include "obs/trace.h"
 #include "parse_number.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
@@ -67,8 +64,7 @@ struct Options {
   size_t buffer_mb = 10;
   uint32_t page_size = kDefaultPageSize;
   uint64_t seed = 42;
-  std::string json_path;   // empty = no JSON dump; "-" = stdout
-  std::string trace_path;  // empty = no trace file
+  std::string json_path;  // empty = no JSON dump; "-" = stdout
 };
 
 int Usage() {
@@ -77,7 +73,7 @@ int Usage() {
                "                    [--n N]\n"
                "                    [--queries Q] [--batch B] [--threads T]\n"
                "                    [--shards S] [--buffer-mb M] [--seed S]\n"
-               "                    [--json PATH|-] [--trace PATH]\n");
+               "                    [--json PATH|-]\n");
   return 2;
 }
 
@@ -120,9 +116,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (std::strcmp(a, "--json") == 0) {
       if ((v = next(a)) == nullptr) return false;
       opt->json_path = v;
-    } else if (std::strcmp(a, "--trace") == 0) {
-      if ((v = next(a)) == nullptr) return false;
-      opt->trace_path = v;
     } else {
       std::fprintf(stderr, "boxagg_stats: unknown argument %s\n", a);
       return false;
@@ -227,14 +220,10 @@ int QueryAndReport(const Options& opt, BufferPool* pool,
   exec::BatchQueryFn fn = exec::BoxSumBatchQueryFn(&index);
   std::vector<double> results;
   exec::BatchExecStats st;
-  {
-    obs::Span span("workload", opt.backend.c_str());
-    span.SetProbes(static_cast<int64_t>(queries.size()));
-    if (Status s =
-            executor.RunBatchGrouped(fn, queries, opt.batch, &results, &st);
-        !s.ok()) {
-      return Die("query batch", s);
-    }
+  if (Status s =
+          executor.RunBatchGrouped(fn, queries, opt.batch, &results, &st);
+      !s.ok()) {
+    return Die("query batch", s);
   }
 
   const IoStats io = pool->stats().Since(io0);
@@ -277,21 +266,6 @@ int QueryAndReport(const Options& opt, BufferPool* pool,
     }
     WriteJson(out, rows);
     if (out != stdout) std::fclose(out);
-  }
-
-  if (!opt.trace_path.empty()) {
-    auto* sink = static_cast<obs::RingBufferSink*>(obs::CurrentTraceSink());
-    if (sink->dropped() > 0) {
-      obs::LogWarn("boxagg_stats: trace ring dropped %zu events",
-                   sink->dropped());
-    }
-    FILE* out = std::fopen(opt.trace_path.c_str(), "w");
-    if (out == nullptr) {
-      obs::LogError("boxagg_stats: cannot open %s", opt.trace_path.c_str());
-      return 1;
-    }
-    obs::WriteChromeTrace(out, sink->Drain());
-    std::fclose(out);
   }
   return rc;
 }
@@ -351,9 +325,7 @@ int main(int argc, char** argv) {
 
   // Observability on for the whole process lifetime (static: outlives every
   // query and the teardown of the index/pool).
-  static obs::RingBufferSink sink(1u << 16);
   static obs::QueryObs qobs;
-  obs::SetTraceSink(&sink);
   obs::InstallQueryObs(&qobs);
 
   workload::RectConfig rc;

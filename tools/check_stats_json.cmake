@@ -1,15 +1,13 @@
 # Runs boxagg_stats and fails unless it exits 0 (its own coverage identity
-# and eviction invariant hold), its JSON report carries the six I/O and query
-# keys with io.evictions >= io.dirty_writebacks, and, when a trace is asked
-# for, the trace file is a non-empty chrome://tracing document of complete
-# ("X") events.
+# and eviction invariant hold) and its JSON report carries the six I/O and
+# query keys with io.evictions >= io.dirty_writebacks.
 #
 #   cmake -DSTATS=<path to boxagg_stats> -DBACKEND=<ecdfu|ecdfq|bat|replica>
-#         -DTRACE=<trace output path> -P check_stats_json.cmake
+#         -P check_stats_json.cmake
 #
 # With -DJSON=<path> the report goes to that file instead of stdout
-# (--json PATH). BACKEND and TRACE may be left out: the tool then runs its
-# default backend at a small scale and writes no trace.
+# (--json PATH). BACKEND may be left out: the tool then runs its default
+# backend at a small scale.
 
 if(DEFINED BACKEND)
   set(args --backend ${BACKEND} --n 20000 --queries 256 --batch 64)
@@ -22,10 +20,6 @@ if(DEFINED JSON)
   list(APPEND args --json ${JSON})
 else()
   list(APPEND args --json -)
-endif()
-if(DEFINED TRACE)
-  file(REMOVE ${TRACE})
-  list(APPEND args --trace ${TRACE})
 endif()
 execute_process(
   COMMAND ${STATS} ${args}
@@ -59,25 +53,3 @@ if(evictions LESS writebacks)
           "io.evictions ${evictions} < io.dirty_writebacks ${writebacks}")
 endif()
 
-if(NOT DEFINED TRACE)
-  return()
-endif()
-file(READ ${TRACE} trace)
-string(JSON count LENGTH "${trace}" traceEvents)
-if(count EQUAL 0)
-  message(FATAL_ERROR "${TRACE} holds no trace events")
-endif()
-math(EXPR last "${count} - 1")
-foreach(i RANGE ${last})
-  string(JSON event GET "${trace}" traceEvents ${i})
-  string(JSON ph GET "${event}" ph)
-  string(JSON cat GET "${event}" cat)
-  if(NOT ph STREQUAL "X" OR NOT cat STREQUAL "boxagg")
-    message(FATAL_ERROR "event ${i} is not a complete boxagg span: ${event}")
-  endif()
-  expect_type("event ${i}" STRING "${event}" name)
-  foreach(key ts dur pid tid)
-    expect_type("event ${i}" NUMBER "${event}" ${key})
-  endforeach()
-  expect_type("event ${i}" NUMBER "${event}" args depth)
-endforeach()

@@ -75,9 +75,9 @@ class AggBTree {
   }
 
   // ---- public layout map ---------------------------------------------------
-  // Byte offsets of the SoA strips, exposed for the composite structures that
-  // must address AggBTree pages directly (EcdfBTree::CloneAgg patches child
-  // pointers while copying subtrees) and for the corruption-injection tests.
+  // Byte offsets of the SoA strips, exposed for the code that addresses
+  // AggBTree pages directly: ReplicaBuilder's node snapshots and the
+  // corruption-injection tests.
 
   static uint32_t LeafKeyOffset(uint32_t i) { return kHeaderSize + i * 8; }
   static uint32_t LeafValueOffset(uint32_t page_size, uint32_t i) {
@@ -334,6 +334,16 @@ class AggBTree {
     BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
     root_ = kInvalidPageId;
     return Status::OK();
+  }
+
+  /// Deep page copy of this tree; returns the copy's root (kInvalidPageId
+  /// for an empty tree). The handle itself is unchanged.
+  Status CloneInto(PageId* out) {
+    if (root_ == kInvalidPageId) {
+      *out = kInvalidPageId;
+      return Status::OK();
+    }
+    return CloneRec(root_, out);
   }
 
   /// Deep structural audit: page types, fill bounds, strictly increasing
@@ -807,6 +817,33 @@ class AggBTree {
       }
       out->max_key = child.max_key;
       out->sum += child.sum;
+    }
+    return Status::OK();
+  }
+
+  /// Copies the subtree at `pid` page by page: the copy of an internal
+  /// node is re-fetched per child (bounding pins) to patch in the child's
+  /// copy.
+  Status CloneRec(PageId pid, PageId* out) {
+    PageGuard src, dst;
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &src));
+    BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
+    std::memcpy(dst.page()->data(), src.page()->data(), PageSz());
+    dst.MarkDirty();
+    *out = dst.id();
+    if (Type(src.page()) != kInternal) return Status::OK();
+    const uint32_t n = Count(src.page());
+    src.Release();
+    for (uint32_t i = 0; i < n; ++i) {
+      PageGuard d2;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
+      const PageId child = InternalChild(d2.page(), i);
+      d2.Release();
+      PageId cloned;
+      BOXAGG_RETURN_NOT_OK(CloneRec(child, &cloned));
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
+      d2.page()->WriteAt<uint64_t>(InternalChildOffset(PageSz(), i), cloned);
+      d2.MarkDirty();
     }
     return Status::OK();
   }

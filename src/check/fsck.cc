@@ -8,7 +8,6 @@
 #include "check/checkable.h"
 #include "core/bag_file.h"
 #include "replica/compact_replica.h"
-#include "replica/replica_format.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
@@ -30,16 +29,11 @@ enum PhysClass : uint8_t {
 Status DefaultRootChecker(BufferPool* pool, uint32_t dims,
                           size_t /*root_index*/, PageId root,
                           CheckContext* ctx) {
-  // Sniff the root page class: replica header pages carry their own type
-  // (live PackedBaTree/AggBTree roots use the tree node types).
-  {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool->Fetch(root, &g));
-    if (g.page()->ReadAt<uint16_t>(0) == replica::kHeaderPageType) {
-      g.Release();
-      CompactReplica<double> rep(pool, static_cast<int>(dims), root);
-      return rep.CheckConsistency(ctx);
-    }
+  bool is_replica = false;
+  BOXAGG_RETURN_NOT_OK(IsReplicaRoot(pool, root, &is_replica));
+  if (is_replica) {
+    CompactReplica<double> rep(pool, static_cast<int>(dims), root);
+    return rep.CheckConsistency(ctx);
   }
   PackedBaTree<double> tree(pool, static_cast<int>(dims), root);
   return tree.CheckConsistency(ctx);

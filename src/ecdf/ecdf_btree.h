@@ -640,40 +640,8 @@ class EcdfBTree {
       *out = kInvalidPageId;
       return Status::OK();
     }
-    if (dims_ == 1) {
-      return CloneAgg(root_, out);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).CloneInto(out);
     return CloneRec(root_, out);
-  }
-
-  /// Clone of a base AggBTree page graph (type 1/2 pages).
-  Status CloneAgg(PageId pid, PageId* out) {
-    PageGuard src, dst;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &src));
-    BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
-    std::memcpy(dst.page()->data(), src.page()->data(),
-                pool_->file()->page_size());
-    dst.MarkDirty();
-    *out = dst.id();
-    if (src.page()->ReadAt<uint16_t>(0) == 2) {  // AggBTree internal
-      uint32_t n = src.page()->ReadAt<uint32_t>(4);
-      src.Release();
-      const uint32_t ps = pool_->file()->page_size();
-      for (uint32_t i = 0; i < n; ++i) {
-        // Re-fetch per child to bound pin counts.
-        PageGuard d2;
-        BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
-        const uint32_t child_off = AggBTree<V>::InternalChildOffset(ps, i);
-        PageId child = d2.page()->ReadAt<uint64_t>(child_off);
-        d2.Release();
-        PageId cloned;
-        BOXAGG_RETURN_NOT_OK(CloneAgg(child, &cloned));
-        BOXAGG_RETURN_NOT_OK(pool_->Fetch(*out, &d2));
-        d2.page()->WriteAt<uint64_t>(child_off, cloned);
-        d2.MarkDirty();
-      }
-    }
-    return Status::OK();
   }
 
   Status CloneRec(PageId pid, PageId* out) {

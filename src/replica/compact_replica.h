@@ -11,12 +11,14 @@
 // Mutation entry points refuse with InvalidArgument: replicas are rebuilt
 // from the writer tree at generation publish, never patched in place.
 //
-// Concurrency: Open() loads the directory / dictionary cache from the meta
-// chain and must complete before the replica is queried from multiple
-// threads (BoxSumIndex handles are copied into ParallelQueryExecutor
-// workers; the cache is shared through a shared_ptr, so copies are cheap
-// and all see the same immutable cache). Queries open lazily as a
-// single-threaded convenience.
+// Open before use: Open() runs the replica's one validating loader (header
+// page, meta chain, directory, dictionaries — the same parse and checks
+// CheckConsistency starts from) and keeps the result as the replica's
+// cache. A replica that was never opened refuses DominanceSum,
+// DominanceSumBatch, PageCount and Destroy with InvalidArgument and reads
+// no page. Once Open() has returned, the replica is read-only: any number
+// of threads may query it (the executor adapter captures a pointer to the
+// BoxSumIndex, so every worker reads the same cache).
 //
 // I/O discipline: one BufferPool::Fetch per node visit, paired with one
 // obs::NoteNodeVisit — the replica keeps boxagg_stats' attribution
@@ -29,7 +31,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -46,6 +48,20 @@
 
 namespace boxagg {
 
+/// Sets *is_replica to whether page `root` is a replica header. Live
+/// PackedBaTree / AggBTree roots carry their own node types, so the page
+/// type alone tells them apart; an empty root is no replica. A failed read
+/// of the root is returned, not taken for either answer.
+inline Status IsReplicaRoot(BufferPool* pool, PageId root, bool* is_replica) {
+  *is_replica = false;
+  if (root == kInvalidPageId) return Status::OK();
+  PageGuard g;
+  BOXAGG_RETURN_NOT_OK(pool->Fetch(root, &g));
+  *is_replica =
+      g.page()->ReadAt<uint16_t>(replica::kHdrType) == replica::kHeaderPageType;
+  return Status::OK();
+}
+
 template <class V>
 class CompactReplica {
  public:
@@ -61,118 +77,14 @@ class CompactReplica {
   [[nodiscard]] PageId root() const { return root_; }
   [[nodiscard]] bool empty() const { return root_ == kInvalidPageId; }
   [[nodiscard]] int dims() const { return dims_; }
-  [[nodiscard]] bool is_open() const { return cache_ != nullptr; }
 
-  /// Loads the header, meta chain, directory and dictionaries. Call once
-  /// before concurrent querying; repeat calls are no-ops.
+  /// Loads and validates the header, meta chain, directory and
+  /// dictionaries. Must return OK before the replica is queried; repeat
+  /// calls are no-ops.
   Status Open() {
     if (cache_) return Status::OK();
-    auto c = std::make_shared<Cache>();
-    if (root_ == kInvalidPageId) {
-      cache_ = std::move(c);  // empty replica: every sum is V{}
-      return Status::OK();
-    }
-    uint64_t data_page_count = 0, meta_page_count = 0;
-    uint64_t key_dict_count = 0, val_dict_count = 0;
-    PageId first_meta = kInvalidPageId;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(replica::kHdrType) != replica::kHeaderPageType) {
-        return CorruptionAt(root_, "compact-replica: not a replica header");
-      }
-      if (p->ReadAt<uint16_t>(replica::kHdrVersion) !=
-          replica::kFormatVersion) {
-        return CorruptionAt(root_, "compact-replica: unknown format version");
-      }
-      if (simd::Crc32c(p->data(), replica::kHdrCrc) !=
-          p->ReadAt<uint32_t>(replica::kHdrCrc)) {
-        return CorruptionAt(root_, "compact-replica: header crc mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrDims) !=
-          static_cast<uint32_t>(dims_)) {
-        return CorruptionAt(root_, "compact-replica: dims mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrValueSize) != sizeof(V)) {
-        return CorruptionAt(root_, "compact-replica: value size mismatch");
-      }
-      c->node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
-      c->entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
-      c->data_bytes = p->ReadAt<uint64_t>(replica::kHdrDataBytes);
-      data_page_count = p->ReadAt<uint64_t>(replica::kHdrDataPageCount);
-      meta_page_count = p->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
-      key_dict_count = p->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
-      val_dict_count = p->ReadAt<uint64_t>(replica::kHdrValDictCount);
-      first_meta = p->ReadAt<uint64_t>(replica::kHdrFirstMeta);
-    }
-    std::vector<uint8_t> meta;
-    meta.reserve((data_page_count + c->node_count + key_dict_count +
-                  val_dict_count) *
-                 sizeof(uint64_t));
-    for (PageId pid = first_meta; pid != kInvalidPageId;) {
-      if (c->meta_pages.size() >= meta_page_count) {
-        return CorruptionAt(pid, "compact-replica: meta chain too long");
-      }
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(0) != replica::kMetaPageType) {
-        return CorruptionAt(pid, "compact-replica: bad meta page type");
-      }
-      const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
-      if (replica::kMetaHeaderBytes + len > p->size()) {
-        return CorruptionAt(pid, "compact-replica: meta payload overruns");
-      }
-      if (simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
-          p->ReadAt<uint32_t>(replica::kMetaCrc)) {
-        return CorruptionAt(pid, "compact-replica: meta crc mismatch");
-      }
-      const PageId next = p->ReadAt<uint64_t>(replica::kMetaNext);
-      meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
-                  p->data() + replica::kMetaHeaderBytes + len);
-      c->meta_pages.push_back(pid);
-      pid = next;
-    }
-    if (c->meta_pages.size() != meta_page_count) {
-      return CorruptionAt(root_, "compact-replica: meta chain truncated");
-    }
-    const uint64_t expected = (data_page_count + c->node_count +
-                               key_dict_count + val_dict_count) *
-                              sizeof(uint64_t);
-    if (meta.size() != expected) {
-      return CorruptionAt(root_, "compact-replica: meta payload size drift");
-    }
-    // A header-only replica (empty tree) has an empty payload whose data()
-    // may be null, which memcpy rejects even for zero bytes.
-    const uint8_t* m = meta.data();
-    c->data_pages.resize(data_page_count);
-    if (data_page_count > 0) {
-      std::memcpy(c->data_pages.data(), m, data_page_count * 8);
-    }
-    m += data_page_count * 8;
-    c->dir.resize(c->node_count);
-    if (c->node_count > 0) std::memcpy(c->dir.data(), m, c->node_count * 8);
-    m += c->node_count * 8;
-    c->key_dict.resize(key_dict_count);
-    for (uint64_t i = 0; i < key_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      c->key_dict[i] = replica::UnmapDouble(mapped);
-    }
-    m += key_dict_count * 8;
-    c->val_dict.resize(val_dict_count);
-    for (uint64_t i = 0; i < val_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      c->val_dict[i] = replica::UnmapOrderedBits(mapped);
-    }
-    for (const uint64_t de : c->dir) {
-      if ((de >> 32) >= data_page_count) {
-        return CorruptionAt(root_, "compact-replica: directory page index "
-                                   "out of range");
-      }
-    }
+    Cache c;
+    BOXAGG_RETURN_NOT_OK(Load(nullptr, &c));
     cache_ = std::move(c);
     return Status::OK();
   }
@@ -204,7 +116,7 @@ class CompactReplica {
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    BOXAGG_RETURN_NOT_OK(EnsureOpen());
+    if (!cache_) return NotOpen();
     const Cache& c = *cache_;
     if (root_ == kInvalidPageId || c.node_count == 0 || count == 0) {
       return Status::OK();
@@ -226,15 +138,16 @@ class CompactReplica {
   /// Header + meta chain + data pages.
   Status PageCount(uint64_t* out) const {
     *out = 0;
+    if (!cache_) return NotOpen();
     if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(EnsureOpen());
     *out = 1 + cache_->meta_pages.size() + cache_->data_pages.size();
     return Status::OK();
   }
 
+  /// Frees every page; the handle stays open over an empty replica.
   Status Destroy() {
+    if (!cache_) return NotOpen();
     if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(EnsureOpen());
     for (PageId pid : cache_->data_pages) {
       BOXAGG_RETURN_NOT_OK(pool_->Delete(pid));
     }
@@ -242,147 +155,28 @@ class CompactReplica {
       BOXAGG_RETURN_NOT_OK(pool_->Delete(pid));
     }
     BOXAGG_RETURN_NOT_OK(pool_->Delete(root_));
-    cache_.reset();
+    cache_ = Cache{};
     root_ = kInvalidPageId;
     return Status::OK();
   }
 
-  /// Deep structural audit (fresh from the pages, not the cached state):
-  /// header/meta/data crc envelopes, directory and dictionary sanity, a
-  /// full strict re-decode of every node, breadth-first reachability of
-  /// exactly node_count ordinals, aggregate subtree identities (within
-  /// kAggDriftTolerance — replica sums are the source's, re-derived sums
-  /// are a different addition order), EXACT equality of the re-counted
-  /// entries against the header's entry_count, and the self-oracle.
+  /// Deep structural audit, fresh from the pages rather than the cache
+  /// Open() keeps: the loader's header/meta/dictionary/directory checks,
+  /// the data-page crc envelopes, a full strict re-decode of every node,
+  /// breadth-first reachability of exactly node_count ordinals, aggregate
+  /// subtree identities (within kAggDriftTolerance — replica sums are the
+  /// source's, re-derived sums are a different addition order), EXACT
+  /// equality of the re-counted entries against the header's entry_count,
+  /// and the self-oracle over the freshly loaded metadata.
   Status CheckConsistency(CheckContext* ctx) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(ctx->Visit(root_, "compact-replica"));
     Cache c;
-    uint64_t data_page_count = 0, meta_page_count = 0;
-    uint64_t key_dict_count = 0, val_dict_count = 0;
-    PageId first_meta = kInvalidPageId;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(replica::kHdrType) != replica::kHeaderPageType) {
-        return CorruptionAt(root_, "compact-replica: bad header page type " +
-                                       std::to_string(p->ReadAt<uint16_t>(0)));
-      }
-      if (p->ReadAt<uint16_t>(replica::kHdrVersion) !=
-          replica::kFormatVersion) {
-        return CorruptionAt(root_, "compact-replica: unknown format version");
-      }
-      if (simd::Crc32c(p->data(), replica::kHdrCrc) !=
-          p->ReadAt<uint32_t>(replica::kHdrCrc)) {
-        return CorruptionAt(root_, "compact-replica: header crc mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrDims) !=
-          static_cast<uint32_t>(dims_)) {
-        return CorruptionAt(root_, "compact-replica: dims mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrValueSize) != sizeof(V)) {
-        return CorruptionAt(root_, "compact-replica: value size mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrLevelCount) >
-          replica::kHdrLevelSlots) {
-        return CorruptionAt(root_, "compact-replica: level count out of "
-                                   "range");
-      }
-      c.node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
-      c.entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
-      c.data_bytes = p->ReadAt<uint64_t>(replica::kHdrDataBytes);
-      data_page_count = p->ReadAt<uint64_t>(replica::kHdrDataPageCount);
-      meta_page_count = p->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
-      key_dict_count = p->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
-      val_dict_count = p->ReadAt<uint64_t>(replica::kHdrValDictCount);
-      first_meta = p->ReadAt<uint64_t>(replica::kHdrFirstMeta);
-    }
-    // Meta chain: envelope checks + payload reassembly.
-    std::vector<uint8_t> meta;
-    for (PageId pid = first_meta; pid != kInvalidPageId;) {
-      if (c.meta_pages.size() >= meta_page_count) {
-        return CorruptionAt(pid, "compact-replica: meta chain longer than "
-                                 "the header's count");
-      }
-      BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(0) != replica::kMetaPageType) {
-        return CorruptionAt(pid, "compact-replica: bad meta page type");
-      }
-      const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
-      if (replica::kMetaHeaderBytes + len > p->size()) {
-        return CorruptionAt(pid, "compact-replica: meta payload overruns "
-                                 "the page");
-      }
-      if (simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
-          p->ReadAt<uint32_t>(replica::kMetaCrc)) {
-        return CorruptionAt(pid, "compact-replica: meta crc mismatch");
-      }
-      meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
-                  p->data() + replica::kMetaHeaderBytes + len);
-      c.meta_pages.push_back(pid);
-      pid = p->ReadAt<uint64_t>(replica::kMetaNext);
-    }
-    if (c.meta_pages.size() != meta_page_count) {
-      return CorruptionAt(root_, "compact-replica: meta chain truncated");
-    }
-    if (meta.size() != (data_page_count + c.node_count + key_dict_count +
-                        val_dict_count) *
-                           sizeof(uint64_t)) {
-      return CorruptionAt(root_, "compact-replica: meta payload size drift");
-    }
-    // A header-only replica (empty tree) has an empty payload whose data()
-    // may be null, which memcpy rejects even for zero bytes.
-    const uint8_t* m = meta.data();
-    c.data_pages.resize(data_page_count);
-    if (data_page_count > 0) {
-      std::memcpy(c.data_pages.data(), m, data_page_count * 8);
-    }
-    m += data_page_count * 8;
-    c.dir.resize(c.node_count);
-    if (c.node_count > 0) std::memcpy(c.dir.data(), m, c.node_count * 8);
-    m += c.node_count * 8;
-    // Dictionaries must be strictly increasing in the order-mapped domain
-    // (the builder emits them sorted + deduplicated; the strip encoder's
-    // binary search depends on it).
-    c.key_dict.resize(key_dict_count);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < key_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      if (i > 0 && mapped <= prev) {
-        return CorruptionAt(root_, "compact-replica: key dictionary not "
-                                   "strictly sorted");
-      }
-      prev = mapped;
-      c.key_dict[i] = replica::UnmapDouble(mapped);
-    }
-    m += key_dict_count * 8;
-    c.val_dict.resize(val_dict_count);
-    for (uint64_t i = 0; i < val_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      if (i > 0 && mapped <= prev) {
-        return CorruptionAt(root_, "compact-replica: value dictionary not "
-                                   "strictly sorted");
-      }
-      prev = mapped;
-      c.val_dict[i] = replica::UnmapOrderedBits(mapped);
-    }
+    BOXAGG_RETURN_NOT_OK(Load(ctx, &c));
     // Data pages: visit + envelope-check every one (pinned in chunks — the
-    // physical sweep fsck wants), and pin down per-page node counts.
-    std::vector<uint32_t> nodes_in_page(data_page_count, 0);
-    for (uint64_t i = 0; i < c.node_count; ++i) {
-      const uint64_t de = c.dir[i];
-      if ((de >> 32) >= data_page_count) {
-        return CorruptionAt(root_, "compact-replica: directory page index "
-                                   "out of range");
-      }
-      ++nodes_in_page[de >> 32];
-    }
+    // physical sweep fsck wants), and pin down per-page node counts (the
+    // loader bounded every directory page index).
+    std::vector<uint32_t> nodes_in_page(c.data_pages.size(), 0);
+    for (const uint64_t de : c.dir) ++nodes_in_page[de >> 32];
     constexpr size_t kSweepChunk = 32;
     for (size_t base = 0; base < c.data_pages.size(); base += kSweepChunk) {
       const size_t n = std::min(kSweepChunk, c.data_pages.size() - base);
@@ -451,9 +245,11 @@ class CompactReplica {
                      std::to_string(c.entry_count) + ")");
     }
     if (ctx->check_oracle) {
-      BOXAGG_RETURN_NOT_OK(EnsureOpen());
+      // The oracle queries what was just loaded, not what Open() cached.
+      CompactReplica loaded(pool_, dims_, root_);
+      loaded.cache_ = std::move(c);
       BOXAGG_RETURN_NOT_OK(SampledSelfOracle(
-          *this, dims_, pts,
+          loaded, dims_, pts,
           "compact-replica: self-oracle dominance-sum mismatch"));
     }
     return Status::OK();
@@ -463,7 +259,6 @@ class CompactReplica {
   struct Cache {
     uint64_t node_count = 0;
     uint64_t entry_count = 0;
-    uint64_t data_bytes = 0;
     std::vector<PageId> meta_pages;
     std::vector<PageId> data_pages;
     std::vector<uint64_t> dir;  // ordinal -> (page_index << 32 | offset)
@@ -471,9 +266,147 @@ class CompactReplica {
     std::vector<uint64_t> val_dict;  // raw V bit patterns
   };
 
-  Status EnsureOpen() const {
-    if (cache_) return Status::OK();
-    return const_cast<CompactReplica*>(this)->Open();
+  static Status NotOpen() {
+    return Status::InvalidArgument(
+        "compact-replica: Open() must succeed before the replica is used");
+  }
+
+  /// The one validated load of a replica's metadata, shared by Open() and
+  /// CheckConsistency(): the header page (type, version, crc, dims, value
+  /// size, level count), the meta chain (length, page types, payload
+  /// bounds, crcs, total payload size), both dictionaries (strictly
+  /// increasing in the order-mapped domain — the builder emits them sorted
+  /// and deduplicated, and the strip encoder's binary search depends on it)
+  /// and the directory's page indexes. A non-null `ctx` also records every
+  /// page read as visited. An empty replica loads as an empty cache.
+  Status Load(CheckContext* ctx, Cache* c) const {
+    if (root_ == kInvalidPageId) return Status::OK();
+    if (ctx != nullptr) {
+      BOXAGG_RETURN_NOT_OK(ctx->Visit(root_, "compact-replica"));
+    }
+    uint64_t data_page_count = 0, meta_page_count = 0;
+    uint64_t key_dict_count = 0, val_dict_count = 0;
+    PageId first_meta = kInvalidPageId;
+    {
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
+      const Page* p = g.page();
+      if (p->ReadAt<uint16_t>(replica::kHdrType) != replica::kHeaderPageType) {
+        return CorruptionAt(root_, "compact-replica: bad header page type " +
+                                       std::to_string(p->ReadAt<uint16_t>(0)));
+      }
+      if (p->ReadAt<uint16_t>(replica::kHdrVersion) !=
+          replica::kFormatVersion) {
+        return CorruptionAt(root_, "compact-replica: unknown format version");
+      }
+      if (simd::Crc32c(p->data(), replica::kHdrCrc) !=
+          p->ReadAt<uint32_t>(replica::kHdrCrc)) {
+        return CorruptionAt(root_, "compact-replica: header crc mismatch");
+      }
+      if (p->ReadAt<uint32_t>(replica::kHdrDims) !=
+          static_cast<uint32_t>(dims_)) {
+        return CorruptionAt(root_, "compact-replica: dims mismatch");
+      }
+      if (p->ReadAt<uint32_t>(replica::kHdrValueSize) != sizeof(V)) {
+        return CorruptionAt(root_, "compact-replica: value size mismatch");
+      }
+      if (p->ReadAt<uint32_t>(replica::kHdrLevelCount) >
+          replica::kHdrLevelSlots) {
+        return CorruptionAt(root_, "compact-replica: level count out of "
+                                   "range");
+      }
+      c->node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
+      c->entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
+      data_page_count = p->ReadAt<uint64_t>(replica::kHdrDataPageCount);
+      meta_page_count = p->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
+      key_dict_count = p->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
+      val_dict_count = p->ReadAt<uint64_t>(replica::kHdrValDictCount);
+      first_meta = p->ReadAt<uint64_t>(replica::kHdrFirstMeta);
+    }
+    std::vector<uint8_t> meta;
+    for (PageId pid = first_meta; pid != kInvalidPageId;) {
+      if (c->meta_pages.size() >= meta_page_count) {
+        return CorruptionAt(pid, "compact-replica: meta chain longer than "
+                                 "the header's count");
+      }
+      if (ctx != nullptr) {
+        BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
+      }
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
+      const Page* p = g.page();
+      if (p->ReadAt<uint16_t>(0) != replica::kMetaPageType) {
+        return CorruptionAt(pid, "compact-replica: bad meta page type");
+      }
+      const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
+      if (replica::kMetaHeaderBytes + len > p->size()) {
+        return CorruptionAt(pid, "compact-replica: meta payload overruns "
+                                 "the page");
+      }
+      if (simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
+          p->ReadAt<uint32_t>(replica::kMetaCrc)) {
+        return CorruptionAt(pid, "compact-replica: meta crc mismatch");
+      }
+      meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
+                  p->data() + replica::kMetaHeaderBytes + len);
+      c->meta_pages.push_back(pid);
+      pid = p->ReadAt<uint64_t>(replica::kMetaNext);
+    }
+    if (c->meta_pages.size() != meta_page_count) {
+      return CorruptionAt(root_, "compact-replica: meta chain truncated");
+    }
+    // Each count is bounded by the payload before they are summed, so no
+    // header that passes its crc can wrap the sum onto the payload size.
+    const uint64_t words = meta.size() / sizeof(uint64_t);
+    if (data_page_count > words || c->node_count > words ||
+        key_dict_count > words || val_dict_count > words ||
+        meta.size() != (data_page_count + c->node_count + key_dict_count +
+                        val_dict_count) *
+                           sizeof(uint64_t)) {
+      return CorruptionAt(root_, "compact-replica: meta payload size drift");
+    }
+    // A header-only replica (empty tree) has an empty payload whose data()
+    // may be null, which memcpy rejects even for zero bytes.
+    const uint8_t* m = meta.data();
+    c->data_pages.resize(data_page_count);
+    if (data_page_count > 0) {
+      std::memcpy(c->data_pages.data(), m, data_page_count * 8);
+    }
+    m += data_page_count * 8;
+    c->dir.resize(c->node_count);
+    if (c->node_count > 0) std::memcpy(c->dir.data(), m, c->node_count * 8);
+    m += c->node_count * 8;
+    c->key_dict.resize(key_dict_count);
+    uint64_t prev = 0;
+    for (uint64_t i = 0; i < key_dict_count; ++i) {
+      uint64_t mapped;
+      std::memcpy(&mapped, m + i * 8, 8);
+      if (i > 0 && mapped <= prev) {
+        return CorruptionAt(root_, "compact-replica: key dictionary not "
+                                   "strictly sorted");
+      }
+      prev = mapped;
+      c->key_dict[i] = replica::UnmapDouble(mapped);
+    }
+    m += key_dict_count * 8;
+    c->val_dict.resize(val_dict_count);
+    for (uint64_t i = 0; i < val_dict_count; ++i) {
+      uint64_t mapped;
+      std::memcpy(&mapped, m + i * 8, 8);
+      if (i > 0 && mapped <= prev) {
+        return CorruptionAt(root_, "compact-replica: value dictionary not "
+                                   "strictly sorted");
+      }
+      prev = mapped;
+      c->val_dict[i] = replica::UnmapOrderedBits(mapped);
+    }
+    for (const uint64_t de : c->dir) {
+      if ((de >> 32) >= data_page_count) {
+        return CorruptionAt(root_, "compact-replica: directory page index "
+                                   "out of range");
+      }
+    }
+    return Status::OK();
   }
 
   // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
@@ -1100,7 +1033,7 @@ class CompactReplica {
   BufferPool* pool_;
   int dims_;
   PageId root_;
-  std::shared_ptr<const Cache> cache_;
+  std::optional<Cache> cache_;  // set by Open(); unset: never opened
 };
 
 }  // namespace boxagg

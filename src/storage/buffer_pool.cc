@@ -11,11 +11,14 @@ namespace {
 // Seed-compatible floor: the original single-shard pool clamped its total
 // capacity to at least 8 frames (enough for one root-to-leaf pin chain).
 constexpr size_t kMinShardFrames = 8;
+// A miss that fails with kIoError is re-read up to kMaxReadRetries more
+// times; retry k (1-based) first sleeps kRetryBackoffUs << (k-1).
+constexpr size_t kMaxReadRetries = 2;
+constexpr uint64_t kRetryBackoffUs = 100;
 }  // namespace
 
-BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards,
-                       BufferPoolOptions opts)
-    : file_(file), opts_(opts) {
+BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards)
+    : file_(file) {
   if (shards == 0) shards = 1;
   if (capacity < kMinShardFrames) capacity = kMinShardFrames;
   shards_.reserve(shards);
@@ -111,11 +114,11 @@ Status BufferPool::ReadWithRetry(PageId id, Page* page) {
   Status st = file_->ReadPage(id, page);
   for (size_t attempt = 1;
        !st.ok() && st.code() == Status::Code::kIoError &&
-       attempt <= opts_.max_read_retries;
+       attempt <= kMaxReadRetries;
        ++attempt) {
     stats_.AddReadRetry();
     std::this_thread::sleep_for(std::chrono::microseconds(
-        opts_.retry_backoff_us << (attempt - 1)));
+        kRetryBackoffUs << (attempt - 1)));
     st = file_->ReadPage(id, page);
   }
   if (!st.ok() && st.code() == Status::Code::kCorruption) {

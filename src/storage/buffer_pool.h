@@ -36,20 +36,6 @@ namespace boxagg {
 class PageGuard;
 struct CheckContext;
 
-/// \brief Tuning knobs for the pool's fault handling.
-///
-/// A miss that fails with Status::kIoError is treated as possibly
-/// transient (a flaky device, an injected fault) and retried with
-/// exponential backoff up to `max_read_retries` extra attempts before the
-/// error surfaces to the caller. kCorruption is never retried — a failed
-/// checksum is deterministic — and is counted in stats().checksum_failures.
-struct BufferPoolOptions {
-  /// Additional ReadPage attempts after the first failure (0 disables).
-  size_t max_read_retries = 2;
-  /// Sleep before retry k (1-based) is retry_backoff_us << (k-1).
-  uint64_t retry_backoff_us = 100;
-};
-
 /// \brief Sharded LRU buffer manager.
 ///
 /// Frames hold pages; a frame with pin_count > 0 is never evicted. Eviction
@@ -63,9 +49,7 @@ class BufferPool {
   ///                 O(depth) pages)
   /// \param shards   number of independently locked sub-pools; 1 reproduces
   ///                 the exact global LRU of the single-threaded seed
-  /// \param opts     fault-handling knobs (retry bound and backoff)
-  BufferPool(PageFile* file, size_t capacity, size_t shards = 1,
-             BufferPoolOptions opts = {});
+  BufferPool(PageFile* file, size_t capacity, size_t shards = 1);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -187,12 +171,15 @@ class BufferPool {
   static void Unlink(Shard& s, Frame* f) REQUIRES(s.mu);
 
   /// ReadPage with bounded retry on kIoError and checksum-failure
-  /// accounting on kCorruption; called under the owning shard's lock.
+  /// accounting on kCorruption; called under the owning shard's lock. An
+  /// I/O error is treated as possibly transient (a flaky device, an
+  /// injected fault) and retried with exponential backoff a fixed number of
+  /// times before it surfaces. kCorruption is never retried — a failed
+  /// checksum is deterministic — and is counted in stats().checksum_failures.
   Status ReadWithRetry(PageId id, Page* page);
 
   PageFile* file_;
   size_t capacity_;
-  BufferPoolOptions opts_;
   AtomicIoStats stats_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

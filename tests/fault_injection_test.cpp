@@ -149,10 +149,7 @@ TEST(BufferPoolRetry, TransientReadErrorIsRetried) {
   ASSERT_TRUE(file.Allocate(&id).ok());
   ASSERT_TRUE(file.WritePage(id, MakePage(0x5150)).ok());
 
-  BufferPoolOptions opts;
-  opts.max_read_retries = 2;
-  opts.retry_backoff_us = 1;  // keep the test fast
-  BufferPool pool(&file, 8, 1, opts);
+  BufferPool pool(&file, 8);
   file.ScheduleReadError(/*nth=*/1, /*times=*/2);  // 2 failures < 1 + 2 tries
   PageGuard g;
   ASSERT_TRUE(pool.Fetch(id, &g).ok());
@@ -167,10 +164,7 @@ TEST(BufferPoolRetry, GivesUpAfterBoundAndSurfacesIoError) {
   ASSERT_TRUE(file.Allocate(&id).ok());
   ASSERT_TRUE(file.WritePage(id, MakePage(1)).ok());
 
-  BufferPoolOptions opts;
-  opts.max_read_retries = 2;
-  opts.retry_backoff_us = 1;
-  BufferPool pool(&file, 8, 1, opts);
+  BufferPool pool(&file, 8);
   file.ScheduleReadError(1, /*times=*/3);  // exhausts initial + 2 retries
   PageGuard g;
   Status st = pool.Fetch(id, &g);
@@ -201,21 +195,6 @@ TEST(BufferPoolRetry, ChecksumFailureIsCountedAndNeverRetried) {
   EXPECT_EQ(pool.stats().read_retries, 0u);
   // Deterministic corruption: exactly one device read, no retry traffic.
   EXPECT_EQ(file.read_count(), reads_before + 1);
-}
-
-TEST(BufferPoolRetry, RetriesDisabledSurfacesFirstError) {
-  FaultInjectingPageFile file(kPageSize, 1);
-  PageId id = kInvalidPageId;
-  ASSERT_TRUE(file.Allocate(&id).ok());
-  ASSERT_TRUE(file.WritePage(id, MakePage(1)).ok());
-
-  BufferPoolOptions opts;
-  opts.max_read_retries = 0;
-  BufferPool pool(&file, 8, 1, opts);
-  file.ScheduleReadError(1);
-  PageGuard g;
-  EXPECT_EQ(pool.Fetch(id, &g).code(), Status::Code::kIoError);
-  EXPECT_EQ(pool.stats().read_retries, 0u);
 }
 
 }  // namespace

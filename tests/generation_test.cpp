@@ -98,6 +98,7 @@ TEST(Generation, ReplicaRebuiltAfterCommit) {
 
   // The replica answers exactly like its source.
   CompactReplica<double> replica(&pool, 2, replica_root);
+  ASSERT_TRUE(replica.Open().ok());
   const double inf = std::numeric_limits<double>::infinity();
   double via_replica = 0, via_tree = 0;
   ASSERT_TRUE(replica.DominanceSum(Point(inf, inf), &via_replica).ok());

@@ -2,7 +2,8 @@
 // live trees and the naive oracle across dimensions, build modes, and data
 // skew; strip codec round-trips; structural self-checks against injected
 // byte corruption (in-pool and through a real .bag file via fsck); the
-// immutability contract; and the descent's zero-heap-allocation guarantee.
+// immutability and open-before-use contracts; and the descent's
+// zero-heap-allocation guarantee.
 // The test links the counting operator new/delete of alloc_count.cpp, so
 // the steady-state assertion observes every allocation in the process.
 
@@ -344,6 +345,82 @@ TEST(ReplicaTest, CheckConsistencyDetectsHeaderCorruption) {
   EXPECT_FALSE(rep.CheckConsistency(&ctx).ok());
   CompactReplica<double> rep2(&pool, 2, root);
   EXPECT_FALSE(rep2.Open().ok());  // Open verifies the same envelope
+
+  // A level count past the header's slots under a valid crc: Open() and
+  // CheckConsistency() share one loader, so both refuse it.
+  PageId root2 = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(live, &root2).ok());
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.Fetch(root2, &g).ok());
+    g.page()->WriteAt<uint32_t>(replica::kHdrLevelCount,
+                                replica::kHdrLevelSlots + 1);
+    g.page()->WriteAt<uint32_t>(
+        replica::kHdrCrc, simd::Crc32c(g.page()->data(), replica::kHdrCrc));
+    g.MarkDirty();
+  }
+  CompactReplica<double> rep3(&pool, 2, root2);
+  Status open = rep3.Open();
+  EXPECT_EQ(open.code(), Status::Code::kCorruption) << open.ToString();
+  CheckContext ctx3;
+  EXPECT_EQ(rep3.CheckConsistency(&ctx3).code(), Status::Code::kCorruption);
+
+  // A data-page count raised by 2^61 under a valid crc wraps the expected
+  // payload size back onto the real one; the loader reports corruption
+  // instead of sizing a vector from the count.
+  PageId root3 = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(live, &root3).ok());
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.Fetch(root3, &g).ok());
+    g.page()->WriteAt<uint64_t>(
+        replica::kHdrDataPageCount,
+        g.page()->ReadAt<uint64_t>(replica::kHdrDataPageCount) +
+            (uint64_t{1} << 61));
+    g.page()->WriteAt<uint32_t>(
+        replica::kHdrCrc, simd::Crc32c(g.page()->data(), replica::kHdrCrc));
+    g.MarkDirty();
+  }
+  CompactReplica<double> rep4(&pool, 2, root3);
+  open = rep4.Open();
+  EXPECT_EQ(open.code(), Status::Code::kCorruption) << open.ToString();
+  CheckContext ctx4;
+  EXPECT_EQ(rep4.CheckConsistency(&ctx4).code(), Status::Code::kCorruption);
+}
+
+// A replica is opened before use: without Open() every query and the page
+// count refuse, and not one page is fetched.
+TEST(ReplicaTest, UnopenedReplicaRefusesAndReadsNoPage) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  PackedBaTree<double> live(&pool, 2);
+  ASSERT_TRUE(live.BulkLoad(MakeEntries(2, 500, false, 23)).ok());
+  ReplicaBuilder<double> builder(&pool);
+  PageId root = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(live, &root).ok());
+
+  CompactReplica<double> rep(&pool, 2, root);
+  const uint64_t reads_before = pool.stats().logical_reads;
+  const Point qs[2] = {Point(0.5, 0.5), Point(1.0, 1.0)};
+  double outs[2] = {1.0, 1.0};
+  EXPECT_FALSE(rep.DominanceSumBatch(qs, 2, outs).ok());
+  EXPECT_EQ(outs[0], 0.0);
+  EXPECT_EQ(outs[1], 0.0);
+  EXPECT_FALSE(rep.DominanceSum(qs[0], &outs[0]).ok());
+  uint64_t pages = 7;
+  EXPECT_FALSE(rep.PageCount(&pages).ok());
+  EXPECT_EQ(pages, 0u);
+  EXPECT_FALSE(rep.Destroy().ok());
+  EXPECT_EQ(pool.stats().logical_reads, reads_before);
+
+  // Opened, the same handle answers and counts its pages.
+  ASSERT_TRUE(rep.Open().ok());
+  ASSERT_TRUE(rep.DominanceSumBatch(qs, 2, outs).ok());
+  double want = 0;
+  ASSERT_TRUE(live.DominanceSum(qs[1], &want).ok());
+  EXPECT_EQ(outs[1], want);
+  ASSERT_TRUE(rep.PageCount(&pages).ok());
+  EXPECT_GT(pages, 1u);
 }
 
 // fsck sniffs the root page class and routes replica roots through

@@ -37,7 +37,6 @@
 #include "parse_number.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
-#include "replica/replica_format.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
 
@@ -235,14 +234,6 @@ int OpenIndex(const char* path, std::unique_ptr<FilePageFile>* file,
   return 0;
 }
 
-/// True when the root page carries a replica header (page class sniffing).
-bool IsReplicaRoot(BufferPool* pool, PageId root) {
-  if (root == kInvalidPageId) return false;
-  PageGuard g;
-  if (!pool->Fetch(root, &g).ok()) return false;
-  return g.page()->ReadAt<uint16_t>(0) == replica::kHeaderPageType;
-}
-
 template <class Index>
 int RunQuery(BoxSumIndex<Index>& sums, BoxSumIndex<Index>& counts,
              BufferPool* pool, char** argv) {
@@ -278,7 +269,11 @@ int CmdQuery(int argc, char** argv) {
   if (OpenIndex(argv[0], &file, &bag, &pool, &roots)) return 1;
 
   uint32_t next_sum = 0, next_count = 4;
-  if (IsReplicaRoot(pool.get(), roots[0])) {
+  bool is_replica = false;
+  if (DieIf(IsReplicaRoot(pool.get(), roots[0], &is_replica), "read root")) {
+    return 1;
+  }
+  if (is_replica) {
     BoxSumIndex<CompactReplica<double>> sums(kDims, [&] {
       return CompactReplica<double>(pool.get(), kDims, roots[next_sum++]);
     });
@@ -319,7 +314,10 @@ int CmdStats(int argc, char** argv) {
                                   "count[lh]", "count[hh]"};
   for (uint32_t i = 0; i < kNumRoots; ++i) {
     uint64_t pages = 0;
-    const bool rep = IsReplicaRoot(pool.get(), roots[i]);
+    bool rep = false;
+    if (DieIf(IsReplicaRoot(pool.get(), roots[i], &rep), "read root")) {
+      return 1;
+    }
     if (rep) {
       CompactReplica<double> t(pool.get(), kDims, roots[i]);
       if (DieIf(t.Open(), "open replica")) return 1;

@@ -39,6 +39,7 @@
 
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/value_ops.h"
 #include "obs/query_obs.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
@@ -176,19 +177,12 @@ class AggBTree {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
     const Page* p = g.page();
-    uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        V v;
-        ReadLeafValue(p, i, &v);
-        *out += v;
-      }
+      ValueOps<V>::AddStrided(out, p->data() + LeafValueOffset(PageSz(), 0),
+                              Count(p), sizeof(V));
     } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        V s;
-        ReadInternalSum(p, i, &s);
-        *out += s;
-      }
+      ValueOps<V>::AddStrided(out, p->data() + InternalSumOffset(PageSz(), 0),
+                              Count(p), kInternalRec);
     }
     return Status::OK();
   }
@@ -404,12 +398,9 @@ class AggBTree {
   static double LeafKey(const Page* p, uint32_t i) {
     return p->ReadAt<double>(LeafKeyOffset(i));
   }
-  void ReadLeafValue(const Page* p, uint32_t i, V* v) const {
-    p->ReadBytes(LeafValueOffset(PageSz(), i), v, sizeof(V));
-  }
   void WriteLeafEntry(Page* p, uint32_t i, double key, const V& v) const {
     p->WriteAt<double>(LeafKeyOffset(i), key);
-    p->WriteBytes(LeafValueOffset(PageSz(), i), &v, sizeof(V));
+    p->WriteAt<V>(LeafValueOffset(PageSz(), i), v);
   }
 
   static double InternalLowKey(const Page* p, uint32_t i) {
@@ -418,17 +409,11 @@ class AggBTree {
   PageId InternalChild(const Page* p, uint32_t i) const {
     return p->ReadAt<uint64_t>(InternalChildOffset(PageSz(), i));
   }
-  void ReadInternalSum(const Page* p, uint32_t i, V* v) const {
-    p->ReadBytes(InternalSumOffset(PageSz(), i), v, sizeof(V));
-  }
   void WriteInternalEntry(Page* p, uint32_t i, double lowkey, PageId child,
                           const V& sum) const {
     p->WriteAt<double>(InternalLowKeyOffset(i), lowkey);
     p->WriteAt<uint64_t>(InternalChildOffset(PageSz(), i), child);
-    p->WriteBytes(InternalSumOffset(PageSz(), i), &sum, sizeof(V));
-  }
-  void WriteInternalSum(Page* p, uint32_t i, const V& sum) const {
-    p->WriteBytes(InternalSumOffset(PageSz(), i), &sum, sizeof(V));
+    p->WriteAt<V>(InternalSumOffset(PageSz(), i), sum);
   }
 
   /// Index of the child subtree that covers key `q`: the last entry with
@@ -463,8 +448,7 @@ class AggBTree {
         }
       }
       if (lo < n && LeafKey(p, lo) == key) {
-        V cur;
-        ReadLeafValue(p, lo, &cur);
+        V cur = p->ReadAt<V>(LeafValueOffset(page_size, lo));
         cur += v;
         WriteLeafEntry(p, lo, key, cur);
         g.MarkDirty();
@@ -485,7 +469,7 @@ class AggBTree {
       std::vector<Entry> all(n);
       for (uint32_t i = 0; i < n; ++i) {
         all[i].key = LeafKey(p, i);
-        ReadLeafValue(p, i, &all[i].value);
+        all[i].value = p->ReadAt<V>(LeafValueOffset(page_size, i));
       }
       all.insert(all.begin() + lo, Entry{key, v});
       uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
@@ -523,10 +507,9 @@ class AggBTree {
     SplitResult child_split;
     BOXAGG_RETURN_NOT_OK(InsertRec(child, key, v, &child_split));
     if (!child_split.happened) {
-      V s;
-      ReadInternalSum(p, idx, &s);
+      V s = p->ReadAt<V>(InternalSumOffset(page_size, idx));
       s += v;
-      WriteInternalSum(p, idx, s);
+      p->WriteAt<V>(InternalSumOffset(page_size, idx), s);
       g.MarkDirty();
       return Status::OK();
     }
@@ -556,7 +539,7 @@ class AggBTree {
     for (uint32_t i = 0; i < n; ++i) {
       all[i].lowkey = InternalLowKey(p, i);
       all[i].child = InternalChild(p, i);
-      ReadInternalSum(p, i, &all[i].sum);
+      all[i].sum = p->ReadAt<V>(InternalSumOffset(page_size, i));
     }
     all.insert(all.begin() + idx + 1,
                IEntry{child_split.right_lowkey, child_split.right_page,
@@ -623,37 +606,23 @@ class AggBTree {
               reinterpret_cast<const double*>(base + kHeaderSize);
           const uint8_t* vals = base + LeafValueOffset(page_size, 0);
           for (size_t j = 0; j < m; ++j) {
-            const uint32_t cut = simd::FirstGreater(keys, n, qs[idx[j]]);
-            // Summed in place: with a local copy, GCC may split a wide V
-            // (Poly2) into one scalar register per coefficient and add
-            // them one by one, which slowed the functional descent ~20%.
-            V& acc = outs[idx[j]];
-            for (uint32_t i = 0; i < cut; ++i) {
-              V v;
-              std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
-              acc += v;
-            }
+            ValueOps<V>::AddStrided(&outs[idx[j]], vals,
+                                    simd::FirstGreater(keys, n, qs[idx[j]]),
+                                    sizeof(V));
           }
           return Status::OK();
         }
-        const uint8_t* recs = base + InternalChildOffset(page_size, 0);
+        const uint8_t* sums = base + InternalSumOffset(page_size, 0);
         size_t j = 0;
         while (j < m) {
           const uint32_t route = RouteInternal(p, n, qs[idx[j]]);
           size_t k = j + 1;
           while (k < m && RouteInternal(p, n, qs[idx[k]]) == route) ++k;
           for (size_t t = j; t < k; ++t) {
-            V acc = outs[idx[t]];
-            for (uint32_t i = 0; i < route; ++i) {
-              V s;
-              std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
-              acc += s;
-            }
-            outs[idx[t]] = acc;
+            ValueOps<V>::AddStrided(&outs[idx[t]], sums, route, kInternalRec);
           }
-          PageId child;
-          std::memcpy(&child, recs + size_t{route} * kInternalRec,
-                      sizeof(PageId));
+          const PageId child =
+              p->ReadAt<PageId>(InternalChildOffset(page_size, route));
           if (j == 0 && k == m) {
             next = child;
             break;
@@ -683,10 +652,8 @@ class AggBTree {
     uint32_t n = Count(p);
     if (Type(p) == kLeaf) {
       for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.key = LeafKey(p, i);
-        ReadLeafValue(p, i, &e.value);
-        out->push_back(e);
+        out->push_back(
+            Entry{LeafKey(p, i), p->ReadAt<V>(LeafValueOffset(PageSz(), i))});
       }
       return Status::OK();
     }
@@ -761,17 +728,17 @@ class AggBTree {
     }
 
     if (type == kLeaf) {
-      out->sum = V{};
-      for (uint32_t i = 0; i < n; ++i) {
-        if (i > 0 && !(LeafKey(p, i - 1) < LeafKey(p, i))) {
+      for (uint32_t i = 1; i < n; ++i) {
+        if (!(LeafKey(p, i - 1) < LeafKey(p, i))) {
           return CorruptionAt(
               pid, "agg-btree: leaf keys not strictly increasing at entry " +
                        std::to_string(i));
         }
-        V v;
-        ReadLeafValue(p, i, &v);
-        out->sum += v;
       }
+      out->sum = V{};
+      ValueOps<V>::AddStrided(&out->sum,
+                              p->data() + LeafValueOffset(page_size, 0), n,
+                              sizeof(V));
       out->min_key = LeafKey(p, 0);
       out->max_key = LeafKey(p, n - 1);
       out->depth = 0;
@@ -802,8 +769,7 @@ class AggBTree {
                                      std::to_string(i) +
                                      " reaches into the next record's range");
       }
-      V stored;
-      ReadInternalSum(p, i, &stored);
+      const V stored = p->ReadAt<V>(InternalSumOffset(page_size, i));
       if (AggDrift(stored, child.sum) > kAggDriftTolerance) {
         return CorruptionAt(pid, "agg-btree: record aggregate of entry " +
                                      std::to_string(i) +

@@ -9,8 +9,8 @@
 //
 // The structure is static (built once from a point set) and in-memory; the
 // ECDF-B-trees and the BA-tree are the paper's disk-based, dynamic answers to
-// its limitations. Here it serves as the reference substrate and a fast
-// oracle in tests.
+// its limitations. It is kept as the paper's reference structure; only its
+// own tests (ecdf_test.cpp, against the naive oracle) use it.
 
 #ifndef BOXAGG_ECDF_STATIC_ECDF_TREE_H_
 #define BOXAGG_ECDF_STATIC_ECDF_TREE_H_

@@ -24,8 +24,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "batree/packed_ba_tree.h"
@@ -269,7 +269,7 @@ class ReplicaBuilder {
       nd->vals.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
         nd->pts[i] = Pbt::LeafPoint(p, i);
-        Pbt::ReadLeafValue(p, i, &nd->vals[i]);
+        nd->vals[i] = p->ReadAt<V>(Pbt::LeafValueOff(i));
       }
       return Status::OK();
     }
@@ -328,8 +328,7 @@ class ReplicaBuilder {
       nd->kind = replica::kNodeAggLeaf;
       for (uint32_t i = 0; i < n; ++i) {
         nd->keys[i] = p->ReadAt<double>(Agg::LeafKeyOffset(i));
-        p->ReadBytes(Agg::LeafValueOffset(page_size, i), &nd->vals[i],
-                     sizeof(V));
+        nd->vals[i] = p->ReadAt<V>(Agg::LeafValueOffset(page_size, i));
       }
       return Status::OK();
     }
@@ -342,8 +341,7 @@ class ReplicaBuilder {
     nd->first_child = items->size();
     for (uint32_t i = 0; i < n; ++i) {
       nd->keys[i] = p->ReadAt<double>(Agg::InternalLowKeyOffset(i));
-      p->ReadBytes(Agg::InternalSumOffset(page_size, i), &nd->vals[i],
-                   sizeof(V));
+      nd->vals[i] = p->ReadAt<V>(Agg::InternalSumOffset(page_size, i));
       items->push_back(
           WorkItem{p->ReadAt<uint64_t>(Agg::InternalChildOffset(page_size, i)),
                    1, it.level + 1});
@@ -352,9 +350,7 @@ class ReplicaBuilder {
   }
 
   static uint64_t MapValue(const V& v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return replica::MapOrderedBits(bits);
+    return replica::MapOrderedBits(std::bit_cast<uint64_t>(v));
   }
 
   /// Feeds every coordinate into the key dictionary, every leaf/border

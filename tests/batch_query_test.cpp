@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "batree/packed_ba_tree.h"
@@ -16,6 +17,10 @@
 #include "ecdf/ecdf_btree.h"
 #include "exec/parallel_executor.h"
 #include "exec/query_adapters.h"
+#include "obs/query_obs.h"
+#include "poly/poly2.h"
+#include "replica/compact_replica.h"
+#include "replica/replica_builder.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
 
@@ -382,6 +387,129 @@ TEST(BatchExecGrouped, MatchesSequential) {
         morsel == 0 ? 1 : (queries.size() + morsel - 1) / morsel;
     EXPECT_EQ(st.morsels, want_morsels);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Answer-bytes golden: on a fixed seed, the raw bytes of 256
+// DominanceSumBatch answers per backend hash to values recorded from the
+// build in which each tree added its page values its own way. A change to
+// how any descent reads or adds values must keep every answer bit. Inputs
+// come from mt19937_64's raw output, not from a library distribution, so
+// they do not depend on the standard library.
+
+// A double in [lo, hi) from 53 raw generator bits.
+double Uniform(std::mt19937_64* rng, double lo, double hi) {
+  return lo + (hi - lo) * (static_cast<double>((*rng)() >> 11) * 0x1.0p-53);
+}
+
+double GoldenValue(std::mt19937_64* rng) { return Uniform(rng, -50, 50); }
+
+Poly2<3> GoldenPoly(std::mt19937_64* rng) {
+  Poly2<3> p;
+  for (double& c : p.c) c = Uniform(rng, -50, 50);
+  return p;
+}
+
+template <class V>
+std::vector<PointEntry<V>> GoldenPoints(int dims, size_t n, uint64_t seed,
+                                        V (*value)(std::mt19937_64*)) {
+  std::mt19937_64 rng(seed);
+  std::vector<PointEntry<V>> out(n);
+  for (auto& e : out) {
+    for (int d = 0; d < dims; ++d) e.pt[d] = Uniform(&rng, 0, 1);
+    e.value = value(&rng);
+  }
+  return out;
+}
+
+std::vector<Point> GoldenProbes(int dims, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Point> out(256);
+  for (Point& q : out) {
+    for (int d = 0; d < dims; ++d) q[d] = Uniform(&rng, -0.05, 1.05);
+  }
+  return out;
+}
+
+template <class V>
+uint64_t AnswerHash(const std::vector<V>& outs) {
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  const auto* b = reinterpret_cast<const unsigned char*>(outs.data());
+  for (size_t i = 0; i < outs.size() * sizeof(V); ++i) {
+    h = (h ^ b[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <class V>
+uint64_t AggAnswerHash(uint32_t page_size, V (*value)(std::mt19937_64*)) {
+  MemPageFile file(page_size);
+  BufferPool pool(&file, 4096);
+  AggBTree<V> tree(&pool);
+  for (const auto& e : GoldenPoints(1, 4000, 11, value)) {
+    EXPECT_TRUE(tree.Insert(e.pt[0], e.value).ok());
+  }
+  std::vector<double> qs;
+  for (const Point& q : GoldenProbes(1, 12)) qs.push_back(q[0]);
+  std::vector<V> outs(qs.size());
+  EXPECT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), outs.data()).ok());
+  return AnswerHash(outs);
+}
+
+uint64_t EcdfAnswerHash(EcdfVariant variant) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  EcdfBTree<double> tree(&pool, 2, variant);
+  EXPECT_TRUE(tree.BulkLoad(GoldenPoints(2, 3000, 21, GoldenValue)).ok());
+  const std::vector<Point> qs = GoldenProbes(2, 22);
+  std::vector<double> outs(qs.size());
+  EXPECT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), outs.data()).ok());
+  return AnswerHash(outs);
+}
+
+TEST(AnswerBytesGolden, DominanceSumBatchAcrossBackends) {
+  EXPECT_EQ(AggAnswerHash<double>(1024, GoldenValue),
+            12852020753885447492ull);
+  EXPECT_EQ(AggAnswerHash<Poly2<3>>(4096, GoldenPoly),
+            13578442870351992703ull);
+  EXPECT_EQ(EcdfAnswerHash(EcdfVariant::kUpdateOptimized),
+            10694673443480146174ull);
+  EXPECT_EQ(EcdfAnswerHash(EcdfVariant::kQueryOptimized),
+            13416916073558171293ull);
+
+  const std::vector<Point> qs = GoldenProbes(2, 32);
+  MemPageFile file(4096);
+  BufferPool pool(&file, 8192);
+  PackedBaTree<double> bat(&pool, 2);
+  ASSERT_TRUE(bat.BulkLoad(GoldenPoints(2, 4000, 31, GoldenValue)).ok());
+  std::vector<double> outs(qs.size());
+  ASSERT_TRUE(bat.DominanceSumBatch(qs.data(), qs.size(), outs.data()).ok());
+  EXPECT_EQ(AnswerHash(outs), 16399359186431246274ull);
+
+  ReplicaBuilder<double> builder(&pool);
+  PageId root = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(bat, &root).ok());
+  CompactReplica<double> rep(&pool, 2, root);
+  ASSERT_TRUE(rep.Open().ok());
+  std::vector<double> rep_outs(qs.size());
+  ASSERT_TRUE(
+      rep.DominanceSumBatch(qs.data(), qs.size(), rep_outs.data()).ok());
+  EXPECT_EQ(AnswerHash(rep_outs), 16399359186431246274ull);
+
+  // Poly2 entries on small pages: borders spill to their own trees, and
+  // the probes must reach them.
+  MemPageFile pfile(2048);
+  BufferPool ppool(&pfile, 8192);
+  PackedBaTree<Poly2<3>> pbat(&ppool, 2);
+  ASSERT_TRUE(pbat.BulkLoad(GoldenPoints(2, 3000, 41, GoldenPoly)).ok());
+  obs::QueryObs qobs;
+  obs::InstallQueryObs(&qobs);
+  std::vector<Poly2<3>> pouts(qs.size());
+  const Status st = pbat.DominanceSumBatch(qs.data(), qs.size(), pouts.data());
+  obs::InstallQueryObs(nullptr);
+  ASSERT_TRUE(st.ok());
+  EXPECT_GT(qobs.Snapshot().border_probes, 0u);
+  EXPECT_EQ(AnswerHash(pouts), 6490693606695128676ull);
 }
 
 }  // namespace

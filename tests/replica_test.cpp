@@ -388,6 +388,76 @@ TEST(ReplicaTest, CheckConsistencyDetectsHeaderCorruption) {
   EXPECT_EQ(rep4.CheckConsistency(&ctx4).code(), Status::Code::kCorruption);
 }
 
+// Directory offsets under a valid meta crc: one past the data page fails
+// Open() from the metadata alone, before any data page is read; one inside
+// the page but past its payload opens, and CheckConsistency reports it.
+TEST(ReplicaTest, RejectsOutOfRangeDirectoryOffsets) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  PackedBaTree<double> live(&pool, 2);
+  ASSERT_TRUE(live.BulkLoad(MakeEntries(2, 500, false, 24)).ok());
+  ReplicaBuilder<double> builder(&pool);
+  PageId root = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(live, &root).ok());
+  PageGuard hdr;
+  ASSERT_TRUE(pool.Fetch(root, &hdr).ok());
+  const uint64_t meta_pages =
+      hdr.page()->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
+  const uint64_t data_pages =
+      hdr.page()->ReadAt<uint64_t>(replica::kHdrDataPageCount);
+  const PageId meta = hdr.page()->ReadAt<uint64_t>(replica::kHdrFirstMeta);
+  hdr.Release();
+  // The meta payload lists the data pages, then the directory.
+  const uint32_t dir0 =
+      replica::kMetaHeaderBytes + static_cast<uint32_t>(data_pages) * 8;
+  auto set_offset = [&](uint32_t off) {
+    PageGuard g;
+    ASSERT_TRUE(pool.Fetch(meta, &g).ok());
+    Page* p = g.page();
+    const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
+    ASSERT_LE(dir0 + 8, replica::kMetaHeaderBytes + len);
+    const uint64_t de = p->ReadAt<uint64_t>(dir0);
+    p->WriteAt<uint64_t>(dir0, (de & ~uint64_t{0xffffffff}) | off);
+    p->WriteAt<uint32_t>(
+        replica::kMetaCrc,
+        simd::Crc32c(p->data() + replica::kMetaHeaderBytes, len));
+    g.MarkDirty();
+  };
+
+  set_offset(0xfffff000u);
+  CompactReplica<double> rep(&pool, 2, root);
+  const uint64_t reads_before = pool.stats().logical_reads;
+  const Status open = rep.Open();
+  EXPECT_EQ(open.code(), Status::Code::kCorruption) << open.ToString();
+  EXPECT_EQ(pool.stats().logical_reads - reads_before, 1 + meta_pages);
+  CheckContext ctx;
+  EXPECT_EQ(rep.CheckConsistency(&ctx).code(), Status::Code::kCorruption);
+
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.Fetch(meta, &g).ok());
+    const uint32_t page_index =
+        static_cast<uint32_t>(g.page()->ReadAt<uint64_t>(dir0) >> 32);
+    PageGuard d;
+    ASSERT_TRUE(pool.Fetch(g.page()->ReadAt<uint64_t>(
+                               replica::kMetaHeaderBytes + page_index * 8),
+                           &d)
+                    .ok());
+    ASSERT_LT(replica::kDataHeaderBytes +
+                  d.page()->ReadAt<uint32_t>(replica::kDataPayloadLen),
+              1023u);  // the payload ends before the page's last byte
+  }
+  set_offset(1023);
+  CompactReplica<double> rep2(&pool, 2, root);
+  ASSERT_TRUE(rep2.Open().ok());
+  CheckContext ctx2;
+  const Status check = rep2.CheckConsistency(&ctx2);
+  EXPECT_EQ(check.code(), Status::Code::kCorruption);
+  EXPECT_NE(check.ToString().find("directory offset outside the payload"),
+            std::string::npos)
+      << check.ToString();
+}
+
 // A replica is opened before use: without Open() every query and the page
 // count refuse, and not one page is fetched.
 TEST(ReplicaTest, UnopenedReplicaRefusesAndReadsNoPage) {

@@ -44,6 +44,18 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
                   " frames, capacity " + std::to_string(s.capacity));
     }
 
+    // Each constructed frame's page borrows exactly its own arena slot:
+    // bytes anywhere else escape the arena's huge pages, or alias another
+    // frame's page.
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      const Page& page = s.slots[i].page;
+      if (page.data() != s.SlotBytes(i) || page.size() != file_->page_size()) {
+        return ShardCorruption(
+            si, "frame " + std::to_string(i) +
+                    "'s page bytes do not sit at its arena slot");
+      }
+    }
+
     // The frame table holds exactly the resident frames (every allocated
     // frame not on the free list carries a page), at load <= 1/2 so every
     // probe ends at an empty slot.

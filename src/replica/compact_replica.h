@@ -421,11 +421,21 @@ class CompactReplica {
   }
 
   // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
+  // A directory offset is bounded by the page size at load, and here by
+  // the fetched page's payload, so no descent decodes past the payload.
   Status FetchNode(const Cache& c, uint64_t ord, PageGuard* g,
                    const uint8_t** node) const {
     const uint64_t de = c.dir[ord];
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(c.data_pages[de >> 32], g));
-    *node = g->page()->data() + static_cast<uint32_t>(de);
+    const PageId pid = c.data_pages[de >> 32];
+    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, g));
+    const Page* p = g->page();
+    const uint32_t off = static_cast<uint32_t>(de);
+    if (off >= uint64_t{replica::kDataHeaderBytes} +
+                   p->ReadAt<uint32_t>(replica::kDataPayloadLen)) {
+      return CorruptionAt(pid, "compact-replica: node offset at or past "
+                               "the payload end");
+    }
+    *node = p->data() + off;
     return Status::OK();
   }
 
@@ -826,10 +836,6 @@ class CompactReplica {
       const uint8_t* end = g.page()->data() + replica::kDataHeaderBytes +
                            g.page()->ReadAt<uint32_t>(
                                replica::kDataPayloadLen);
-      if (p >= end) {
-        return CorruptionAt(pid, "compact-replica: node offset at or past "
-                                 "the payload end");
-      }
       kind = *p++;
       uint64_t n64 = 0;
       BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &n64));

@@ -8,8 +8,9 @@
 // Concurrency: the pool is sharded. Frames are partitioned into `shards`
 // independent sub-pools by a hash of the PageId; each shard has its own
 // mutex, frame table (storage/frame_table.h), frame array with an
-// index-linked LRU, and free list, so concurrent readers on different
-// shards never contend. With shards == 1 (the default) the pool performs
+// index-linked LRU, free list and frame arena (the page bytes, one
+// huge-page-advised mapping), so concurrent readers on different shards
+// never contend. With shards == 1 (the default) the pool performs
 // exactly the seed implementation's operation sequence — one LRU, one
 // eviction order — so single-threaded paper-fidelity I/O counts are
 // bit-identical. Fetch is safe from any number of threads; New/Delete
@@ -22,6 +23,7 @@
 
 #include <cassert>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/sync.h"
@@ -86,6 +88,13 @@ class BufferPool {
   [[nodiscard]] size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] size_t resident() const;
 
+  /// The frame arena of shard `shard`: every page the shard buffers lives
+  /// at a fixed, Page::kAlign-aligned slot inside this byte range.
+  [[nodiscard]] std::span<const uint8_t> FrameArena(size_t shard) const {
+    const Shard& s = *shards_[shard];
+    return {s.arena, s.capacity * s.slot_bytes};
+  }
+
   /// Number of frames with a non-zero pin count across all shards. Zero at
   /// every quiescent point — a non-zero value there is a leaked PageGuard.
   [[nodiscard]] size_t PinnedFrames() const;
@@ -94,7 +103,8 @@ class BufferPool {
   /// holds exactly the resident frames at load <= 1/2, its keys match frame
   /// ids, hash to the owning shard and are reachable from their home slots,
   /// LRU membership mirrors the in_lru flags and holds exactly the unpinned
-  /// resident frames, free frames carry no page, and no shard exceeds its
+  /// resident frames, free frames carry no page, every constructed frame's
+  /// page bytes sit at its own arena slot, and no shard exceeds its
   /// capacity. With
   /// ctx->expect_unpinned set, any pinned frame is reported as a leak.
   /// Implemented in src/check/storage_check.cc.
@@ -112,9 +122,9 @@ class BufferPool {
   static constexpr uint32_t kNoFrame = ~uint32_t{0};
 
   struct Frame {
-    Frame(uint32_t page_size, uint32_t shard_idx)
-        : page(page_size), shard(shard_idx) {}
-    Page page;
+    Frame(uint8_t* bytes, uint32_t page_size, uint32_t shard_idx)
+        : page(bytes, page_size), shard(shard_idx) {}
+    Page page;  // borrows the frame's slot of its shard's arena
     PageId id = kInvalidPageId;
     // Pin state: read and written only under the owning shard's mutex.
     int pin_count = 0;
@@ -129,10 +139,15 @@ class BufferPool {
   };
 
   struct Shard {
-    Shard(size_t capacity, uint32_t index);
+    Shard(size_t capacity, uint32_t index, uint32_t page_size);
     ~Shard();
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
+
+    /// Page bytes of frame `i`: its fixed slot in the arena.
+    [[nodiscard]] uint8_t* SlotBytes(uint32_t i) const {
+      return arena + i * slot_bytes;
+    }
 
     mutable sync::Mutex mu{"bufferpool.shard",
                            sync::lock_rank::kBufferPoolShard};
@@ -140,8 +155,7 @@ class BufferPool {
     // grown.
     FrameTable<Frame> frames GUARDED_BY(mu);
     // One contiguous array of `capacity` frame slots, allocated with the
-    // pool. Frames [0, allocated) are constructed, in order, on first use;
-    // only then is a frame's page buffer allocated.
+    // pool. Frames [0, allocated) are constructed, in order, on first use.
     Frame* const slots;
     uint32_t allocated GUARDED_BY(mu) = 0;
     // The exact LRU of the unpinned resident frames, linked through
@@ -152,6 +166,14 @@ class BufferPool {
     std::vector<Frame*> free_frames GUARDED_BY(mu);
     const size_t capacity;
     const uint32_t index;  // position in shards_, stamped into new Frames
+    // Stride between frames in the arena: the page size rounded up to
+    // Page::kAlign (equal to it for every power-of-two page size >= 64).
+    const size_t slot_bytes;
+    // The frame arena: one anonymous mapping of capacity * slot_bytes
+    // bytes, 2 MiB aligned and advised for transparent huge pages, so a
+    // warm pool's pages sit on few TLB entries. Reserved with the shard;
+    // a slot is faulted in the first time its frame is used.
+    uint8_t* const arena;
   };
 
   size_t ShardOf(PageId id) const {
@@ -166,6 +188,8 @@ class BufferPool {
 
   void Unpin(Frame* f, bool dirty);
   Status GetFreeFrame(Shard& s, Frame** out) REQUIRES(s.mu);
+  static Frame* PopFree(Shard& s) REQUIRES(s.mu);
+  static void PushFree(Shard& s, Frame* f) REQUIRES(s.mu);
   Status EvictOne(Shard& s) REQUIRES(s.mu);
   static void LinkHot(Shard& s, Frame* f) REQUIRES(s.mu);
   static void Unlink(Shard& s, Frame* f) REQUIRES(s.mu);

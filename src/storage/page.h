@@ -30,8 +30,12 @@ inline constexpr uint32_t kDefaultPageSize = 8192;
 /// trees lay out at fixed in-page offsets start on predictable cache-line
 /// boundaries and vector loads never straddle a line unnecessarily.
 ///
-/// Pages are owned by the BufferPool; index code receives Page* through
-/// PageGuard handles and must not retain the pointer past unpin.
+/// A Page either owns its buffer or, for a BufferPool frame, borrows a slot
+/// of the pool's frame arena. Either way its buffer never changes: a copy
+/// is always a new owning Page, and a moved-from Page keeps its bytes (a
+/// move is a copy), so a pool frame can be neither emptied nor aliased.
+/// Index code receives pool pages through PageGuard handles and must not
+/// retain the pointer past unpin.
 class Page {
  public:
   static constexpr size_t kAlign = 64;
@@ -44,35 +48,11 @@ class Page {
     std::memcpy(data_, o.data_, size_);
   }
 
-  Page(Page&& o) noexcept : size_(o.size_), data_(o.data_) {
-    o.size_ = 0;
-    o.data_ = nullptr;
-  }
+  Page& operator=(const Page&) = delete;
 
-  Page& operator=(const Page& o) {
-    if (this != &o) {
-      if (size_ != o.size_) {
-        Dealloc();
-        size_ = o.size_;
-        data_ = Alloc(size_);
-      }
-      std::memcpy(data_, o.data_, size_);
-    }
-    return *this;
+  ~Page() {
+    if (owned_) ::operator delete(data_, std::align_val_t{kAlign});
   }
-
-  Page& operator=(Page&& o) noexcept {
-    if (this != &o) {
-      Dealloc();
-      size_ = o.size_;
-      data_ = o.data_;
-      o.size_ = 0;
-      o.data_ = nullptr;
-    }
-    return *this;
-  }
-
-  ~Page() { Dealloc(); }
 
   [[nodiscard]] uint32_t size() const { return size_; }
   uint8_t* data() { return data_; }
@@ -109,14 +89,20 @@ class Page {
   void Zero() { std::memset(data_, 0, size_); }
 
  private:
+  friend class BufferPool;
+
+  // Borrowed storage: `size` bytes at `data` that outlive the Page and are
+  // not freed by it. Only BufferPool builds these, over its frame arena.
+  Page(uint8_t* data, uint32_t size) : size_(size), owned_(false), data_(data) {
+    assert(reinterpret_cast<uintptr_t>(data) % kAlign == 0);
+  }
+
   static uint8_t* Alloc(uint32_t n) {
     return static_cast<uint8_t*>(::operator new(n, std::align_val_t{kAlign}));
   }
-  void Dealloc() {
-    if (data_ != nullptr) ::operator delete(data_, std::align_val_t{kAlign});
-  }
 
   uint32_t size_;
+  bool owned_ = true;
   uint8_t* data_;
 };
 

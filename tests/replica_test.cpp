@@ -456,6 +456,11 @@ TEST(ReplicaTest, RejectsOutOfRangeDirectoryOffsets) {
   EXPECT_NE(check.ToString().find("directory offset outside the payload"),
             std::string::npos)
       << check.ToString();
+  // The offset opens, but a query through it stops at the fetched page's
+  // payload end instead of decoding past it.
+  double out = 0;
+  const Status query = rep2.DominanceSum(Point(0.5, 0.5), &out);
+  EXPECT_EQ(query.code(), Status::Code::kCorruption) << query.ToString();
 }
 
 // A replica is opened before use: without Open() every query and the page

@@ -3,15 +3,21 @@
 // the allocation-free miss path (linked with alloc_count.cpp).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <list>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "alloc_count.h"
@@ -313,6 +319,141 @@ TEST_F(BufferPoolTest, MovedGuardTransfersPin) {
   // After release the page is evictable; Delete must succeed.
   EXPECT_TRUE(pool_.Delete(id).ok());
 }
+
+// --- The frame arena: every shard's page bytes live in one mapping -------
+
+TEST_F(BufferPoolTest, ArenaFramesAreAlignedInsideTheirShardAndDisjoint) {
+  for (const uint32_t page_size : {512u, 1000u, 4096u}) {
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("page size " + std::to_string(page_size) + ", shards " +
+                   std::to_string(shards));
+      MemPageFile file(page_size);
+      BufferPool pool(&file, /*capacity=*/256, shards);
+      // 100 pages stay pinned at once: far below any shard's 64 frames, so
+      // all of them are resident together and none shares a frame.
+      std::vector<PageGuard> guards(100);
+      for (PageGuard& g : guards) ASSERT_TRUE(pool.New(&g).ok());
+      std::vector<std::pair<uintptr_t, uintptr_t>> spans;
+      for (const PageGuard& g : guards) {
+        const uint8_t* bytes = g.page()->data();
+        const auto at = reinterpret_cast<uintptr_t>(bytes);
+        EXPECT_EQ(at % Page::kAlign, 0u);
+        ASSERT_EQ(g.page()->size(), page_size);
+        size_t homes = 0;
+        for (size_t s = 0; s < pool.shard_count(); ++s) {
+          const std::span<const uint8_t> arena = pool.FrameArena(s);
+          if (bytes >= arena.data() &&
+              bytes + page_size <= arena.data() + arena.size()) {
+            ++homes;
+            EXPECT_EQ(static_cast<size_t>(bytes - arena.data()) % Page::kAlign, 0u);
+          }
+        }
+        EXPECT_EQ(homes, 1u) << "page " << g.id();
+        spans.emplace_back(at, at + page_size);
+      }
+      std::sort(spans.begin(), spans.end());
+      for (size_t i = 1; i < spans.size(); ++i) {
+        EXPECT_LE(spans[i - 1].second, spans[i].first) << "frames overlap";
+      }
+      const Status audit = pool.CheckConsistency();
+      EXPECT_TRUE(audit.ok()) << audit.ToString();
+    }
+  }
+}
+
+TEST_F(BufferPoolTest, ArenaIsAdvisedForHugePages) {
+  // Probe whether this kernel takes the advice at all.
+  constexpr size_t kProbe = size_t{2} << 20;
+  void* probe = mmap(nullptr, kProbe, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(probe, MAP_FAILED);
+  const bool advised = madvise(probe, kProbe, MADV_HUGEPAGE) == 0;
+  munmap(probe, kProbe);
+  if (!advised) GTEST_SKIP() << "the kernel rejects MADV_HUGEPAGE";
+
+  MemPageFile file(8192);
+  BufferPool pool(&file, /*capacity=*/512);
+  PageGuard g;
+  ASSERT_TRUE(pool.New(&g).ok());
+  const auto base = reinterpret_cast<uintptr_t>(pool.FrameArena(0).data());
+  EXPECT_EQ(base % (uintptr_t{2} << 20), 0u) << "arena not 2 MiB aligned";
+
+  std::ifstream smaps("/proc/self/smaps");
+  if (!smaps) GTEST_SKIP() << "no /proc/self/smaps";
+  std::string line;
+  bool in_arena = false;
+  std::string flags;
+  while (std::getline(smaps, line)) {
+    uintptr_t lo = 0;
+    uintptr_t hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      in_arena = lo <= base && base < hi;  // a mapping's header line
+    } else if (in_arena && line.rfind("VmFlags:", 0) == 0) {
+      flags = line;
+      break;
+    }
+  }
+  ASSERT_FALSE(flags.empty()) << "arena mapping not found in smaps";
+  EXPECT_NE((flags + " ").find(" hg "), std::string::npos) << flags;
+}
+
+TEST_F(BufferPoolTest, ArenaCopiedPageOutlivesReset) {
+  PageGuard g;
+  ASSERT_TRUE(pool_.New(&g).ok());
+  for (uint32_t off = 0; off < 4096; off += 8) {
+    g.page()->WriteAt<uint64_t>(off, off * 7 + 1);
+  }
+  g.MarkDirty();
+  const Page copy = *g.page();  // an owning Page, off the arena
+  const Page moved = std::move(*g.page());  // a move copies too
+  EXPECT_NE(copy.data(), g.page()->data());
+  EXPECT_NE(moved.data(), g.page()->data());
+  EXPECT_EQ(g.page()->ReadAt<uint64_t>(8), 57u);  // the frame kept its bytes
+  g.Release();
+  ASSERT_TRUE(pool_.Reset().ok());
+  EXPECT_EQ(pool_.resident(), 0u);
+  for (uint32_t off = 0; off < 4096; off += 8) {
+    ASSERT_EQ(copy.ReadAt<uint64_t>(off), off * 7 + 1) << off;
+    ASSERT_EQ(moved.ReadAt<uint64_t>(off), off * 7 + 1) << off;
+  }
+}
+
+TEST_F(BufferPoolTest, ArenaCheckReportsFrameOutsideItsSlot) {
+  PageGuard g;
+  ASSERT_TRUE(pool_.New(&g).ok());
+  ASSERT_TRUE(pool_.CheckConsistency().ok());
+  // A stray write replaces the frame's Page with one that owns heap bytes.
+  // The frame's destructor frees them with the pool.
+  Page* page = g.page();
+  page->~Page();
+  new (page) Page(4096);
+  const Status audit = pool_.CheckConsistency();
+  EXPECT_EQ(audit.code(), Status::Code::kCorruption);
+  EXPECT_NE(audit.ToString().find("arena slot"), std::string::npos)
+      << audit.ToString();
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Arena slots carry no heap redzones; the pool poisons a slot while its
+// frame is free instead, so a page pointer kept past Delete still aborts.
+TEST_F(BufferPoolTest, ArenaReadPastDeleteAbortsUnderAsan) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PageGuard g;
+  ASSERT_TRUE(pool_.New(&g).ok());
+  const PageId id = g.id();
+  const volatile uint8_t* stale = g.page()->data();
+  g.Release();
+  ASSERT_TRUE(pool_.Delete(id).ok());
+  EXPECT_DEATH(
+      {
+        const uint8_t byte = stale[16];
+        (void)byte;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(BufferPoolSizing, CapacityForMegabytesMatchesPaperSetup) {
   // Paper setup: 8KB pages, 10MB buffer -> 1280 resident pages.

@@ -231,6 +231,15 @@ class AggBTree {
       return WriteLeaf(leaf_target_);
     }
 
+    /// Entries for the next node when `remaining` are left: a full node,
+    /// or one fewer when a full one would leave a single entry behind. The
+    /// B+-tree tail rule of every bulk load (EcdfBTree's too).
+    static size_t Take(size_t remaining, uint32_t target) {
+      size_t take = std::min<size_t>(target, remaining);
+      if (remaining - take == 1 && take > 2) take -= 1;
+      return take;
+    }
+
     /// Writes what is held and the internal levels. *root is the new
     /// tree's root, or kInvalidPageId when nothing was added.
     Status Finish(PageId* root) {
@@ -274,14 +283,6 @@ class AggBTree {
 
     static Status TooSmall() {
       return Status::InvalidArgument("page size too small for value type");
-    }
-
-    /// Entries for the next node when `remaining` are left: a full node,
-    /// or one fewer when a full one would leave a single entry behind.
-    static size_t Take(size_t remaining, uint32_t target) {
-      size_t take = std::min<size_t>(target, remaining);
-      if (remaining - take == 1 && take > 2) take -= 1;
-      return take;
     }
 
     /// Writes the first `take` held entries into a new (zeroed) leaf.

@@ -31,8 +31,6 @@
 //     Acquisition edges (held-top -> acquired, by name) also feed a global
 //     graph with cycle detection, which catches orders that are locally
 //     rank-consistent but globally cyclic if ranks are ever aliased.
-//     Successful try-locks are recorded but not order-checked: a try-lock
-//     never blocks, so it cannot participate in a deadlock cycle.
 //
 // Waiting on a CondVar releases and re-acquires the mutex, and the
 // registry mirrors that (the lock leaves the held stack for the duration
@@ -63,16 +61,10 @@
 #define CAPABILITY(x) BOXAGG_TS_ATTR(capability(x))
 #define SCOPED_CAPABILITY BOXAGG_TS_ATTR(scoped_lockable)
 #define GUARDED_BY(x) BOXAGG_TS_ATTR(guarded_by(x))
-#define PT_GUARDED_BY(x) BOXAGG_TS_ATTR(pt_guarded_by(x))
-#define ACQUIRED_BEFORE(...) BOXAGG_TS_ATTR(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) BOXAGG_TS_ATTR(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) BOXAGG_TS_ATTR(requires_capability(__VA_ARGS__))
 #define ACQUIRE(...) BOXAGG_TS_ATTR(acquire_capability(__VA_ARGS__))
 #define RELEASE(...) BOXAGG_TS_ATTR(release_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) BOXAGG_TS_ATTR(try_acquire_capability(__VA_ARGS__))
 #define EXCLUDES(...) BOXAGG_TS_ATTR(locks_excluded(__VA_ARGS__))
-#define ASSERT_CAPABILITY(x) BOXAGG_TS_ATTR(assert_capability(x))
-#define RETURN_CAPABILITY(x) BOXAGG_TS_ATTR(lock_returned(x))
 #define NO_THREAD_SAFETY_ANALYSIS BOXAGG_TS_ATTR(no_thread_safety_analysis)
 
 // ---------------------------------------------------------------------------
@@ -121,14 +113,6 @@ class LockOrderRegistry {
   /// the underlying lock() so an inversion aborts instead of deadlocking.
   static void OnAcquire(const void* lock, const char* name, uint32_t rank) {
     Check(lock, name, rank);
-    Push(lock, name, rank);
-  }
-
-  /// Held-stack push for a SUCCESSFUL try-lock: never order-checked (a
-  /// non-blocking acquisition cannot deadlock) but still tracked so later
-  /// blocking acquisitions compare against it.
-  static void OnTryAcquire(const void* lock, const char* name,
-                           uint32_t rank) {
     Push(lock, name, rank);
   }
 
@@ -257,13 +241,10 @@ class LockOrderRegistry {
 #if BOXAGG_LOCK_ORDER_CHECKS
 #define BOXAGG_LOCK_ORDER_ON_ACQUIRE(lock, name, rank) \
   ::boxagg::sync::LockOrderRegistry::OnAcquire(lock, name, rank)
-#define BOXAGG_LOCK_ORDER_ON_TRY(lock, name, rank) \
-  ::boxagg::sync::LockOrderRegistry::OnTryAcquire(lock, name, rank)
 #define BOXAGG_LOCK_ORDER_ON_RELEASE(lock) \
   ::boxagg::sync::LockOrderRegistry::OnRelease(lock)
 #else
 #define BOXAGG_LOCK_ORDER_ON_ACQUIRE(lock, name, rank) ((void)0)
-#define BOXAGG_LOCK_ORDER_ON_TRY(lock, name, rank) ((void)0)
 #define BOXAGG_LOCK_ORDER_ON_RELEASE(lock) ((void)0)
 #endif
 
@@ -291,12 +272,6 @@ class CAPABILITY("mutex") Mutex {
     mu_.unlock();
   }
 
-  bool TryLock() TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    BOXAGG_LOCK_ORDER_ON_TRY(this, DebugName(), DebugRank());
-    return true;
-  }
-
  private:
   friend class CondVar;
 
@@ -312,19 +287,10 @@ class CAPABILITY("mutex") Mutex {
 // RAII scopes
 // ---------------------------------------------------------------------------
 
-/// Tag for MutexLock's lock-adopting constructor.
-struct AdoptLockT {};
-inline constexpr AdoptLockT kAdoptLock{};
-
 /// \brief RAII exclusive lock on a Mutex (the project's std::lock_guard).
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
-
-  /// Adopts a mutex the caller already holds (e.g. acquired through
-  /// TryLock or an ACQUIRE-annotated helper); the scope releases it on
-  /// destruction.
-  MutexLock(Mutex* mu, AdoptLockT) REQUIRES(mu) : mu_(mu) {}
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;

@@ -295,11 +295,8 @@ class EcdfBTree {
     const uint32_t leaf_cap = LeafCapacity(page_size);
     size_t i = 0;
     while (i < entries.size()) {
-      size_t take = std::min<size_t>(leaf_cap, entries.size() - i);
-      if (entries.size() - i - take > 0 && entries.size() - i - take < 2 &&
-          take > 2) {
-        take -= 1;
-      }
+      const size_t take =
+          AggBTree<V>::Loader::Take(entries.size() - i, leaf_cap);
       PageGuard g;
       BOXAGG_RETURN_NOT_OK(pool_->New(&g));
       SetHeader(g.page(), kLeaf, static_cast<uint32_t>(take));
@@ -319,11 +316,8 @@ class EcdfBTree {
       std::vector<Up> next;
       size_t j = 0;
       while (j < level.size()) {
-        size_t take = std::min<size_t>(int_cap, level.size() - j);
-        if (level.size() - j - take > 0 && level.size() - j - take < 2 &&
-            take > 2) {
-          take -= 1;
-        }
+        const size_t take =
+            AggBTree<V>::Loader::Take(level.size() - j, int_cap);
         PageGuard g;
         BOXAGG_RETURN_NOT_OK(pool_->New(&g));
         SetHeader(g.page(), kInternal, static_cast<uint32_t>(take));

@@ -24,6 +24,12 @@
 // obs::NoteNodeVisit — the replica keeps boxagg_stats' attribution
 // identity sum(node_visits) == logical_reads intact. Batched descents note
 // saved probe fetches exactly like the live trees.
+//
+// One node reader: queries and CheckConsistency decode nodes through the
+// same bounded NodeReader, so a malformed node (a strip wider than 8
+// bytes, a dictionary token past its dictionary, a read past the payload,
+// an entry count beyond the page, a child or spill ordinal outside
+// (node, node_count)) fails a query with the same Corruption fsck reports.
 
 #ifndef BOXAGG_REPLICA_COMPACT_REPLICA_H_
 #define BOXAGG_REPLICA_COMPACT_REPLICA_H_
@@ -164,12 +170,12 @@ class CompactReplica {
 
   /// Deep structural audit, fresh from the pages rather than the cache
   /// Open() keeps: the loader's header/meta/dictionary/directory checks,
-  /// the data-page crc envelopes, a full strict re-decode of every node,
-  /// breadth-first reachability of exactly node_count ordinals, aggregate
-  /// subtree identities (within kAggDriftTolerance — replica sums are the
-  /// source's, re-derived sums are a different addition order), EXACT
-  /// equality of the re-counted entries against the header's entry_count,
-  /// and the self-oracle over the freshly loaded metadata.
+  /// the data-page crc envelopes, a full decode of every node through the
+  /// queries' NodeReader, reachability of exactly node_count ordinals,
+  /// aggregate subtree identities (within kAggDriftTolerance — replica
+  /// sums are the source's, re-derived sums are a different addition
+  /// order), EXACT equality of the re-counted entries against the header's
+  /// entry_count, and the self-oracle over the freshly loaded metadata.
   Status CheckConsistency(CheckContext* ctx) const {
     if (root_ == kInvalidPageId) return Status::OK();
     Cache c;
@@ -220,8 +226,8 @@ class CompactReplica {
                             "payload");
       }
     }
-    // Structural walk: strict re-decode from ordinal 0, each ordinal
-    // reached exactly once, subtree aggregates re-derived, entries counted.
+    // Structural walk: full decode from ordinal 0, each ordinal reached
+    // exactly once, subtree aggregates re-derived, entries counted.
     if (c.node_count == 0) {
       if (c.entry_count != 0) {
         return CorruptionAt(root_, "compact-replica: empty replica with a "
@@ -420,76 +426,215 @@ class CompactReplica {
     return Status::OK();
   }
 
-  // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
-  // A directory offset is bounded by the page size at load, and here by
-  // the fetched page's payload, so no descent decodes past the payload.
-  Status FetchNode(const Cache& c, uint64_t ord, PageGuard* g,
-                   const uint8_t** node) const {
-    const uint64_t de = c.dir[ord];
-    const PageId pid = c.data_pages[de >> 32];
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, g));
-    const Page* p = g->page();
-    const uint32_t off = static_cast<uint32_t>(de);
-    if (off >= uint64_t{replica::kDataHeaderBytes} +
-                   p->ReadAt<uint32_t>(replica::kDataPayloadLen)) {
-      return CorruptionAt(pid, "compact-replica: node offset at or past "
-                               "the payload end");
+  // LINT:hot-path — replica node reader and descent: no heap allocation past
+  // warm-up (lint.sh)
+
+  /// The replica's one node reader, used by the query descent and by
+  /// CheckConsistency alike: a cursor over one node's bytes that bounds
+  /// every read by its data page's payload end. Strips are at most 8 bytes
+  /// wide, dictionary tokens index their dictionary, entry counts fit the
+  /// page, and every child or spill ordinal lies in (ord, node_count) — the
+  /// BFS order ReplicaBuilder writes, under which every descent ends. A
+  /// violation is a Corruption naming the data page. Token scratch comes
+  /// from the caller; the reader allocates nothing.
+  class NodeReader {
+   public:
+    NodeReader(const Cache& c, uint64_t ord) : c_(c), ord_(ord) {}
+
+    /// Pins the node's data page into *g and reads its kind and entry
+    /// count. Leaves may be drained (count 0) by the source tree's forced
+    /// splits; internal nodes never are.
+    Status Open(BufferPool* pool, PageGuard* g) {
+      const uint64_t de = c_.dir[ord_];
+      pid_ = c_.data_pages[de >> 32];
+      BOXAGG_RETURN_NOT_OK(pool->Fetch(pid_, g));
+      const Page* page = g->page();
+      const uint64_t payload_end =
+          uint64_t{replica::kDataHeaderBytes} +
+          page->ReadAt<uint32_t>(replica::kDataPayloadLen);
+      if (payload_end > page->size()) {
+        return CorruptionAt(pid_, "compact-replica: data payload overruns "
+                                  "the page");
+      }
+      if (static_cast<uint32_t>(de) >= payload_end) {
+        return CorruptionAt(pid_, "compact-replica: node offset at or past "
+                                  "the payload end");
+      }
+      p_ = page->data() + static_cast<uint32_t>(de);
+      end_ = page->data() + payload_end;
+      page_size_ = page->size();
+      kind_ = *p_++;
+      uint64_t n = 0;
+      BOXAGG_RETURN_NOT_OK(Varint(&n));
+      const bool leaf =
+          kind_ == replica::kNodeBaLeaf || kind_ == replica::kNodeAggLeaf;
+      if (!leaf && kind_ != replica::kNodeBaInternal &&
+          kind_ != replica::kNodeAggInternal) {
+        return CorruptionAt(pid_, "compact-replica: unknown node kind");
+      }
+      if ((n == 0 && !leaf) || n > page_size_) {
+        return CorruptionAt(pid_, "compact-replica: node entry count out "
+                                  "of range");
+      }
+      n_ = static_cast<uint32_t>(n);
+      return Status::OK();
     }
-    *node = p->data() + off;
-    return Status::OK();
-  }
 
-  PageId PageOf(const Cache& c, uint64_t ord) const {
-    return c.data_pages[c.dir[ord] >> 32];
-  }
+    [[nodiscard]] PageId pid() const { return pid_; }
+    [[nodiscard]] uint8_t kind() const { return kind_; }
+    [[nodiscard]] uint32_t count() const { return n_; }
+    [[nodiscard]] bool internal() const {
+      return kind_ == replica::kNodeBaInternal ||
+             kind_ == replica::kNodeAggInternal;
+    }
 
-  /// Decodes `dims` per-dimension coordinate strips at *p into pts[0..n).
-  void DecodePointColumns(const Cache& c, const uint8_t** p, uint32_t n,
-                          int dims, uint64_t* tok, Point* pts) const {
-    for (int d = 0; d < dims; ++d) {
-      const replica::StripRef s = replica::ParseStrip(p, n);
-      replica::DecodeStripU64(s, n, tok);
-      if ((s.header & replica::kStripDictBit) != 0) {
-        for (uint32_t i = 0; i < n; ++i) pts[i][d] = c.key_dict[tok[i]];
+    /// Reads an internal node's first child; its count() consecutive
+    /// children must all lie in (ord, node_count).
+    Status FirstChild(uint64_t* out) { return Ordinal(n_, out); }
+
+    /// Decodes the next strip's `m` keys, passing each as put(i, key).
+    template <class Put>
+    Status Keys(uint32_t m, uint64_t* tok, Put put) {
+      bool dict = false;
+      BOXAGG_RETURN_NOT_OK(Tokens(m, m, c_.key_dict.size(), tok, &dict));
+      if (dict) {
+        for (uint32_t i = 0; i < m; ++i) put(i, c_.key_dict[tok[i]]);
       } else {
-        for (uint32_t i = 0; i < n; ++i) {
-          pts[i][d] = replica::UnmapDouble(tok[i]);
+        for (uint32_t i = 0; i < m; ++i) put(i, replica::UnmapDouble(tok[i]));
+      }
+      return Status::OK();
+    }
+
+    /// Decodes `dims` coordinate strips into pts[0..m).
+    Status Points(uint32_t m, int dims, uint64_t* tok, Point* pts) {
+      for (int d = 0; d < dims; ++d) {
+        BOXAGG_RETURN_NOT_OK(
+            Keys(m, tok, [pts, d](uint32_t i, double k) { pts[i][d] = k; }));
+      }
+      return Status::OK();
+    }
+
+    /// Decodes 2*dims box-corner strips (lo columns, then hi columns).
+    Status Boxes(uint32_t m, int dims, uint64_t* tok, Box* boxes) {
+      for (int d = 0; d < dims; ++d) {
+        BOXAGG_RETURN_NOT_OK(Keys(
+            m, tok, [boxes, d](uint32_t i, double k) { boxes[i].lo[d] = k; }));
+      }
+      for (int d = 0; d < dims; ++d) {
+        BOXAGG_RETURN_NOT_OK(Keys(
+            m, tok, [boxes, d](uint32_t i, double k) { boxes[i].hi[d] = k; }));
+      }
+      return Status::OK();
+    }
+
+    /// Decodes the first `take` values of the next strip (stored count m).
+    Status Values(uint32_t m, uint32_t take, uint64_t* tok, V* out) {
+      bool dict = false;
+      BOXAGG_RETURN_NOT_OK(Tokens(m, take, c_.val_dict.size(), tok, &dict));
+      if (dict) {
+        for (uint32_t i = 0; i < take; ++i) {
+          out[i] = std::bit_cast<V>(c_.val_dict[tok[i]]);
+        }
+      } else {
+        for (uint32_t i = 0; i < take; ++i) {
+          out[i] = std::bit_cast<V>(replica::UnmapOrderedBits(tok[i]));
         }
       }
+      return Status::OK();
     }
-  }
 
-  /// Decodes the first `take` values of the strip at *p (stored count n).
-  void DecodeValueStrip(const Cache& c, const uint8_t** p, uint32_t n,
-                        uint32_t take, uint64_t* tok, V* out) const {
-    const replica::StripRef s = replica::ParseStrip(p, n);
-    replica::DecodeStripU64(s, take, tok);
-    if ((s.header & replica::kStripDictBit) != 0) {
-      for (uint32_t i = 0; i < take; ++i) {
-        out[i] = std::bit_cast<V>(c.val_dict[tok[i]]);
+    /// Reads one border section's tag and its argument: a spilled border
+    /// tree's ordinal, or an inline border's entry count (at least 1, at
+    /// most the page size), whose dims - 1 coordinate strips and value
+    /// strip follow.
+    Status Border(uint8_t* tag, uint64_t* arg) {
+      if (p_ >= end_) {
+        return CorruptionAt(pid_, "compact-replica: border section overruns "
+                                  "the node");
       }
-    } else {
-      for (uint32_t i = 0; i < take; ++i) {
-        out[i] = std::bit_cast<V>(replica::UnmapOrderedBits(tok[i]));
+      *tag = *p_++;
+      if (*tag == replica::kBorderEmpty) return Status::OK();
+      if (*tag == replica::kBorderSpill) return Ordinal(1, arg);
+      if (*tag != replica::kBorderInline) {
+        return CorruptionAt(pid_, "compact-replica: unknown border tag");
       }
+      BOXAGG_RETURN_NOT_OK(Varint(arg));
+      if (*arg == 0 || *arg > page_size_) {
+        return CorruptionAt(pid_, "compact-replica: inline border count out "
+                                  "of range");
+      }
+      return Status::OK();
     }
-  }
 
-  /// Advances *p past one record's border sections without decoding.
-  static void SkipBorderSection(const uint8_t** p, int dims) {
-    for (int b = 0; b < dims; ++b) {
-      const uint8_t tag = *(*p)++;
-      if (tag == replica::kBorderEmpty) continue;
-      if (tag == replica::kBorderInline) {
-        const uint32_t cnt =
-            static_cast<uint32_t>(replica::ReadVarint(p));
-        for (int d = 0; d < dims - 1; ++d) replica::SkipStrip(p, cnt);
-        replica::SkipStrip(p, cnt);
-      } else {
-        replica::ReadVarint(p);
+    /// Advances past one record's `dims` border sections without decoding
+    /// their strips.
+    Status SkipBorders(int dims) {
+      for (int b = 0; b < dims; ++b) {
+        uint8_t tag = 0;
+        uint64_t cnt = 0;
+        BOXAGG_RETURN_NOT_OK(Border(&tag, &cnt));
+        if (tag != replica::kBorderInline) continue;
+        for (int s = 0; s < dims; ++s) {  // dims - 1 coordinates, 1 value
+          replica::StripRef strip;
+          BOXAGG_RETURN_NOT_OK(Strip(static_cast<uint32_t>(cnt), &strip));
+        }
       }
+      return Status::OK();
     }
-  }
+
+   private:
+    Status Varint(uint64_t* out) {
+      if (replica::ReadVarint(&p_, end_, out)) return Status::OK();
+      return CorruptionAt(pid_, "compact-replica: varint overruns the node");
+    }
+
+    /// Reads an ordinal whose `span` consecutive ordinals must all lie in
+    /// (ord, node_count).
+    Status Ordinal(uint64_t span, uint64_t* out) {
+      BOXAGG_RETURN_NOT_OK(Varint(out));
+      if (*out <= ord_ || *out >= c_.node_count ||
+          span > c_.node_count - *out) {
+        return CorruptionAt(pid_, "compact-replica: child or spill ordinal "
+                                  "outside (node, node_count)");
+      }
+      return Status::OK();
+    }
+
+    /// Parses the next strip (stored count m) without decoding it.
+    Status Strip(uint32_t m, replica::StripRef* s) {
+      if (replica::ParseStrip(&p_, end_, m, s)) return Status::OK();
+      return CorruptionAt(pid_, "compact-replica: strip wider than 8 bytes "
+                                "or past the payload end");
+    }
+
+    /// Parses the next strip (stored count m), decodes its first `take`
+    /// tokens and, for a dictionary strip, checks each against dict_size.
+    Status Tokens(uint32_t m, uint32_t take, size_t dict_size, uint64_t* tok,
+                  bool* dict) {
+      replica::StripRef s;
+      BOXAGG_RETURN_NOT_OK(Strip(m, &s));
+      replica::DecodeStripU64(s, take, tok);
+      *dict = (s.header & replica::kStripDictBit) != 0;
+      if (*dict && take > 0) {
+        uint64_t top = 0;  // a max reduction vectorizes; an early exit not
+        for (uint32_t i = 0; i < take; ++i) top = std::max(top, tok[i]);
+        if (top >= dict_size) {
+          return CorruptionAt(pid_, "compact-replica: dictionary token out "
+                                    "of range");
+        }
+      }
+      return Status::OK();
+    }
+
+    const Cache& c_;
+    const uint64_t ord_;
+    PageId pid_ = kInvalidPageId;
+    const uint8_t* p_ = nullptr;
+    const uint8_t* end_ = nullptr;
+    uint32_t page_size_ = 0;
+    uint8_t kind_ = 0;
+    uint32_t n_ = 0;
+  };
 
   /// Sorts already clamped probes lexicographically (tie: original index)
   /// and runs the batched descent from node `ord`; `outs` must be zero. The
@@ -535,30 +680,25 @@ class CompactReplica {
       size_t n_groups = 0;
       {
         PageGuard g;
-        const uint8_t* p = nullptr;
-        BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
+        NodeReader rd(c, ord);
+        BOXAGG_RETURN_NOT_OK(rd.Open(pool_, &g));
         obs::NoteNodeVisit(level);
         if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-        const uint8_t kind = *p++;
-        const uint32_t n = static_cast<uint32_t>(replica::ReadVarint(&p));
+        const uint8_t kind = rd.kind();
+        const uint32_t n = rd.count();
         if (n == 0) return Status::OK();  // drained leaf: nothing follows
+        uint64_t first_child = 0;
+        if (rd.internal()) BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
         core::ArenaVector<uint64_t> tok(n,
                                         core::ArenaAllocator<uint64_t>(&arena));
         groups = core::ScratchArray(arena, std::min<size_t>(n, m), &one);
         const bool leaf = kind == replica::kNodeAggLeaf;
         if (leaf || kind == replica::kNodeAggInternal) {
-          const uint64_t first_child = leaf ? 0 : replica::ReadVarint(&p);
           core::ArenaVector<double> keys(n,
                                          core::ArenaAllocator<double>(&arena));
-          const replica::StripRef ks = replica::ParseStrip(&p, n);
-          replica::DecodeStripU64(ks, n, tok.data());
-          if ((ks.header & replica::kStripDictBit) != 0) {
-            for (uint32_t i = 0; i < n; ++i) keys[i] = c.key_dict[tok[i]];
-          } else {
-            for (uint32_t i = 0; i < n; ++i) {
-              keys[i] = replica::UnmapDouble(tok[i]);
-            }
-          }
+          double* kd = keys.data();
+          BOXAGG_RETURN_NOT_OK(rd.Keys(
+              n, tok.data(), [kd](uint32_t i, double k) { kd[i] = k; }));
           // A leaf probe adds values [0, cut); an internal probe adds the
           // subtree sums [0, route) and goes to child `route` (lowkey 0
           // acts as -infinity).
@@ -566,13 +706,12 @@ class CompactReplica {
           uint32_t* cuts = core::ScratchArray(arena, m, &one_cut);
           uint32_t take = 0;
           for (size_t j = 0; j < m; ++j) {
-            cuts[j] = leaf ? simd::FirstGreater(keys.data(), n, qs[idx[j]][0])
-                           : simd::FirstGreater(keys.data() + 1, n - 1,
-                                                qs[idx[j]][0]);
+            cuts[j] = leaf ? simd::FirstGreater(kd, n, qs[idx[j]][0])
+                           : simd::FirstGreater(kd + 1, n - 1, qs[idx[j]][0]);
             take = std::max(take, cuts[j]);
           }
           core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(&arena));
-          DecodeValueStrip(c, &p, n, take, tok.data(), vals.data());
+          BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok.data(), vals.data()));
           const auto* vb = reinterpret_cast<const uint8_t*>(vals.data());
           for (size_t j = 0; j < m; ++j) {
             ValueOps<V>::AddStrided(&outs[idx[j]], vb, cuts[j], sizeof(V));
@@ -587,9 +726,9 @@ class CompactReplica {
           }
         } else if (kind == replica::kNodeBaLeaf) {
           core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(&arena));
-          DecodePointColumns(c, &p, n, dims, tok.data(), pts.data());
+          BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
           core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(&arena));
-          DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
+          BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), vals.data()));
           for (size_t j = 0; j < m; ++j) {
             const Point& q = qs[idx[j]];
             V& out = outs[idx[j]];
@@ -599,11 +738,10 @@ class CompactReplica {
           }
           return Status::OK();
         } else {  // kNodeBaInternal
-          const uint64_t first_child = replica::ReadVarint(&p);
           core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(&arena));
-          DecodeBoxColumns(c, &p, n, dims, tok.data(), boxes.data());
+          BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
           core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(&arena));
-          DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
+          BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), subs.data()));
           size_t assigned = 0;  // idx[0, assigned) have their record
           for (uint32_t i = 0; i < n && assigned < m; ++i) {
             const size_t begin = assigned;
@@ -613,7 +751,7 @@ class CompactReplica {
               }
             }
             if (assigned == begin) {
-              SkipBorderSection(&p, dims);
+              BOXAGG_RETURN_NOT_OK(rd.SkipBorders(dims));
               continue;
             }
             Group& gr = groups[n_groups++];
@@ -623,24 +761,26 @@ class CompactReplica {
             gr.spills = 0;
             for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += subs[i];
             for (int b = 0; b < dims; ++b) {
-              const uint8_t tag = *p++;
+              uint8_t tag = 0;
+              uint64_t arg = 0;
+              BOXAGG_RETURN_NOT_OK(rd.Border(&tag, &arg));
               if (tag == replica::kBorderEmpty) continue;
-              if (tag != replica::kBorderInline) {
+              if (tag == replica::kBorderSpill) {
                 gr.spill_dims[gr.spills] = b;
-                gr.spill_ords[gr.spills++] = replica::ReadVarint(&p);
+                gr.spill_ords[gr.spills++] = arg;
                 continue;
               }
-              const uint32_t cnt =
-                  static_cast<uint32_t>(replica::ReadVarint(&p));
+              const uint32_t cnt = static_cast<uint32_t>(arg);
               core::ArenaScope block_scope(arena);
               core::ArenaVector<uint64_t> btok(
                   cnt, core::ArenaAllocator<uint64_t>(&arena));
               core::ArenaVector<Point> bpts(
                   cnt, core::ArenaAllocator<Point>(&arena));
-              DecodePointColumns(c, &p, cnt, dims - 1, btok.data(),
-                                 bpts.data());
+              BOXAGG_RETURN_NOT_OK(
+                  rd.Points(cnt, dims - 1, btok.data(), bpts.data()));
               core::ArenaVector<V> bvals(cnt, core::ArenaAllocator<V>(&arena));
-              DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
+              BOXAGG_RETURN_NOT_OK(
+                  rd.Values(cnt, cnt, btok.data(), bvals.data()));
               for (size_t t = begin; t < assigned; ++t) {
                 const Point projected = qs[idx[t]].DropDim(b, dims);
                 V& out = outs[idx[t]];
@@ -651,7 +791,8 @@ class CompactReplica {
             }
           }
           if (assigned != m) {
-            return Status::Corruption("query point not covered by any record");
+            return CorruptionAt(rd.pid(), "compact-replica: query point not "
+                                          "covered by any record");
           }
         }
       }
@@ -690,27 +831,6 @@ class CompactReplica {
       return Status::OK();
     }
   }
-
-  /// Decodes 2*dims box-corner strips (lo columns then hi columns).
-  void DecodeBoxColumns(const Cache& c, const uint8_t** p, uint32_t n,
-                        int dims, uint64_t* tok, Box* boxes) const {
-    for (int side = 0; side < 2; ++side) {
-      for (int d = 0; d < dims; ++d) {
-        const replica::StripRef s = replica::ParseStrip(p, n);
-        replica::DecodeStripU64(s, n, tok);
-        if ((s.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) {
-            (side == 0 ? boxes[i].lo : boxes[i].hi)[d] = c.key_dict[tok[i]];
-          }
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            (side == 0 ? boxes[i].lo : boxes[i].hi)[d] =
-                replica::UnmapDouble(tok[i]);
-          }
-        }
-      }
-    }
-  }
   // LINT:hot-path-end
 
   // ---- verification (check path: free to allocate) -------------------------
@@ -720,92 +840,15 @@ class CompactReplica {
     uint32_t depth = 0;
   };
 
-  Status CheckedVarint(PageId pid, const uint8_t** p, const uint8_t* end,
-                       uint64_t* out) const {
-    if (*p >= end) {
-      return CorruptionAt(pid, "compact-replica: varint overruns the node");
-    }
-    *out = replica::ReadVarint(p);
-    if (*p > end) {
-      return CorruptionAt(pid, "compact-replica: varint overruns the node");
-    }
-    return Status::OK();
-  }
-
-  Status CheckedTokens(const Cache& c, PageId pid, const uint8_t** p,
-                       const uint8_t* end, uint32_t m, bool key_dict,
-                       std::vector<uint64_t>* tok, uint8_t* header) const {
-    if (*p + 1 + 8 > end) {
-      return CorruptionAt(pid, "compact-replica: strip header overruns");
-    }
-    const replica::StripRef s = replica::ParseStrip(p, m);
-    if ((s.header & replica::kStripWidthMask) > 8) {
-      return CorruptionAt(pid, "compact-replica: strip width out of range");
-    }
-    if (*p > end) {
-      return CorruptionAt(pid, "compact-replica: strip payload overruns");
-    }
-    tok->resize(m);
-    replica::DecodeStripU64(s, m, tok->data());
-    if ((s.header & replica::kStripDictBit) != 0) {
-      const size_t limit =
-          key_dict ? c.key_dict.size() : c.val_dict.size();
-      for (uint32_t i = 0; i < m; ++i) {
-        if ((*tok)[i] >= limit) {
-          return CorruptionAt(pid, "compact-replica: dictionary index out "
-                                   "of range");
-        }
-      }
-    }
-    *header = s.header;
-    return Status::OK();
-  }
-
-  Status CheckedKeys(const Cache& c, PageId pid, const uint8_t** p,
-                     const uint8_t* end, uint32_t m,
-                     std::vector<double>* out) const {
-    std::vector<uint64_t> tok;
-    uint8_t header = 0;
-    BOXAGG_RETURN_NOT_OK(
-        CheckedTokens(c, pid, p, end, m, /*key_dict=*/true, &tok, &header));
-    out->resize(m);
-    if ((header & replica::kStripDictBit) != 0) {
-      for (uint32_t i = 0; i < m; ++i) (*out)[i] = c.key_dict[tok[i]];
-    } else {
-      for (uint32_t i = 0; i < m; ++i) {
-        (*out)[i] = replica::UnmapDouble(tok[i]);
-      }
-    }
-    return Status::OK();
-  }
-
-  Status CheckedValues(const Cache& c, PageId pid, const uint8_t** p,
-                       const uint8_t* end, uint32_t m,
-                       std::vector<V>* out) const {
-    std::vector<uint64_t> tok;
-    uint8_t header = 0;
-    BOXAGG_RETURN_NOT_OK(
-        CheckedTokens(c, pid, p, end, m, /*key_dict=*/false, &tok, &header));
-    out->resize(m);
-    for (uint32_t i = 0; i < m; ++i) {
-      (*out)[i] = std::bit_cast<V>((header & replica::kStripDictBit) != 0
-                                       ? c.val_dict[tok[i]]
-                                       : replica::UnmapOrderedBits(tok[i]));
-    }
-    return Status::OK();
-  }
-
-  /// Strict re-decode of one subtree: kinds match the dimensionality, keys
-  /// sorted, aggregates re-derived, entries collected (main branch) or
-  /// counted (spilled borders), child/spill ordinals in range and reached
-  /// exactly once.
+  /// Strict re-decode of one subtree through the query's NodeReader, which
+  /// bounds every byte, token and ordinal; the checks here are structural:
+  /// kinds match the dimensionality, keys and inline borders sorted, record
+  /// boxes tile the node, aggregates re-derived, agg subtree depths equal,
+  /// entries collected (main branch) or counted (spilled borders), and each
+  /// ordinal reached exactly once.
   Status CheckNodeRec(const Cache& c, uint64_t ord, int dims,
                       std::vector<uint8_t>* reached, uint64_t* entries,
                       std::vector<Entry>* out, WalkInfo* info) const {
-    if (ord >= c.node_count) {
-      return CorruptionAt(root_, "compact-replica: ordinal " +
-                                     std::to_string(ord) + " out of range");
-    }
     if ((*reached)[ord]) {
       return CorruptionAt(root_, "compact-replica: ordinal " +
                                      std::to_string(ord) +
@@ -813,137 +856,75 @@ class CompactReplica {
                                      "ownership)");
     }
     (*reached)[ord] = 1;
-    const PageId pid = PageOf(c, ord);
-    uint8_t kind = 0;
-    uint32_t n = 0;
+    NodeReader rd(c, ord);
     uint64_t first_child = 0;
-    std::vector<double> keys;          // agg kinds
-    std::vector<V> vals;               // leaf values / agg sums
-    std::vector<std::vector<double>> cols;  // ba kinds, per-dim columns
-    std::vector<Box> boxes;
-    struct BorderRef {
-      int b = 0;
-      bool spill = false;
-      uint64_t ord = 0;
-      std::vector<Point> pts;  // inline entries
-      std::vector<V> vals;
-    };
-    std::vector<std::vector<BorderRef>> rec_borders;
+    std::vector<double> keys;  // agg kinds
+    std::vector<Point> pts;    // ba leaf
+    std::vector<Box> boxes;    // ba internal
+    std::vector<V> vals;       // leaf values / agg sums / ba subtotals
+    std::vector<std::vector<uint64_t>> spills;  // ba internal, per record
     {
       PageGuard g;
-      const uint8_t* p = nullptr;
-      BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
-      const uint8_t* end = g.page()->data() + replica::kDataHeaderBytes +
-                           g.page()->ReadAt<uint32_t>(
-                               replica::kDataPayloadLen);
-      kind = *p++;
-      uint64_t n64 = 0;
-      BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &n64));
-      n = static_cast<uint32_t>(n64);
-      const bool leaf_kind = kind == replica::kNodeBaLeaf ||
-                             kind == replica::kNodeAggLeaf;
-      // Leaves may be drained (n == 0, bare kind + count) after forced
-      // splits in the source tree; internal nodes never are.
-      if ((n == 0 && !leaf_kind) || n > g.page()->size()) {
-        return CorruptionAt(pid, "compact-replica: node entry count " +
-                                     std::to_string(n64) +
-                                     " out of range");
-      }
-      const bool agg_kind = kind == replica::kNodeAggLeaf ||
-                            kind == replica::kNodeAggInternal;
-      const bool ba_kind = kind == replica::kNodeBaLeaf ||
-                           kind == replica::kNodeBaInternal;
-      if (!agg_kind && !ba_kind) {
-        return CorruptionAt(pid, "compact-replica: unknown node kind " +
-                                     std::to_string(kind));
-      }
+      BOXAGG_RETURN_NOT_OK(rd.Open(pool_, &g));
+      const bool agg_kind = rd.kind() == replica::kNodeAggLeaf ||
+                            rd.kind() == replica::kNodeAggInternal;
       if (agg_kind != (dims == 1)) {
-        return CorruptionAt(pid, "compact-replica: node kind disagrees "
-                                 "with its dimensionality");
+        return CorruptionAt(rd.pid(), "compact-replica: node kind disagrees "
+                                      "with its dimensionality");
       }
-      if (n == 0) {
-        info->total = V{};
-        info->depth = 1;
-        return Status::OK();
-      }
-      if (kind == replica::kNodeAggLeaf) {
-        BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &keys));
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-      } else if (kind == replica::kNodeAggInternal) {
-        BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &first_child));
-        BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &keys));
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-      } else if (kind == replica::kNodeBaLeaf) {
-        cols.resize(static_cast<size_t>(dims));
-        for (int d = 0; d < dims; ++d) {
-          BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &cols[d]));
-        }
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
+      const uint32_t n = rd.count();
+      info->total = V{};
+      info->depth = 1;
+      if (n == 0) return Status::OK();
+      if (rd.internal()) BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
+      std::vector<uint64_t> tok(n);
+      if (agg_kind) {
+        keys.resize(n);
+        BOXAGG_RETURN_NOT_OK(rd.Keys(
+            n, tok.data(), [&keys](uint32_t i, double k) { keys[i] = k; }));
+      } else if (rd.kind() == replica::kNodeBaLeaf) {
+        pts.assign(n, Point{});
+        BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
       } else {
-        BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &first_child));
         boxes.assign(n, Box{});
-        std::vector<double> col;
-        for (int side = 0; side < 2; ++side) {
-          for (int d = 0; d < dims; ++d) {
-            BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &col));
-            for (uint32_t i = 0; i < n; ++i) {
-              (side == 0 ? boxes[i].lo : boxes[i].hi)[d] = col[i];
-            }
-          }
-        }
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-        rec_borders.resize(n);
+        BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
+      }
+      vals.resize(n);
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), vals.data()));
+      if (rd.kind() == replica::kNodeBaInternal) {
+        // Inline borders are counted here; spilled ones are walked below.
+        spills.resize(n);
         for (uint32_t i = 0; i < n; ++i) {
           for (int b = 0; b < dims; ++b) {
-            if (p >= end) {
-              return CorruptionAt(pid, "compact-replica: border section "
-                                       "overruns the node");
+            uint8_t tag = 0;
+            uint64_t arg = 0;
+            BOXAGG_RETURN_NOT_OK(rd.Border(&tag, &arg));
+            if (tag == replica::kBorderSpill) spills[i].push_back(arg);
+            if (tag != replica::kBorderInline) continue;
+            const uint32_t cnt = static_cast<uint32_t>(arg);
+            std::vector<uint64_t> btok(cnt);
+            std::vector<Point> bpts(cnt);
+            std::vector<V> bvals(cnt);
+            BOXAGG_RETURN_NOT_OK(
+                rd.Points(cnt, dims - 1, btok.data(), bpts.data()));
+            BOXAGG_RETURN_NOT_OK(
+                rd.Values(cnt, cnt, btok.data(), bvals.data()));
+            for (uint32_t k = 1; k < cnt; ++k) {
+              if (!LexLess(bpts[k - 1], bpts[k], dims - 1)) {
+                return CorruptionAt(rd.pid(), "compact-replica: inline "
+                                              "border entries not strictly "
+                                              "sorted");
+              }
             }
-            const uint8_t tag = *p++;
-            if (tag == replica::kBorderEmpty) continue;
-            BorderRef br;
-            br.b = b;
-            if (tag == replica::kBorderInline) {
-              uint64_t cnt64 = 0;
-              BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &cnt64));
-              const uint32_t cnt = static_cast<uint32_t>(cnt64);
-              if (cnt == 0 || cnt > g.page()->size()) {
-                return CorruptionAt(pid, "compact-replica: inline border "
-                                         "count out of range");
-              }
-              br.pts.assign(cnt, Point{});
-              for (int d = 0; d < dims - 1; ++d) {
-                BOXAGG_RETURN_NOT_OK(
-                    CheckedKeys(c, pid, &p, end, cnt, &col));
-                for (uint32_t k = 0; k < cnt; ++k) br.pts[k][d] = col[k];
-              }
-              BOXAGG_RETURN_NOT_OK(
-                  CheckedValues(c, pid, &p, end, cnt, &br.vals));
-              for (uint32_t k = 1; k < cnt; ++k) {
-                if (!LexLess(br.pts[k - 1], br.pts[k], dims - 1)) {
-                  return CorruptionAt(pid, "compact-replica: inline border "
-                                           "entries not strictly sorted");
-                }
-              }
-            } else if (tag == replica::kBorderSpill) {
-              br.spill = true;
-              BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &br.ord));
-            } else {
-              return CorruptionAt(pid, "compact-replica: unknown border "
-                                       "tag " + std::to_string(tag));
-            }
-            rec_borders[i].push_back(std::move(br));
+            *entries += cnt;
           }
         }
-      }
-      if (p > end) {
-        return CorruptionAt(pid, "compact-replica: node overruns the "
-                                 "payload");
       }
     }
     // Per-kind structural checks + recursion (pin dropped).
-    info->total = V{};
-    if (kind == replica::kNodeAggLeaf) {
+    const PageId pid = rd.pid();
+    const uint32_t n = rd.count();
+    if (rd.kind() == replica::kNodeAggLeaf) {
       for (uint32_t i = 1; i < n; ++i) {
         if (!(keys[i - 1] < keys[i])) {
           return CorruptionAt(pid, "compact-replica: agg leaf keys not "
@@ -959,10 +940,9 @@ class CompactReplica {
         info->total += vals[i];
       }
       *entries += n;
-      info->depth = 1;
       return Status::OK();
     }
-    if (kind == replica::kNodeAggInternal) {
+    if (rd.kind() == replica::kNodeAggInternal) {
       for (uint32_t i = 1; i < n; ++i) {
         if (!(keys[i - 1] < keys[i])) {
           return CorruptionAt(pid, "compact-replica: agg internal lowkeys "
@@ -989,21 +969,14 @@ class CompactReplica {
       info->depth = child_depth + 1;
       return Status::OK();
     }
-    if (kind == replica::kNodeBaLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.pt = Point{};
-        for (int d = 0; d < dims; ++d) e.pt[d] = cols[d][i];
-        e.value = vals[i];
-        out->push_back(e);
-      }
+    if (rd.kind() == replica::kNodeBaLeaf) {
+      for (uint32_t i = 0; i < n; ++i) out->push_back(Entry{pts[i], vals[i]});
       *entries += n;
-      info->depth = 1;
       return Status::OK();
     }
     // kNodeBaInternal: child points inside their record box, boxes tile
-    // the node scope, borders audited (inline counted above, spills
-    // recursed structurally like PackedBaTree::CheckBorderTree).
+    // the node scope, spilled borders recursed structurally like
+    // PackedBaTree::CheckBorderTree.
     const size_t begin = out->size();
     for (uint32_t i = 0; i < n; ++i) {
       const size_t lo = out->size();
@@ -1016,15 +989,11 @@ class CompactReplica {
                                    "its record box");
         }
       }
-      for (const BorderRef& br : rec_borders[i]) {
-        if (br.spill) {
-          std::vector<Entry> scratch;
-          WalkInfo bi;
-          BOXAGG_RETURN_NOT_OK(CheckNodeRec(c, br.ord, dims - 1, reached,
-                                            entries, &scratch, &bi));
-        } else {
-          *entries += br.pts.size();
-        }
+      for (const uint64_t spill : spills[i]) {
+        std::vector<Entry> scratch;
+        WalkInfo bi;
+        BOXAGG_RETURN_NOT_OK(CheckNodeRec(c, spill, dims - 1, reached,
+                                          entries, &scratch, &bi));
       }
     }
     for (size_t k = begin; k < out->size(); ++k) {

@@ -27,7 +27,8 @@
 // dictionary-vs-raw), a u64 base, then fixed-width packed payload that
 // simd::UnpackFixedWidth decodes. All query-time reads are prefix reads
 // (leaf cutoffs, routing prefixes, full scans), so delta strips never need
-// random access.
+// random access. Every decoder here takes the end of the bytes it may read
+// and refuses a varint or strip that would run past it.
 
 #ifndef BOXAGG_REPLICA_REPLICA_FORMAT_H_
 #define BOXAGG_REPLICA_REPLICA_FORMAT_H_
@@ -134,18 +135,19 @@ inline void AppendVarint(std::vector<uint8_t>* out, uint64_t v) {
 }
 
 // LINT:hot-path — replica strip/varint decode: no heap allocation (lint.sh)
-inline uint64_t ReadVarint(const uint8_t** p) {
-  const uint8_t* s = *p;
+/// Reads the varint at *p and advances past it. False if it reaches `end`
+/// unterminated or runs past 64 bits (10 bytes).
+inline bool ReadVarint(const uint8_t** p, const uint8_t* end, uint64_t* out) {
   uint64_t v = 0;
-  unsigned shift = 0;
-  for (;;) {
-    const uint8_t b = *s++;
+  for (unsigned shift = 0; shift < 64 && *p < end; shift += 7) {
+    const uint8_t b = *(*p)++;
     v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+    if ((b & 0x80) == 0) {
+      *out = v;
+      return true;
+    }
   }
-  *p = s;
-  return v;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -158,28 +160,28 @@ struct StripRef {
   const uint8_t* payload = nullptr;
 };
 
-inline uint32_t StripPayloadBytes(uint8_t header, uint32_t m) {
-  const uint32_t w = header & kStripWidthMask;
-  const uint32_t items = (header & kStripDeltaBit) != 0 ? m - 1 : m;
+inline uint64_t StripPayloadBytes(uint8_t header, uint32_t m) {
+  const uint64_t w = header & kStripWidthMask;
+  const uint64_t items = (header & kStripDeltaBit) != 0 ? m - uint64_t{1} : m;
   return items * w;
 }
 
 /// Parses the strip at *p (stored count `m` > 0) and advances past it.
-inline StripRef ParseStrip(const uint8_t** p, uint32_t m) {
-  StripRef s;
+/// False, with *p unchanged, if its width exceeds 8 bytes or its header,
+/// base or payload run past `end`.
+inline bool ParseStrip(const uint8_t** p, const uint8_t* end, uint32_t m,
+                       StripRef* s) {
   const uint8_t* c = *p;
-  s.header = *c++;
-  std::memcpy(&s.base, c, sizeof(s.base));
-  c += sizeof(s.base);
-  s.payload = c;
-  *p = c + StripPayloadBytes(s.header, m);
-  return s;
-}
-
-/// Advances *p past a strip of stored count `m` without decoding it.
-inline void SkipStrip(const uint8_t** p, uint32_t m) {
-  const uint8_t header = **p;
-  *p += 1 + sizeof(uint64_t) + StripPayloadBytes(header, m);
+  if (end - c < 1 + 8) return false;  // header byte + u64 base
+  s->header = *c++;
+  if ((s->header & kStripWidthMask) > 8) return false;
+  std::memcpy(&s->base, c, sizeof(s->base));
+  c += sizeof(s->base);
+  const uint64_t bytes = StripPayloadBytes(s->header, m);
+  if (bytes > static_cast<uint64_t>(end - c)) return false;
+  s->payload = c;
+  *p = c + bytes;
+  return true;
 }
 
 /// Decodes the first `take` tokens of a strip (take <= stored count). Both

@@ -1,7 +1,8 @@
 // Tests for the reduction layer: the 2^d corner-transform BoxSumIndex
 // (Lemma 1 / Theorem 2), the Edelsbrunner-Overmars baseline reduction
-// (Theorem 1), COUNT/AVG aggregation, and cross-validation of every
-// dominance-sum backend against the naive oracle and the aR-tree.
+// (Theorem 1), COUNT/AVG aggregation (in 1-d: temporal intervals), and
+// cross-validation of every dominance-sum backend against the naive oracle
+// and the aR-tree.
 
 #include <gtest/gtest.h>
 
@@ -431,6 +432,99 @@ TEST(BoxSumIndexTest, EoReductionRejectsMalformedBoxes) {
   EXPECT_EQ(s, 0.0);
   ASSERT_TRUE(eo.Query(Box(Point(-kInf, -kInf), Point(kInf, kInf)), &s).ok());
   EXPECT_DOUBLE_EQ(s, 4.0);
+}
+
+// ---------------------------------------------------------------------------
+// 1-d boxes are time intervals: cumulative temporal aggregation (Sec. 7),
+// the total over records whose interval meets the query interval, is the
+// 1-d box-sum, and the instantaneous variant (records alive at instant t)
+// is the degenerate query box [t, t].
+
+Box Interval(double start, double end) {
+  return Box(Point(start), Point(end));
+}
+
+class OneDimBoxAggregator : public ::testing::Test {
+ protected:
+  OneDimBoxAggregator()
+      : file_(1024),
+        pool_(&file_, 512),
+        agg_(1, [this] { return PackedBaTree<double>(&pool_, 1); }) {}
+
+  MemPageFile file_;
+  BufferPool pool_;
+  BoxAggregator<PackedBaTree<double>> agg_;
+};
+
+TEST_F(OneDimBoxAggregator, TouchingIntervalsIntersect) {
+  // Three meetings: [9,10], [9.5,12], [14,15], costs 1/2/4.
+  ASSERT_TRUE(agg_.Insert(Interval(9, 10), 1).ok());
+  ASSERT_TRUE(agg_.Insert(Interval(9.5, 12), 2).ok());
+  ASSERT_TRUE(agg_.Insert(Interval(14, 15), 4).ok());
+  double s;
+  ASSERT_TRUE(agg_.Sum(Interval(9, 10), &s).ok());
+  EXPECT_EQ(s, 3.0);  // first two intersect
+  ASSERT_TRUE(agg_.Sum(Interval(12, 14), &s).ok());
+  EXPECT_EQ(s, 6.0);  // touching counts (closed intervals)
+  ASSERT_TRUE(agg_.Sum(Interval(13, 13.5), &s).ok());
+  EXPECT_EQ(s, 0.0);
+  ASSERT_TRUE(agg_.Sum(Interval(0, 24), &s).ok());
+  EXPECT_EQ(s, 7.0);
+}
+
+TEST_F(OneDimBoxAggregator, DegenerateQueryBoxIsAnInstant) {
+  ASSERT_TRUE(agg_.Insert(Interval(9, 10), 1).ok());
+  ASSERT_TRUE(agg_.Insert(Interval(9.5, 12), 2).ok());
+  double s, c;
+  ASSERT_TRUE(agg_.Sum(Interval(9.75, 9.75), &s).ok());
+  EXPECT_EQ(s, 3.0);
+  ASSERT_TRUE(agg_.Sum(Interval(11, 11), &s).ok());
+  EXPECT_EQ(s, 2.0);
+  ASSERT_TRUE(agg_.Sum(Interval(10, 10), &s).ok());  // right end inclusive
+  EXPECT_EQ(s, 3.0);
+  ASSERT_TRUE(agg_.Count(Interval(9.75, 9.75), &c).ok());
+  EXPECT_EQ(c, 2.0);
+}
+
+TEST_F(OneDimBoxAggregator, AvgAndErase) {
+  ASSERT_TRUE(agg_.Insert(Interval(0, 10), 10).ok());
+  ASSERT_TRUE(agg_.Insert(Interval(5, 15), 20).ok());
+  double a;
+  ASSERT_TRUE(agg_.Avg(Interval(7, 8), &a).ok());
+  EXPECT_EQ(a, 15.0);
+  ASSERT_TRUE(agg_.Erase(Interval(0, 10), 10).ok());
+  ASSERT_TRUE(agg_.Avg(Interval(7, 8), &a).ok());
+  EXPECT_EQ(a, 20.0);
+  ASSERT_TRUE(agg_.Avg(Interval(100, 101), &a).ok());
+  EXPECT_EQ(a, 0.0);
+}
+
+TEST_F(OneDimBoxAggregator, RejectsInvertedInterval) {
+  EXPECT_TRUE(IsInvalidArgument(agg_.Insert(Interval(5, 3), 1.0)));
+}
+
+TEST_F(OneDimBoxAggregator, RandomizedAgainstOracle) {
+  std::mt19937 rng(4);
+  std::uniform_real_distribution<double> ut(0, 1000);
+  std::uniform_real_distribution<double> ud(0, 50);
+  std::uniform_real_distribution<double> uv(1, 9);
+  NaiveBoxSum naive(1);
+  for (int i = 0; i < 3000; ++i) {
+    const double t = ut(rng);
+    const Box iv = Interval(t, t + ud(rng));
+    const double v = uv(rng);
+    ASSERT_TRUE(agg_.Insert(iv, v).ok());
+    naive.Insert(iv, v);
+  }
+  for (int i = 0; i < 300; ++i) {
+    const double t = ut(rng);
+    const Box q = Interval(t, t + ud(rng));
+    double s, c;
+    ASSERT_TRUE(agg_.Sum(q, &s).ok());
+    ASSERT_TRUE(agg_.Count(q, &c).ok());
+    ASSERT_NEAR(s, naive.Sum(q), 1e-7);
+    ASSERT_EQ(static_cast<uint64_t>(c + 0.5), naive.Count(q));
+  }
 }
 
 }  // namespace

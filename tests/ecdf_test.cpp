@@ -1,8 +1,8 @@
-// Tests for the static ECDF-tree (Bentley) and the two disk-based dynamic
-// extensions, the ECDF-Bu-tree and ECDF-Bq-tree (Sec. 4). All structures are
-// cross-checked against the naive linear-scan oracle across dimensions 1-3,
-// both variants, bulk-loaded and incrementally built, with page sizes small
-// enough to force deep trees and many splits.
+// Tests for the two disk-based dynamic extensions of Bentley's ECDF-tree,
+// the ECDF-Bu-tree and ECDF-Bq-tree (Sec. 4). Both are cross-checked
+// against the naive linear-scan oracle across dimensions 1-3, bulk-loaded
+// and incrementally built, with page sizes small enough to force deep trees
+// and many splits.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
-#include "ecdf/static_ecdf_tree.h"
 #include "storage/buffer_pool.h"
 
 namespace boxagg {
@@ -47,54 +46,6 @@ std::vector<Point> RandomQueries(int n, int dims, uint32_t seed,
     out.push_back(p);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// StaticEcdfTree
-
-class StaticEcdfDims : public ::testing::TestWithParam<int> {};
-
-TEST_P(StaticEcdfDims, MatchesNaiveOracle) {
-  const int dims = GetParam();
-  auto pts = RandomPoints(2000, dims, 17u + static_cast<uint32_t>(dims));
-  NaiveDominanceSum<double> naive(dims);
-  for (const auto& e : pts) naive.Insert(e.pt, e.value);
-  StaticEcdfTree<double> tree(dims, pts);
-  for (const Point& q : RandomQueries(300, dims, 99)) {
-    EXPECT_NEAR(tree.Query(q), naive.Query(q), 1e-7) << q.ToString(dims);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Dims, StaticEcdfDims, ::testing::Values(1, 2, 3),
-                         ::testing::PrintToStringParamName());
-
-TEST(StaticEcdfTree, EmptyAndSingleton) {
-  StaticEcdfTree<double> empty(2, {});
-  EXPECT_EQ(empty.Query(Point(50, 50)), 0.0);
-  StaticEcdfTree<double> one(2, {{Point(3, 4), 7.0}});
-  EXPECT_EQ(one.Query(Point(3, 4)), 7.0);   // non-strict dominance
-  EXPECT_EQ(one.Query(Point(3, 3.9)), 0.0);
-  EXPECT_EQ(one.Query(Point(2.9, 4)), 0.0);
-  EXPECT_EQ(one.Query(Point(100, 100)), 7.0);
-}
-
-TEST(StaticEcdfTree, CoalescesDuplicatePoints) {
-  std::vector<PointEntry<double>> pts(5, {Point(1, 1), 2.0});
-  StaticEcdfTree<double> tree(2, pts);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Query(Point(1, 1)), 10.0);
-}
-
-TEST(StaticEcdfTree, EqualFirstCoordinateColumns) {
-  // Many points sharing x stress the split routing.
-  std::vector<PointEntry<double>> pts;
-  for (int y = 0; y < 200; ++y) pts.push_back({Point(5, y), 1.0});
-  for (int y = 0; y < 200; ++y) pts.push_back({Point(7, y), 1.0});
-  StaticEcdfTree<double> tree(2, pts);
-  EXPECT_EQ(tree.Query(Point(5, 99)), 100.0);
-  EXPECT_EQ(tree.Query(Point(6, 99)), 100.0);
-  EXPECT_EQ(tree.Query(Point(7, 99)), 200.0);
-  EXPECT_EQ(tree.Query(Point(4.999, 1000)), 0.0);
 }
 
 // ---------------------------------------------------------------------------

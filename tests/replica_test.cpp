@@ -264,8 +264,13 @@ TEST(ReplicaTest, StripCodecRoundTrips) {
     std::vector<uint8_t> buf;
     replica::EncodeStrip(tok.data(), m, /*dict=*/nullptr, &buf);
     const uint8_t* p = buf.data();
-    const replica::StripRef ref = replica::ParseStrip(&p, m);
+    replica::StripRef ref;
+    ASSERT_TRUE(replica::ParseStrip(&p, buf.data() + buf.size(), m, &ref));
     EXPECT_EQ(p, buf.data() + buf.size());
+    const uint8_t* cut = buf.data();  // one byte short: refused
+    replica::StripRef cut_ref;
+    EXPECT_FALSE(
+        replica::ParseStrip(&cut, buf.data() + buf.size() - 1, m, &cut_ref));
     std::vector<uint64_t> out(m);
     replica::DecodeStripU64(ref, m, out.data());
     ASSERT_EQ(out, tok) << "trial " << trial;
@@ -386,6 +391,132 @@ TEST(ReplicaTest, CheckConsistencyDetectsHeaderCorruption) {
   EXPECT_EQ(open.code(), Status::Code::kCorruption) << open.ToString();
   CheckContext ctx4;
   EXPECT_EQ(rep4.CheckConsistency(&ctx4).code(), Status::Code::kCorruption);
+}
+
+// Malformed nodes under valid checksums. Each case rewrites bytes of one
+// data page through the pool, so the page's slot CRC stays valid, and
+// recomputes the replica's own kDataCrc: only the node reader stands
+// between the bytes and the decoders. A query through the damaged node and
+// CheckConsistency must both return the reader's Corruption, naming the
+// data page.
+TEST(ReplicaTest, QueriesRejectMalformedNodes) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  PackedBaTree<double> live(&pool, 2);
+  ASSERT_TRUE(live.BulkLoad(MakeEntries(2, 2000, /*skewed=*/true, 25)).ok());
+  PackedBaTree<double> tiny(&pool, 2);  // one BA leaf: the only node
+  ASSERT_TRUE(tiny.BulkLoad(MakeEntries(2, 3, /*skewed=*/false, 26)).ok());
+  ReplicaBuilder<double> builder(&pool);
+
+  // Builds a fresh replica of `src`, lets `patch` rewrite the first data
+  // page (ordinal 0, the root node, starts its payload), reseals the page,
+  // then queries and checks it, expecting `what` in both reports.
+  auto run_case = [&](const char* what, const PackedBaTree<double>& src,
+                      auto patch) {
+    SCOPED_TRACE(what);
+    PageId root = kInvalidPageId;
+    ASSERT_TRUE(builder.Build(src, &root).ok());
+    uint64_t node_count = 0, key_dict_count = 0;
+    PageId first_data = kInvalidPageId;
+    {
+      PageGuard hdr;
+      ASSERT_TRUE(pool.Fetch(root, &hdr).ok());
+      node_count = hdr.page()->ReadAt<uint64_t>(replica::kHdrNodeCount);
+      key_dict_count = hdr.page()->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
+      const uint64_t data_pages =
+          hdr.page()->ReadAt<uint64_t>(replica::kHdrDataPageCount);
+      PageGuard meta;
+      ASSERT_TRUE(
+          pool.Fetch(hdr.page()->ReadAt<uint64_t>(replica::kHdrFirstMeta),
+                     &meta)
+              .ok());
+      first_data = meta.page()->ReadAt<uint64_t>(replica::kMetaHeaderBytes);
+      ASSERT_EQ(meta.page()->ReadAt<uint64_t>(replica::kMetaHeaderBytes +
+                                              8 * data_pages),
+                uint64_t{replica::kDataHeaderBytes});  // directory[0]
+    }
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(first_data, &g).ok());
+      Page* p = g.page();
+      patch(p, node_count, key_dict_count);
+      const uint32_t len = p->ReadAt<uint32_t>(replica::kDataPayloadLen);
+      p->WriteAt<uint32_t>(
+          replica::kDataCrc,
+          simd::Crc32c(p->data() + replica::kDataHeaderBytes, len));
+      g.MarkDirty();
+    }
+    CompactReplica<double> rep(&pool, 2, root);
+    ASSERT_TRUE(rep.Open().ok());
+    double out = 0;
+    const Status query = rep.DominanceSum(Point(-1.0, -1.0), &out);
+    CheckContext ctx;
+    const Status check = rep.CheckConsistency(&ctx);
+    const std::string where =
+        "page " + std::to_string(first_data) + ": compact-replica: " + what;
+    for (const Status& st : {query, check}) {
+      EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+      EXPECT_NE(st.message().find(where), std::string::npos) << st.ToString();
+    }
+  };
+
+  // The large replica's root is a BA internal node whose count and first
+  // child are one-byte varints: kind at kRoot, count at kRoot + 1, first
+  // child at kRoot + 2, then the first box strip's header byte, u64 base
+  // and payload at kStrip.
+  constexpr uint32_t kRoot = replica::kDataHeaderBytes;
+  constexpr uint32_t kStrip = kRoot + 3;
+  auto ba_root = [](Page* p) {
+    EXPECT_EQ(p->ReadAt<uint8_t>(kRoot), replica::kNodeBaInternal);
+    EXPECT_LT(p->ReadAt<uint8_t>(kRoot + 1), 0x80);
+    EXPECT_EQ(p->ReadAt<uint8_t>(kRoot + 2), 1);  // first child: ordinal 1
+  };
+  // Strip width 9.
+  run_case("strip wider than 8 bytes", live, [&](Page* p, uint64_t, uint64_t) {
+    ba_root(p);
+    const uint8_t h = p->ReadAt<uint8_t>(kStrip);
+    p->WriteAt<uint8_t>(kStrip, (h & ~replica::kStripWidthMask) | 9);
+  });
+  // A dictionary strip whose first token is the dictionary's size.
+  run_case("dictionary token out of range", live,
+           [&](Page* p, uint64_t, uint64_t key_dict_count) {
+             ba_root(p);
+             ASSERT_GT(key_dict_count, 0u);
+             const uint8_t h = p->ReadAt<uint8_t>(kStrip);
+             p->WriteAt<uint8_t>(kStrip, h | replica::kStripDictBit);
+             p->WriteAt<uint64_t>(kStrip + 1, key_dict_count);
+             for (uint32_t b = 0; b < (h & replica::kStripWidthMask); ++b) {
+               p->WriteAt<uint8_t>(kStrip + 9 + b, 0);
+             }
+           });
+  // The one-node replica's count varint continues past the payload end.
+  run_case("varint overruns the node", tiny, [&](Page* p, uint64_t, uint64_t) {
+    EXPECT_EQ(p->ReadAt<uint8_t>(kRoot), replica::kNodeBaLeaf);
+    p->WriteAt<uint8_t>(kRoot + 1, p->ReadAt<uint8_t>(kRoot + 1) | 0x80);
+    p->WriteAt<uint32_t>(replica::kDataPayloadLen, 2);
+  });
+  // Entry count 1025 on a 1024-byte page.
+  run_case("node entry count out of range", live,
+           [&](Page* p, uint64_t, uint64_t) {
+             ba_root(p);
+             p->WriteAt<uint8_t>(kRoot + 1, 0x81);
+             p->WriteAt<uint8_t>(kRoot + 2, 0x08);
+           });
+  // First child at node_count.
+  run_case("child or spill ordinal outside", live,
+           [&](Page* p, uint64_t node_count, uint64_t) {
+             ba_root(p);
+             std::vector<uint8_t> v;
+             replica::AppendVarint(&v, node_count);
+             p->WriteBytes(kRoot + 2, v.data(),
+                           static_cast<uint32_t>(v.size()));
+           });
+  // First child is the root itself.
+  run_case("child or spill ordinal outside", live,
+           [&](Page* p, uint64_t, uint64_t) {
+             ba_root(p);
+             p->WriteAt<uint8_t>(kRoot + 2, 0);
+           });
 }
 
 // Directory offsets under a valid meta crc: one past the data page fails

@@ -512,5 +512,96 @@ TEST(AnswerBytesGolden, DominanceSumBatchAcrossBackends) {
   EXPECT_EQ(AnswerHash(pouts), 6490693606695128676ull);
 }
 
+// Batched I/O, pinned to goldens: one 256-probe DominanceSumBatch per
+// structure under a 32-frame pool. A one-probe batch warms the pool first,
+// so which of its pages the big batch still finds depends on the order in
+// which the batched descent fetches (groups, walk-on, border probes,
+// spilled borders before any descent), not only on how many pages it reads.
+struct BatchIoGolden {
+  uint64_t logical_reads;
+  uint64_t buffer_hits;
+  uint64_t physical_reads;
+  uint64_t probe_fetches_saved;
+};
+
+template <class Tree, class Probe>
+void CheckBatchedIo(const char* what, BufferPool* pool, const Tree& tree,
+                    const std::vector<Probe>& qs, const BatchIoGolden& golden,
+                    uint64_t* border_probes = nullptr) {
+  SCOPED_TRACE(what);
+  ASSERT_TRUE(pool->Reset().ok());
+  obs::QueryObs qobs;
+  obs::InstallQueryObs(&qobs);
+  std::vector<double> outs(qs.size());
+  Status st = tree.DominanceSumBatch(qs.data(), 1, outs.data());
+  const IoStats before = pool->stats();
+  if (st.ok()) st = tree.DominanceSumBatch(qs.data(), qs.size(), outs.data());
+  const IoStats io = pool->stats().Since(before);
+  obs::InstallQueryObs(nullptr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(io.logical_reads, golden.logical_reads);
+  EXPECT_EQ(io.buffer_hits, golden.buffer_hits);
+  EXPECT_EQ(io.physical_reads, golden.physical_reads);
+  EXPECT_EQ(io.probe_fetches_saved, golden.probe_fetches_saved);
+  if (border_probes != nullptr) *border_probes = qobs.Snapshot().border_probes;
+}
+
+TEST(BatchIoFidelity, BatchedFetchOrderUnderEviction) {
+  std::vector<double> keys;
+  for (const Point& q : GoldenProbes(1, 52)) keys.push_back(q[0]);
+  const std::vector<Point> qs2 = GoldenProbes(2, 53);
+  const std::vector<Point> qs3 = GoldenProbes(3, 54);
+  {
+    MemPageFile file(1024);
+    BufferPool pool(&file, 32);
+    AggBTree<double> tree(&pool);
+    for (const auto& e : GoldenPoints(1, 6000, 51, GoldenValue)) {
+      ASSERT_TRUE(tree.Insert(e.pt[0], e.value).ok());
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    CheckBatchedIo("agg", &pool, tree, keys, {114, 3, 111, 654});
+  }
+  for (EcdfVariant variant :
+       {EcdfVariant::kUpdateOptimized, EcdfVariant::kQueryOptimized}) {
+    MemPageFile file(1024);
+    BufferPool pool(&file, 32);
+    EcdfBTree<double> tree(&pool, 2, variant);
+    ASSERT_TRUE(tree.BulkLoad(GoldenPoints(2, 3000, 55, GoldenValue)).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    const bool bu = variant == EcdfVariant::kUpdateOptimized;
+    CheckBatchedIo(bu ? "ecdf-bu" : "ecdf-bq", &pool, tree, qs2,
+                   bu ? BatchIoGolden{267, 3, 264, 5095}
+                      : BatchIoGolden{471, 3, 468, 1135});
+  }
+  {
+    MemPageFile file(1024);
+    BufferPool pool(&file, 32);
+    PackedBaTree<double> tree(&pool, 2);
+    ASSERT_TRUE(tree.BulkLoad(GoldenPoints(2, 4000, 56, GoldenValue)).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    CheckBatchedIo("bat-2d", &pool, tree, qs2, {588, 1, 587, 2628});
+  }
+  MemPageFile file(1024);
+  BufferPool pool(&file, 32);
+  PackedBaTree<double> tree(&pool, 3);
+  ASSERT_TRUE(tree.BulkLoad(GoldenPoints(3, 4000, 57, GoldenValue)).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  uint64_t border_probes = 0;
+  CheckBatchedIo("bat-3d", &pool, tree, qs3, {1818, 0, 1818, 5191},
+                 &border_probes);
+  EXPECT_GT(border_probes, 0u);  // spilled borders are reached
+
+  ReplicaBuilder<double> builder(&pool);
+  PageId root = kInvalidPageId;
+  ASSERT_TRUE(builder.Build(tree, &root).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  CompactReplica<double> rep(&pool, 3, root);
+  ASSERT_TRUE(rep.Open().ok());
+  border_probes = 0;
+  CheckBatchedIo("replica-3d", &pool, rep, qs3, {1818, 1411, 407, 5191},
+                 &border_probes);
+  EXPECT_GT(border_probes, 0u);
+}
+
 }  // namespace
 }  // namespace boxagg

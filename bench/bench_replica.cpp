@@ -10,6 +10,10 @@
 //   identity  replica batch results byte-compared against the live tree's
 //             (FP addition order is preserved, so equality is exact)
 //
+// Each io batch is timed kTimedRuns times, each run on a freshly reset
+// pool; wall_ms is the median run and wall_ms_min the fastest. Every run
+// must make the same I/O and return the same answer bytes.
+//
 // Any identity or invariant violation exits 1. Output: stderr carries the
 // human-readable table; stdout carries one "JSON "-prefixed line per record,
 // mirrored to $BOXAGG_BENCH_DIR/BENCH_replica.json (one object per line),
@@ -17,8 +21,10 @@
 // "BASELINE" page-count lines that the replica_pages_small ctest diffs
 // against bench/baselines/replica_pages_small.txt.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -42,25 +48,50 @@ double MillisSince(Clock::time_point t0) {
 
 struct IoRun {
   IoStats d;
-  double wall_ms = 0;
+  double wall_ms = 0;      // median of the timed runs
+  double wall_ms_min = 0;  // fastest timed run
 };
 
-/// Cold-pool query batch: fresh LRU of `buffer_mb`, one QueryBatch over all
-/// queries (the LRU warms up across the batch exactly as in the paper's
-/// buffer experiments). Results land in *out for the identity check.
+/// Timed runs per io batch: one cold run swings too widely to compare
+/// wall times between builds, so each batch is repeated and its median kept.
+constexpr int kTimedRuns = 5;
+
+/// Cold-pool query batch, kTimedRuns times: each run resets the pool to a
+/// fresh LRU of `buffer_mb` and makes one QueryBatch over all queries (the
+/// LRU warms up across the batch exactly as in the paper's buffer
+/// experiments). The runs must agree on the IoStats delta and the answer
+/// bytes, or the bench exits 1. Results land in *out for the identity
+/// check.
 template <class Index>
 IoRun MeasureBatch(BoxSumIndex<Index>* index, BufferPool* pool,
                    const std::vector<Box>& queries,
                    std::vector<double>* out) {
   IoRun run;
-  out->assign(queries.size(), 0.0);
-  DieIf(pool->Reset(), "pool reset");
-  const IoStats before = pool->stats();
-  auto t0 = Clock::now();
-  DieIf(index->QueryBatch(queries.data(), queries.size(), out->data()),
-        "query batch");
-  run.wall_ms = MillisSince(t0);
-  run.d = pool->stats().Since(before);
+  std::vector<double> walls;
+  std::vector<double> answers(queries.size());
+  for (int r = 0; r < kTimedRuns; ++r) {
+    std::fill(answers.begin(), answers.end(), 0.0);
+    DieIf(pool->Reset(), "pool reset");
+    const IoStats before = pool->stats();
+    auto t0 = Clock::now();
+    DieIf(index->QueryBatch(queries.data(), queries.size(), answers.data()),
+          "query batch");
+    walls.push_back(MillisSince(t0));
+    const IoStats d = pool->stats().Since(before);
+    if (r == 0) {
+      run.d = d;
+      *out = answers;
+    } else if (std::memcmp(&d, &run.d, sizeof(IoStats)) != 0 ||
+               std::memcmp(answers.data(), out->data(),
+                           answers.size() * sizeof(double)) != 0) {
+      std::fprintf(stderr, "timed run %d of a query batch differs from run 0 "
+                           "in its I/O or its answers\n", r);
+      std::exit(1);
+    }
+  }
+  std::sort(walls.begin(), walls.end());
+  run.wall_ms = walls[kTimedRuns / 2];
+  run.wall_ms_min = walls.front();
   return run;
 }
 
@@ -72,21 +103,21 @@ void EmitIo(JsonSink* sink, const Config& cfg, const char* backend,
           : static_cast<double>(run.d.buffer_hits) /
                 static_cast<double>(run.d.logical_reads);
   obs::LogInfo("  %-7s buffer=%2zuMB: physical=%llu logical=%llu "
-               "hit_rate=%.3f wall=%.1fms",
+               "hit_rate=%.3f wall=%.1fms (min %.1fms)",
                backend, buffer_mb,
                static_cast<unsigned long long>(run.d.physical_reads),
                static_cast<unsigned long long>(run.d.logical_reads), hit_rate,
-               run.wall_ms);
+               run.wall_ms, run.wall_ms_min);
   sink->Emit(Fmt("{\"bench\":\"replica\",\"record\":\"io\","
                  "\"backend\":\"%s\",\"io_buffer_mb\":%zu,\"queries\":%zu,"
                  "\"physical_reads\":%llu,\"logical_reads\":%llu,"
                  "\"buffer_hits\":%llu,\"hit_rate\":%.4f,\"wall_ms\":%.3f,"
-                 "%s}",
+                 "\"wall_ms_min\":%.3f,%s}",
                  backend, buffer_mb, queries,
                  static_cast<unsigned long long>(run.d.physical_reads),
                  static_cast<unsigned long long>(run.d.logical_reads),
                  static_cast<unsigned long long>(run.d.buffer_hits), hit_rate,
-                 run.wall_ms, JsonRunMeta(cfg).c_str()));
+                 run.wall_ms, run.wall_ms_min, JsonRunMeta(cfg).c_str()));
 }
 
 }  // namespace

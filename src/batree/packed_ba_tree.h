@@ -73,9 +73,9 @@
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/batch_descent.h"
 #include "core/point_entry.h"
 #include "geom/box.h"
-#include "obs/query_obs.h"
 #include "storage/buffer_pool.h"
 
 namespace boxagg {
@@ -165,32 +165,14 @@ class PackedBaTree {
   }
 
   /// Batched dominance sums: outs[i] = total value of all points dominated
-  /// by queries[i]. A +infinity coordinate (an unbounded query side) is
-  /// clamped to the largest finite double, which dominates every storable
-  /// point, so half-space and whole-space queries work. A probe's additions
-  /// (subtotals, inline borders, spilled borders, leaf entries: same values,
-  /// same order) and the pages on its path do not depend on which other
-  /// probes share its batch, so results are bit-identical for any batching.
-  /// Probes are gathered per record in page order (first containing record
-  /// wins); inline borders are scanned in-page while the node is pinned,
-  /// spilled border trees are probed with sub-batches after the pin is
-  /// dropped and before the walk goes down, so each page is fetched once
-  /// per batch.
+  /// by queries[i], bit-identical for any batching; each page is fetched at
+  /// most once per batch (core/batch_descent.h). A +infinity coordinate (an
+  /// unbounded query side) is clamped to the largest finite double.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::Arena& arena = core::ScratchArena();
-    core::ArenaScope scope(arena);
-    Point one;
-    Point* qs = core::ScratchArray(arena, count, &one);
-    for (size_t i = 0; i < count; ++i) {
-      qs[i] = queries[i];
-      for (int d = 0; d < dims_; ++d) {
-        qs[i][d] = std::min(qs[i][d], std::numeric_limits<double>::max());
-      }
-    }
-    return ClampedBatch(arena, qs, count, outs, obs_level);
+    return BatchDescent<BatchOps>::Run(
+        {{pool_, &core::ScratchArena(), queries, outs}, this}, root_, count,
+        obs_level, /*clamp_infinity=*/true);
   }
 
   // LINT:hot-path-end
@@ -556,163 +538,6 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// The batched descent over already clamped probes; `outs` must be zero.
-  /// Spilled borders enter here too, below the public clamp. Probe order
-  /// does not matter: a node groups its probes by record in page order.
-  Status ClampedBatch(core::Arena& arena, const Point* qs, size_t count,
-                      V* outs, unsigned obs_level) const {
-    if (dims_ == 1) {
-      double one = 0;
-      double* keys = core::ScratchArray(arena, count, &one);
-      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_);
-      return base.DominanceSumBatch(keys, count, outs, obs_level);
-    }
-    uint32_t one = 0;
-    uint32_t* idx = core::ScratchArray(arena, count, &one);
-    for (size_t i = 0; i < count; ++i) idx[i] = static_cast<uint32_t>(i);
-    return DominanceBatchRec(arena, root_, idx, count, qs, outs, obs_level);
-  }
-
-  /// The batched descent below `pid`: `idx[0..m)` are the probes whose
-  /// paths all pass through `pid`; the node reorders them in place into
-  /// per-record groups. A probe takes the FIRST record whose box contains
-  /// it, in page order, and adds the record's subtotal, its inline borders
-  /// in ascending dimension order while the node is pinned, then its
-  /// spilled border trees in the same order after the pin is dropped, then
-  /// the walk's contributions below. While every probe takes the same
-  /// record the walk continues in place; a node that splits the probes
-  /// recurses once per record.
-  Status DominanceBatchRec(core::Arena& arena, PageId pid, uint32_t* idx,
-                           size_t m, const Point* qs, V* outs,
-                           unsigned level) const {
-    struct Group {  // idx[begin, end) took record `child`
-      PageId child;
-      size_t begin;
-      size_t end;
-      int spills;  // spilled borders: dimension and tree root
-      int spill_dims[kMaxDims];
-      PageId spill_roots[kMaxDims];
-    };
-    for (;; ++level) {
-      core::ArenaScope scope(arena);
-      Group one{};
-      Group* groups = nullptr;
-      size_t n_groups = 0;
-      {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-        obs::NoteNodeVisit(level);
-        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-        const Page* page = g.page();
-        if (PageType(page) == kLeaf) {
-          const uint32_t n = LeafCount(page);
-          for (size_t j = 0; j < m; ++j) {
-            const Point& q = qs[idx[j]];
-            V& out = outs[idx[j]];
-            for (uint32_t i = 0; i < n; ++i) {
-              if (q.Dominates(LeafPoint(page, i), dims_)) {
-                out += page->ReadAt<V>(LeafValueOff(i));
-              }
-            }
-          }
-          return Status::OK();
-        }
-        const uint32_t n = IntCount(page);
-        groups = core::ScratchArray(arena, std::min<size_t>(n, m), &one);
-        size_t assigned = 0;  // idx[0, assigned) have their record
-        for (uint32_t i = 0; i < n && assigned < m; ++i) {
-          const Box box = RecBox(page, i);
-          const size_t begin = assigned;
-          for (size_t t = assigned; t < m; ++t) {
-            if (box.ContainsPointHalfOpen(qs[idx[t]], dims_)) {
-              std::swap(idx[t], idx[assigned++]);
-            }
-          }
-          if (assigned == begin) continue;
-          Group& gr = groups[n_groups++];
-          gr.child = RecChild(page, i);
-          gr.begin = begin;
-          gr.end = assigned;
-          gr.spills = 0;
-          const V sub = page->ReadAt<V>(RecOff(i) + sizeof(Box) + 8);
-          for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += sub;
-          for (int b = 0; b < dims_; ++b) {
-            const uint64_t ref = RecBorderRef(page, i, b);
-            if (ref == kEmptyRef) continue;
-            if (!IsInlineRef(ref)) {
-              gr.spill_dims[gr.spills] = b;
-              gr.spill_roots[gr.spills++] = static_cast<PageId>(ref);
-              continue;
-            }
-            // In-page scan: zero extra I/O — the packing payoff. Entries
-            // are strictly lexicographically sorted (audited by (c)), so
-            // past the probe's first coordinate none is dominated.
-            const uint32_t off = InlineOffset(ref);
-            const uint32_t cnt = BlockCount(page, off);
-            for (size_t t = begin; t < assigned; ++t) {
-              const Point projected = qs[idx[t]].DropDim(b, dims_);
-              V& out = outs[idx[t]];
-              for (uint32_t k = 0; k < cnt; ++k) {
-                Point pt;  // decoded: packed entries hold dims - 1 coords
-                const uint32_t vo = BlockEntry(page, off, k, &pt);
-                if (pt[0] > projected[0]) break;
-                if (projected.Dominates(pt, dims_ - 1)) {
-                  out += page->ReadAt<V>(vo);
-                }
-              }
-            }
-          }
-        }
-        if (assigned != m) {
-          return Status::Corruption("query point not covered by any record");
-        }
-      }
-      // Every spilled border of this node before any descent.
-      for (size_t k = 0; k < n_groups; ++k) {
-        const Group& gr = groups[k];
-        for (int s = 0; s < gr.spills; ++s) {
-          BOXAGG_RETURN_NOT_OK(SpilledBorderBatch(
-              arena, gr.spill_roots[s], gr.spill_dims[s], idx + gr.begin,
-              gr.end - gr.begin, qs, outs, level + 1));
-        }
-      }
-      if (n_groups == 1) {  // one record takes every probe: walk on
-        pid = groups[0].child;
-        continue;
-      }
-      for (size_t k = 0; k < n_groups; ++k) {
-        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(
-            arena, groups[k].child, idx + groups[k].begin,
-            groups[k].end - groups[k].begin, qs, outs, level + 1));
-      }
-      return Status::OK();
-    }
-  }
-
-  /// Probes one spilled border tree with `members`' queries projected by
-  /// dropping dimension `b`; each probe adds its border sum as one value.
-  Status SpilledBorderBatch(core::Arena& arena, PageId tree_root, int b,
-                            const uint32_t* members, size_t m,
-                            const Point* qs, V* outs, unsigned level) const {
-    core::ArenaScope scope(arena);
-    Point one_pt;
-    V one_part{};
-    Point* pts = core::ScratchArray(arena, m, &one_pt);
-    V* parts = core::ScratchArray(arena, m, &one_part);
-    for (size_t t = 0; t < m; ++t) {
-      pts[t] = qs[members[t]].DropDim(b, dims_);
-      parts[t] = V{};
-    }
-    obs::NoteBorderProbes(m);
-    PackedBaTree sub(pool_, dims_ - 1, tree_root);
-    BOXAGG_RETURN_NOT_OK(sub.ClampedBatch(arena, pts, m, parts, level));
-    for (size_t t = 0; t < m; ++t) outs[members[t]] += parts[t];
-    return Status::OK();
-  }
-
-  // LINT:hot-path-end
   // ---- border image operations --------------------------------------------
 
   Status BorderImageInsert(BorderImage* b, const Point& projected,
@@ -1436,6 +1261,94 @@ class PackedBaTree {
   }
 
   // ---- traversal -----------------------------------------------------------
+
+  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
+  /// The batched descent's node decode and routing (core/batch_descent.h).
+  /// Probe order does not matter: a node groups its probes by record in
+  /// page order. A probe takes the FIRST record whose box contains it and
+  /// adds the record's subtotal, then its inline borders in ascending
+  /// dimension order while the node is pinned; its spilled border trees
+  /// follow in the same order as deferred side probes.
+  struct BatchOps : PageTreeOps<V, Point, kLeaf, SpilledBorder<PageId>> {
+    const PackedBaTree* tree;
+
+    bool OneDim() const { return tree->dims_ == 1; }
+
+    Status Leaf(const Page* page, const uint32_t* idx, size_t m) const {
+      const uint32_t n = LeafCount(page);
+      for (size_t j = 0; j < m; ++j) {
+        const Point& q = this->qs[idx[j]];
+        V& out = this->outs[idx[j]];
+        for (uint32_t i = 0; i < n; ++i) {
+          if (q.Dominates(LeafPoint(page, i), tree->dims_)) {
+            out += page->ReadAt<V>(LeafValueOff(i));
+          }
+        }
+      }
+      return Status::OK();
+    }
+
+    Status Route(const Page* page, uint32_t* idx, size_t m, unsigned,
+                 BatchRouting<PageId, SpilledBorder<PageId>>* r) const {
+      const Point* qs = this->qs;
+      V* outs = this->outs;
+      const int dims = tree->dims_;
+      const uint32_t n = IntCount(page);
+      r->groups.reserve(std::min<size_t>(n, m));
+      size_t assigned = 0;  // idx[0, assigned) have their record
+      for (uint32_t i = 0; i < n && assigned < m; ++i) {
+        const Box box = tree->RecBox(page, i);
+        const size_t begin = assigned;
+        for (size_t t = assigned; t < m; ++t) {
+          if (box.ContainsPointHalfOpen(qs[idx[t]], dims)) {
+            std::swap(idx[t], idx[assigned++]);
+          }
+        }
+        if (assigned == begin) continue;
+        r->Add(tree->RecChild(page, i), i, begin, assigned);
+        const V sub = page->ReadAt<V>(tree->RecOff(i) + sizeof(Box) + 8);
+        for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += sub;
+        for (int b = 0; b < dims; ++b) {
+          const uint64_t ref = tree->RecBorderRef(page, i, b);
+          if (ref == kEmptyRef) continue;
+          if (!IsInlineRef(ref)) {
+            r->Defer({b, static_cast<PageId>(ref)});
+            continue;
+          }
+          // In-page scan: zero extra I/O — the packing payoff. Entries
+          // are strictly lexicographically sorted (audited by (c)), so
+          // past the probe's first coordinate none is dominated.
+          const uint32_t off = InlineOffset(ref);
+          const uint32_t cnt = BlockCount(page, off);
+          for (size_t t = begin; t < assigned; ++t) {
+            const Point projected = qs[idx[t]].DropDim(b, dims);
+            V& out = outs[idx[t]];
+            for (uint32_t k = 0; k < cnt; ++k) {
+              Point pt;  // decoded: packed entries hold dims - 1 coords
+              const uint32_t vo = tree->BlockEntry(page, off, k, &pt);
+              if (pt[0] > projected[0]) break;
+              if (projected.Dominates(pt, dims - 1)) {
+                out += page->ReadAt<V>(vo);
+              }
+            }
+          }
+        }
+      }
+      if (assigned != m) {
+        return Status::Corruption("query point not covered by any record");
+      }
+      return Status::OK();
+    }
+
+    Status SideProbe(const SpilledBorder<PageId>& s, const uint32_t* members,
+                     size_t m, unsigned level) const {
+      const PackedBaTree sub(this->pool, tree->dims_ - 1, s.root);
+      BatchOps ops = *this;
+      ops.tree = &sub;
+      return SideBatch(ops, s.root, members, m, s.dim, tree->dims_, level);
+    }
+  };
+  // LINT:hot-path-end
 
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     uint16_t type;

@@ -39,8 +39,8 @@
 
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/batch_descent.h"
 #include "core/value_ops.h"
-#include "obs/query_obs.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
@@ -143,30 +143,14 @@ class AggBTree {
     return DominanceSumBatch(&q, 1, out, obs_level);
   }
 
-  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i].
-  /// A probe's additions (same values, same order) and the pages on its
-  /// path do not depend on which other probes share its batch, so results
-  /// are bit-identical for any batching. Probes are routed in sorted key
-  /// order and grouped by child, so each tree page is fetched and pinned at
-  /// most once per batch.
+  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i],
+  /// bit-identical for any batching; each page is fetched at most once per
+  /// batch (core/batch_descent.h).
   Status DominanceSumBatch(const double* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::Arena& arena = core::ScratchArena();
-    core::ArenaScope scope(arena);
-    uint32_t first = 0;
-    core::ArenaVector<uint32_t> order{core::ArenaAllocator<uint32_t>(&arena)};
-    if (count > 1) {
-      order.resize(count);
-      for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-      std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
-        if (qs[a] != qs[b]) return qs[a] < qs[b];
-        return a < b;
-      });
-    }
-    return DominanceBatchRec(arena, root_, count > 1 ? order.data() : &first,
-                             count, qs, outs, obs_level);
+    return BatchDescent<BatchOps<double>>::Run(
+        {{pool_, &core::ScratchArena(), qs, outs}, PageSz()}, root_, count,
+        obs_level);
   }
 
   // LINT:hot-path-end
@@ -574,78 +558,59 @@ class AggBTree {
 
   // ---- traversal ----------------------------------------------------------
 
+ public:
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// The batched descent below `pid`: `idx[0..m)` are probe indices sorted
-  /// by key whose paths all pass through `pid`. Each node is fetched once
-  /// and its pin dropped before the walk goes down; while every probe routes
-  /// to the same child the walk continues in place, and a node that splits
-  /// the probes recurses once per child. Scratch comes from `arena`, the
-  /// caller's thread-local arena (zero heap traffic once warm).
-  Status DominanceBatchRec(core::Arena& arena, PageId pid,
-                           const uint32_t* idx, size_t m, const double* qs,
-                           V* outs, unsigned level) const {
-    struct Group {
-      PageId child;
-      size_t begin;
-      size_t end;
-    };
-    const uint32_t page_size = pool_->file()->page_size();
-    for (;; ++level) {
-      core::ArenaScope scope(arena);
-      core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(&arena)};
-      PageId next = kInvalidPageId;  // the child, when it takes every probe
-      {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-        obs::NoteNodeVisit(level);
-        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-        const Page* p = g.page();
-        const uint8_t* base = p->data();
-        uint32_t n = Count(p);
-        if (Type(p) == kLeaf) {
-          const double* keys =
-              reinterpret_cast<const double*>(base + kHeaderSize);
-          const uint8_t* vals = base + LeafValueOffset(page_size, 0);
-          for (size_t j = 0; j < m; ++j) {
-            ValueOps<V>::AddStrided(&outs[idx[j]], vals,
-                                    simd::FirstGreater(keys, n, qs[idx[j]]),
-                                    sizeof(V));
-          }
-          return Status::OK();
-        }
-        const uint8_t* sums = base + InternalSumOffset(page_size, 0);
-        size_t j = 0;
-        while (j < m) {
-          const uint32_t route = RouteInternal(p, n, qs[idx[j]]);
-          size_t k = j + 1;
-          while (k < m && RouteInternal(p, n, qs[idx[k]]) == route) ++k;
-          for (size_t t = j; t < k; ++t) {
-            ValueOps<V>::AddStrided(&outs[idx[t]], sums, route, kInternalRec);
-          }
-          const PageId child =
-              p->ReadAt<PageId>(InternalChildOffset(page_size, route));
-          if (j == 0 && k == m) {
-            next = child;
-            break;
-          }
-          groups.push_back(Group{child, j, k});
-          j = k;
-        }
-      }
-      if (next != kInvalidPageId) {  // one child takes every probe: walk on
-        pid = next;
-        continue;
-      }
-      for (const Group& gr : groups) {
-        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(arena, gr.child, idx + gr.begin,
-                                               gr.end - gr.begin, qs, outs,
-                                               level + 1));
+  /// The batched descent's node decode and routing (core/batch_descent.h)
+  /// over probes that are keys, or points keyed by dimension 0: public, as
+  /// the 1-d base case of EcdfBTree and PackedBaTree runs it on points.
+  template <class P>
+  struct BatchOps : PageTreeOps<V, P, kLeaf> {
+    uint32_t page_size;
+
+    static double Key(double q) { return q; }
+    static double Key(const Point& q) { return q[0]; }
+    bool Less(const P& a, const P& b) const { return Key(a) < Key(b); }
+
+    Status Leaf(const Page* p, const uint32_t* idx, size_t m) const {
+      const uint32_t n = Count(p);
+      const auto* keys =
+          reinterpret_cast<const double*>(p->data() + kHeaderSize);
+      const uint8_t* vals = p->data() + LeafValueOffset(page_size, 0);
+      for (size_t j = 0; j < m; ++j) {
+        const double q = Key(this->qs[idx[j]]);
+        ValueOps<V>::AddStrided(&this->outs[idx[j]], vals,
+                                simd::FirstGreater(keys, n, q), sizeof(V));
       }
       return Status::OK();
     }
-  }
 
+    /// Each probe adds the subtree sums left of its route; sorted probes
+    /// route monotonically, so per-child groups are runs of idx.
+    Status Route(const Page* p, uint32_t* idx, size_t m, unsigned,
+                 BatchRouting<PageId, NoSide>* r) const {
+      const uint32_t n = Count(p);
+      const uint8_t* sums = p->data() + InternalSumOffset(page_size, 0);
+      r->groups.reserve(std::min<size_t>(n, m));
+      for (size_t j = 0; j < m;) {
+        const uint32_t route = RouteInternal(p, n, Key(this->qs[idx[j]]));
+        size_t k = j + 1;
+        while (k < m && RouteInternal(p, n, Key(this->qs[idx[k]])) == route) {
+          ++k;
+        }
+        for (size_t t = j; t < k; ++t) {
+          ValueOps<V>::AddStrided(&this->outs[idx[t]], sums, route,
+                                  kInternalRec);
+        }
+        r->Add(p->ReadAt<PageId>(InternalChildOffset(page_size, route)),
+               route, j, k);
+        j = k;
+      }
+      return Status::OK();
+    }
+  };
   // LINT:hot-path-end
+
+ private:
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));

@@ -43,10 +43,10 @@
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/batch_descent.h"
 #include "core/point_entry.h"
 #include "core/value_ops.h"
 #include "geom/point.h"
-#include "obs/query_obs.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
@@ -163,38 +163,13 @@ class EcdfBTree {
   }
 
   /// Batched dominance sums: outs[i] = total value of all points dominated
-  /// by qs[i]. A probe's border and leaf additions (same values, same
-  /// order) and the pages on its path do not depend on which other probes
-  /// share its batch, so results are bit-identical for any batching. Probes
-  /// are sorted by the dim-0 key so the main branch routes them
-  /// monotonically: each node is fetched once per batch, and border
-  /// subtrees are themselves probed with sub-batches (recursively down to
-  /// the 1-d AggBTree base case).
+  /// by qs[i], bit-identical for any batching; each page is fetched at most
+  /// once per batch (core/batch_descent.h).
   Status DominanceSumBatch(const Point* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::Arena& arena = core::ScratchArena();
-    core::ArenaScope scope(arena);
-    if (dims_ == 1) {
-      double one_key = 0;
-      double* keys = core::ScratchArray(arena, count, &one_key);
-      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_);
-      return base.DominanceSumBatch(keys, count, outs, obs_level);
-    }
-    Point one_pt;
-    Point* projected = core::ScratchArray(arena, count, &one_pt);
-    for (size_t i = 0; i < count; ++i) projected[i] = qs[i].DropDim(0, dims_);
-    uint32_t one = 0;
-    uint32_t* order = core::ScratchArray(arena, count, &one);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order, order + count, [qs](uint32_t a, uint32_t b) {
-      if (qs[a][0] != qs[b][0]) return qs[a][0] < qs[b][0];
-      return a < b;
-    });
-    return DominanceBatchRec(arena, root_, order, count, qs, projected, outs,
-                             obs_level);
+    return BatchDescent<BatchOps>::Run(
+        {{pool_, &core::ScratchArena(), qs, outs}, this}, root_, count,
+        obs_level);
   }
 
   // LINT:hot-path-end
@@ -859,105 +834,79 @@ class EcdfBTree {
   // ---- traversal ----------------------------------------------------------
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// The batched descent below main-branch node `pid`: `idx[0..m)` are
-  /// probe indices sorted by dim-0 key whose paths all pass through `pid`.
+  /// The batched descent's node decode and routing (core/batch_descent.h).
   /// Per probe, borders are added in ascending record order (Bu) or as the
-  /// single prefix border (Bq) before the walk's contributions below;
-  /// border probes run while the node is pinned, and the pin is dropped
-  /// before the walk goes down. While every probe routes to the same child
-  /// the walk continues in place; a node that splits the probes recurses
-  /// once per child.
-  Status DominanceBatchRec(core::Arena& arena, PageId pid,
-                           const uint32_t* idx, size_t m, const Point* qs,
-                           const Point* projected, V* outs,
-                           unsigned level) const {
-    struct Group {
-      uint32_t route;
-      PageId child;
-      size_t begin;
-      size_t end;
-    };
-    for (;; ++level) {
-      core::ArenaScope scope(arena);
-      core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(&arena)};
-      {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-        obs::NoteNodeVisit(level);
-        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-        const Page* p = g.page();
-        uint32_t n = Count(p);
-        if (Type(p) == kLeaf) {
-          for (size_t j = 0; j < m; ++j) {
-            const Point& q = qs[idx[j]];
-            V& out = outs[idx[j]];
-            for (uint32_t i = 0; i < n; ++i) {
-              Point pt = LeafPoint(p, i);
-              if (pt[0] > q[0]) break;
-              if (q.Dominates(pt, dims_)) out += p->ReadAt<V>(LeafValueOff(i));
-            }
-          }
-          return Status::OK();
-        }
-        // Sorted probes route monotonically, so per-child groups are
-        // contiguous runs of idx with strictly increasing routes.
-        size_t j = 0;
-        while (j < m) {
-          const uint32_t route = RouteInternal(p, n, qs[idx[j]][0]);
-          size_t k = j + 1;
-          while (k < m && RouteInternal(p, n, qs[idx[k]][0]) == route) ++k;
-          groups.push_back(Group{route, InternalChild(p, route), j, k});
-          j = k;
-        }
-        Point one_pt;
-        V one_part{};
-        Point* pts = core::ScratchArray(arena, m, &one_pt);
-        V* parts = core::ScratchArray(arena, m, &one_part);
-        // Probes idx[s, e) through border `border`, each adding its sum.
-        auto probe_border = [&](PageId border, size_t s, size_t e) -> Status {
-          const size_t gs = e - s;
-          for (size_t t = 0; t < gs; ++t) pts[t] = projected[idx[s + t]];
-          obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_, border);
-          BOXAGG_RETURN_NOT_OK(
-              sub.DominanceSumBatch(pts, gs, parts, level + 1));
-          for (size_t t = 0; t < gs; ++t) outs[idx[s + t]] += parts[t];
-          return Status::OK();
-        };
-        if (variant_ == EcdfVariant::kUpdateOptimized) {
-          // Border i is needed by every probe routed right of record i — a
-          // contiguous suffix of the sorted batch. Probing borders in
-          // ascending i gives each probe its border additions in ascending
-          // record order.
-          size_t gi = 0;  // first group with route > i
-          for (uint32_t i = 0; i < groups.back().route; ++i) {
-            while (groups[gi].route <= i) ++gi;
-            BOXAGG_RETURN_NOT_OK(
-                probe_border(InternalBorder(p, i), groups[gi].begin, m));
-          }
-        } else {
-          // Bq: each route group reads exactly one prefix border.
-          for (const Group& gr : groups) {
-            if (gr.route == 0) continue;
-            BOXAGG_RETURN_NOT_OK(probe_border(InternalBorder(p, gr.route - 1),
-                                              gr.begin, gr.end));
+  /// single prefix border (Bq) before the walk's contributions below; the
+  /// borders are probed while their node is pinned.
+  struct BatchOps : PageTreeOps<V, Point, kLeaf> {
+    const EcdfBTree* tree;
+
+    bool Less(const Point& a, const Point& b) const { return a[0] < b[0]; }
+    bool OneDim() const { return tree->dims_ == 1; }
+
+    Status Leaf(const Page* p, const uint32_t* idx, size_t m) const {
+      const uint32_t n = Count(p);
+      for (size_t j = 0; j < m; ++j) {
+        const Point& q = this->qs[idx[j]];
+        V& out = this->outs[idx[j]];
+        for (uint32_t i = 0; i < n; ++i) {
+          Point pt = LeafPoint(p, i);
+          if (pt[0] > q[0]) break;
+          if (q.Dominates(pt, tree->dims_)) {
+            out += p->ReadAt<V>(LeafValueOff(i));
           }
         }
-      }
-      if (groups.size() == 1) {  // one child takes every probe: walk on
-        pid = groups[0].child;
-        continue;
-      }
-      for (const Group& gr : groups) {
-        BOXAGG_RETURN_NOT_OK(DominanceBatchRec(arena, gr.child, idx + gr.begin,
-                                               gr.end - gr.begin, qs,
-                                               projected, outs, level + 1));
       }
       return Status::OK();
     }
-  }
 
+    Status Route(const Page* p, uint32_t* idx, size_t m, unsigned level,
+                 BatchRouting<PageId, NoSide>* r) const {
+      const uint32_t n = Count(p);
+      // Sorted probes route monotonically, so per-child groups are
+      // contiguous runs of idx with strictly increasing routes.
+      r->groups.reserve(std::min<size_t>(n, m));
+      for (size_t j = 0; j < m;) {
+        const uint32_t route = RouteInternal(p, n, this->qs[idx[j]][0]);
+        size_t k = j + 1;
+        while (k < m && RouteInternal(p, n, this->qs[idx[k]][0]) == route) {
+          ++k;
+        }
+        r->Add(tree->InternalChild(p, route), route, j, k);
+        j = k;
+      }
+      // Probes idx[s, e) through border `i`, each adding its sum.
+      auto probe_border = [&](uint32_t i, size_t s, size_t e) -> Status {
+        const EcdfBTree sub(this->pool, tree->dims_ - 1, tree->variant_,
+                            tree->InternalBorder(p, i));
+        BatchOps ops = *this;
+        ops.tree = &sub;
+        return SideBatch(ops, sub.root_, idx + s, e - s, 0, tree->dims_,
+                         level + 1);
+      };
+      const auto& groups = r->groups;
+      if (tree->variant_ == EcdfVariant::kUpdateOptimized) {
+        // Border i is needed by every probe routed right of record i — a
+        // contiguous suffix of the sorted batch. Probing borders in
+        // ascending i gives each probe its border additions in ascending
+        // record order.
+        size_t gi = 0;  // first group with route > i
+        for (uint32_t i = 0; i < groups.back().slot; ++i) {
+          while (groups[gi].slot <= i) ++gi;
+          BOXAGG_RETURN_NOT_OK(probe_border(i, groups[gi].begin, m));
+        }
+      } else {
+        // Bq: each route group reads exactly one prefix border.
+        for (const auto& gr : groups) {
+          if (gr.slot == 0) continue;
+          BOXAGG_RETURN_NOT_OK(probe_border(gr.slot - 1, gr.begin, gr.end));
+        }
+      }
+      return Status::OK();
+    }
+  };
   // LINT:hot-path-end
+
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));

@@ -20,10 +20,10 @@
 // of threads may query it (the executor adapter captures a pointer to the
 // BoxSumIndex, so every worker reads the same cache).
 //
-// I/O discipline: one BufferPool::Fetch per node visit, paired with one
-// obs::NoteNodeVisit — the replica keeps boxagg_stats' attribution
-// identity sum(node_visits) == logical_reads intact. Batched descents note
-// saved probe fetches exactly like the live trees.
+// I/O discipline: the replica descends through the live trees' skeleton
+// (core/batch_descent.h), which pairs each node's one BufferPool::Fetch
+// with its visit note, so boxagg_stats' identity sum(node_visits) ==
+// logical_reads holds here too.
 //
 // One node reader: queries and CheckConsistency decode nodes through the
 // same bounded NodeReader, so a malformed node (a strip wider than 8
@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -45,11 +44,11 @@
 
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/batch_descent.h"
 #include "core/point_entry.h"
 #include "core/value_ops.h"
 #include "geom/box.h"
 #include "geom/point.h"
-#include "obs/query_obs.h"
 #include "replica/replica_format.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
@@ -116,30 +115,18 @@ class CompactReplica {
     return DominanceSumBatch(&query, 1, out, obs_level);
   }
 
-  /// Batched dominance sums with the live trees' discipline (clamp, lex
-  /// sort, first containing record wins, spilled borders before the walk
-  /// goes down), so every probe makes the source tree's additions in the
-  /// source tree's order and results are byte-identical to it for any
+  /// Batched dominance sums through the live trees' descent
+  /// (core/batch_descent.h): byte-identical to the source tree for any
   /// batching.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (!cache_) return NotOpen();
-    const Cache& c = *cache_;
-    if (root_ == kInvalidPageId || c.node_count == 0 || count == 0) {
-      return Status::OK();
+    if (!cache_) {
+      std::fill_n(outs, count, V{});
+      return NotOpen();
     }
-    core::Arena& arena = core::ScratchArena();
-    core::ArenaScope scope(arena);
-    Point one;
-    Point* qs = core::ScratchArray(arena, count, &one);
-    for (size_t i = 0; i < count; ++i) {
-      qs[i] = queries[i];
-      for (int d = 0; d < dims_; ++d) {
-        qs[i][d] = std::min(qs[i][d], std::numeric_limits<double>::max());
-      }
-    }
-    return ClampedBatch(arena, c, 0, qs, count, outs, dims_, obs_level);
+    return BatchDescent<BatchOps>::Run(
+        {pool_, &core::ScratchArena(), queries, outs, &*cache_, dims_}, 0,
+        count, obs_level, /*clamp_infinity=*/true);
   }
   // LINT:hot-path-end
 
@@ -439,14 +426,15 @@ class CompactReplica {
   /// from the caller; the reader allocates nothing.
   class NodeReader {
    public:
-    NodeReader(const Cache& c, uint64_t ord) : c_(c), ord_(ord) {}
+    NodeReader() = default;
+    NodeReader(const Cache& c, uint64_t ord) : c_(&c), ord_(ord) {}
 
     /// Pins the node's data page into *g and reads its kind and entry
     /// count. Leaves may be drained (count 0) by the source tree's forced
     /// splits; internal nodes never are.
     Status Open(BufferPool* pool, PageGuard* g) {
-      const uint64_t de = c_.dir[ord_];
-      pid_ = c_.data_pages[de >> 32];
+      const uint64_t de = c_->dir[ord_];
+      pid_ = c_->data_pages[de >> 32];
       BOXAGG_RETURN_NOT_OK(pool->Fetch(pid_, g));
       const Page* page = g->page();
       const uint64_t payload_end =
@@ -496,9 +484,9 @@ class CompactReplica {
     template <class Put>
     Status Keys(uint32_t m, uint64_t* tok, Put put) {
       bool dict = false;
-      BOXAGG_RETURN_NOT_OK(Tokens(m, m, c_.key_dict.size(), tok, &dict));
+      BOXAGG_RETURN_NOT_OK(Tokens(m, m, c_->key_dict.size(), tok, &dict));
       if (dict) {
-        for (uint32_t i = 0; i < m; ++i) put(i, c_.key_dict[tok[i]]);
+        for (uint32_t i = 0; i < m; ++i) put(i, c_->key_dict[tok[i]]);
       } else {
         for (uint32_t i = 0; i < m; ++i) put(i, replica::UnmapDouble(tok[i]));
       }
@@ -530,10 +518,10 @@ class CompactReplica {
     /// Decodes the first `take` values of the next strip (stored count m).
     Status Values(uint32_t m, uint32_t take, uint64_t* tok, V* out) {
       bool dict = false;
-      BOXAGG_RETURN_NOT_OK(Tokens(m, take, c_.val_dict.size(), tok, &dict));
+      BOXAGG_RETURN_NOT_OK(Tokens(m, take, c_->val_dict.size(), tok, &dict));
       if (dict) {
         for (uint32_t i = 0; i < take; ++i) {
-          out[i] = std::bit_cast<V>(c_.val_dict[tok[i]]);
+          out[i] = std::bit_cast<V>(c_->val_dict[tok[i]]);
         }
       } else {
         for (uint32_t i = 0; i < take; ++i) {
@@ -592,8 +580,8 @@ class CompactReplica {
     /// (ord, node_count).
     Status Ordinal(uint64_t span, uint64_t* out) {
       BOXAGG_RETURN_NOT_OK(Varint(out));
-      if (*out <= ord_ || *out >= c_.node_count ||
-          span > c_.node_count - *out) {
+      if (*out <= ord_ || *out >= c_->node_count ||
+          span > c_->node_count - *out) {
         return CorruptionAt(pid_, "compact-replica: child or spill ordinal "
                                   "outside (node, node_count)");
       }
@@ -626,8 +614,8 @@ class CompactReplica {
       return Status::OK();
     }
 
-    const Cache& c_;
-    const uint64_t ord_;
+    const Cache* c_ = nullptr;
+    uint64_t ord_ = 0;
     PageId pid_ = kInvalidPageId;
     const uint8_t* p_ = nullptr;
     const uint8_t* end_ = nullptr;
@@ -636,201 +624,171 @@ class CompactReplica {
     uint32_t n_ = 0;
   };
 
-  /// Sorts already clamped probes lexicographically (tie: original index)
-  /// and runs the batched descent from node `ord`; `outs` must be zero. The
-  /// entry discipline of both PackedBaTree (lex sort over dims) and
-  /// AggBTree (key sort == lex sort at dims == 1), so it serves the
-  /// top-level batch AND the spilled-border sub-batch.
-  Status ClampedBatch(core::Arena& arena, const Cache& c, uint64_t ord,
-                      const Point* qs, size_t count, V* outs, int dims,
-                      unsigned obs_level) const {
-    uint32_t one = 0;
-    uint32_t* order = core::ScratchArray(arena, count, &one);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order, order + count, [dims, qs](uint32_t a, uint32_t b) {
-      if (LexLess(qs[a], qs[b], dims)) return true;
-      if (LexLess(qs[b], qs[a], dims)) return false;
-      return a < b;
-    });
-    return BatchRec(arena, c, ord, order, count, qs, outs, dims, obs_level);
-  }
+  /// The batched descent's node decode and routing (core/batch_descent.h),
+  /// by node kind: aggregate nodes route key-sorted probes in runs and
+  /// decode only the value prefix their probes add; BA nodes regroup idx per
+  /// record and defer spilled borders. Probes are lex-sorted at every entry,
+  /// the source trees' order (a key sort is a lex sort at dims == 1).
+  struct BatchOps {
+    using Value = V;
+    using Probe = Point;
+    using NodeId = uint64_t;
+    using Node = NodeReader;
+    using Side = SpilledBorder<uint64_t>;
 
-  /// The batched descent below node `ord`; a kind-dispatched mirror of
-  /// PackedBaTree::DominanceBatchRec and AggBTree::DominanceBatchRec.
-  /// Aggregate nodes split the key-sorted `idx[0..m)` into contiguous runs
-  /// per child and decode only the value prefix their probes add; BA nodes
-  /// regroup `idx` in place per record. While every probe takes the same
-  /// child the walk continues in place; a node that splits the probes
-  /// recurses once per child.
-  Status BatchRec(core::Arena& arena, const Cache& c, uint64_t ord,
-                  uint32_t* idx, size_t m, const Point* qs, V* outs,
-                  int dims, unsigned level) const {
-    struct Group {  // idx[begin, end) go to child `child`
-      uint64_t child;
-      size_t begin;
-      size_t end;
-      int spills;  // spilled borders: dimension and tree ordinal
-      int spill_dims[kMaxDims];
-      uint64_t spill_ords[kMaxDims];
-    };
-    for (;; ++level) {
-      core::ArenaScope scope(arena);
-      Group one{};
-      Group* groups = nullptr;
-      size_t n_groups = 0;
-      {
-        PageGuard g;
-        NodeReader rd(c, ord);
-        BOXAGG_RETURN_NOT_OK(rd.Open(pool_, &g));
-        obs::NoteNodeVisit(level);
-        if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-        const uint8_t kind = rd.kind();
-        const uint32_t n = rd.count();
-        if (n == 0) return Status::OK();  // drained leaf: nothing follows
-        uint64_t first_child = 0;
-        if (rd.internal()) BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
-        core::ArenaVector<uint64_t> tok(n,
-                                        core::ArenaAllocator<uint64_t>(&arena));
-        groups = core::ScratchArray(arena, std::min<size_t>(n, m), &one);
-        const bool leaf = kind == replica::kNodeAggLeaf;
-        if (leaf || kind == replica::kNodeAggInternal) {
-          core::ArenaVector<double> keys(n,
-                                         core::ArenaAllocator<double>(&arena));
-          double* kd = keys.data();
-          BOXAGG_RETURN_NOT_OK(rd.Keys(
-              n, tok.data(), [kd](uint32_t i, double k) { kd[i] = k; }));
-          // A leaf probe adds values [0, cut); an internal probe adds the
-          // subtree sums [0, route) and goes to child `route` (lowkey 0
-          // acts as -infinity).
-          uint32_t one_cut = 0;
-          uint32_t* cuts = core::ScratchArray(arena, m, &one_cut);
-          uint32_t take = 0;
-          for (size_t j = 0; j < m; ++j) {
-            cuts[j] = leaf ? simd::FirstGreater(kd, n, qs[idx[j]][0])
-                           : simd::FirstGreater(kd + 1, n - 1, qs[idx[j]][0]);
-            take = std::max(take, cuts[j]);
-          }
-          core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(&arena));
-          BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok.data(), vals.data()));
-          const auto* vb = reinterpret_cast<const uint8_t*>(vals.data());
-          for (size_t j = 0; j < m; ++j) {
-            ValueOps<V>::AddStrided(&outs[idx[j]], vb, cuts[j], sizeof(V));
-          }
-          if (leaf) return Status::OK();
-          // Sorted probes route monotonically: groups are runs of idx.
-          for (size_t j = 0; j < m;) {
-            size_t k = j + 1;
-            while (k < m && cuts[k] == cuts[j]) ++k;
-            groups[n_groups++] = Group{first_child + cuts[j], j, k, 0, {}, {}};
-            j = k;
-          }
-        } else if (kind == replica::kNodeBaLeaf) {
-          core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(&arena));
-          BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
-          core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(&arena));
-          BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), vals.data()));
-          for (size_t j = 0; j < m; ++j) {
-            const Point& q = qs[idx[j]];
-            V& out = outs[idx[j]];
-            for (uint32_t i = 0; i < n; ++i) {
-              if (q.Dominates(pts[i], dims)) out += vals[i];
-            }
-          }
-          return Status::OK();
-        } else {  // kNodeBaInternal
-          core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(&arena));
-          BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
-          core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(&arena));
-          BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), subs.data()));
-          size_t assigned = 0;  // idx[0, assigned) have their record
-          for (uint32_t i = 0; i < n && assigned < m; ++i) {
-            const size_t begin = assigned;
-            for (size_t t = assigned; t < m; ++t) {
-              if (boxes[i].ContainsPointHalfOpen(qs[idx[t]], dims)) {
-                std::swap(idx[t], idx[assigned++]);
-              }
-            }
-            if (assigned == begin) {
-              BOXAGG_RETURN_NOT_OK(rd.SkipBorders(dims));
-              continue;
-            }
-            Group& gr = groups[n_groups++];
-            gr.child = first_child + i;
-            gr.begin = begin;
-            gr.end = assigned;
-            gr.spills = 0;
-            for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += subs[i];
-            for (int b = 0; b < dims; ++b) {
-              uint8_t tag = 0;
-              uint64_t arg = 0;
-              BOXAGG_RETURN_NOT_OK(rd.Border(&tag, &arg));
-              if (tag == replica::kBorderEmpty) continue;
-              if (tag == replica::kBorderSpill) {
-                gr.spill_dims[gr.spills] = b;
-                gr.spill_ords[gr.spills++] = arg;
-                continue;
-              }
-              const uint32_t cnt = static_cast<uint32_t>(arg);
-              core::ArenaScope block_scope(arena);
-              core::ArenaVector<uint64_t> btok(
-                  cnt, core::ArenaAllocator<uint64_t>(&arena));
-              core::ArenaVector<Point> bpts(
-                  cnt, core::ArenaAllocator<Point>(&arena));
-              BOXAGG_RETURN_NOT_OK(
-                  rd.Points(cnt, dims - 1, btok.data(), bpts.data()));
-              core::ArenaVector<V> bvals(cnt, core::ArenaAllocator<V>(&arena));
-              BOXAGG_RETURN_NOT_OK(
-                  rd.Values(cnt, cnt, btok.data(), bvals.data()));
-              for (size_t t = begin; t < assigned; ++t) {
-                const Point projected = qs[idx[t]].DropDim(b, dims);
-                V& out = outs[idx[t]];
-                for (uint32_t k = 0; k < cnt; ++k) {
-                  if (projected.Dominates(bpts[k], dims - 1)) out += bvals[k];
-                }
-              }
-            }
-          }
-          if (assigned != m) {
-            return CorruptionAt(rd.pid(), "compact-replica: query point not "
-                                          "covered by any record");
-          }
+    BufferPool* pool;
+    core::Arena* arena;
+    const Point* qs;
+    V* outs;
+    const Cache* cache;
+    int dims;
+
+    bool Empty(uint64_t) const { return cache->node_count == 0; }
+    bool Less(const Point& a, const Point& b) const {
+      return LexLess(a, b, dims);
+    }
+
+    Status Open(uint64_t ord, PageGuard* g, NodeReader* rd, bool* leaf) const {
+      *rd = NodeReader(*cache, ord);
+      BOXAGG_RETURN_NOT_OK(rd->Open(pool, g));
+      *leaf = !rd->internal();
+      return Status::OK();
+    }
+
+    Status Leaf(NodeReader& rd, const uint32_t* idx, size_t m) const {
+      const uint32_t n = rd.count();
+      if (n == 0) return Status::OK();  // drained leaf: nothing follows
+      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
+      if (rd.kind() == replica::kNodeAggLeaf) {
+        return AggAdds(rd, idx, m, /*leaf=*/true, tok.data(), nullptr);
+      }
+      core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(arena));
+      BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
+      core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(arena));
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), vals.data()));
+      for (size_t j = 0; j < m; ++j) {
+        const Point& q = qs[idx[j]];
+        V& out = outs[idx[j]];
+        for (uint32_t i = 0; i < n; ++i) {
+          if (q.Dominates(pts[i], dims)) out += vals[i];
         }
-      }
-      // Every spilled border of this node before any descent, like the live
-      // tree; each sub-batch sorts its projected probes exactly as the live
-      // tree's spilled-border sub-batch over the same root would.
-      for (size_t k = 0; k < n_groups; ++k) {
-        const Group& gr = groups[k];
-        const size_t gs = gr.end - gr.begin;
-        for (int s = 0; s < gr.spills; ++s) {
-          core::ArenaScope spill_scope(arena);
-          Point one_pt;
-          V one_part{};
-          Point* pts = core::ScratchArray(arena, gs, &one_pt);
-          V* parts = core::ScratchArray(arena, gs, &one_part);
-          for (size_t t = 0; t < gs; ++t) {
-            pts[t] = qs[idx[gr.begin + t]].DropDim(gr.spill_dims[s], dims);
-            parts[t] = V{};
-          }
-          obs::NoteBorderProbes(gs);
-          BOXAGG_RETURN_NOT_OK(ClampedBatch(arena, c, gr.spill_ords[s], pts,
-                                            gs, parts, dims - 1, level + 1));
-          for (size_t t = 0; t < gs; ++t) outs[idx[gr.begin + t]] += parts[t];
-        }
-      }
-      if (n_groups == 1) {  // one child takes every probe: walk on
-        ord = groups[0].child;
-        continue;
-      }
-      for (size_t k = 0; k < n_groups; ++k) {
-        BOXAGG_RETURN_NOT_OK(BatchRec(arena, c, groups[k].child,
-                                      idx + groups[k].begin,
-                                      groups[k].end - groups[k].begin, qs,
-                                      outs, dims, level + 1));
       }
       return Status::OK();
     }
-  }
+
+    Status Route(NodeReader& rd, uint32_t* idx, size_t m, unsigned,
+                 BatchRouting<uint64_t, Side>* r) const {
+      const uint32_t n = rd.count();
+      uint64_t first_child = 0;
+      BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
+      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
+      r->groups.reserve(std::min<size_t>(n, m));
+      if (rd.kind() == replica::kNodeAggInternal) {
+        uint32_t one_cut = 0;
+        uint32_t* cuts = core::ScratchArray(*arena, m, &one_cut);
+        BOXAGG_RETURN_NOT_OK(
+            AggAdds(rd, idx, m, /*leaf=*/false, tok.data(), cuts));
+        // Sorted probes route monotonically: groups are runs of idx.
+        for (size_t j = 0; j < m;) {
+          size_t k = j + 1;
+          while (k < m && cuts[k] == cuts[j]) ++k;
+          r->Add(first_child + cuts[j], cuts[j], j, k);
+          j = k;
+        }
+        return Status::OK();
+      }
+      core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(arena));
+      BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
+      core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(arena));
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), subs.data()));
+      size_t assigned = 0;  // idx[0, assigned) have their record
+      for (uint32_t i = 0; i < n && assigned < m; ++i) {
+        const size_t begin = assigned;
+        for (size_t t = assigned; t < m; ++t) {
+          if (boxes[i].ContainsPointHalfOpen(qs[idx[t]], dims)) {
+            std::swap(idx[t], idx[assigned++]);
+          }
+        }
+        if (assigned == begin) {
+          BOXAGG_RETURN_NOT_OK(rd.SkipBorders(dims));
+          continue;
+        }
+        r->Add(first_child + i, i, begin, assigned);
+        for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += subs[i];
+        for (int b = 0; b < dims; ++b) {
+          uint8_t tag = 0;
+          uint64_t arg = 0;
+          BOXAGG_RETURN_NOT_OK(rd.Border(&tag, &arg));
+          if (tag == replica::kBorderEmpty) continue;
+          if (tag == replica::kBorderSpill) {
+            r->Defer({b, arg});
+            continue;
+          }
+          const uint32_t cnt = static_cast<uint32_t>(arg);
+          core::ArenaScope block_scope(*arena);
+          core::ArenaVector<uint64_t> btok(
+              cnt, core::ArenaAllocator<uint64_t>(arena));
+          core::ArenaVector<Point> bpts(cnt,
+                                        core::ArenaAllocator<Point>(arena));
+          BOXAGG_RETURN_NOT_OK(
+              rd.Points(cnt, dims - 1, btok.data(), bpts.data()));
+          core::ArenaVector<V> bvals(cnt, core::ArenaAllocator<V>(arena));
+          BOXAGG_RETURN_NOT_OK(rd.Values(cnt, cnt, btok.data(), bvals.data()));
+          for (size_t t = begin; t < assigned; ++t) {
+            const Point projected = qs[idx[t]].DropDim(b, dims);
+            V& out = outs[idx[t]];
+            for (uint32_t k = 0; k < cnt; ++k) {
+              if (projected.Dominates(bpts[k], dims - 1)) out += bvals[k];
+            }
+          }
+        }
+      }
+      if (assigned != m) {
+        return CorruptionAt(rd.pid(), "compact-replica: query point not "
+                                      "covered by any record");
+      }
+      return Status::OK();
+    }
+
+    /// A spilled border tree, probed with the members' queries projected
+    /// by dropping the border's dimension. The sub-batch sorts them again;
+    /// its fetch order matches the live tree's, whose BA nodes group probes
+    /// by record whatever their order.
+    Status SideProbe(const Side& s, const uint32_t* members, size_t m,
+                     unsigned level) const {
+      BatchOps ops = *this;
+      ops.dims = dims - 1;
+      return SideBatch(ops, s.root, members, m, s.dim, dims, level);
+    }
+
+    /// An aggregate node's adds: a leaf probe adds values [0, cut), an
+    /// internal probe adds the subtree sums [0, route) and goes to child
+    /// `route` (lowkey 0 acts as -infinity). Only the value prefix some
+    /// probe adds is decoded. An internal node's routes land in cuts[].
+    Status AggAdds(NodeReader& rd, const uint32_t* idx, size_t m, bool leaf,
+                   uint64_t* tok, uint32_t* cuts) const {
+      const uint32_t n = rd.count();
+      core::ArenaVector<double> keys(n, core::ArenaAllocator<double>(arena));
+      double* kd = keys.data();
+      BOXAGG_RETURN_NOT_OK(
+          rd.Keys(n, tok, [kd](uint32_t i, double k) { kd[i] = k; }));
+      uint32_t one_cut = 0;
+      if (cuts == nullptr) cuts = core::ScratchArray(*arena, m, &one_cut);
+      uint32_t take = 0;
+      for (size_t j = 0; j < m; ++j) {
+        cuts[j] = leaf ? simd::FirstGreater(kd, n, qs[idx[j]][0])
+                       : simd::FirstGreater(kd + 1, n - 1, qs[idx[j]][0]);
+        take = std::max(take, cuts[j]);
+      }
+      core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(arena));
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok, vals.data()));
+      const auto* vb = reinterpret_cast<const uint8_t*>(vals.data());
+      for (size_t j = 0; j < m; ++j) {
+        ValueOps<V>::AddStrided(&outs[idx[j]], vb, cuts[j], sizeof(V));
+      }
+      return Status::OK();
+    }
+  };
   // LINT:hot-path-end
 
   // ---- verification (check path: free to allocate) -------------------------

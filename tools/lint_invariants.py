@@ -54,6 +54,14 @@ value-bytes     Two checks in src/. (1) No memcpy/ReadBytes/WriteBytes call
                 into one scalar add per coefficient; add in place instead.
                 Neither check sees whether a loop still vectorizes, nor a
                 local accumulator that is not written back to its source.
+
+visit-site      In src/, obs::NoteNodeVisit, BufferPool::NoteProbeFetchesSaved
+                and obs::NoteBorderProbes are called only from
+                src/core/batch_descent.h, the one batched descent of the page
+                trees. The files that define them (obs/query_obs.*,
+                storage/buffer_pool.*) are exempt. Per-visit accounting (the
+                node_visits == logical_reads identity, and any per-layer
+                timer or pool hook added at the visit) then has one site.
 """
 
 from __future__ import annotations
@@ -78,6 +86,16 @@ VALUE_SIZE_ARG = re.compile(r"sizeof\s*\(\s*V\s*\)")
 # A local V copied from an expression: `V acc = outs[i];` or `V acc{outs[i]};`.
 VALUE_LOCAL_COPY = re.compile(
     r"\bV\s+(\w+)\s*(?:=\s*([^;{}]+?)|\{([^;{}]+)\})\s*;")
+
+# The one file that may note node visits, saved probe fetches and border
+# probes, and the files that define those hooks.
+BATCH_DESCENT_H = os.path.join("src", "core", "batch_descent.h")
+VISIT_HOOK_HOMES = {os.path.join("src", "obs", "query_obs.h"),
+                    os.path.join("src", "obs", "query_obs.cc"),
+                    os.path.join("src", "storage", "buffer_pool.h"),
+                    os.path.join("src", "storage", "buffer_pool.cc")}
+VISIT_HOOK_CALL = re.compile(
+    r"\b(NoteNodeVisit|NoteProbeFetchesSaved|NoteBorderProbes)\s*\(")
 
 DESIGN_MD = "DESIGN.md"
 RANK_NAMESPACE = re.compile(r"namespace lock_rank \{(.*?)\}", re.S)
@@ -370,6 +388,19 @@ def check_value_bytes(rel, code, findings):
                 ": add into it in place"))
 
 
+def check_visit_site(rel, code_lines, findings):
+    if (not rel.startswith("src" + os.sep) or rel == BATCH_DESCENT_H
+            or rel in VISIT_HOOK_HOMES):
+        return
+    for lineno, line in enumerate(code_lines, 1):
+        m = VISIT_HOOK_CALL.search(line)
+        if m:
+            findings.append(Finding(
+                rel, lineno, "visit-site",
+                f"{m.group(1)} called outside src/core/batch_descent.h — "
+                "descents go through BatchDescent, the one visit site"))
+
+
 def rank_constants():
     """{kX: rank} for the constants of sync.h's lock_rank namespace."""
     with open(os.path.join(REPO_ROOT, SYNC_H), encoding="utf-8") as f:
@@ -442,6 +473,7 @@ def main(argv) -> int:
         check_hot_path(rel, raw_lines, code_lines, findings)
         check_bench_stdout(rel, raw_lines, code_lines, findings)
         check_value_bytes(rel, code, findings)
+        check_visit_site(rel, code_lines, findings)
         if rel.startswith("src" + os.sep):
             ranked_mutexes(rel, text, code, ranks, declared, findings)
     check_lock_rank_table(declared, findings)

@@ -68,6 +68,7 @@ RATIO = {"speedup"}
 WALL_HIGHER_BETTER = {"queries_per_sec"}
 WALL_LOWER_BETTER = {
     "wall_ms",
+    "wall_ms_min",
     "scalar_ms",
     "simd_ms",
     "build_ms",

@@ -558,11 +558,13 @@ class AggBTree {
 
   // ---- traversal ----------------------------------------------------------
 
- public:
+  template <class>
+  friend struct BatchDescent;  // runs BatchOps<Point> as the 1-d base case
+
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// The batched descent's node decode and routing (core/batch_descent.h)
-  /// over probes that are keys, or points keyed by dimension 0: public, as
-  /// the 1-d base case of EcdfBTree and PackedBaTree runs it on points.
+  /// over probes that are keys, or points keyed by dimension 0 (the 1-d
+  /// base case of EcdfBTree and PackedBaTree).
   template <class P>
   struct BatchOps : PageTreeOps<V, P, kLeaf> {
     uint32_t page_size;
@@ -610,7 +612,6 @@ class AggBTree {
   };
   // LINT:hot-path-end
 
- private:
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));

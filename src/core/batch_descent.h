@@ -1,12 +1,10 @@
 // BatchDescent<NodeOps>: the one batched root-to-leaf walk of AggBTree,
 // EcdfBTree, PackedBaTree and CompactReplica. The skeleton owns the entry
-// (zeroed outs, early outs, +infinity clamp, 1-d AggBTree base case, probe
-// order) and per level the ArenaScope, the fetch, the visit and saved-fetch
-// notes, the leaf return, the deferred side probes after the unpin, the
-// walk-on loop and the recursion in group order. Each tree supplies only
-// its node decode and routing as a NodeOps struct (a template argument, no
-// virtual call): Empty, Open, Leaf, Route, and Less or SideProbe where it
-// sorts its probes or defers side probes. DESIGN.md §8 states the contract.
+// and every fetch, visit note and side probe of the walk; each tree
+// supplies only its node decode and routing as a NodeOps struct (Empty,
+// Open, Leaf, Route, and Less or SideProbe where it sorts its probes or
+// defers side probes), a template argument with no virtual call.
+// DESIGN.md §8 states the contract and what runs while a node is pinned.
 
 #ifndef BOXAGG_CORE_BATCH_DESCENT_H_
 #define BOXAGG_CORE_BATCH_DESCENT_H_
@@ -26,6 +24,8 @@ namespace boxagg {
 
 template <class V>
 class AggBTree;  // the 1-d base case (bptree/agg_btree.h)
+
+// LINT:hot-path — the batched descent: no heap allocation past warm-up
 
 /// Side-probe type of a tree whose routing defers none.
 struct NoSide {};
@@ -207,6 +207,8 @@ Status SideBatch(Ops sub, typename Ops::NodeId root, const uint32_t* members,
   for (size_t t = 0; t < m; ++t) outs[members[t]] += parts[t];
   return Status::OK();
 }
+
+// LINT:hot-path-end
 
 }  // namespace boxagg
 

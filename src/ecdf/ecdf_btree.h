@@ -154,10 +154,7 @@ class EcdfBTree {
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// Total value of all points dominated by `q` (Sec. 2 semantics): a
   /// one-probe DominanceSumBatch, i.e. the single root-to-leaf walk.
-  ///
-  /// `obs_level` offsets the per-level node-visit attribution (obs/):
-  /// border sub-trees hanging off level L are probed at level L+1, so the
-  /// composite structure's depth breakdown stays consistent.
+  /// `obs_level` offsets the node-visit attribution as in AggBTree.
   Status DominanceSum(const Point& q, V* out, unsigned obs_level = 0) const {
     return DominanceSumBatch(&q, 1, out, obs_level);
   }
@@ -884,7 +881,7 @@ class EcdfBTree {
         return SideBatch(ops, sub.root_, idx + s, e - s, 0, tree->dims_,
                          level + 1);
       };
-      const auto& groups = r->groups;
+      const auto& groups = r->groups;  // routes strictly increase
       if (tree->variant_ == EcdfVariant::kUpdateOptimized) {
         // Border i is needed by every probe routed right of record i — a
         // contiguous suffix of the sorted batch. Probing borders in

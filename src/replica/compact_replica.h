@@ -658,10 +658,8 @@ class CompactReplica {
     Status Leaf(NodeReader& rd, const uint32_t* idx, size_t m) const {
       const uint32_t n = rd.count();
       if (n == 0) return Status::OK();  // drained leaf: nothing follows
+      if (rd.kind() == replica::kNodeAggLeaf) return AggAdds(rd, idx, m, {});
       core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
-      if (rd.kind() == replica::kNodeAggLeaf) {
-        return AggAdds(rd, idx, m, /*leaf=*/true, tok.data(), nullptr);
-      }
       core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(arena));
       BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
       core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(arena));
@@ -681,13 +679,11 @@ class CompactReplica {
       const uint32_t n = rd.count();
       uint64_t first_child = 0;
       BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
-      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
       r->groups.reserve(std::min<size_t>(n, m));
       if (rd.kind() == replica::kNodeAggInternal) {
         uint32_t one_cut = 0;
         uint32_t* cuts = core::ScratchArray(*arena, m, &one_cut);
-        BOXAGG_RETURN_NOT_OK(
-            AggAdds(rd, idx, m, /*leaf=*/false, tok.data(), cuts));
+        BOXAGG_RETURN_NOT_OK(AggAdds(rd, idx, m, cuts));
         // Sorted probes route monotonically: groups are runs of idx.
         for (size_t j = 0; j < m;) {
           size_t k = j + 1;
@@ -697,6 +693,7 @@ class CompactReplica {
         }
         return Status::OK();
       }
+      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
       core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(arena));
       BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
       core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(arena));
@@ -761,27 +758,28 @@ class CompactReplica {
       return SideBatch(ops, s.root, members, m, s.dim, dims, level);
     }
 
-    /// An aggregate node's adds: a leaf probe adds values [0, cut), an
-    /// internal probe adds the subtree sums [0, route) and goes to child
-    /// `route` (lowkey 0 acts as -infinity). Only the value prefix some
-    /// probe adds is decoded. An internal node's routes land in cuts[].
-    Status AggAdds(NodeReader& rd, const uint32_t* idx, size_t m, bool leaf,
-                   uint64_t* tok, uint32_t* cuts) const {
+    /// An aggregate node's adds: a leaf probe adds values [0, cut); at an
+    /// internal node (`routes` given) a probe adds the subtree sums
+    /// [0, route) and its route lands in routes[] (lowkey 0 acts as
+    /// -infinity). Only the value prefix some probe adds is decoded.
+    Status AggAdds(NodeReader& rd, const uint32_t* idx, size_t m,
+                   uint32_t* routes) const {
       const uint32_t n = rd.count();
+      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
       core::ArenaVector<double> keys(n, core::ArenaAllocator<double>(arena));
       double* kd = keys.data();
       BOXAGG_RETURN_NOT_OK(
-          rd.Keys(n, tok, [kd](uint32_t i, double k) { kd[i] = k; }));
-      uint32_t one_cut = 0;
-      if (cuts == nullptr) cuts = core::ScratchArray(*arena, m, &one_cut);
+          rd.Keys(n, tok.data(), [kd](uint32_t i, double k) { kd[i] = k; }));
+      uint32_t one = 0;
+      uint32_t* cuts = routes ? routes : core::ScratchArray(*arena, m, &one);
       uint32_t take = 0;
       for (size_t j = 0; j < m; ++j) {
-        cuts[j] = leaf ? simd::FirstGreater(kd, n, qs[idx[j]][0])
-                       : simd::FirstGreater(kd + 1, n - 1, qs[idx[j]][0]);
+        cuts[j] = routes ? simd::FirstGreater(kd + 1, n - 1, qs[idx[j]][0])
+                         : simd::FirstGreater(kd, n, qs[idx[j]][0]);
         take = std::max(take, cuts[j]);
       }
       core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok, vals.data()));
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok.data(), vals.data()));
       const auto* vb = reinterpret_cast<const uint8_t*>(vals.data());
       for (size_t j = 0; j < m; ++j) {
         ValueOps<V>::AddStrided(&outs[idx[j]], vb, cuts[j], sizeof(V));

@@ -1294,7 +1294,7 @@ class PackedBaTree {
       V* outs = this->outs;
       const int dims = tree->dims_;
       const uint32_t n = IntCount(page);
-      r->Reserve(std::min<size_t>(n, m));
+      r->groups.reserve(std::min<size_t>(n, m));
       size_t assigned = 0;  // idx[0, assigned) have their record
       for (uint32_t i = 0; i < n && assigned < m; ++i) {
         const Box box = tree->RecBox(page, i);

@@ -10,7 +10,6 @@
 #define BOXAGG_CORE_BATCH_DESCENT_H_
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -40,56 +39,35 @@ struct SpilledBorder {
 };
 
 /// One node's routing, filled by NodeOps::Route while the node is pinned:
-/// the per-child groups, each with the side probes deferred to after the
-/// unpin. A node has at most min(children, probes) groups, so Route
-/// reserves that many once; one group is kept in place, so a one-probe walk
-/// touches no arena memory.
+/// the per-child groups and the side probes deferred to after the unpin,
+/// both in the level's ArenaScope.
 template <class NodeId, class Side>
-class BatchRouting {
- public:
+struct BatchRouting {
   struct Group {
     NodeId child;
     uint32_t slot;  // the child's entry in its node (route or record index)
     size_t begin;   // idx[begin, end) go to `child`
     size_t end;
-    int n_sides;
-    Side sides[kMaxDims];
+  };
+  struct Deferred {
+    size_t group;
+    Side side;
   };
 
-  explicit BatchRouting(core::Arena* arena) : arena_(arena) {}
-  BatchRouting(const BatchRouting&) = delete;
-  BatchRouting& operator=(const BatchRouting&) = delete;
+  explicit BatchRouting(core::Arena* arena)
+      : groups(core::ArenaAllocator<Group>(arena)),
+        sides(core::ArenaAllocator<Deferred>(arena)) {}
 
-  void Reserve(size_t n) {
-    groups_ = core::ScratchArray(*arena_, n, &one_);
-    cap_ = n;
-  }
   void Add(NodeId child, uint32_t slot, size_t begin, size_t end) {
-    assert(n_ < cap_);
-    Group& g = groups_[n_++];
-    g.child = child;
-    g.slot = slot;
-    g.begin = begin;
-    g.end = end;
-    g.n_sides = 0;
+    groups.push_back(Group{child, slot, begin, end});
   }
   /// A side probe for the group added last.
   void Defer(const Side& side) {
-    Group& g = groups_[n_ - 1];
-    g.sides[g.n_sides++] = side;
+    sides.push_back(Deferred{groups.size() - 1, side});
   }
 
-  [[nodiscard]] size_t size() const { return n_; }
-  const Group& operator[](size_t k) const { return groups_[k]; }
-  const Group* begin() const { return groups_; }
-  const Group* end() const { return groups_ + n_; }
-
- private:
-  core::Arena* arena_;
-  Group one_;
-  Group* groups_ = &one_;
-  size_t n_ = 0;
-  size_t cap_ = 1;
+  core::ArenaVector<Group> groups;
+  core::ArenaVector<Deferred> sides;
 };
 
 /// The shared part of a page tree's NodeOps: a node is a page, a leaf when
@@ -185,18 +163,17 @@ struct BatchDescent {
         BOXAGG_RETURN_NOT_OK(ops.Route(view, idx, m, level, &r));
       }
       if constexpr (!std::is_same_v<typename Ops::Side, NoSide>) {
-        for (const auto& gr : r) {
-          for (int s = 0; s < gr.n_sides; ++s) {
-            BOXAGG_RETURN_NOT_OK(ops.SideProbe(gr.sides[s], idx + gr.begin,
-                                               gr.end - gr.begin, level + 1));
-          }
+        for (const auto& d : r.sides) {
+          const auto& gr = r.groups[d.group];
+          BOXAGG_RETURN_NOT_OK(ops.SideProbe(d.side, idx + gr.begin,
+                                             gr.end - gr.begin, level + 1));
         }
       }
-      if (r.size() == 1) {  // one child takes every probe: walk on
-        node = r[0].child;
+      if (r.groups.size() == 1) {  // one child takes every probe: walk on
+        node = r.groups[0].child;
         continue;
       }
-      for (const auto& gr : r) {
+      for (const auto& gr : r.groups) {
         BOXAGG_RETURN_NOT_OK(Descend(ops, gr.child, idx + gr.begin,
                                      gr.end - gr.begin, level + 1));
       }

@@ -862,7 +862,7 @@ class EcdfBTree {
       const uint32_t n = Count(p);
       // Sorted probes route monotonically, so per-child groups are
       // contiguous runs of idx with strictly increasing routes.
-      r->Reserve(std::min<size_t>(n, m));
+      r->groups.reserve(std::min<size_t>(n, m));
       for (size_t j = 0; j < m;) {
         const uint32_t route = RouteInternal(p, n, this->qs[idx[j]][0]);
         size_t k = j + 1;
@@ -881,14 +881,14 @@ class EcdfBTree {
         return SideBatch(ops, sub.root_, idx + s, e - s, 0, tree->dims_,
                          level + 1);
       };
-      const auto& groups = *r;  // routes strictly increase
+      const auto& groups = r->groups;  // routes strictly increase
       if (tree->variant_ == EcdfVariant::kUpdateOptimized) {
         // Border i is needed by every probe routed right of record i — a
         // contiguous suffix of the sorted batch. Probing borders in
         // ascending i gives each probe its border additions in ascending
         // record order.
         size_t gi = 0;  // first group with route > i
-        for (uint32_t i = 0; i < groups[groups.size() - 1].slot; ++i) {
+        for (uint32_t i = 0; i < groups.back().slot; ++i) {
           while (groups[gi].slot <= i) ++gi;
           BOXAGG_RETURN_NOT_OK(probe_border(i, groups[gi].begin, m));
         }

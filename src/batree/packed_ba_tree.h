@@ -1272,7 +1272,11 @@ class PackedBaTree {
   struct BatchOps : PageTreeOps<V, Point, kLeaf, SpilledBorder<PageId>> {
     const PackedBaTree* tree;
 
-    bool OneDim() const { return tree->dims_ == 1; }
+    std::optional<typename AggBTree<V>::template BatchOps<Point>> Base()
+        const {
+      if (tree->dims_ != 1) return std::nullopt;
+      return AggBTree<V>::template BatchOps<Point>::Over(*this);
+    }
 
     Status Leaf(const Page* page, const uint32_t* idx, size_t m) const {
       const uint32_t n = LeafCount(page);
@@ -1294,7 +1298,7 @@ class PackedBaTree {
       V* outs = this->outs;
       const int dims = tree->dims_;
       const uint32_t n = IntCount(page);
-      r->groups.reserve(std::min<size_t>(n, m));
+      r->Reserve(std::min<size_t>(n, m), dims);
       size_t assigned = 0;  // idx[0, assigned) have their record
       for (uint32_t i = 0; i < n && assigned < m; ++i) {
         const Box box = tree->RecBox(page, i);

@@ -558,16 +558,21 @@ class AggBTree {
 
   // ---- traversal ----------------------------------------------------------
 
-  template <class>
-  friend struct BatchDescent;  // runs BatchOps<Point> as the 1-d base case
-
+ public:
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// The batched descent's node decode and routing (core/batch_descent.h)
   /// over probes that are keys, or points keyed by dimension 0 (the 1-d
-  /// base case of EcdfBTree and PackedBaTree).
+  /// base case of EcdfBTree and PackedBaTree, whose ops return it from
+  /// Base()).
   template <class P>
   struct BatchOps : PageTreeOps<V, P, kLeaf> {
     uint32_t page_size;
+
+    /// The 1-d case of another tree's ops, on that ops' batch.
+    static BatchOps Over(const auto& ops) {
+      return {{ops.pool, ops.arena, ops.qs, ops.outs},
+              ops.pool->file()->page_size()};
+    }
 
     static double Key(double q) { return q; }
     static double Key(const Point& q) { return q[0]; }
@@ -592,7 +597,7 @@ class AggBTree {
                  BatchRouting<PageId, NoSide>* r) const {
       const uint32_t n = Count(p);
       const uint8_t* sums = p->data() + InternalSumOffset(page_size, 0);
-      r->groups.reserve(std::min<size_t>(n, m));
+      r->Reserve(std::min<size_t>(n, m));
       for (size_t j = 0; j < m;) {
         const uint32_t route = RouteInternal(p, n, Key(this->qs[idx[j]]));
         size_t k = j + 1;
@@ -612,6 +617,7 @@ class AggBTree {
   };
   // LINT:hot-path-end
 
+ private:
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));

@@ -2,8 +2,9 @@
 // EcdfBTree, PackedBaTree and CompactReplica. The skeleton owns the entry
 // and every fetch, visit note and side probe of the walk; each tree
 // supplies only its node decode and routing as a NodeOps struct (Empty,
-// Open, Leaf, Route, and Less or SideProbe where it sorts its probes or
-// defers side probes), a template argument with no virtual call.
+// Open, Leaf, Route, and Less, SideProbe or Base where it sorts its
+// probes, defers side probes or has a 1-d case), a template argument with
+// no virtual call.
 // DESIGN.md §8 states the contract and what runs while a node is pinned.
 
 #ifndef BOXAGG_CORE_BATCH_DESCENT_H_
@@ -22,9 +23,6 @@
 
 namespace boxagg {
 
-template <class V>
-class AggBTree;  // the 1-d base case (bptree/agg_btree.h)
-
 // LINT:hot-path — the batched descent: no heap allocation past warm-up
 
 /// Side-probe type of a tree whose routing defers none.
@@ -39,10 +37,13 @@ struct SpilledBorder {
 };
 
 /// One node's routing, filled by NodeOps::Route while the node is pinned:
-/// the per-child groups and the side probes deferred to after the unpin,
-/// both in the level's ArenaScope.
+/// the per-child groups and the side probes deferred to after the unpin.
+/// Route reserves room first. One group and up to kMaxDims side probes,
+/// all a one-probe walk needs, stay in the routing itself; more take the
+/// level's ArenaScope.
 template <class NodeId, class Side>
-struct BatchRouting {
+class BatchRouting {
+ public:
   struct Group {
     NodeId child;
     uint32_t slot;  // the child's entry in its node (route or record index)
@@ -54,20 +55,45 @@ struct BatchRouting {
     Side side;
   };
 
-  explicit BatchRouting(core::Arena* arena)
-      : groups(core::ArenaAllocator<Group>(arena)),
-        sides(core::ArenaAllocator<Deferred>(arena)) {}
+  explicit BatchRouting(core::Arena* arena) : arena_(arena) {}
+  BatchRouting(const BatchRouting&) = delete;
+  BatchRouting& operator=(const BatchRouting&) = delete;
 
+  /// Room for `groups` groups, each deferring up to `sides_per_group`.
+  void Reserve(size_t groups, size_t sides_per_group = 0) {
+    groups_ = groups <= 1 ? &one_group_ : Alloc<Group>(groups);
+    const size_t sides = groups * sides_per_group;
+    sides_ = sides <= kMaxDims ? few_sides_ : Alloc<Deferred>(sides);
+  }
   void Add(NodeId child, uint32_t slot, size_t begin, size_t end) {
-    groups.push_back(Group{child, slot, begin, end});
+    groups_[n_groups_++] = Group{child, slot, begin, end};
   }
   /// A side probe for the group added last.
   void Defer(const Side& side) {
-    sides.push_back(Deferred{groups.size() - 1, side});
+    sides_[n_sides_++] = Deferred{n_groups_ - 1, side};
   }
 
-  core::ArenaVector<Group> groups;
-  core::ArenaVector<Deferred> sides;
+  const Group* begin() const { return groups_; }
+  const Group* end() const { return groups_ + n_groups_; }
+  size_t size() const { return n_groups_; }
+  const Group& operator[](size_t i) const { return groups_[i]; }
+  const Group& back() const { return groups_[n_groups_ - 1]; }
+  const Deferred* sides_begin() const { return sides_; }
+  const Deferred* sides_end() const { return sides_ + n_sides_; }
+
+ private:
+  template <class T>
+  T* Alloc(size_t n) {
+    return static_cast<T*>(arena_->Allocate(n * sizeof(T), alignof(T)));
+  }
+
+  core::Arena* arena_;
+  Group* groups_ = nullptr;
+  Deferred* sides_ = nullptr;
+  size_t n_groups_ = 0;
+  size_t n_sides_ = 0;
+  Group one_group_;
+  Deferred few_sides_[kMaxDims];
 };
 
 /// The shared part of a page tree's NodeOps: a node is a page, a leaf when
@@ -102,8 +128,17 @@ struct BatchDescent {
   /// outs[i] = the dominance sum of ops.qs[i] below `root`, i < count.
   /// `clamp_infinity` lowers every coordinate to the largest finite double,
   /// which dominates every storable point, so an unbounded query side works.
+  /// An ops whose Base() returns ops (its tree is 1-d) hands the whole
+  /// batch to them before any other work.
   static Status Run(Ops ops, NodeId root, size_t count, unsigned level,
                     bool clamp_infinity = false) {
+    if constexpr (requires { ops.Base(); }) {
+      if (auto base = ops.Base()) {
+        using Base = typename decltype(base)::value_type;
+        return BatchDescent<Base>::Run(*base, root, count, level,
+                                       clamp_infinity);
+      }
+    }
     for (size_t i = 0; i < count; ++i) ops.outs[i] = V{};
     if (ops.Empty(root) || count == 0) return Status::OK();
     core::Arena& arena = *ops.arena;
@@ -118,15 +153,6 @@ struct BatchDescent {
           for (double& c : qs[i].coord) c = std::min(c, kMax);
         }
         ops.qs = qs;
-      }
-    }
-    if constexpr (requires { ops.OneDim(); }) {
-      if (ops.OneDim()) {
-        using Base = typename AggBTree<V>::template BatchOps<Point>;
-        return BatchDescent<Base>::Run(
-            {{ops.pool, ops.arena, ops.qs, ops.outs},
-             ops.pool->file()->page_size()},
-            root, count, level);
       }
     }
     uint32_t one = 0;
@@ -163,17 +189,17 @@ struct BatchDescent {
         BOXAGG_RETURN_NOT_OK(ops.Route(view, idx, m, level, &r));
       }
       if constexpr (!std::is_same_v<typename Ops::Side, NoSide>) {
-        for (const auto& d : r.sides) {
-          const auto& gr = r.groups[d.group];
-          BOXAGG_RETURN_NOT_OK(ops.SideProbe(d.side, idx + gr.begin,
+        for (auto d = r.sides_begin(); d != r.sides_end(); ++d) {
+          const auto& gr = r[d->group];
+          BOXAGG_RETURN_NOT_OK(ops.SideProbe(d->side, idx + gr.begin,
                                              gr.end - gr.begin, level + 1));
         }
       }
-      if (r.groups.size() == 1) {  // one child takes every probe: walk on
-        node = r.groups[0].child;
+      if (r.size() == 1) {  // one child takes every probe: walk on
+        node = r[0].child;
         continue;
       }
-      for (const auto& gr : r.groups) {
+      for (const auto& gr : r) {
         BOXAGG_RETURN_NOT_OK(Descend(ops, gr.child, idx + gr.begin,
                                      gr.end - gr.begin, level + 1));
       }

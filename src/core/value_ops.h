@@ -19,8 +19,11 @@ struct ValueOps {
   static_assert(std::is_trivially_copyable_v<V>);
 
   /// *acc += the n values stored at src, src + stride, ..., in that order.
-  static void AddStrided(V* acc, const uint8_t* src, size_t n,
-                         size_t stride) {
+  /// Out of line so *acc stays in registers across the loop: inlined into
+  /// a descent, GCC may give the copied value a stack slot it shares with
+  /// an escaped Status and then reloads *acc on every value (DESIGN §11).
+  [[gnu::noinline]] static void AddStrided(V* acc, const uint8_t* src,
+                                           size_t n, size_t stride) {
     for (size_t i = 0; i < n; ++i) {
       V v;
       std::memcpy(&v, src + i * stride, sizeof(V));

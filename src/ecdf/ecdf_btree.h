@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -839,7 +840,11 @@ class EcdfBTree {
     const EcdfBTree* tree;
 
     bool Less(const Point& a, const Point& b) const { return a[0] < b[0]; }
-    bool OneDim() const { return tree->dims_ == 1; }
+    std::optional<typename AggBTree<V>::template BatchOps<Point>> Base()
+        const {
+      if (tree->dims_ != 1) return std::nullopt;
+      return AggBTree<V>::template BatchOps<Point>::Over(*this);
+    }
 
     Status Leaf(const Page* p, const uint32_t* idx, size_t m) const {
       const uint32_t n = Count(p);
@@ -862,7 +867,7 @@ class EcdfBTree {
       const uint32_t n = Count(p);
       // Sorted probes route monotonically, so per-child groups are
       // contiguous runs of idx with strictly increasing routes.
-      r->groups.reserve(std::min<size_t>(n, m));
+      r->Reserve(std::min<size_t>(n, m));
       for (size_t j = 0; j < m;) {
         const uint32_t route = RouteInternal(p, n, this->qs[idx[j]][0]);
         size_t k = j + 1;
@@ -881,7 +886,7 @@ class EcdfBTree {
         return SideBatch(ops, sub.root_, idx + s, e - s, 0, tree->dims_,
                          level + 1);
       };
-      const auto& groups = r->groups;  // routes strictly increase
+      const auto& groups = *r;  // routes strictly increase
       if (tree->variant_ == EcdfVariant::kUpdateOptimized) {
         // Border i is needed by every probe routed right of record i — a
         // contiguous suffix of the sorted batch. Probing borders in

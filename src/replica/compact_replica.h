@@ -679,8 +679,9 @@ class CompactReplica {
       const uint32_t n = rd.count();
       uint64_t first_child = 0;
       BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
-      r->groups.reserve(std::min<size_t>(n, m));
-      if (rd.kind() == replica::kNodeAggInternal) {
+      const bool agg = rd.kind() == replica::kNodeAggInternal;
+      r->Reserve(std::min<size_t>(n, m), agg ? 0 : dims);
+      if (agg) {
         uint32_t one_cut = 0;
         uint32_t* cuts = core::ScratchArray(*arena, m, &one_cut);
         BOXAGG_RETURN_NOT_OK(AggAdds(rd, idx, m, cuts));

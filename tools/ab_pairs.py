@@ -9,12 +9,13 @@ its own directory under --work-dir, builds its perfbench once, then runs
 seed i, and odd pairs run A first, even pairs B first, so drift over the
 session (thermal state, page cache, neighbours) falls on both sides alike.
 One more pair on a held-out seed, not used by any pair, is run and printed
-apart from the pair statistics. The run length is BENCHMARK.json's
-run_seconds unless --seconds overrides it.
+apart from the pair statistics. Every run lasts BENCHMARK.json's
+run_seconds.
 
-Every pair must report the same index_bytes_per_object for A and B: it is a
-function of the seed and the page format, so a difference means the two
-revisions did not index the same data, and the tool exits 1. A run that
+Every pair, the held-out one included, must report the same
+index_bytes_per_object for A and B: it is a function of the seed and the
+page format, so a difference means the two revisions did not index the
+same data, and the tool exits 1. A run that
 fails or reports a wrong answer also exits 1.
 
 For each end-to-end metric of BENCHMARK.json the summary prints A's and B's
@@ -90,7 +91,9 @@ def quartiles(xs):
 
 
 def pair(a, b, workload, seed, seconds, trace, first_a):
-    """One pair; returns (metrics of A, metrics of B)."""
+    """One pair; returns (metrics of A, metrics of B). An untraced pair
+    exits 1 when A and B report a different index_bytes_per_object (a
+    traced run reports only per-layer metrics)."""
     order = (a, b) if first_a else (b, a)
     got = {}
     for name, tree in order:
@@ -98,7 +101,13 @@ def pair(a, b, workload, seed, seconds, trace, first_a):
         print(f"  seed {seed:>4} {name}: " + " ".join(
             f"{k}={v:g}" for k, v in sorted(got[name].items())
             if trace == 0), file=sys.stderr, flush=True)
-    return got[a[0]], got[b[0]]
+    ma, mb = got[a[0]], got[b[0]]
+    if trace == 0 and (ma["index_bytes_per_object"] !=
+                       mb["index_bytes_per_object"]):
+        sys.exit(f"ab_pairs: index_bytes_per_object differs at seed {seed}: "
+                 f"A {ma['index_bytes_per_object']} "
+                 f"B {mb['index_bytes_per_object']}")
+    return ma, mb
 
 
 def main():
@@ -107,8 +116,6 @@ def main():
     ap.add_argument("b", help="candidate revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--trace-pair", action="store_true",
                     help="also run one traced pair and compare its counts")
     ap.add_argument("--work-dir", help="where the revisions are exported "
@@ -118,7 +125,7 @@ def main():
         sys.exit("ab_pairs: --pairs must be at least 1")
 
     spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="ab_pairs_")
     a = export(args.a, work_dir)
     b = export(args.b, work_dir)
@@ -129,10 +136,6 @@ def main():
     runs_a, runs_b = [], []
     for seed in range(1, args.pairs + 1):
         ma, mb = pair(a, b, args.workload, seed, seconds, 0, seed % 2 == 1)
-        if ma["index_bytes_per_object"] != mb["index_bytes_per_object"]:
-            sys.exit(f"ab_pairs: index_bytes_per_object differs at seed "
-                     f"{seed}: A {ma['index_bytes_per_object']} "
-                     f"B {mb['index_bytes_per_object']}")
         runs_a.append(ma)
         runs_b.append(mb)
     held_a, held_b = pair(a, b, args.workload, HELD_OUT_SEED, seconds, 0,

@@ -198,10 +198,7 @@ class PackedBaTree {
   Status PageCount(uint64_t* out) const {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.PageCount(out);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).PageCount(out);
     return PageCountRec(root_, out);
   }
 
@@ -263,10 +260,7 @@ class PackedBaTree {
     CheckContext local;
     if (ctx == nullptr) ctx = &local;
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.CheckConsistency(ctx);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).CheckConsistency(ctx);
     std::vector<Entry> pts;
     BOXAGG_RETURN_NOT_OK(CheckRec(root_, ctx, &pts));
     if (ctx->check_oracle) {
@@ -1272,10 +1266,8 @@ class PackedBaTree {
   struct BatchOps : PageTreeOps<V, Point, kLeaf, SpilledBorder<PageId>> {
     const PackedBaTree* tree;
 
-    std::optional<typename AggBTree<V>::template BatchOps<Point>> Base()
-        const {
-      if (tree->dims_ != 1) return std::nullopt;
-      return AggBTree<V>::template BatchOps<Point>::Over(*this);
+    auto Base() const {
+      return AggBTree<V>::template BatchOps<Point>::Base(*this, tree->dims_);
     }
 
     Status Leaf(const Page* page, const uint32_t* idx, size_t m) const {
@@ -1298,7 +1290,7 @@ class PackedBaTree {
       V* outs = this->outs;
       const int dims = tree->dims_;
       const uint32_t n = IntCount(page);
-      r->Reserve(std::min<size_t>(n, m), dims);
+      r->Reserve(std::min<size_t>(n, m));
       size_t assigned = 0;  // idx[0, assigned) have their record
       for (uint32_t i = 0; i < n && assigned < m; ++i) {
         const Box box = tree->RecBox(page, i);
@@ -1347,9 +1339,8 @@ class PackedBaTree {
     Status SideProbe(const SpilledBorder<PageId>& s, const uint32_t* members,
                      size_t m, unsigned level) const {
       const PackedBaTree sub(this->pool, tree->dims_ - 1, s.root);
-      BatchOps ops = *this;
-      ops.tree = &sub;
-      return SideBatch(ops, s.root, members, m, s.dim, tree->dims_, level);
+      return SideBatch(BatchOps{*this, &sub}, s.root, members, m, s.dim,
+                       tree->dims_, level);
     }
   };
   // LINT:hot-path-end

@@ -33,6 +33,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -568,10 +569,11 @@ class AggBTree {
   struct BatchOps : PageTreeOps<V, P, kLeaf> {
     uint32_t page_size;
 
-    /// The 1-d case of another tree's ops, on that ops' batch.
-    static BatchOps Over(const auto& ops) {
-      return {{ops.pool, ops.arena, ops.qs, ops.outs},
-              ops.pool->file()->page_size()};
+    /// Another tree's Base(): its ops' batch when the tree is 1-d.
+    static std::optional<BatchOps> Base(const auto& ops, int dims) {
+      if (dims != 1) return std::nullopt;
+      return BatchOps{{ops.pool, ops.arena, ops.qs, ops.outs},
+                      ops.pool->file()->page_size()};
     }
 
     static double Key(double q) { return q; }

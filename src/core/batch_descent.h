@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <type_traits>
 
 #include "core/arena.h"
@@ -37,10 +38,9 @@ struct SpilledBorder {
 };
 
 /// One node's routing, filled by NodeOps::Route while the node is pinned:
-/// the per-child groups and the side probes deferred to after the unpin.
-/// Route reserves room first. One group and up to kMaxDims side probes,
-/// all a one-probe walk needs, stay in the routing itself; more take the
-/// level's ArenaScope.
+/// the per-child groups, each with the side probes deferred for its probes
+/// to after the unpin. Route reserves room first; one group stays in the
+/// routing itself, so a one-probe walk takes no arena memory.
 template <class NodeId, class Side>
 class BatchRouting {
  public:
@@ -49,51 +49,30 @@ class BatchRouting {
     uint32_t slot;  // the child's entry in its node (route or record index)
     size_t begin;   // idx[begin, end) go to `child`
     size_t end;
-  };
-  struct Deferred {
-    size_t group;
-    Side side;
+    int n_sides;
+    Side sides[kMaxDims];  // in the order Route deferred them
   };
 
   explicit BatchRouting(core::Arena* arena) : arena_(arena) {}
-  BatchRouting(const BatchRouting&) = delete;
-  BatchRouting& operator=(const BatchRouting&) = delete;
 
-  /// Room for `groups` groups, each deferring up to `sides_per_group`.
-  void Reserve(size_t groups, size_t sides_per_group = 0) {
-    groups_ = groups <= 1 ? &one_group_ : Alloc<Group>(groups);
-    const size_t sides = groups * sides_per_group;
-    sides_ = sides <= kMaxDims ? few_sides_ : Alloc<Deferred>(sides);
+  void Reserve(size_t groups) {
+    groups_ = core::ScratchArray(*arena_, groups, &one_);
   }
   void Add(NodeId child, uint32_t slot, size_t begin, size_t end) {
-    groups_[n_groups_++] = Group{child, slot, begin, end};
+    groups_[n_++] = Group{child, slot, begin, end, 0, {}};
   }
   /// A side probe for the group added last.
   void Defer(const Side& side) {
-    sides_[n_sides_++] = Deferred{n_groups_ - 1, side};
+    Group& g = groups_[n_ - 1];
+    g.sides[g.n_sides++] = side;
   }
-
-  const Group* begin() const { return groups_; }
-  const Group* end() const { return groups_ + n_groups_; }
-  size_t size() const { return n_groups_; }
-  const Group& operator[](size_t i) const { return groups_[i]; }
-  const Group& back() const { return groups_[n_groups_ - 1]; }
-  const Deferred* sides_begin() const { return sides_; }
-  const Deferred* sides_end() const { return sides_ + n_sides_; }
+  std::span<const Group> groups() const { return {groups_, n_}; }
 
  private:
-  template <class T>
-  T* Alloc(size_t n) {
-    return static_cast<T*>(arena_->Allocate(n * sizeof(T), alignof(T)));
-  }
-
   core::Arena* arena_;
   Group* groups_ = nullptr;
-  Deferred* sides_ = nullptr;
-  size_t n_groups_ = 0;
-  size_t n_sides_ = 0;
-  Group one_group_;
-  Deferred few_sides_[kMaxDims];
+  size_t n_ = 0;
+  Group one_;
 };
 
 /// The shared part of a page tree's NodeOps: a node is a page, a leaf when
@@ -188,18 +167,20 @@ struct BatchDescent {
         if (leaf) return ops.Leaf(view, idx, m);
         BOXAGG_RETURN_NOT_OK(ops.Route(view, idx, m, level, &r));
       }
+      const auto groups = r.groups();
       if constexpr (!std::is_same_v<typename Ops::Side, NoSide>) {
-        for (auto d = r.sides_begin(); d != r.sides_end(); ++d) {
-          const auto& gr = r[d->group];
-          BOXAGG_RETURN_NOT_OK(ops.SideProbe(d->side, idx + gr.begin,
-                                             gr.end - gr.begin, level + 1));
+        for (const auto& gr : groups) {
+          for (int s = 0; s < gr.n_sides; ++s) {
+            BOXAGG_RETURN_NOT_OK(ops.SideProbe(gr.sides[s], idx + gr.begin,
+                                               gr.end - gr.begin, level + 1));
+          }
         }
       }
-      if (r.size() == 1) {  // one child takes every probe: walk on
-        node = r[0].child;
+      if (groups.size() == 1) {  // one child takes every probe: walk on
+        node = groups[0].child;
         continue;
       }
-      for (const auto& gr : r) {
+      for (const auto& gr : groups) {
         BOXAGG_RETURN_NOT_OK(Descend(ops, gr.child, idx + gr.begin,
                                      gr.end - gr.begin, level + 1));
       }

@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -175,10 +174,7 @@ class EcdfBTree {
   Status TotalSum(V* out) const {
     *out = V{};
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.TotalSum(out);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).TotalSum(out);
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
     const Page* p = g.page();
@@ -212,10 +208,7 @@ class EcdfBTree {
   Status CountEntries(uint64_t* out) const {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.CountEntries(out);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).CountEntries(out);
     std::vector<Entry> all;
     BOXAGG_RETURN_NOT_OK(ScanRec(root_, &all));
     *out = all.size();
@@ -227,10 +220,7 @@ class EcdfBTree {
   Status PageCount(uint64_t* out) const {
     *out = 0;
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.PageCount(out);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).PageCount(out);
     return PageCountRec(root_, out);
   }
 
@@ -345,10 +335,7 @@ class EcdfBTree {
     CheckContext local;
     if (ctx == nullptr) ctx = &local;
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      return base.CheckConsistency(ctx);
-    }
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).CheckConsistency(ctx);
     SubtreeFacts facts;
     return CheckRec(root_, /*is_root=*/true, ctx, &facts);
   }
@@ -840,10 +827,8 @@ class EcdfBTree {
     const EcdfBTree* tree;
 
     bool Less(const Point& a, const Point& b) const { return a[0] < b[0]; }
-    std::optional<typename AggBTree<V>::template BatchOps<Point>> Base()
-        const {
-      if (tree->dims_ != 1) return std::nullopt;
-      return AggBTree<V>::template BatchOps<Point>::Over(*this);
+    auto Base() const {
+      return AggBTree<V>::template BatchOps<Point>::Base(*this, tree->dims_);
     }
 
     Status Leaf(const Page* p, const uint32_t* idx, size_t m) const {
@@ -881,12 +866,10 @@ class EcdfBTree {
       auto probe_border = [&](uint32_t i, size_t s, size_t e) -> Status {
         const EcdfBTree sub(this->pool, tree->dims_ - 1, tree->variant_,
                             tree->InternalBorder(p, i));
-        BatchOps ops = *this;
-        ops.tree = &sub;
-        return SideBatch(ops, sub.root_, idx + s, e - s, 0, tree->dims_,
-                         level + 1);
+        return SideBatch(BatchOps{*this, &sub}, sub.root_, idx + s, e - s, 0,
+                         tree->dims_, level + 1);
       };
-      const auto& groups = *r;  // routes strictly increase
+      const auto groups = r->groups();  // routes strictly increase
       if (tree->variant_ == EcdfVariant::kUpdateOptimized) {
         // Border i is needed by every probe routed right of record i — a
         // contiguous suffix of the sorted batch. Probing borders in

@@ -679,9 +679,8 @@ class CompactReplica {
       const uint32_t n = rd.count();
       uint64_t first_child = 0;
       BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
-      const bool agg = rd.kind() == replica::kNodeAggInternal;
-      r->Reserve(std::min<size_t>(n, m), agg ? 0 : dims);
-      if (agg) {
+      r->Reserve(std::min<size_t>(n, m));
+      if (rd.kind() == replica::kNodeAggInternal) {
         uint32_t one_cut = 0;
         uint32_t* cuts = core::ScratchArray(*arena, m, &one_cut);
         BOXAGG_RETURN_NOT_OK(AggAdds(rd, idx, m, cuts));
@@ -754,9 +753,8 @@ class CompactReplica {
     /// by record whatever their order.
     Status SideProbe(const Side& s, const uint32_t* members, size_t m,
                      unsigned level) const {
-      BatchOps ops = *this;
-      ops.dims = dims - 1;
-      return SideBatch(ops, s.root, members, m, s.dim, dims, level);
+      return SideBatch(BatchOps{pool, arena, qs, outs, cache, dims - 1},
+                       s.root, members, m, s.dim, dims, level);
     }
 
     /// An aggregate node's adds: a leaf probe adds values [0, cut); at an

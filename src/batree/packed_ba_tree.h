@@ -1323,7 +1323,10 @@ class PackedBaTree {
               Point pt;  // decoded: packed entries hold dims - 1 coords
               const uint32_t vo = tree->BlockEntry(page, off, k, &pt);
               if (pt[0] > projected[0]) break;
-              if (projected.Dominates(pt, dims - 1)) {
+              // tree->dims_ as BlockEntry reads it, not the local `dims`
+              // (an Add since could alias it): with one bound GCC keeps
+              // `pt` in registers and folds the first coordinate's test.
+              if (projected.Dominates(pt, tree->dims_ - 1)) {
                 out += page->ReadAt<V>(vo);
               }
             }

@@ -1288,15 +1288,14 @@ class PackedBaTree {
                  BatchRouting<PageId, SpilledBorder<PageId>>* r) const {
       const Point* qs = this->qs;
       V* outs = this->outs;
-      const int dims = tree->dims_;
       const uint32_t n = IntCount(page);
-      r->Reserve(std::min<size_t>(n, m));
+      r->Reserve(*this->arena, std::min<size_t>(n, m));
       size_t assigned = 0;  // idx[0, assigned) have their record
       for (uint32_t i = 0; i < n && assigned < m; ++i) {
         const Box box = tree->RecBox(page, i);
         const size_t begin = assigned;
         for (size_t t = assigned; t < m; ++t) {
-          if (box.ContainsPointHalfOpen(qs[idx[t]], dims)) {
+          if (box.ContainsPointHalfOpen(qs[idx[t]], tree->dims_)) {
             std::swap(idx[t], idx[assigned++]);
           }
         }
@@ -1304,7 +1303,7 @@ class PackedBaTree {
         r->Add(tree->RecChild(page, i), i, begin, assigned);
         const V sub = page->ReadAt<V>(tree->RecOff(i) + sizeof(Box) + 8);
         for (size_t t = begin; t < assigned; ++t) outs[idx[t]] += sub;
-        for (int b = 0; b < dims; ++b) {
+        for (int b = 0; b < tree->dims_; ++b) {
           const uint64_t ref = tree->RecBorderRef(page, i, b);
           if (ref == kEmptyRef) continue;
           if (!IsInlineRef(ref)) {
@@ -1317,15 +1316,12 @@ class PackedBaTree {
           const uint32_t off = InlineOffset(ref);
           const uint32_t cnt = BlockCount(page, off);
           for (size_t t = begin; t < assigned; ++t) {
-            const Point projected = qs[idx[t]].DropDim(b, dims);
+            const Point projected = qs[idx[t]].DropDim(b, tree->dims_);
             V& out = outs[idx[t]];
             for (uint32_t k = 0; k < cnt; ++k) {
               Point pt;  // decoded: packed entries hold dims - 1 coords
               const uint32_t vo = tree->BlockEntry(page, off, k, &pt);
               if (pt[0] > projected[0]) break;
-              // tree->dims_ as BlockEntry reads it, not the local `dims`
-              // (an Add since could alias it): with one bound GCC keeps
-              // `pt` in registers and folds the first coordinate's test.
               if (projected.Dominates(pt, tree->dims_ - 1)) {
                 out += page->ReadAt<V>(vo);
               }

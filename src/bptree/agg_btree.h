@@ -599,7 +599,7 @@ class AggBTree {
                  BatchRouting<PageId, NoSide>* r) const {
       const uint32_t n = Count(p);
       const uint8_t* sums = p->data() + InternalSumOffset(page_size, 0);
-      r->Reserve(std::min<size_t>(n, m));
+      r->Reserve(*this->arena, std::min<size_t>(n, m));
       for (size_t j = 0; j < m;) {
         const uint32_t route = RouteInternal(p, n, Key(this->qs[idx[j]]));
         size_t k = j + 1;

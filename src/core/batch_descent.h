@@ -53,18 +53,11 @@ class BatchRouting {
     Side sides[kMaxDims];  // in the order Route deferred them
   };
 
-  explicit BatchRouting(core::Arena* arena) : arena_(arena) {}
-
-  void Reserve(size_t groups) {
-    groups_ = core::ScratchArray(*arena_, groups, &one_);
+  void Reserve(core::Arena& arena, size_t groups) {
+    groups_ = core::ScratchArray(arena, groups, &one_);
   }
   void Add(NodeId child, uint32_t slot, size_t begin, size_t end) {
-    Group& g = groups_[n_++];  // sides[] stays unwritten until Defer
-    g.child = child;
-    g.slot = slot;
-    g.begin = begin;
-    g.end = end;
-    g.n_sides = 0;
+    groups_[n_++] = Group{child, slot, begin, end, 0, {}};
   }
   /// A side probe for the group added last.
   void Defer(const Side& side) {
@@ -74,7 +67,6 @@ class BatchRouting {
   std::span<const Group> groups() const { return {groups_, n_}; }
 
  private:
-  core::Arena* arena_;
   Group* groups_ = nullptr;
   size_t n_ = 0;
   Group one_;
@@ -145,9 +137,8 @@ struct BatchDescent {
     if constexpr (requires { ops.Less(ops.qs[0], ops.qs[0]); }) {
       if (count > 1) {
         std::sort(idx, idx + count, [&ops](uint32_t a, uint32_t b) {
-          if (ops.Less(ops.qs[a], ops.qs[b])) return true;
-          if (ops.Less(ops.qs[b], ops.qs[a])) return false;
-          return a < b;
+          return ops.Less(ops.qs[a], ops.qs[b]) ||
+                 (!ops.Less(ops.qs[b], ops.qs[a]) && a < b);
         });
       }
     }
@@ -161,7 +152,7 @@ struct BatchDescent {
                         unsigned level) {
     for (;; ++level) {
       core::ArenaScope scope(*ops.arena);
-      BatchRouting<NodeId, typename Ops::Side> r(ops.arena);
+      BatchRouting<NodeId, typename Ops::Side> r;
       {
         PageGuard g;
         typename Ops::Node view{};

@@ -852,7 +852,7 @@ class EcdfBTree {
       const uint32_t n = Count(p);
       // Sorted probes route monotonically, so per-child groups are
       // contiguous runs of idx with strictly increasing routes.
-      r->Reserve(std::min<size_t>(n, m));
+      r->Reserve(*this->arena, std::min<size_t>(n, m));
       for (size_t j = 0; j < m;) {
         const uint32_t route = RouteInternal(p, n, this->qs[idx[j]][0]);
         size_t k = j + 1;

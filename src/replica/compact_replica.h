@@ -679,7 +679,7 @@ class CompactReplica {
       const uint32_t n = rd.count();
       uint64_t first_child = 0;
       BOXAGG_RETURN_NOT_OK(rd.FirstChild(&first_child));
-      r->Reserve(std::min<size_t>(n, m));
+      r->Reserve(*arena, std::min<size_t>(n, m));
       if (rd.kind() == replica::kNodeAggInternal) {
         uint32_t one_cut = 0;
         uint32_t* cuts = core::ScratchArray(*arena, m, &one_cut);

@@ -1,5 +1,5 @@
 // Storage-engine CheckConsistency implementations: the sharded BufferPool's
-// frame/LRU/free-list accounting and the PageFile's allocation state.
+// page-map/LRU/free-list accounting and the PageFile's allocation state.
 //
 // They live in src/check/ (not storage/) so the storage layer keeps zero
 // dependencies on the verification layer beyond a CheckContext forward
@@ -30,18 +30,23 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
     const Shard& s = *shards_[si];
     sync::MutexLock lock(&s.mu);
 
-    // Every lazily allocated frame is exactly one of: resident (frame table)
-    // or free. A frame in neither is leaked; one in both is double-owned.
-    if (s.frames.size() + s.free_frames.size() != s.allocated) {
-      return ShardCorruption(
-          si, "frame accounting mismatch: " + std::to_string(s.frames.size()) +
-                  " resident + " + std::to_string(s.free_frames.size()) +
-                  " free != " + std::to_string(s.allocated) + " allocated");
-    }
     if (s.allocated > s.capacity) {
       return ShardCorruption(
           si, "allocated " + std::to_string(s.allocated) +
                   " frames, capacity " + std::to_string(s.capacity));
+    }
+    // Every lazily allocated frame is exactly one of: resident (it carries
+    // a page) or free. A frame in neither is leaked; one in both is
+    // double-owned.
+    size_t resident_frames = 0;
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      if (s.slots[i].id != kInvalidPageId) ++resident_frames;
+    }
+    if (resident_frames + s.free_frames.size() != s.allocated) {
+      return ShardCorruption(
+          si, "frame accounting mismatch: " + std::to_string(resident_frames) +
+                  " resident + " + std::to_string(s.free_frames.size()) +
+                  " free != " + std::to_string(s.allocated) + " allocated");
     }
 
     // Each constructed frame's page borrows exactly its own arena slot:
@@ -56,52 +61,51 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
       }
     }
 
-    // The frame table holds exactly the resident frames (every allocated
-    // frame not on the free list carries a page), at load <= 1/2 so every
-    // probe ends at an empty slot.
-    size_t resident_frames = 0;
-    for (uint32_t i = 0; i < s.allocated; ++i) {
-      if (s.slots[i].id != kInvalidPageId) ++resident_frames;
+    // The page map holds exactly the resident frames: entry k points at an
+    // allocated frame whose page is the k-th id this shard owns.
+    size_t mapped = 0;
+    for (size_t k = 0; k < s.map.size(); ++k) {
+      const uint32_t i = s.map[k];
+      if (i == kNoFrame) continue;
+      ++mapped;
+      if (i >= s.allocated) {
+        return ShardCorruption(si, "page-map entry " + std::to_string(k) +
+                                       " points at frame " + std::to_string(i) +
+                                       ", past the " +
+                                       std::to_string(s.allocated) +
+                                       " allocated");
+      }
+      const PageId id = s.slots[i].id;
+      if (id == kInvalidPageId || MapIndex(id) != k || ShardOf(id) != si) {
+        return ShardCorruption(
+            si, "page-map entry " + std::to_string(k) + " points at frame " +
+                    std::to_string(i) + ", which holds " +
+                    (id == kInvalidPageId ? std::string("no page")
+                                          : "page " + std::to_string(id)));
+      }
     }
-    if (s.frames.size() != resident_frames) {
+    if (mapped != resident_frames) {
       return ShardCorruption(
-          si, "frame table holds " + std::to_string(s.frames.size()) +
-                  " keys but " + std::to_string(resident_frames) +
-                  " frames are resident");
-    }
-    if (2 * s.frames.size() > s.frames.slot_count()) {
-      return ShardCorruption(
-          si, "frame table load " + std::to_string(s.frames.size()) + "/" +
-                  std::to_string(s.frames.slot_count()) + " exceeds 1/2");
+          si, "page map holds " + std::to_string(mapped) + " entries but " +
+                  std::to_string(resident_frames) + " frames are resident");
     }
 
     size_t in_lru_frames = 0;
-    size_t occupied = 0;
-    const size_t slots = s.frames.slot_count();
-    for (size_t slot = 0; slot < slots; ++slot) {
-      const Frame* f = s.frames.slot(slot).frame;
-      if (f == nullptr) continue;
-      ++occupied;
-      const uint64_t id = s.frames.slot(slot).key;
-      if (f->id != id) {
-        return CorruptionAt(id, "frame id " + std::to_string(f->id) +
-                                    " disagrees with its frame-table key");
+    for (uint32_t i = 0; i < s.allocated; ++i) {
+      const Frame* f = &s.slots[i];
+      const PageId id = f->id;
+      if (id == kInvalidPageId) continue;
+      // Fetch finds a page only through its map entry.
+      if (Mapped(s, MapIndex(id)) != i) {
+        return CorruptionAt(id, "resident in frame " + std::to_string(i) +
+                                    " of shard " + std::to_string(si) +
+                                    " but not mapped to it");
       }
-      // Linear probing with backward-shift erase: the run from the key's
-      // home slot up to its slot is fully occupied, or Find stops early.
-      for (size_t i = s.frames.Home(id); i != slot; i = (i + 1) % slots) {
-        if (s.frames.slot(i).frame == nullptr) {
-          return CorruptionAt(id, "frame-table key unreachable: empty slot " +
-                                      std::to_string(i) +
-                                      " between its home slot and slot " +
-                                      std::to_string(slot));
-        }
-      }
-      if (ShardOf(id) != si || f->shard != si) {
+      if (f->shard != si) {
         return CorruptionAt(id, "page resident in shard " +
                                     std::to_string(si) +
-                                    " but hashes to shard " +
-                                    std::to_string(ShardOf(id)));
+                                    " but its frame names shard " +
+                                    std::to_string(f->shard));
       }
       const int pins = f->pin_count;
       if (pins < 0) {
@@ -122,12 +126,6 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
                           : "unpinned but not in LRU (never evictable)");
       }
       if (f->in_lru) ++in_lru_frames;
-    }
-    if (occupied != s.frames.size()) {
-      return ShardCorruption(
-          si, "frame table counts " + std::to_string(s.frames.size()) +
-                  " keys but " + std::to_string(occupied) +
-                  " slots are occupied");
     }
 
     // Walk the index-linked LRU from the cold end: every link in range,
@@ -154,10 +152,11 @@ Status BufferPool::CheckConsistency(CheckContext* ctx) const {
       if (!f.in_lru) {
         return CorruptionAt(f.id, "linked into the LRU but in_lru unset");
       }
-      if (s.frames.Find(f.id) != &f) {
+      if (f.id == kInvalidPageId || ShardOf(f.id) != si ||
+          Mapped(s, MapIndex(f.id)) != i) {
         return ShardCorruption(si, "LRU frame for page " +
                                        std::to_string(f.id) +
-                                       " is not in the frame table");
+                                       " is not in the page map");
       }
       prev = i;
     }

@@ -2,9 +2,10 @@
 //
 // The paper reports query cost as the number of physical page I/Os under an
 // LRU buffer (Sec. 6), and "execution time" as CPU time plus #I/Os x 10ms.
-// The BufferPool owns an AtomicIoStats, incremented (relaxed) on every
-// logical and physical page access so concurrent readers can share one pool;
-// benches snapshot/diff the plain-POD IoStats view around query batches.
+// Each BufferPool shard owns an AtomicIoStats, bumped under the shard's lock
+// on every logical and physical page access there; the pool sums the shards
+// into the plain-POD IoStats view that benches snapshot/diff around query
+// batches.
 
 #ifndef BOXAGG_STORAGE_IO_STATS_H_
 #define BOXAGG_STORAGE_IO_STATS_H_
@@ -59,6 +60,20 @@ struct IoStats {
 
   void Reset() { *this = IoStats{}; }
 
+  /// Component-wise sum; the pool adds up its shards' counters.
+  IoStats& operator+=(const IoStats& o) {
+    physical_reads += o.physical_reads;
+    physical_writes += o.physical_writes;
+    logical_reads += o.logical_reads;
+    buffer_hits += o.buffer_hits;
+    probe_fetches_saved += o.probe_fetches_saved;
+    checksum_failures += o.checksum_failures;
+    read_retries += o.read_retries;
+    evictions += o.evictions;
+    dirty_writebacks += o.dirty_writebacks;
+    return *this;
+  }
+
   /// Component-wise difference (now - earlier); used to cost a query batch.
   [[nodiscard]] IoStats Since(const IoStats& earlier) const {
     IoStats d;
@@ -75,9 +90,14 @@ struct IoStats {
   }
 };
 
-/// \brief Thread-safe I/O counters: relaxed atomic increments, POD snapshot.
+/// \brief I/O counters with one writer at a time and any number of readers:
+/// relaxed atomics, POD snapshot.
 ///
-/// Relaxed ordering is sufficient — the counters are statistics, not
+/// A buffer-pool shard's lock serializes every writer of its counters, so an
+/// increment is a relaxed load and store, with no lock-prefixed
+/// read-modify-write; Snapshot() may run concurrently with it. The exception
+/// is AddProbeFetchesSaved, a fetch_add, for a counter noted outside any
+/// lock. Relaxed ordering is sufficient — the counters are statistics, not
 /// synchronization; cross-counter invariants hold exactly at any quiescent
 /// point (no Fetch in flight) because each Fetch bumps logical_reads and
 /// exactly one of buffer_hits / physical_reads under the shard lock.
@@ -125,7 +145,7 @@ class AtomicIoStats {
 
  private:
   static void Inc(std::atomic<uint64_t>& c) {
-    c.fetch_add(1, std::memory_order_relaxed);
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
   std::atomic<uint64_t> physical_reads_{0};

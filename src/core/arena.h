@@ -182,16 +182,21 @@ struct ArenaAllocator {
 template <class T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
-/// Uninitialized scratch for `n` Ts under the current ArenaScope: `one`
-/// itself when n == 1, so a one-probe descent touches no arena memory,
-/// else a fresh arena array. T must be trivially copyable; nothing is
-/// destroyed.
+/// Uninitialized arena array of `n` Ts under the current ArenaScope, for a
+/// buffer its writer fills before any read. T must be trivially copyable;
+/// nothing is destroyed.
 template <class T>
-T* ScratchArray(Arena& arena, size_t n, T* one) {
+T* ArenaArray(Arena& arena, size_t n) {
   static_assert(std::is_trivially_copyable_v<T> &&
                 std::is_trivially_destructible_v<T>);
-  if (n == 1) return one;
   return static_cast<T*>(arena.Allocate(n * sizeof(T), alignof(T)));
+}
+
+/// ArenaArray, except that a one-element request returns `one` itself, so a
+/// one-probe descent touches no arena memory.
+template <class T>
+T* ScratchArray(Arena& arena, size_t n, T* one) {
+  return n == 1 ? one : ArenaArray<T>(arena, n);
 }
 
 }  // namespace core

@@ -659,11 +659,11 @@ class CompactReplica {
       const uint32_t n = rd.count();
       if (n == 0) return Status::OK();  // drained leaf: nothing follows
       if (rd.kind() == replica::kNodeAggLeaf) return AggAdds(rd, idx, m, {});
-      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
+      uint64_t* tok = core::ArenaArray<uint64_t>(*arena, n);
       core::ArenaVector<Point> pts(n, core::ArenaAllocator<Point>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok.data(), pts.data()));
-      core::ArenaVector<V> vals(n, core::ArenaAllocator<V>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), vals.data()));
+      BOXAGG_RETURN_NOT_OK(rd.Points(n, dims, tok, pts.data()));
+      V* vals = core::ArenaArray<V>(*arena, n);
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok, vals));
       for (size_t j = 0; j < m; ++j) {
         const Point& q = qs[idx[j]];
         V& out = outs[idx[j]];
@@ -693,11 +693,11 @@ class CompactReplica {
         }
         return Status::OK();
       }
-      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
+      uint64_t* tok = core::ArenaArray<uint64_t>(*arena, n);
       core::ArenaVector<Box> boxes(n, core::ArenaAllocator<Box>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok.data(), boxes.data()));
-      core::ArenaVector<V> subs(n, core::ArenaAllocator<V>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok.data(), subs.data()));
+      BOXAGG_RETURN_NOT_OK(rd.Boxes(n, dims, tok, boxes.data()));
+      V* subs = core::ArenaArray<V>(*arena, n);
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, n, tok, subs));
       size_t assigned = 0;  // idx[0, assigned) have their record
       for (uint32_t i = 0; i < n && assigned < m; ++i) {
         const size_t begin = assigned;
@@ -723,14 +723,12 @@ class CompactReplica {
           }
           const uint32_t cnt = static_cast<uint32_t>(arg);
           core::ArenaScope block_scope(*arena);
-          core::ArenaVector<uint64_t> btok(
-              cnt, core::ArenaAllocator<uint64_t>(arena));
+          uint64_t* btok = core::ArenaArray<uint64_t>(*arena, cnt);
           core::ArenaVector<Point> bpts(cnt,
                                         core::ArenaAllocator<Point>(arena));
-          BOXAGG_RETURN_NOT_OK(
-              rd.Points(cnt, dims - 1, btok.data(), bpts.data()));
-          core::ArenaVector<V> bvals(cnt, core::ArenaAllocator<V>(arena));
-          BOXAGG_RETURN_NOT_OK(rd.Values(cnt, cnt, btok.data(), bvals.data()));
+          BOXAGG_RETURN_NOT_OK(rd.Points(cnt, dims - 1, btok, bpts.data()));
+          V* bvals = core::ArenaArray<V>(*arena, cnt);
+          BOXAGG_RETURN_NOT_OK(rd.Values(cnt, cnt, btok, bvals));
           for (size_t t = begin; t < assigned; ++t) {
             const Point projected = qs[idx[t]].DropDim(b, dims);
             V& out = outs[idx[t]];
@@ -764,11 +762,10 @@ class CompactReplica {
     Status AggAdds(NodeReader& rd, const uint32_t* idx, size_t m,
                    uint32_t* routes) const {
       const uint32_t n = rd.count();
-      core::ArenaVector<uint64_t> tok(n, core::ArenaAllocator<uint64_t>(arena));
-      core::ArenaVector<double> keys(n, core::ArenaAllocator<double>(arena));
-      double* kd = keys.data();
+      uint64_t* tok = core::ArenaArray<uint64_t>(*arena, n);
+      double* kd = core::ArenaArray<double>(*arena, n);
       BOXAGG_RETURN_NOT_OK(
-          rd.Keys(n, tok.data(), [kd](uint32_t i, double k) { kd[i] = k; }));
+          rd.Keys(n, tok, [kd](uint32_t i, double k) { kd[i] = k; }));
       uint32_t one = 0;
       uint32_t* cuts = routes ? routes : core::ScratchArray(*arena, m, &one);
       uint32_t take = 0;
@@ -777,9 +774,9 @@ class CompactReplica {
                          : simd::FirstGreater(kd, n, qs[idx[j]][0]);
         take = std::max(take, cuts[j]);
       }
-      core::ArenaVector<V> vals(take, core::ArenaAllocator<V>(arena));
-      BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok.data(), vals.data()));
-      const auto* vb = reinterpret_cast<const uint8_t*>(vals.data());
+      V* vals = core::ArenaArray<V>(*arena, take);
+      BOXAGG_RETURN_NOT_OK(rd.Values(n, take, tok, vals));
+      const auto* vb = reinterpret_cast<const uint8_t*>(vals);
       for (size_t j = 0; j < m; ++j) {
         ValueOps<V>::AddStrided(&outs[idx[j]], vb, cuts[j], sizeof(V));
       }

@@ -1,6 +1,7 @@
 #include "storage/page_file.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,28 +14,39 @@ namespace boxagg {
 
 namespace {
 
-// Per-thread scratch for one encoded slot: FilePageFile serves concurrent
-// readers (one per buffer-pool shard), so the staging buffer cannot be a
-// shared member.
+// Per-thread scratch for one encoded slot to write: FilePageFile serves
+// concurrent callers, so the staging buffer cannot be a shared member.
 std::vector<uint8_t>& SlotScratch(size_t n) {
   thread_local std::vector<uint8_t> buf;
   if (buf.size() < n) buf.resize(n);
   return buf;
 }
 
-// pread/pwrite transfer as much as the kernel feels like; a short transfer
-// on a regular file is rare but legal (signals, quotas, files ending
-// mid-slot). Loop until the full range moved or a hard error: a silently
-// short page write is an undetectable half-page of garbage.
+// preadv/pwrite transfer as much as the kernel feels like; a short
+// transfer on a regular file is rare but legal (signals, quotas, files
+// ending mid-slot). Loop until the full range moved or a hard error: a
+// silently short page write is an undetectable half-page of garbage.
 
-Status FullPread(int fd, uint8_t* buf, size_t n, off_t off, size_t* got) {
+// Reads the slot at `off`: its header into `header` (kPageHeaderSize bytes)
+// and its payload straight into `payload` (page_size bytes), one preadv
+// per transfer. *got < kPageHeaderSize + page_size at end of file.
+Status FullPreadSlot(int fd, uint8_t* header, uint8_t* payload,
+                     size_t page_size, off_t off, size_t* got) {
+  const size_t n = kPageHeaderSize + page_size;
   size_t done = 0;
   while (done < n) {
-    ssize_t r = ::pread(fd, buf + done, n - done,
-                        off + static_cast<off_t>(done));
+    iovec iov[2];
+    int parts = 0;
+    if (done < kPageHeaderSize) {
+      iov[parts++] = {header + done, kPageHeaderSize - done};
+      iov[parts++] = {payload, page_size};
+    } else {
+      iov[parts++] = {payload + (done - kPageHeaderSize), n - done};
+    }
+    ssize_t r = ::preadv(fd, iov, parts, off + static_cast<off_t>(done));
     if (r < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError("pread: " + std::string(std::strerror(errno)));
+      return Status::IoError("preadv: " + std::string(std::strerror(errno)));
     }
     if (r == 0) break;  // EOF: caller zero-fills the tail
     done += static_cast<size_t>(r);
@@ -176,16 +188,20 @@ Status FilePageFile::Extend(uint64_t new_count) {
 Status FilePageFile::ReadPageEx(PageId id, Page* page, uint64_t* epoch_out) {
   if (id >= page_count_) return Status::NotFound("page id out of range");
   const size_t n = slot_size();
-  std::vector<uint8_t>& slot = SlotScratch(n);
+  uint8_t header[kPageHeaderSize];
+  uint8_t* payload = page->data();
   size_t got = 0;
-  BOXAGG_RETURN_NOT_OK(
-      FullPread(fd_, slot.data(), n, static_cast<off_t>(id * n), &got));
+  BOXAGG_RETURN_NOT_OK(FullPreadSlot(fd_, header, payload, page_size_,
+                                     static_cast<off_t>(id * n), &got));
   if (got < n) {
     // Slot allocated via ftruncate but never (fully) materialized; the tail
-    // reads as zeros and the decoder decides whether that is consistent.
-    std::memset(slot.data() + got, 0, n - got);
+    // reads as zeros and the verifier decides whether that is consistent.
+    const size_t in_header = std::min<size_t>(got, kPageHeaderSize);
+    std::memset(header + in_header, 0, kPageHeaderSize - in_header);
+    const size_t in_payload = got - in_header;
+    std::memset(payload + in_payload, 0, page_size_ - in_payload);
   }
-  return DecodePageSlot(slot.data(), page_size_, id, page->data(), epoch_out);
+  return VerifyPageSlot(header, payload, page_size_, id, epoch_out);
 }
 
 Status FilePageFile::WritePage(PageId id, const Page& page) {

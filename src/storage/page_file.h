@@ -74,7 +74,9 @@ class PageFile {
   /// Returns a page to the free list. The page's contents become undefined.
   virtual Status Free(PageId id);
 
-  /// Reads page `id` into `page` (page->size() must equal page_size()).
+  /// Reads page `id` into `page` (page->size() must equal page_size()). On
+  /// failure the page's bytes are unspecified: a file backend reads the
+  /// slot straight into the page and verifies it there.
   Status ReadPage(PageId id, Page* page) {
     return ReadPageEx(id, page, nullptr);
   }

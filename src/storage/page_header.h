@@ -49,12 +49,17 @@ inline constexpr uint32_t kPageOffReserved = 24;
 void EncodePageSlot(uint8_t* slot, uint32_t page_size, PageId id,
                     uint64_t epoch, const uint8_t* payload);
 
-/// Validates a slot read back for page `id` and copies its payload into
-/// `payload_out` (page_size bytes). On success `*epoch_out` (if non-null)
-/// receives the stamped epoch — 0 for a never-written all-zero slot.
-/// Status::kCorruption on a bad magic, a CRC mismatch (bit flip / torn
-/// write), or a header stamped with a different page id (misdirected
-/// write).
+/// Validates, in place, a slot read back for page `id` whose kPageHeaderSize
+/// header bytes are at `header` and whose page_size payload bytes are at
+/// `payload`. On success `*epoch_out` (if non-null) receives the stamped
+/// epoch — 0 for a never-written all-zero slot. Status::kCorruption on a
+/// bad magic, a CRC mismatch (bit flip / torn write), or a header stamped
+/// with a different page id (misdirected write).
+Status VerifyPageSlot(const uint8_t* header, const uint8_t* payload,
+                      uint32_t page_size, PageId id, uint64_t* epoch_out);
+
+/// VerifyPageSlot over a contiguous slot, then a copy of its payload into
+/// `payload_out` (page_size bytes); `payload_out` is untouched on failure.
 Status DecodePageSlot(const uint8_t* slot, uint32_t page_size, PageId id,
                       uint8_t* payload_out, uint64_t* epoch_out);
 

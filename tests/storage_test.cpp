@@ -16,6 +16,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,6 +29,15 @@
 #include "storage/page_file.h"
 
 namespace boxagg {
+
+// Reaches into a shard's page map to corrupt it on purpose.
+struct BufferPoolTestPeer {
+  static uint32_t& MapEntry(BufferPool& pool, PageId id) {
+    BufferPool::Shard& s = *pool.shards_[pool.ShardOf(id)];
+    return s.map[pool.MapIndex(id)];
+  }
+};
+
 namespace {
 
 TEST(StatusTest, OkAndErrors) {
@@ -255,20 +265,41 @@ TEST_F(BufferPoolTest, LruEvictsColdestFirst) {
 }
 
 TEST_F(BufferPoolTest, DeleteRecyclesPage) {
-  PageId id;
-  {
-    PageGuard g;
-    ASSERT_TRUE(pool_.New(&g).ok());
-    id = g.id();
-    g.page()->WriteAt<int>(0, 7);
-    g.MarkDirty();
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    MemPageFile file(4096);
+    BufferPool pool(&file, /*capacity=*/16 * shards, shards);
+    std::vector<PageId> ids;
+    for (int i = 0; i < 6; ++i) {
+      PageGuard g;
+      ASSERT_TRUE(pool.New(&g).ok());
+      g.page()->WriteAt<uint64_t>(0, g.id() + 1);
+      g.MarkDirty();
+      ids.push_back(g.id());
+    }
+    const PageId id = ids[3];
+    ASSERT_TRUE(pool.Delete(id).ok());
+    EXPECT_EQ(pool.resident(), ids.size() - 1);
+    // The id comes back on reallocation, zero-filled, and is mapped again:
+    // every page, the recycled one included, is then a hit.
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.New(&g).ok());
+      EXPECT_EQ(g.id(), id);
+      EXPECT_EQ(g.page()->ReadAt<uint64_t>(0), 0u);
+      g.page()->WriteAt<uint64_t>(0, 77);
+    }
+    EXPECT_EQ(pool.resident(), ids.size());
+    const IoStats before = pool.stats();
+    for (const PageId p : ids) {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(p, &g).ok());
+      EXPECT_EQ(g.page()->ReadAt<uint64_t>(0), p == id ? 77 : p + 1);
+    }
+    EXPECT_EQ(pool.stats().Since(before).buffer_hits, ids.size());
+    const Status audit = pool.CheckConsistency();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
   }
-  ASSERT_TRUE(pool_.Delete(id).ok());
-  // The id comes back on reallocation, zero-filled.
-  PageGuard g;
-  ASSERT_TRUE(pool_.New(&g).ok());
-  EXPECT_EQ(g.id(), id);
-  EXPECT_EQ(g.page()->ReadAt<int>(0), 0);
 }
 
 TEST_F(BufferPoolTest, DeletePinnedFails) {
@@ -433,6 +464,132 @@ TEST_F(BufferPoolTest, ArenaCheckReportsFrameOutsideItsSlot) {
   EXPECT_EQ(audit.code(), Status::Code::kCorruption);
   EXPECT_NE(audit.ToString().find("arena slot"), std::string::npos)
       << audit.ToString();
+}
+
+// --- The page map: one entry per PageId a shard owns ---------------------
+
+// Writes page `id`'s own id into its first word, straight on the file.
+void WriteTaggedPage(PageFile* file, PageId id) {
+  Page page(file->page_size());
+  page.WriteAt<uint64_t>(0, id);
+  ASSERT_TRUE(file->WritePage(id, page).ok());
+}
+
+TEST_F(BufferPoolTest, MapGrowsForPagesAllocatedOnTheFileAfterThePool) {
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    MemPageFile file(512);
+    BufferPool pool(&file, /*capacity=*/8 * shards, shards);
+    // The pool was built over an empty file, so every id below lies past
+    // the end of its shard's map until its first miss.
+    constexpr PageId kPages = 100;
+    for (PageId i = 0; i < kPages; ++i) {
+      PageId id;
+      ASSERT_TRUE(file.Allocate(&id).ok());
+      ASSERT_EQ(id, i);
+      WriteTaggedPage(&file, id);
+    }
+    const IoStats before = pool.stats();
+    // Two cyclic passes over more pages than the pool holds: every fetch
+    // misses, the first pass grows the maps and the second re-fetches
+    // pages the first evicted.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (PageId id = 0; id < kPages; ++id) {
+        PageGuard g;
+        ASSERT_TRUE(pool.Fetch(id, &g).ok()) << id;
+        ASSERT_EQ(g.page()->ReadAt<uint64_t>(0), id);
+      }
+    }
+    const IoStats d = pool.stats().Since(before);
+    EXPECT_EQ(d.logical_reads, 2 * kPages);
+    EXPECT_EQ(d.physical_reads, 2 * kPages);
+    EXPECT_EQ(d.evictions, 2 * kPages - pool.capacity());
+    EXPECT_EQ(pool.resident(), pool.capacity());
+    // The last page fetched is still resident: a hit.
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(kPages - 1, &g).ok());
+    }
+    EXPECT_EQ(pool.stats().Since(before).buffer_hits, 1u);
+    CheckContext ctx;
+    ctx.expect_unpinned = true;
+    const Status audit = pool.CheckConsistency(&ctx);
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
+}
+
+TEST_F(BufferPoolTest, MapCheckReportsEntryPointingAtAnotherPage) {
+  PageId a;
+  PageId b;
+  {
+    PageGuard ga;
+    PageGuard gb;
+    ASSERT_TRUE(pool_.New(&ga).ok());
+    ASSERT_TRUE(pool_.New(&gb).ok());
+    a = ga.id();
+    b = gb.id();
+  }
+  ASSERT_TRUE(pool_.CheckConsistency().ok());
+  uint32_t& entry = BufferPoolTestPeer::MapEntry(pool_, a);
+  const uint32_t saved = entry;
+  entry = BufferPoolTestPeer::MapEntry(pool_, b);  // a now finds b's frame
+  const Status audit = pool_.CheckConsistency();
+  entry = saved;
+  EXPECT_EQ(audit.code(), Status::Code::kCorruption);
+  EXPECT_NE(audit.ToString().find("page-map entry " + std::to_string(a)),
+            std::string::npos)
+      << audit.ToString();
+  EXPECT_NE(audit.ToString().find("holds page " + std::to_string(b)),
+            std::string::npos)
+      << audit.ToString();
+  EXPECT_TRUE(pool_.CheckConsistency().ok());
+}
+
+// Four readers on four shards while misses grow every shard's map: each
+// map is resized only under its own shard's lock, which the TSan job
+// checks. Pages are allocated on the file after the pool, so the maps
+// start empty.
+TEST_F(BufferPoolTest, ConcurrentMissesGrowTheMapsOfFourShards) {
+  constexpr size_t kShards = 4;
+  constexpr PageId kPages = 400;
+  MemPageFile file(512);
+  BufferPool pool(&file, /*capacity=*/64, kShards);
+  for (PageId i = 0; i < kPages; ++i) {
+    PageId id;
+    ASSERT_TRUE(file.Allocate(&id).ok());
+    WriteTaggedPage(&file, id);
+  }
+  constexpr int kThreads = 4;
+  constexpr int kFetches = 4000;
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &bad, t] {
+      std::mt19937 rng(static_cast<unsigned>(t) + 1);
+      // Thread t first sweeps ascending ids from its own offset, so every
+      // map grows while the other threads fetch, then fetches at random.
+      for (int i = 0; i < kFetches; ++i) {
+        const PageId id = i < static_cast<int>(kPages)
+                              ? (static_cast<PageId>(i) + 100 * t) % kPages
+                              : rng() % kPages;
+        PageGuard g;
+        if (!pool.Fetch(id, &g).ok() || g.page()->ReadAt<uint64_t>(0) != id) {
+          ++bad[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[t], 0) << "thread " << t;
+  const IoStats s = pool.stats();
+  EXPECT_EQ(s.logical_reads, uint64_t{kThreads} * kFetches);
+  EXPECT_EQ(s.logical_reads, s.buffer_hits + s.physical_reads);
+  EXPECT_GE(s.physical_reads, kPages);
+  EXPECT_EQ(pool.resident(), pool.capacity());
+  CheckContext ctx;
+  ctx.expect_unpinned = true;
+  const Status audit = pool.CheckConsistency(&ctx);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 #if defined(__SANITIZE_ADDRESS__)

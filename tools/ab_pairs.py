@@ -2,6 +2,7 @@
 """A/B pair runner: the benchmark at two revisions, in alternating pairs.
 
     python3 tools/ab_pairs.py A B --workload W --pairs N [--trace-pair]
+                              [--record FILE]
 
 Exports each revision with `git archive` (local git only, no network) into
 its own directory under --work-dir, builds its perfbench once, then runs
@@ -28,11 +29,19 @@ the metric's declared direction).
 node visits per level, border probes, buffer-pool counts, build pages. A
 change that claims the same work must show them identical; differences are
 printed and make the tool exit 1.
+
+--record FILE appends the claimed metric's pairs (RECORD_METRIC) to FILE as
+one JSON line: the revisions, workload, metric and its better direction,
+every pair by seed, B's wins, A's median and IQR, B's median, the held-out
+pair, and the host's nproc and transparent-huge-page mode. Nothing is
+recorded when --trace-pair finds the counts differ.
+`tools/perf_gate.py --ab FILE` checks each record's shape and its claim.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -40,6 +49,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HELD_OUT_SEED = 9001
+RECORD_METRIC = "query_p50_us"  # the end-to-end metric a speed claim cites
 
 
 def git(*args):
@@ -83,6 +93,43 @@ def run(tree, workload, seed, seconds, trace):
     return {k: v["value"] for k, v in res["metrics"].items()}
 
 
+def thp_mode():
+    """The bracketed transparent-huge-page mode, or "unknown"."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            m = re.search(r"\[(\w+)\]", f.read())
+    except OSError:
+        return "unknown"
+    return m.group(1) if m else "unknown"
+
+
+def ab_record(a, b, workload, metric, runs_a, runs_b, held):
+    """One BENCH_ab.json line for `metric` (an end-to-end metric spec)."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    xa = [r[name] for r in runs_a]
+    xb = [r[name] for r in runs_b]
+    q1, q3 = quartiles(xa)
+    return {
+        "record": "ab",
+        "a": a,
+        "b": b,
+        "workload": workload,
+        "metric": name,
+        "better": metric["better"],
+        "pairs": [{"seed": i + 1, "a": va, "b": vb}
+                  for i, (va, vb) in enumerate(zip(xa, xb))],
+        "b_wins": sum((vb < va) if lower else (vb > va)
+                      for va, vb in zip(xa, xb)),
+        "a_median": statistics.median(xa),
+        "a_iqr": [q1, q3],
+        "b_median": statistics.median(xb),
+        "held_out": {"seed": HELD_OUT_SEED, "a": held[0][name],
+                     "b": held[1][name]},
+        "nproc": len(os.sched_getaffinity(0)),
+        "thp": thp_mode(),
+    }
+
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
@@ -120,11 +167,14 @@ def main():
                     help="also run one traced pair and compare its counts")
     ap.add_argument("--work-dir", help="where the revisions are exported "
                     "and built (default: a fresh temporary directory)")
+    ap.add_argument("--record", metavar="FILE", help="append the pairs of "
+                    f"{RECORD_METRIC} to FILE as a JSON line")
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("ab_pairs: --pairs must be at least 1")
 
     spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+    metric = next(m for m in spec["end_to_end"] if m["name"] == RECORD_METRIC)
     seconds = spec["run_seconds"]
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="ab_pairs_")
     a = export(args.a, work_dir)
@@ -159,19 +209,27 @@ def main():
               f"{'yes' if outside else 'no':<12}{wins:>4}/{args.pairs}"
               f"  {held_a[name]:.4g}/{held_b[name]:.4g}")
 
-    if not args.trace_pair:
-        return 0
-    counts = [m["name"] for m in spec["per_layer"]
-              if m["unit"] == "count" and not m["name"].startswith(
-                  ("client.", "trace.", "check."))]
-    ta, tb = pair(a, b, args.workload, 1, seconds, 1, True)
-    differ = [n for n in counts if ta.get(n) != tb.get(n)]
-    print(f"traced pair, seed 1: {len(counts) - len(differ)}/{len(counts)} "
-          f"count metrics identical")
-    for n in counts:
-        print(f"  {n:<42}{ta.get(n, 0):>14.6g}{tb.get(n, 0):>14.6g}"
-              f"{'' if n not in differ else '  DIFFERS'}")
-    return 1 if differ else 0
+    differ = []
+    if args.trace_pair:
+        counts = [m["name"] for m in spec["per_layer"]
+                  if m["unit"] == "count" and not m["name"].startswith(
+                      ("client.", "trace.", "check."))]
+        ta, tb = pair(a, b, args.workload, 1, seconds, 1, True)
+        differ = [n for n in counts if ta.get(n) != tb.get(n)]
+        print(f"traced pair, seed 1: {len(counts) - len(differ)}/"
+              f"{len(counts)} count metrics identical")
+        for n in counts:
+            print(f"  {n:<42}{ta.get(n, 0):>14.6g}{tb.get(n, 0):>14.6g}"
+                  f"{'' if n not in differ else '  DIFFERS'}")
+    if differ:
+        return 1  # not the same work: nothing is recorded
+    if args.record:
+        with open(args.record, "a") as f:
+            f.write(json.dumps(ab_record(a[0], b[0], args.workload, metric,
+                                         runs_a, runs_b, (held_a, held_b)))
+                    + "\n")
+        print(f"recorded {RECORD_METRIC} in {args.record}")
+    return 0
 
 
 if __name__ == "__main__":

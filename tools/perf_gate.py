@@ -33,10 +33,20 @@ generations they are noise.
 A baseline record with no matching fresh record fails the gate (a bench that
 silently stopped emitting is itself a regression). Fresh-only records pass
 with a note: the next trajectory refresh picks them up.
+
+    perf_gate.py --ab results/BENCH_ab.json
+
+checks instead every A/B record that tools/ab_pairs.py --record appended
+there, one claimed speed gain per line. Each record must have every field
+with its type, and its summary (B's wins, A's median and IQR, B's median)
+must be what its pairs give. Its claim must hold: B wins at least
+AB_MIN_WINS of at least AB_MIN_PAIRS pairs, and B's median lies outside
+A's interquartile range on the metric's better side.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 EPS = 1e-6
@@ -90,6 +100,102 @@ def identity(rec):
     return ("opaque", json.dumps(rec, sort_keys=True))
 
 
+# The claim rule of an A/B record.
+AB_MIN_PAIRS = 10
+AB_MIN_WINS = 8
+
+# Field -> type(s) of an A/B record; "pairs" entries are {seed, a, b}.
+NUM = (int, float)
+AB_FIELDS = {
+    "record": str, "a": str, "b": str, "workload": str, "metric": str,
+    "better": str, "pairs": list, "b_wins": int, "a_median": NUM,
+    "a_iqr": list, "b_median": NUM, "held_out": dict, "nproc": int,
+    "thp": str,
+}
+
+
+def check_ab_record(rec):
+    """Failures of one A/B record: its shape, its summary against its
+    pairs, then the claim rule."""
+    bad = [f"field {k} missing or not a "
+           f"{'number' if t is NUM else t.__name__}"
+           for k, t in AB_FIELDS.items()
+           if not isinstance(rec.get(k), t) or isinstance(rec.get(k), bool)]
+    if bad:
+        return bad
+    if rec["record"] != "ab" or rec["better"] not in ("lower", "higher"):
+        return ["record must be \"ab\" and better \"lower\" or \"higher\""]
+    pairs = rec["pairs"]
+    if not all(isinstance(p, dict) and isinstance(p.get("seed"), int) and
+               isinstance(p.get("a"), NUM) and isinstance(p.get("b"), NUM)
+               for p in pairs):
+        return ["every pair must be {seed, a, b} with numbers"]
+    held = rec["held_out"]
+    if not all(isinstance(held.get(k), t)
+               for k, t in (("seed", int), ("a", NUM), ("b", NUM))):
+        return ["held_out must be {seed, a, b} with numbers"]
+    if len(rec["a_iqr"]) != 2 or not all(isinstance(q, NUM)
+                                         for q in rec["a_iqr"]):
+        return ["a_iqr must be [q1, q3]"]
+    if len(pairs) < AB_MIN_PAIRS:
+        return [f"{len(pairs)} pairs; the claim needs {AB_MIN_PAIRS}"]
+
+    lower = rec["better"] == "lower"
+    xa = [p["a"] for p in pairs]
+    xb = [p["b"] for p in pairs]
+    q = statistics.quantiles(xa, n=4, method="inclusive")
+    derived = {
+        "b_wins": sum((b < a) if lower else (b > a) for a, b in zip(xa, xb)),
+        "a_median": statistics.median(xa),
+        "a_iqr": [q[0], q[2]],
+        "b_median": statistics.median(xb),
+    }
+    failures = []
+    for k, want in derived.items():
+        got = rec[k]
+        same = (all(close(g, w) for g, w in zip(got, want))
+                if isinstance(want, list) else close(got, want))
+        if not same:
+            failures.append(f"{k} {got} is not what the pairs give ({want})")
+    if failures:
+        return failures
+
+    q1, q3 = derived["a_iqr"]
+    med_b = derived["b_median"]
+    if derived["b_wins"] < AB_MIN_WINS:
+        failures.append(f"B wins {derived['b_wins']}/{len(pairs)} pairs; "
+                        f"the claim needs {AB_MIN_WINS}")
+    if not (med_b < q1 if lower else med_b > q3):
+        failures.append(f"B's median {med_b:g} is not {rec['better']} than "
+                        f"A's IQR [{q1:g}, {q3:g}]")
+    return failures
+
+
+def gate_ab(path):
+    """Checks every A/B record in `path`; returns the exit code."""
+    failures = []
+    records = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            records += 1
+            rec = json.loads(line)
+            what = (f"{path}:{lineno} ({rec.get('workload')} "
+                    f"{rec.get('metric')}, {rec.get('a')} -> {rec.get('b')})")
+            failures += [f"{what}: {m}" for m in check_ab_record(rec)]
+    if records == 0:
+        failures.append(f"{path}: no records")
+    if failures:
+        for f in failures:
+            print(f"FAIL {f}", file=sys.stderr)
+        print(f"perf_gate: {len(failures)} failed A/B check(s) in {path}",
+              file=sys.stderr)
+        return 1
+    print(f"perf_gate: OK — {records} A/B record(s) in {path}")
+    return 0
+
+
 def load(path):
     out = {}
     with open(path) as f:
@@ -116,14 +222,22 @@ def close(a, b):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", required=True)
-    ap.add_argument("--fresh", required=True)
+    ap.add_argument("--baseline")
+    ap.add_argument("--fresh")
+    ap.add_argument("--ab", metavar="FILE",
+                    help="check the A/B records in FILE instead")
     ap.add_argument("--max-regress", type=float, default=0.5,
                     help="allowed fractional loss on ratio metrics")
     ap.add_argument("--gate-wall", action="store_true",
                     help="also gate absolute wall-clock fields "
                          "(same-machine comparisons only)")
     args = ap.parse_args()
+    if args.ab:
+        if args.baseline or args.fresh:
+            ap.error("--ab takes no --baseline or --fresh")
+        return gate_ab(args.ab)
+    if not (args.baseline and args.fresh):
+        ap.error("--baseline and --fresh are required without --ab")
 
     base = load(args.baseline)
     fresh = load(args.fresh)

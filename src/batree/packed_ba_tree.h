@@ -197,9 +197,43 @@ class PackedBaTree {
   /// Pages owned by the tree (main branch + spilled borders).
   Status PageCount(uint64_t* out) const {
     *out = 0;
+    return ForEachOwnedPage([out](PageId) {
+      ++*out;
+      return Status::OK();
+    });
+  }
+
+  /// Calls fn(pid), which returns a Status, once for every page the tree
+  /// owns, post-order: for each record its child subtree, then its spilled
+  /// border trees in dimension order, then the node. A node is released
+  /// before its subtrees are walked, so `fn` may free the page it is
+  /// handed. A 1-d tree is an AggBTree's walk.
+  template <class Fn>
+  Status ForEachOwnedPage(Fn&& fn) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) return AggBTree<V>(pool_, root_).PageCount(out);
-    return PageCountRec(root_, out);
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).ForEachOwnedPage(fn);
+    std::vector<std::pair<PageId, int>> kids;  // (subtree root, its dims)
+    {
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
+      const Page* p = g.page();
+      if (PageType(p) == kInternal) {
+        for (uint32_t i = 0; i < IntCount(p); ++i) {
+          kids.emplace_back(RecChild(p, i), dims_);
+          for (int b = 0; b < dims_; ++b) {
+            const uint64_t ref = RecBorderRef(p, i, b);
+            if (ref != kEmptyRef && !IsInlineRef(ref)) {
+              kids.emplace_back(static_cast<PageId>(ref), dims_ - 1);
+            }
+          }
+        }
+      }
+    }
+    for (auto [kid, kid_dims] : kids) {
+      BOXAGG_RETURN_NOT_OK(
+          PackedBaTree(pool_, kid_dims, kid).ForEachOwnedPage(fn));
+    }
+    return fn(root_);
   }
 
   /// Bulk-loads an empty tree: recursive median partitioning builds the
@@ -272,13 +306,8 @@ class PackedBaTree {
 
   /// Frees every page.
   Status Destroy() {
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      BOXAGG_RETURN_NOT_OK(base.Destroy());
-    } else {
-      BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
-    }
+    BOXAGG_RETURN_NOT_OK(
+        ForEachOwnedPage([this](PageId pid) { return pool_->Delete(pid); }));
     root_ = kInvalidPageId;
     return Status::OK();
   }
@@ -1369,38 +1398,6 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    std::vector<std::pair<PageId, bool>> kids;  // (pid-or-border, is_border)
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      *out += 1;
-      if (PageType(p) == kLeaf) return Status::OK();
-      uint32_t n = IntCount(p);
-      for (uint32_t i = 0; i < n; ++i) {
-        kids.push_back({RecChild(p, i), false});
-        for (int b = 0; b < dims_; ++b) {
-          uint64_t ref = RecBorderRef(p, i, b);
-          if (ref != kEmptyRef && !IsInlineRef(ref)) {
-            kids.push_back({static_cast<PageId>(ref), true});
-          }
-        }
-      }
-    }
-    for (auto [kid, is_border] : kids) {
-      if (is_border) {
-        PackedBaTree sub(pool_, dims_ - 1, kid);
-        uint64_t cnt = 0;
-        BOXAGG_RETURN_NOT_OK(sub.PageCount(&cnt));
-        *out += cnt;
-      } else {
-        BOXAGG_RETURN_NOT_OK(PageCountRec(kid, out));
-      }
-    }
-    return Status::OK();
-  }
-
   // ---- verification --------------------------------------------------------
 
   /// Raw-layout checks of one packed internal page, then the containment
@@ -1538,36 +1535,6 @@ class PackedBaTree {
     PackedBaTree sub(pool_, dims_ - 1, broot);
     std::vector<Entry> scratch;
     return sub.CheckRec(broot, ctx, &scratch);
-  }
-
-  Status DestroyRec(PageId pid) {
-    std::vector<std::pair<PageId, bool>> kids;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (PageType(p) == kInternal) {
-        uint32_t n = IntCount(p);
-        for (uint32_t i = 0; i < n; ++i) {
-          kids.push_back({RecChild(p, i), false});
-          for (int b = 0; b < dims_; ++b) {
-            uint64_t ref = RecBorderRef(p, i, b);
-            if (ref != kEmptyRef && !IsInlineRef(ref)) {
-              kids.push_back({static_cast<PageId>(ref), true});
-            }
-          }
-        }
-      }
-    }
-    for (auto [kid, is_border] : kids) {
-      if (is_border) {
-        PackedBaTree sub(pool_, dims_ - 1, kid);
-        BOXAGG_RETURN_NOT_OK(sub.Destroy());
-      } else {
-        BOXAGG_RETURN_NOT_OK(DestroyRec(kid));
-      }
-    }
-    return pool_->Delete(pid);
   }
 
   BufferPool* pool_;

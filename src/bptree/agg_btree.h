@@ -178,18 +178,37 @@ class AggBTree {
     return ScanRec(root_, out);
   }
 
-  /// Number of distinct keys stored.
-  Status CountEntries(uint64_t* out) const {
-    *out = 0;
-    if (root_ == kInvalidPageId) return Status::OK();
-    return CountRec(root_, out);
-  }
-
   /// Number of pages owned by the tree.
   Status PageCount(uint64_t* out) const {
     *out = 0;
+    return ForEachOwnedPage([out](PageId) {
+      ++*out;
+      return Status::OK();
+    });
+  }
+
+  /// Calls fn(pid), which returns a Status, once for every page the tree
+  /// owns, post-order: each record's child subtree in record order, then
+  /// the node. A node is released before its subtrees are walked, so `fn`
+  /// may free the page it is handed.
+  template <class Fn>
+  Status ForEachOwnedPage(Fn&& fn) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    return PageCountRec(root_, out);
+    std::vector<PageId> children;
+    {
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
+      const Page* p = g.page();
+      if (Type(p) == kInternal) {
+        for (uint32_t i = 0; i < Count(p); ++i) {
+          children.push_back(InternalChild(p, i));
+        }
+      }
+    }
+    for (PageId c : children) {
+      BOXAGG_RETURN_NOT_OK(AggBTree(pool_, c).ForEachOwnedPage(fn));
+    }
+    return fn(root_);
   }
 
   /// Builds a tree from a sorted stream: Add every entry in strictly
@@ -310,8 +329,8 @@ class AggBTree {
 
   /// Frees every page of the tree; the handle becomes empty.
   Status Destroy() {
-    if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
+    BOXAGG_RETURN_NOT_OK(
+        ForEachOwnedPage([this](PageId pid) { return pool_->Delete(pid); }));
     root_ = kInvalidPageId;
     return Status::OK();
   }
@@ -341,6 +360,71 @@ class AggBTree {
     return CheckRec(root_, /*is_root=*/true, ctx, &facts);
   }
 
+  // ---- B+-tree plumbing shared with EcdfBTree's main branch ---------------
+  // Both trees head their pages { u16 type, u16 pad, u32 count } and lay an
+  // internal node out as a lowkey strip followed by a record strip.
+
+  /// What an overflowing node hands its parent: both halves' lowkeys and
+  /// sums, and the new right page.
+  struct SplitResult {
+    bool happened = false;
+    PageId right_page = kInvalidPageId;
+    double left_lowkey = 0.0;
+    double right_lowkey = 0.0;
+    V left_sum{};
+    V right_sum{};
+  };
+
+  /// What CheckRec learns about a subtree, checked against the parent
+  /// record (keys are EcdfBTree's dim-0 coordinates).
+  struct SubtreeFacts {
+    double min_key = 0.0;
+    double max_key = 0.0;
+    V sum{};
+    uint32_t depth = 0;  // 0 at leaves; must be uniform across siblings
+  };
+
+  /// The overflow split: writes all[0, n/2) back into g's page and
+  /// all[n/2, n) into a new right page, heads both `type`, and fills
+  /// *split. put(page, i, e) writes entry e at slot i and returns its
+  /// {lowkey, sum}.
+  template <class E, class Put>
+  static Status SplitNode(BufferPool* pool, PageGuard* g, uint16_t type,
+                          const std::vector<E>& all, Put put,
+                          SplitResult* split) {
+    const auto left_n = static_cast<uint32_t>(all.size() / 2);
+    PageGuard rg;
+    BOXAGG_RETURN_NOT_OK(pool->New(&rg));
+    auto fill = [&](Page* p, uint32_t from, uint32_t to, double* lowkey,
+                    V* sum) {
+      SetHeader(p, type, to - from);
+      for (uint32_t i = from; i < to; ++i) {
+        const auto [key, value] = put(p, i - from, all[i]);
+        if (i == from) *lowkey = key;
+        *sum += value;
+      }
+    };
+    *split = SplitResult{true, rg.id()};
+    fill(g->page(), 0, left_n, &split->left_lowkey, &split->left_sum);
+    fill(rg.page(), left_n, static_cast<uint32_t>(all.size()),
+         &split->right_lowkey, &split->right_sum);
+    g->MarkDirty();
+    rg.MarkDirty();
+    return Status::OK();
+  }
+
+  /// Opens slot `at` of an internal node holding n records: records
+  /// [at, n) move one slot right in both strips, the lowkeys and the
+  /// `rec`-byte records that start after `cap` lowkeys.
+  static void OpenInternalSlot(Page* p, uint32_t cap, uint32_t rec,
+                               uint32_t at, uint32_t n) {
+    const uint32_t recs = kHeaderSize + 8 * cap;
+    std::memmove(p->data() + InternalLowKeyOffset(at + 1),
+                 p->data() + InternalLowKeyOffset(at), (n - at) * size_t{8});
+    std::memmove(p->data() + recs + (at + 1) * rec, p->data() + recs + at * rec,
+                 (n - at) * size_t{rec});
+  }
+
  private:
   // The replica builder snapshots nodes through the raw accessors below.
   template <class>
@@ -355,15 +439,6 @@ class AggBTree {
   static constexpr uint32_t kInternalEntrySize = 16 + sizeof(V);
   // Stride of one { child, sum } record in the internal payload strip.
   static constexpr uint32_t kInternalRec = 8 + sizeof(V);
-
-  struct SplitResult {
-    bool happened = false;
-    PageId right_page = kInvalidPageId;
-    double left_lowkey = 0.0;
-    double right_lowkey = 0.0;
-    V left_sum{};
-    V right_sum{};
-  };
 
   // ---- page accessors -----------------------------------------------------
   // The key strips are page-size independent (they start right after the
@@ -454,35 +529,16 @@ class AggBTree {
       // Split: gather, insert, redistribute halves.
       std::vector<Entry> all(n);
       for (uint32_t i = 0; i < n; ++i) {
-        all[i].key = LeafKey(p, i);
-        all[i].value = p->ReadAt<V>(LeafValueOffset(page_size, i));
+        all[i] = {LeafKey(p, i), p->ReadAt<V>(LeafValueOffset(page_size, i))};
       }
       all.insert(all.begin() + lo, Entry{key, v});
-      uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
-      PageGuard rg;
-      BOXAGG_RETURN_NOT_OK(pool_->New(&rg));
-      SetHeader(p, kLeaf, left_n);
-      V lsum{}, rsum{};
-      for (uint32_t i = 0; i < left_n; ++i) {
-        WriteLeafEntry(p, i, all[i].key, all[i].value);
-        lsum += all[i].value;
-      }
-      uint32_t right_n = static_cast<uint32_t>(all.size()) - left_n;
-      SetHeader(rg.page(), kLeaf, right_n);
-      for (uint32_t i = 0; i < right_n; ++i) {
-        WriteLeafEntry(rg.page(), i, all[left_n + i].key,
-                       all[left_n + i].value);
-        rsum += all[left_n + i].value;
-      }
-      g.MarkDirty();
-      rg.MarkDirty();
-      split->happened = true;
-      split->right_page = rg.id();
-      split->left_lowkey = all[0].key;
-      split->right_lowkey = all[left_n].key;
-      split->left_sum = lsum;
-      split->right_sum = rsum;
-      return Status::OK();
+      return SplitNode(
+          pool_, &g, kLeaf, all,
+          [this](Page* q, uint32_t i, const Entry& e) {
+            WriteLeafEntry(q, i, e.key, e.value);
+            return std::pair{e.key, e.value};
+          },
+          split);
     }
 
     // Internal node.
@@ -503,12 +559,8 @@ class AggBTree {
     WriteInternalEntry(p, idx, child_split.left_lowkey, child,
                        child_split.left_sum);
     if (n < InternalCapacity(page_size)) {
-      std::memmove(p->data() + InternalLowKeyOffset(idx + 2),
-                   p->data() + InternalLowKeyOffset(idx + 1),
-                   (n - idx - 1) * 8);
-      std::memmove(p->data() + InternalChildOffset(page_size, idx + 2),
-                   p->data() + InternalChildOffset(page_size, idx + 1),
-                   (n - idx - 1) * size_t{kInternalRec});
+      OpenInternalSlot(p, InternalCapacity(page_size), kInternalRec, idx + 1,
+                       n);
       WriteInternalEntry(p, idx + 1, child_split.right_lowkey,
                          child_split.right_page, child_split.right_sum);
       SetCount(p, n + 1);
@@ -523,38 +575,19 @@ class AggBTree {
     };
     std::vector<IEntry> all(n);
     for (uint32_t i = 0; i < n; ++i) {
-      all[i].lowkey = InternalLowKey(p, i);
-      all[i].child = InternalChild(p, i);
-      all[i].sum = p->ReadAt<V>(InternalSumOffset(page_size, i));
+      all[i] = {InternalLowKey(p, i), InternalChild(p, i),
+                p->ReadAt<V>(InternalSumOffset(page_size, i))};
     }
     all.insert(all.begin() + idx + 1,
                IEntry{child_split.right_lowkey, child_split.right_page,
                       child_split.right_sum});
-    uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
-    PageGuard rg;
-    BOXAGG_RETURN_NOT_OK(pool_->New(&rg));
-    SetHeader(p, kInternal, left_n);
-    V lsum{}, rsum{};
-    for (uint32_t i = 0; i < left_n; ++i) {
-      WriteInternalEntry(p, i, all[i].lowkey, all[i].child, all[i].sum);
-      lsum += all[i].sum;
-    }
-    uint32_t right_n = static_cast<uint32_t>(all.size()) - left_n;
-    SetHeader(rg.page(), kInternal, right_n);
-    for (uint32_t i = 0; i < right_n; ++i) {
-      WriteInternalEntry(rg.page(), i, all[left_n + i].lowkey,
-                         all[left_n + i].child, all[left_n + i].sum);
-      rsum += all[left_n + i].sum;
-    }
-    g.MarkDirty();
-    rg.MarkDirty();
-    split->happened = true;
-    split->right_page = rg.id();
-    split->left_lowkey = all[0].lowkey;
-    split->right_lowkey = all[left_n].lowkey;
-    split->left_sum = lsum;
-    split->right_sum = rsum;
-    return Status::OK();
+    return SplitNode(
+        pool_, &g, kInternal, all,
+        [this](Page* q, uint32_t i, const IEntry& e) {
+          WriteInternalEntry(q, i, e.lowkey, e.child, e.sum);
+          return std::pair{e.lowkey, e.sum};
+        },
+        split);
   }
 
   // ---- traversal ----------------------------------------------------------
@@ -639,44 +672,7 @@ class AggBTree {
     return Status::OK();
   }
 
-  Status CountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      *out += n;
-      return Status::OK();
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      BOXAGG_RETURN_NOT_OK(CountRec(InternalChild(p, i), out));
-    }
-    return Status::OK();
-  }
-
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-    const Page* p = g.page();
-    *out += 1;
-    if (Type(p) == kInternal) {
-      uint32_t n = Count(p);
-      for (uint32_t i = 0; i < n; ++i) {
-        BOXAGG_RETURN_NOT_OK(PageCountRec(InternalChild(p, i), out));
-      }
-    }
-    return Status::OK();
-  }
-
   // ---- verification -------------------------------------------------------
-
-  /// What CheckRec learns about a subtree, checked against the parent record.
-  struct SubtreeFacts {
-    double min_key = 0.0;
-    double max_key = 0.0;
-    V sum{};
-    uint32_t depth = 0;  // 0 at leaves; must be uniform across siblings
-  };
 
   Status CheckRec(PageId pid, bool is_root, CheckContext* ctx,
                   SubtreeFacts* out) const {
@@ -787,26 +783,6 @@ class AggBTree {
       d2.MarkDirty();
     }
     return Status::OK();
-  }
-
-  Status DestroyRec(PageId pid) {
-    std::vector<PageId> children;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (Type(p) == kInternal) {
-        uint32_t n = Count(p);
-        children.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          children.push_back(InternalChild(p, i));
-        }
-      }
-    }
-    for (PageId c : children) {
-      BOXAGG_RETURN_NOT_OK(DestroyRec(c));
-    }
-    return pool_->Delete(pid);
   }
 
   BufferPool* pool_;

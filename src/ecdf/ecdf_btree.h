@@ -204,24 +204,42 @@ class EcdfBTree {
     return ScanRec(root_, out);
   }
 
-  /// Number of distinct points in the main branch.
-  Status CountEntries(uint64_t* out) const {
-    *out = 0;
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) return AggBTree<V>(pool_, root_).CountEntries(out);
-    std::vector<Entry> all;
-    BOXAGG_RETURN_NOT_OK(ScanRec(root_, &all));
-    *out = all.size();
-    return Status::OK();
-  }
-
   /// Pages owned by this tree, including every border recursively. This is
   /// the index-size metric of Fig. 9a.
   Status PageCount(uint64_t* out) const {
     *out = 0;
+    return ForEachOwnedPage([out](PageId) {
+      ++*out;
+      return Status::OK();
+    });
+  }
+
+  /// Calls fn(pid), which returns a Status, once for every page the tree
+  /// owns, post-order: for each record its child subtree, then its border,
+  /// then the node. A node is released before its subtrees are walked, so
+  /// `fn` may free the page it is handed. A 1-d tree is an AggBTree's walk.
+  template <class Fn>
+  Status ForEachOwnedPage(Fn&& fn) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) return AggBTree<V>(pool_, root_).PageCount(out);
-    return PageCountRec(root_, out);
+    if (dims_ == 1) return AggBTree<V>(pool_, root_).ForEachOwnedPage(fn);
+    std::vector<std::pair<PageId, PageId>> kids;  // (child, border)
+    {
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
+      const Page* p = g.page();
+      if (Type(p) == kInternal) {
+        for (uint32_t i = 0; i < Count(p); ++i) {
+          kids.emplace_back(InternalChild(p, i), InternalBorder(p, i));
+        }
+      }
+    }
+    for (auto [child, border] : kids) {
+      BOXAGG_RETURN_NOT_OK(
+          EcdfBTree(pool_, dims_, variant_, child).ForEachOwnedPage(fn));
+      BOXAGG_RETURN_NOT_OK(
+          EcdfBTree(pool_, dims_ - 1, variant_, border).ForEachOwnedPage(fn));
+    }
+    return fn(root_);
   }
 
   /// Bulk-loads the tree (must be empty) from `entries`; sorts and coalesces
@@ -313,13 +331,8 @@ class EcdfBTree {
   /// Frees every page (main branch and all borders); the handle becomes
   /// empty.
   Status Destroy() {
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_);
-      BOXAGG_RETURN_NOT_OK(base.Destroy());
-    } else {
-      BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
-    }
+    BOXAGG_RETURN_NOT_OK(
+        ForEachOwnedPage([this](PageId pid) { return pool_->Delete(pid); }));
     root_ = kInvalidPageId;
     return Status::OK();
   }
@@ -350,14 +363,7 @@ class EcdfBTree {
   static constexpr uint32_t kInternalEntrySize = 24 + sizeof(V);
   static constexpr uint32_t kInternalRec = 16 + sizeof(V);
 
-  struct SplitResult {
-    bool happened = false;
-    PageId right_page = kInvalidPageId;
-    double left_lowkey = 0.0;
-    double right_lowkey = 0.0;
-    V left_sum{};
-    V right_sum{};
-  };
+  using SplitResult = typename AggBTree<V>::SplitResult;
 
   // ---- page accessors -----------------------------------------------------
 
@@ -422,12 +428,7 @@ class EcdfBTree {
 
   // ---- verification -------------------------------------------------------
 
-  struct SubtreeFacts {
-    double min_key = 0.0;  // dim-0 extrema of the subtree's points
-    double max_key = 0.0;
-    V sum{};
-    uint32_t depth = 0;
-  };
+  using SubtreeFacts = typename AggBTree<V>::SubtreeFacts;
 
   Status CheckRec(PageId pid, bool is_root, CheckContext* ctx,
                   SubtreeFacts* out) const {
@@ -568,11 +569,6 @@ class EcdfBTree {
     return sub.CloneInto(out);
   }
 
-  Status DestroyBorder(PageId border_root) {
-    EcdfBTree sub(pool_, dims_ - 1, variant_, border_root);
-    return sub.Destroy();
-  }
-
   /// Deep page copy of this tree; returns the copy's root.
   Status CloneInto(PageId* out) {
     if (root_ == kInvalidPageId) {
@@ -648,35 +644,16 @@ class EcdfBTree {
       // Leaf split.
       std::vector<Entry> all(n);
       for (uint32_t i = 0; i < n; ++i) {
-        all[i].pt = LeafPoint(page, i);
-        all[i].value = page->ReadAt<V>(LeafValueOff(i));
+        all[i] = {LeafPoint(page, i), page->ReadAt<V>(LeafValueOff(i))};
       }
       all.insert(all.begin() + lo, Entry{p, v});
-      uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
-      PageGuard rg;
-      BOXAGG_RETURN_NOT_OK(pool_->New(&rg));
-      SetHeader(page, kLeaf, left_n);
-      V lsum{}, rsum{};
-      for (uint32_t i = 0; i < left_n; ++i) {
-        WriteLeafEntry(page, i, all[i].pt, all[i].value);
-        lsum += all[i].value;
-      }
-      uint32_t right_n = static_cast<uint32_t>(all.size()) - left_n;
-      SetHeader(rg.page(), kLeaf, right_n);
-      for (uint32_t i = 0; i < right_n; ++i) {
-        WriteLeafEntry(rg.page(), i, all[left_n + i].pt,
-                       all[left_n + i].value);
-        rsum += all[left_n + i].value;
-      }
-      g.MarkDirty();
-      rg.MarkDirty();
-      split->happened = true;
-      split->right_page = rg.id();
-      split->left_lowkey = all[0].pt[0];
-      split->right_lowkey = all[left_n].pt[0];
-      split->left_sum = lsum;
-      split->right_sum = rsum;
-      return Status::OK();
+      return AggBTree<V>::SplitNode(
+          pool_, &g, kLeaf, all,
+          [](Page* q, uint32_t i, const Entry& e) {
+            WriteLeafEntry(q, i, e.pt, e.value);
+            return std::pair{e.pt[0], e.value};
+          },
+          split);
     }
 
     // Internal node: first maintain borders for the incoming point, then
@@ -718,7 +695,8 @@ class EcdfBTree {
       pts.clear();
       BOXAGG_RETURN_NOT_OK(ScanRec(child_split.right_page, &pts));
       BOXAGG_RETURN_NOT_OK(BuildBorder(pts, &border2));
-      BOXAGG_RETURN_NOT_OK(DestroyBorder(old_border));
+      BOXAGG_RETURN_NOT_OK(
+          EcdfBTree(pool_, dims_ - 1, variant_, old_border).Destroy());
     } else {
       // Bq: the old border (prefix through the whole old child) is exactly
       // the prefix through the new right half -> reuse it as border2.
@@ -741,14 +719,8 @@ class EcdfBTree {
     WriteInternalEntry(page, idx, child_split.left_lowkey, child, border1,
                        child_split.left_sum);
     if (n < InternalCapacity(page_size)) {
-      // Shift both SoA strips independently: the lowkey strip and the
-      // {child, border, sum} record strip.
-      std::memmove(page->data() + InternalLowKeyOffset(idx + 2),
-                   page->data() + InternalLowKeyOffset(idx + 1),
-                   (n - idx - 1) * size_t{8});
-      std::memmove(page->data() + InternalChildOffset(page_size, idx + 2),
-                   page->data() + InternalChildOffset(page_size, idx + 1),
-                   (n - idx - 1) * size_t{kInternalRec});
+      AggBTree<V>::OpenInternalSlot(page, InternalCapacity(page_size),
+                                    kInternalRec, idx + 1, n);
       WriteInternalEntry(page, idx + 1, child_split.right_lowkey,
                          child_split.right_page, border2,
                          child_split.right_sum);
@@ -766,54 +738,33 @@ class EcdfBTree {
     };
     std::vector<IEntry> all(n);
     for (uint32_t i = 0; i < n; ++i) {
-      all[i].lowkey = InternalLowKey(page, i);
-      all[i].child = InternalChild(page, i);
-      all[i].border = InternalBorder(page, i);
-      all[i].sum = page->ReadAt<V>(InternalSumOffset(page_size, i));
+      all[i] = {InternalLowKey(page, i), InternalChild(page, i),
+                InternalBorder(page, i),
+                page->ReadAt<V>(InternalSumOffset(page_size, i))};
     }
     all.insert(all.begin() + idx + 1,
                IEntry{child_split.right_lowkey, child_split.right_page,
                       border2, child_split.right_sum});
-    uint32_t left_n = static_cast<uint32_t>(all.size() / 2);
-    uint32_t right_n = static_cast<uint32_t>(all.size()) - left_n;
 
     if (variant_ == EcdfVariant::kQueryOptimized) {
       // Prefix borders in the right half covered the left half too; rebuild
       // them over the right half's own subtrees only.
       std::vector<Entry> cumulative;
-      for (uint32_t i = 0; i < right_n; ++i) {
-        IEntry& e = all[left_n + i];
+      for (size_t i = all.size() / 2; i < all.size(); ++i) {
+        IEntry& e = all[i];
         BOXAGG_RETURN_NOT_OK(ScanRec(e.child, &cumulative));
-        BOXAGG_RETURN_NOT_OK(DestroyBorder(e.border));
+        BOXAGG_RETURN_NOT_OK(
+            EcdfBTree(pool_, dims_ - 1, variant_, e.border).Destroy());
         BOXAGG_RETURN_NOT_OK(BuildBorder(cumulative, &e.border));
       }
     }
-
-    PageGuard rg;
-    BOXAGG_RETURN_NOT_OK(pool_->New(&rg));
-    SetHeader(page, kInternal, left_n);
-    V lsum{}, rsum{};
-    for (uint32_t i = 0; i < left_n; ++i) {
-      WriteInternalEntry(page, i, all[i].lowkey, all[i].child, all[i].border,
-                         all[i].sum);
-      lsum += all[i].sum;
-    }
-    SetHeader(rg.page(), kInternal, right_n);
-    for (uint32_t i = 0; i < right_n; ++i) {
-      WriteInternalEntry(rg.page(), i, all[left_n + i].lowkey,
-                         all[left_n + i].child, all[left_n + i].border,
-                         all[left_n + i].sum);
-      rsum += all[left_n + i].sum;
-    }
-    g.MarkDirty();
-    rg.MarkDirty();
-    split->happened = true;
-    split->right_page = rg.id();
-    split->left_lowkey = all[0].lowkey;
-    split->right_lowkey = all[left_n].lowkey;
-    split->left_sum = lsum;
-    split->right_sum = rsum;
-    return Status::OK();
+    return AggBTree<V>::SplitNode(
+        pool_, &g, kInternal, all,
+        [this](Page* q, uint32_t i, const IEntry& e) {
+          WriteInternalEntry(q, i, e.lowkey, e.child, e.border, e.sum);
+          return std::pair{e.lowkey, e.sum};
+        },
+        split);
   }
 
   // ---- traversal ----------------------------------------------------------
@@ -910,53 +861,6 @@ class EcdfBTree {
       BOXAGG_RETURN_NOT_OK(ScanRec(c, out));
     }
     return Status::OK();
-  }
-
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-    const Page* p = g.page();
-    *out += 1;
-    if (Type(p) != kInternal) return Status::OK();
-    uint32_t n = Count(p);
-    std::vector<std::pair<PageId, PageId>> kids(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      kids[i] = {InternalChild(p, i), InternalBorder(p, i)};
-    }
-    g.Release();
-    for (auto [child, border] : kids) {
-      BOXAGG_RETURN_NOT_OK(PageCountRec(child, out));
-      if (border != kInvalidPageId) {
-        EcdfBTree sub(pool_, dims_ - 1, variant_, border);
-        uint64_t b = 0;
-        BOXAGG_RETURN_NOT_OK(sub.PageCount(&b));
-        *out += b;
-      }
-    }
-    return Status::OK();
-  }
-
-  Status DestroyRec(PageId pid) {
-    std::vector<std::pair<PageId, PageId>> kids;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (Type(p) == kInternal) {
-        uint32_t n = Count(p);
-        kids.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          kids.push_back({InternalChild(p, i), InternalBorder(p, i)});
-        }
-      }
-    }
-    for (auto [child, border] : kids) {
-      BOXAGG_RETURN_NOT_OK(DestroyRec(child));
-      if (border != kInvalidPageId) {
-        BOXAGG_RETURN_NOT_OK(DestroyBorder(border));
-      }
-    }
-    return pool_->Delete(pid);
   }
 
   BufferPool* pool_;

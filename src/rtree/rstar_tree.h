@@ -260,8 +260,33 @@ class RStarTree {
   /// Pages owned by the tree.
   Status PageCount(uint64_t* out) const {
     *out = 0;
+    return ForEachOwnedPage([out](PageId) {
+      ++*out;
+      return Status::OK();
+    });
+  }
+
+  /// Calls fn(pid), which returns a Status, once for every page the tree
+  /// owns, post-order: each entry's child subtree in entry order, then the
+  /// node. A node is released before its subtrees are walked, so `fn` may
+  /// free the page it is handed.
+  template <class Fn>
+  Status ForEachOwnedPage(Fn&& fn) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    return PageCountRec(root_, out);
+    std::vector<PageId> kids;
+    {
+      PageGuard g;
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
+      if (Type(g.page()) == kInternalType) {
+        for (uint32_t i = 0; i < Count(g.page()); ++i) {
+          kids.push_back(InternalChild(g.page(), i));
+        }
+      }
+    }
+    for (PageId c : kids) {
+      BOXAGG_RETURN_NOT_OK(RStarTree(pool_, dims_, c).ForEachOwnedPage(fn));
+    }
+    return fn(root_);
   }
 
   /// Number of stored objects.
@@ -273,8 +298,8 @@ class RStarTree {
 
   /// Frees every page.
   Status Destroy() {
-    if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(DestroyRec(root_));
+    BOXAGG_RETURN_NOT_OK(
+        ForEachOwnedPage([this](PageId pid) { return pool_->Delete(pid); }));
     root_ = kInvalidPageId;
     root_level_ = 0;
     return Status::OK();
@@ -923,21 +948,6 @@ class RStarTree {
 
   // ---- maintenance --------------------------------------------------------
 
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-    *out += 1;
-    if (Type(g.page()) == kLeafType) return Status::OK();
-    uint32_t n = Count(g.page());
-    std::vector<PageId> kids(n);
-    for (uint32_t i = 0; i < n; ++i) kids[i] = InternalChild(g.page(), i);
-    g.Release();
-    for (PageId c : kids) {
-      BOXAGG_RETURN_NOT_OK(PageCountRec(c, out));
-    }
-    return Status::OK();
-  }
-
   Status CountObjectsRec(PageId pid, uint64_t* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
@@ -953,24 +963,6 @@ class RStarTree {
       BOXAGG_RETURN_NOT_OK(CountObjectsRec(c, out));
     }
     return Status::OK();
-  }
-
-  Status DestroyRec(PageId pid) {
-    std::vector<PageId> kids;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      if (Type(g.page()) == kInternalType) {
-        uint32_t n = Count(g.page());
-        for (uint32_t i = 0; i < n; ++i) {
-          kids.push_back(InternalChild(g.page(), i));
-        }
-      }
-    }
-    for (PageId c : kids) {
-      BOXAGG_RETURN_NOT_OK(DestroyRec(c));
-    }
-    return pool_->Delete(pid);
   }
 
   BufferPool* pool_;

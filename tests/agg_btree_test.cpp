@@ -32,9 +32,9 @@ TEST_F(AggBTreeTest, EmptyTreeSumsToZero) {
   EXPECT_EQ(s, 0.0);
   ASSERT_TRUE(t.TotalSum(&s).ok());
   EXPECT_EQ(s, 0.0);
-  uint64_t n = 99;
-  ASSERT_TRUE(t.CountEntries(&n).ok());
-  EXPECT_EQ(n, 0u);
+  std::vector<AggBTree<double>::Entry> all;
+  ASSERT_TRUE(t.ScanAll(&all).ok());
+  EXPECT_EQ(all.size(), 0u);
 }
 
 TEST_F(AggBTreeTest, SingleInsertAndBoundaries) {
@@ -54,9 +54,9 @@ TEST_F(AggBTreeTest, EqualKeysCoalesce) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(t.Insert(7.0, 1.5).ok());
   }
-  uint64_t n;
-  ASSERT_TRUE(t.CountEntries(&n).ok());
-  EXPECT_EQ(n, 1u);
+  std::vector<AggBTree<double>::Entry> all;
+  ASSERT_TRUE(t.ScanAll(&all).ok());
+  EXPECT_EQ(all.size(), 1u);
   double s;
   ASSERT_TRUE(t.DominanceSum(7.0, &s).ok());
   EXPECT_EQ(s, 15.0);
@@ -84,10 +84,6 @@ TEST_F(AggBTreeTest, ManyInsertsSplitAndStaySorted) {
   for (int k : keys) {
     ASSERT_TRUE(t.Insert(static_cast<double>(k), 1.0).ok());
   }
-  uint64_t n;
-  ASSERT_TRUE(t.CountEntries(&n).ok());
-  EXPECT_EQ(n, static_cast<uint64_t>(kN));
-
   std::vector<AggBTree<double>::Entry> all;
   ASSERT_TRUE(t.ScanAll(&all).ok());
   ASSERT_EQ(all.size(), static_cast<size_t>(kN));
@@ -127,10 +123,10 @@ TEST_F(AggBTreeTest, BulkLoadMatchesIncremental) {
     ASSERT_TRUE(inc.DominanceSum(q, &b).ok());
     EXPECT_NEAR(a, b, 1e-9) << "q=" << q;
   }
-  uint64_t na, nb;
-  ASSERT_TRUE(bulk.CountEntries(&na).ok());
-  ASSERT_TRUE(inc.CountEntries(&nb).ok());
-  EXPECT_EQ(na, nb);
+  std::vector<AggBTree<double>::Entry> ea, eb;
+  ASSERT_TRUE(bulk.ScanAll(&ea).ok());
+  ASSERT_TRUE(inc.ScanAll(&eb).ok());
+  EXPECT_EQ(ea.size(), eb.size());
 }
 
 TEST_F(AggBTreeTest, BulkLoadEmptyAndSingle) {

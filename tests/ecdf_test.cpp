@@ -222,9 +222,9 @@ TEST(EcdfBTree, EmptyTreeQueries) {
     double s = -1;
     ASSERT_TRUE(tree.DominanceSum(Point::MaxPoint(dims), &s).ok());
     EXPECT_EQ(s, 0.0);
-    uint64_t n = 9;
-    ASSERT_TRUE(tree.CountEntries(&n).ok());
-    EXPECT_EQ(n, 0u);
+    std::vector<PointEntry<double>> all;
+    ASSERT_TRUE(tree.ScanAll(&all).ok());
+    EXPECT_EQ(all.size(), 0u);
     uint64_t pages = 9;
     ASSERT_TRUE(tree.PageCount(&pages).ok());
     EXPECT_EQ(pages, 0u);

@@ -701,9 +701,9 @@ void CollectBorderSizes(BufferPool* pool, PageId pid, BorderSizes* out) {
     }
   }
   for (PageId b : spilled) {
-    uint64_t count = 0;
-    ASSERT_TRUE(AggBTree<V>(pool, b).CountEntries(&count).ok());
-    out->spilled_sizes.push_back(count);
+    std::vector<typename AggBTree<V>::Entry> entries;
+    ASSERT_TRUE(AggBTree<V>(pool, b).ScanAll(&entries).ok());
+    out->spilled_sizes.push_back(entries.size());
   }
   for (PageId c : children) CollectBorderSizes<V>(pool, c, out);
 }

@@ -15,6 +15,8 @@
 #ifndef BOXAGG_CORE_FUNCTIONAL_BOX_SUM_H_
 #define BOXAGG_CORE_FUNCTIONAL_BOX_SUM_H_
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/box_sum_index.h"
@@ -38,10 +40,11 @@ class FunctionalBoxSumIndex {
   Index& index() { return index_; }
 
   /// Registers an object with box `box` and value function `f` (a monomial
-  /// list; every monomial needs p + 1 <= DEG and q + 1 <= DEG): 2^d = 4
-  /// point insertions of coefficient tuples.
+  /// list, see CheckFunction): 2^d = 4 point insertions of coefficient
+  /// tuples.
   Status Insert(const Box& box, const std::vector<Monomial2>& f) {
     BOXAGG_RETURN_NOT_OK(CheckBox(box, /*dims=*/2));
+    BOXAGG_RETURN_NOT_OK(CheckFunction(f));
     auto updates = MakeCornerUpdates<DEG>(box, f);
     for (const auto& u : updates) {
       BOXAGG_RETURN_NOT_OK(index_.Insert(u.point, u.value));
@@ -74,6 +77,7 @@ class FunctionalBoxSumIndex {
   Status BulkLoad(const std::vector<FunctionalObject>& objects) {
     for (const FunctionalObject& o : objects) {
       BOXAGG_RETURN_NOT_OK(CheckBox(o.box, /*dims=*/2));
+      BOXAGG_RETURN_NOT_OK(CheckFunction(o.f));
     }
     std::vector<PointEntry<Poly2<DEG>>> pts;
     pts.reserve(objects.size() * 4);
@@ -89,6 +93,21 @@ class FunctionalBoxSumIndex {
   Status PageCount(uint64_t* out) const { return index_.PageCount(out); }
 
   Status Destroy() { return index_.Destroy(); }
+
+  /// InvalidArgument unless every monomial a * x^p * y^q of `f` has
+  /// 0 <= p, q <= DEG - 1 (its partial integrals, of degree p + 1 and
+  /// q + 1, must fit a Poly2<DEG>) and a finite coefficient a.
+  static Status CheckFunction(const std::vector<Monomial2>& f) {
+    for (const Monomial2& m : f) {
+      if (m.p < 0 || m.p > DEG - 1 || m.q < 0 || m.q > DEG - 1 ||
+          !std::isfinite(m.a)) {
+        return Status::InvalidArgument(
+            "malformed monomial: needs exponents in [0, " +
+            std::to_string(DEG - 1) + "] and a finite coefficient");
+      }
+    }
+    return Status::OK();
+  }
 
  private:
   mutable Index index_;

@@ -214,6 +214,35 @@ TEST(FunctionalBoxSum, RejectsMalformedBoxes) {
   EXPECT_TRUE(invalid(fresh.BulkLoad(
       {{Box(Point(0, 0), Point(1, 1)), f}, {inverted, f}})));
   EXPECT_TRUE(invalid(fresh.BulkLoad({{with_nan, f}})));
+
+  // Monomials whose partial integrals do not fit Poly2<1> (exponents other
+  // than 0) or whose coefficient is not finite are rejected before any
+  // index is touched.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Box box(Point(1, 1), Point(3, 3));
+  uint64_t pages_before = 0;
+  ASSERT_TRUE(index.PageCount(&pages_before).ok());
+  for (const Monomial2& m : std::vector<Monomial2>{{1.0, 1, 0},
+                                                   {1.0, 0, 1},
+                                                   {1.0, -1, 0},
+                                                   {1.0, 0, -1},
+                                                   {nan, 0, 0},
+                                                   {inf, 0, 0},
+                                                   {-inf, 0, 0}}) {
+    SCOPED_TRACE("monomial " + std::to_string(m.a) + " x^" +
+                 std::to_string(m.p) + " y^" + std::to_string(m.q));
+    const std::vector<Monomial2> bad = {{2.0, 0, 0}, m};
+    EXPECT_TRUE(invalid(index.Insert(box, bad)));
+    EXPECT_TRUE(invalid(index.Erase(box, bad)));
+    EXPECT_TRUE(invalid(fresh.BulkLoad({{box, f}, {box, bad}})));
+  }
+  uint64_t pages_after = 0;
+  ASSERT_TRUE(index.PageCount(&pages_after).ok());
+  EXPECT_EQ(pages_after, pages_before);
+  ASSERT_TRUE(fresh.PageCount(&pages_after).ok());
+  EXPECT_EQ(pages_after, 0u);
+  ASSERT_TRUE(index.Query(Box(Point(0, 0), Point(40, 40)), &got).ok());
+  EXPECT_DOUBLE_EQ(got, 832.0);
 }
 
 }  // namespace

@@ -1,52 +1,19 @@
 #include "obs/logger.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace boxagg {
 namespace obs {
 
 namespace {
 
-LogLevel LevelFromEnv() {
-  const char* env = std::getenv("BOXAGG_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-  return LogLevel::kInfo;
-}
-
-const char* LevelTag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarn:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-
-}  // namespace
-
-Logger& Logger::Get() {
-  static Logger logger(LevelFromEnv());
-  return logger;
-}
-
-void Logger::Log(LogLevel level, const char* fmt, va_list ap) {
-  if (static_cast<int>(level) < static_cast<int>(level_)) return;
+void Log(char tag, const char* fmt, va_list ap) {
   // Format into one buffer and emit with a single fwrite so concurrent
   // log lines interleave whole, not character-by-character.
   char buf[1024];
-  int n = std::snprintf(buf, sizeof(buf), "[%s] ", LevelTag(level));
+  int n = std::snprintf(buf, sizeof(buf), "[%c] ", tag);
   if (n < 0) return;
   int m = std::vsnprintf(buf + n, sizeof(buf) - static_cast<size_t>(n) - 1,
                          fmt, ap);
@@ -58,20 +25,21 @@ void Logger::Log(LogLevel level, const char* fmt, va_list ap) {
   std::fwrite(buf, 1, len, stderr);
 }
 
-#define BOXAGG_DEFINE_LOG(Fn, Level)             \
-  void Fn(const char* fmt, ...) {                \
-    va_list ap;                                  \
-    va_start(ap, fmt);                           \
-    Logger::Get().Log(Level, fmt, ap);           \
-    va_end(ap);                                  \
-  }
+}  // namespace
 
-BOXAGG_DEFINE_LOG(LogDebug, LogLevel::kDebug)
-BOXAGG_DEFINE_LOG(LogInfo, LogLevel::kInfo)
-BOXAGG_DEFINE_LOG(LogWarn, LogLevel::kWarn)
-BOXAGG_DEFINE_LOG(LogError, LogLevel::kError)
+void LogInfo(const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  Log('I', fmt, ap);
+  va_end(ap);
+}
 
-#undef BOXAGG_DEFINE_LOG
+void LogError(const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  Log('E', fmt, ap);
+  va_end(ap);
+}
 
 }  // namespace obs
 }  // namespace boxagg

@@ -1,33 +1,13 @@
-// Minimal level-filtered logger writing to stderr, so tools and benches
-// can emit progress/diagnostics without contaminating stdout — benchmark
-// stdout must stay machine-parseable (pure JSON / BASELINE lines).
-//
-// Level comes from BOXAGG_LOG_LEVEL (debug|info|warn|error, default info)
-// read once at first use. Printf-style formatting; one line per call.
+// Minimal printf-style logger writing to stderr, so tools and benches can
+// emit progress/diagnostics without contaminating stdout — benchmark stdout
+// must stay machine-parseable (pure JSON / BASELINE lines). One line per
+// call, tagged "[I] " or "[E] ".
 
 #ifndef BOXAGG_OBS_LOGGER_H_
 #define BOXAGG_OBS_LOGGER_H_
 
-#include <cstdarg>
-
 namespace boxagg {
 namespace obs {
-
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-class Logger {
- public:
-  /// Process-wide singleton; level parsed from BOXAGG_LOG_LEVEL on first use.
-  static Logger& Get();
-
-  void Log(LogLevel level, const char* fmt, va_list ap);
-  [[nodiscard]] LogLevel level() const { return level_; }
-  void set_level(LogLevel level) { level_ = level; }
-
- private:
-  explicit Logger(LogLevel level) : level_(level) {}
-  LogLevel level_;
-};
 
 #if defined(__GNUC__) || defined(__clang__)
 #define BOXAGG_PRINTF_ATTR __attribute__((format(printf, 1, 2)))
@@ -35,9 +15,7 @@ class Logger {
 #define BOXAGG_PRINTF_ATTR
 #endif
 
-void LogDebug(const char* fmt, ...) BOXAGG_PRINTF_ATTR;
 void LogInfo(const char* fmt, ...) BOXAGG_PRINTF_ATTR;
-void LogWarn(const char* fmt, ...) BOXAGG_PRINTF_ATTR;
 void LogError(const char* fmt, ...) BOXAGG_PRINTF_ATTR;
 
 #undef BOXAGG_PRINTF_ATTR

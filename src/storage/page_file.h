@@ -136,7 +136,7 @@ class PageFile {
 /// Extend/Free on an internal mutex. It protects the slot vectors: the
 /// outer vector's growth in Extend and each slot's bytes, so reads from
 /// buffer-pool shards on several threads, eviction write-backs and the
-/// debug-mode poisoning in Free never touch a slot while another call
+/// poisoning in Free never touch a slot while another call
 /// resizes or fills it. The lock is uncontended in single-threaded benches
 /// and does not change I/O counts.
 class MemPageFile : public PageFile {
@@ -144,8 +144,8 @@ class MemPageFile : public PageFile {
   explicit MemPageFile(uint32_t page_size = kDefaultPageSize)
       : PageFile(page_size) {}
 
-  /// Free plus debug-mode poisoning: in debug builds the freed slot is
-  /// filled with 0xDB so a use-after-free of the page id fails loudly
+  /// Free plus poisoning: in every build the freed slot is filled with
+  /// 0xDB so a use-after-free of the page id fails loudly
   /// (bad page magic -> Status::kCorruption) instead of reading stale
   /// bytes that happen to still parse.
   Status Free(PageId id) override;
